@@ -1,15 +1,27 @@
 """Exact distribution propagation, privacy audits, and the hybrid certificate.
 
-Distributions over mechanism internals are plain dictionaries mapping hashable
-outcomes (count tuples, grid indices, composite states) to probabilities. The
-engine enumerates weighted paths through the declared kernels, guarded at
-``MAX_PATHS`` enumerated transitions so a mis-sized request fails fast instead
-of thrashing.
+Laws through a shuffle are plain dictionaries over count tuples, built by
+convolution.
 
-Audits compare the exact view distributions of a mechanism on two neighboring
-inputs through the hockey-stick divergence, in both orderings. For online
-mechanisms the view is the joint (state at intrusion time, final output) and
-the reported curve takes the worst case over intrusion times.
+Online algorithms run on an indexed array engine. At each time t the reachable
+states get integer indices in first-seen order, shared by every stream
+propagated together (two neighbors, or a reference and the family members), so
+arrays line up without depending on hash order. Step t's kernel is enumerated
+once from ``update_kernel`` into COO arrays (rows at t-1, cols at t, weights);
+the output kernel becomes a matrix O. Forward laws come from ``np.bincount``;
+backward products ``B_n = O``, ``B_{t-1} = T_t B_t`` give the output law given
+the time-t state, so the one-intrusion view at every t is ``law_t[:, None] *
+B_t``: one forward and one backward pass cover all intrusion times. The public
+functions still return dictionaries.
+
+Every enumeration is checked against ``MAX_PATHS`` before it starts (states x
+input support before a step, states x outputs before a view matrix), and the
+error names the parameter to reduce.
+
+Audits compare the exact views of a mechanism on two neighboring inputs
+through the hockey-stick divergence, in both orderings, on aligned arrays. For
+online mechanisms the view is the joint (state at intrusion time, final output)
+and the reported curve takes the worst case over intrusion times.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from .mechanisms import Analyzer, PanPrivateAlgorithm, Randomizer, ShuffleProtoc
 from .metrics import mutual_information
 
 MAX_PATHS = 10**7
+_BLOCK = 1 << 21  # float64 elements in one hockey-stick temporary
 
 __all__ = [
     "convolve_counts",
@@ -47,9 +60,9 @@ __all__ = [
 ]
 
 
-def _check_paths(size: int, label: str) -> None:
+def _check_paths(size: int, label: str, remedy: str = "") -> None:
     if size > MAX_PATHS:
-        raise GuardError(f"{label}: {size} paths exceed the {MAX_PATHS} guard")
+        raise GuardError(f"{label}: {size} paths exceed the {MAX_PATHS} guard{remedy}")
 
 
 def convolve_counts(d1: dict, d2: dict) -> dict:
@@ -147,83 +160,213 @@ def exact_output_distribution(mechanism, data: Sequence, reduce_output: bool = T
 
 
 # ---------------------------------------------------------------------------
-# online propagation
+# online propagation: the indexed array engine
 
 
-def _step(alg: PanPrivateAlgorithm, states: dict, i: int, x) -> dict:
-    """One update step; ``x`` is a fixed element or an {element: prob} dict."""
+@dataclass(frozen=True)
+class _Kernel:
+    """One step as COO arrays: ``weights[j]`` moves mass from ``rows[j]`` to ``cols[j]``.
+
+    Sources are enumerated in index order, so ``rows`` is nondecreasing.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+    def push(self, law: np.ndarray, size: int) -> np.ndarray:
+        """Forward: the law after the step, on ``size`` target indices."""
+        return np.bincount(self.cols, weights=law[self.rows] * self.weights, minlength=size)
+
+    def pull(self, table: np.ndarray, size: int) -> np.ndarray:
+        """Backward: ``T @ table`` on ``size`` source indices.
+
+        Entries are applied in layers, the j-th entry of every row at once, so
+        each scatter hits distinct rows and each row sums in enumeration order.
+        """
+        out = np.zeros((size, table.shape[1]))
+        n = len(self.rows)
+        starts = np.flatnonzero(np.r_[True, self.rows[1:] != self.rows[:-1]])
+        rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+        layers = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+        for j in layers:
+            out[self.rows[j]] += self.weights[j, None] * table[self.cols[j]]
+        return out
+
+    def dense(self, shape: tuple[int, int]) -> np.ndarray:
+        out = np.zeros(shape)
+        np.add.at(out, (self.rows, self.cols), self.weights)
+        return out
+
+
+def _guard(alg: PanPrivateAlgorithm, size: int, what: str) -> None:
+    """Refuse an online enumeration of ``size`` paths before it starts, naming the knob."""
+    if size > MAX_PATHS:
+        knob = "lower span or raise step" if "span" in alg.meta else "shorten the stream"
+        _check_paths(size, f"{alg.name}: {what}", f"; {knob}")
+
+
+def _enumerate(alg: PanPrivateAlgorithm, sources: Iterable, index: dict, what: str) -> _Kernel:
+    """COO arrays of ``(row, {target: weight})`` pairs; unseen targets join ``index``.
+
+    A target's index is its first-seen position, so the order follows the
+    enumeration and never the hash order.
+    """
+    rows: list = []
+    cols: list = []
+    weights: list = []
+    for r, kern in sources:
+        fresh = [k for k in kern if k not in index]
+        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+        rows.extend([r] * len(kern))
+        cols.extend(map(index.__getitem__, kern))
+        weights.extend(kern.values())
+        _guard(alg, len(weights), what)
+    w = np.array(weights, dtype=np.float64)
+    keep = w > 0.0
+    return _Kernel(
+        np.array(rows, dtype=np.intp)[keep], np.array(cols, dtype=np.intp)[keep], w[keep]
+    )
+
+
+def _step(alg: PanPrivateAlgorithm, i: int, x, states: list, rows, index: dict) -> _Kernel:
+    """Step i's kernel from ``states[r]``, r in ``rows``; ``x`` is an element or {element: prob}."""
     inputs = x if isinstance(x, dict) else {x: 1.0}
-    _check_paths(len(states) * len(inputs), f"step {i}")
-    out: dict = {}
-    for s, ps in states.items():
-        for xv, px in inputs.items():
-            for s2, pt in alg.update_kernel(i, xv, s).items():
-                w = ps * px * pt
-                if w > 0.0:
-                    out[s2] = out.get(s2, 0.0) + w
-        _check_paths(len(out), f"step {i} states")
-    return out
+    _guard(alg, len(rows) * len(inputs), f"step {i} ({len(rows)} states x {len(inputs)} inputs)")
+    sources = (
+        (r, {s2: px * pt for s2, pt in alg.update_kernel(i, xv, states[r]).items()})
+        for r in rows
+        for xv, px in inputs.items()
+    )
+    return _enumerate(alg, sources, index, f"step {i} transitions")
+
+
+def _propagate(alg: PanPrivateAlgorithm, streams: Sequence, tails: Sequence = ()):
+    """Forward pass of equal-length streams on one shared state index per time.
+
+    Returns ``(states, laws, kernels)``: ``states[t]`` lists the time-t states
+    in index order, ``laws[k][t]`` is stream k's law on them, and
+    ``kernels[k][t-1]`` is stream k's step-t kernel from its live states.
+    Each of ``tails`` (element sequences without a law of their own) appends
+    a kernel list enumerated from every indexed state, for backward passes
+    that start after any prefix.
+    """
+    if not alg.has_exact:
+        raise ValueError(f"{alg.name} lacks exact kernels")
+    init = alg.init_kernel
+    states = [list(init)]
+    laws = [[np.fromiter(init.values(), dtype=np.float64, count=len(init))] for _ in streams]
+    kernels: list[list[_Kernel]] = [[] for _ in [*streams, *tails]]
+    for i in range(1, len(streams[0]) + 1):
+        index: dict = {}
+        prev = states[-1]
+        for stream, law, kern in zip(streams, laws, kernels):
+            live = np.flatnonzero(law[-1] > 0.0).tolist()
+            kern.append(_step(alg, i, stream[i - 1], prev, live, index))
+        for tail, kern in zip(tails, kernels[len(streams):]):
+            kern.append(_step(alg, i, tail[i - 1], prev, range(len(prev)), index))
+        states.append(list(index))
+        for law, kern in zip(laws, kernels):
+            law.append(kern[-1].push(law[-1], len(index)))
+    return states, laws, kernels
+
+
+def _outputs(alg: PanPrivateAlgorithm, states: list) -> tuple[list, _Kernel]:
+    """The outputs in index order and the output kernel from every state of ``states``."""
+    index: dict = {}
+    sources = ((r, alg.output_kernel(s)) for r, s in enumerate(states))
+    kernel = _enumerate(alg, sources, index, "output kernel")
+    return list(index), kernel
+
+
+def _as_dict(keys: list, probs: np.ndarray) -> dict:
+    return {k: p for k, p in zip(keys, probs.tolist()) if p > 0.0}
+
+
+def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]):
+    """Yield ``(states_t, outputs, views)`` for each intrusion time t, latest first.
+
+    ``views[k]`` is stream k's joint law of (state at t, final output) as a
+    states x outputs array ``law_t[:, None] * B_t``, where ``B_n = O`` and
+    ``B_{t-1} = T_t B_t``: one backward pass serves every time.
+    """
+    n = len(streams[0])
+    wanted = set(times)
+    for t in wanted:
+        if not 1 <= t <= n:
+            raise ValueError(f"intrusion time {t} outside [1, {n}]")
+    if not wanted:
+        return
+    states, laws, kernels = _propagate(alg, streams)
+    outputs, out_kernel = _outputs(alg, states[n])
+    first = min(wanted)
+    widest = max(len(s) for s in states[first:])
+    _guard(alg, widest * len(outputs), f"view ({widest} states x {len(outputs)} outputs)")
+    tables = [out_kernel.dense((len(states[n]), len(outputs)))] * len(streams)
+    for t in range(n, first - 1, -1):
+        if t in wanted:
+            yield states[t], outputs, [law[t][:, None] * b for law, b in zip(laws, tables)]
+        if t > first:
+            tables = [kern[t - 1].pull(b, len(states[t - 1])) for kern, b in zip(kernels, tables)]
 
 
 def exact_pan_states(alg: PanPrivateAlgorithm, stream: Sequence, upto: int | None = None) -> dict:
     """State distribution after the first ``upto`` elements (default: all)."""
-    if not alg.has_exact:
-        raise ValueError(f"{alg.name} lacks exact kernels")
-    states = dict(alg.init_kernel)
-    stop = len(stream) if upto is None else upto
-    for i, x in enumerate(stream[:stop], start=1):
-        states = _step(alg, states, i, x)
-    return states
+    states, laws, _ = _propagate(alg, [stream[:upto]])
+    return _as_dict(states[-1], laws[0][-1])
 
 
 def exact_pan_output(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
-    states = exact_pan_states(alg, stream)
-    out: dict = {}
-    for s, ps in states.items():
-        for o, po in alg.output_kernel(s).items():
-            out[o] = out.get(o, 0.0) + ps * po
-    return out
+    states, laws, _ = _propagate(alg, [stream])
+    outputs, out_kernel = _outputs(alg, states[-1])
+    return _as_dict(outputs, out_kernel.push(laws[0][-1], len(outputs)))
 
 
 def exact_pan_view(alg: PanPrivateAlgorithm, stream: Sequence, t: int) -> dict:
     """Joint law of (state at time t, final output): {(state, output): prob}."""
-    if not 1 <= t <= len(stream):
-        raise ValueError(f"intrusion time {t} outside [1, {len(stream)}]")
-    prefix = exact_pan_states(alg, stream, upto=t)
-    joint: dict = {}
-    for s_t, p_t in prefix.items():
-        tail = {s_t: 1.0}
-        for i, x in enumerate(stream[t:], start=t + 1):
-            tail = _step(alg, tail, i, x)
-        for s_n, p_n in tail.items():
-            for o, po in alg.output_kernel(s_n).items():
-                key = (s_t, o)
-                w = p_t * p_n * po
-                if w > 0.0:
-                    joint[key] = joint.get(key, 0.0) + w
-        _check_paths(len(joint), "pan view joint")
-    return joint
+    states, outputs, (view,) = next(_pan_views(alg, [stream], [t]))
+    rows, cols = np.nonzero(view)
+    return {
+        (states[r], outputs[c]): p
+        for r, c, p in zip(rows.tolist(), cols.tolist(), view[rows, cols].tolist())
+    }
 
 
 # ---------------------------------------------------------------------------
-# dict-space metrics
+# divergences on aligned arrays
 
 
 def _aligned(p: dict, q: dict) -> tuple[np.ndarray, np.ndarray]:
-    keys = list(p.keys() | q.keys())
-    a = np.array([p.get(k, 0.0) for k in keys])
-    b = np.array([q.get(k, 0.0) for k in keys])
+    """Both laws on their key union, in first-seen order (p's keys, then q's new ones)."""
+    keys = dict.fromkeys(p)
+    keys.update(dict.fromkeys(q))
+    a = np.fromiter((p.get(k, 0.0) for k in keys), dtype=np.float64, count=len(keys))
+    b = np.fromiter((q.get(k, 0.0) for k in keys), dtype=np.float64, count=len(keys))
     return a, b
 
 
-def tv_dicts(p: dict, q: dict) -> float:
-    a, b = _aligned(p, q)
+def _tv(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
+def _hockey(a: np.ndarray, b: np.ndarray, eps) -> np.ndarray:
+    """``sum(max(a - e^eps b, 0))`` on aligned arrays, one value per grid point."""
+    scales = np.array([math.exp(e) for e in eps], dtype=np.float64)
+    out = np.empty(len(scales))
+    per = max(1, _BLOCK // max(1, a.size))
+    for lo in range(0, len(scales), per):
+        out[lo:lo + per] = np.clip(a - scales[lo:lo + per, None] * b, 0.0, None).sum(axis=1)
+    return out
+
+
+def tv_dicts(p: dict, q: dict) -> float:
+    return _tv(*_aligned(p, q))
+
+
 def hockey_dicts(p: dict, q: dict, eps: float) -> float:
-    a, b = _aligned(p, q)
-    return float(np.clip(a - math.exp(eps) * b, 0.0, None).sum())
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    return float(_hockey(*_aligned(p, q), [eps])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +400,21 @@ class AuditCurve:
                 fh.write(f"{float(e)!r},{float(f)!r},{float(b)!r},{float(m)!r}\n")
 
 
-def _curve_from_views(views_a: list[dict], views_b: list[dict], eps_grid) -> AuditCurve:
+def _curve(pairs: Iterable[tuple[np.ndarray, np.ndarray]], eps_grid) -> AuditCurve:
+    """Worst hockey-stick divergence over aligned view pairs, in both orderings."""
     eps = np.asarray(eps_grid, dtype=np.float64)
     fwd = np.zeros_like(eps)
     bwd = np.zeros_like(eps)
-    for va, vb in zip(views_a, views_b):
-        a, b = _aligned(va, vb)
-        for j, e in enumerate(eps):
-            scale = math.exp(e)
-            fwd[j] = max(fwd[j], float(np.clip(a - scale * b, 0.0, None).sum()))
-            bwd[j] = max(bwd[j], float(np.clip(b - scale * a, 0.0, None).sum()))
+    for a, b in pairs:
+        fwd = np.maximum(fwd, _hockey(a, b, eps))
+        bwd = np.maximum(bwd, _hockey(b, a, eps))
     return AuditCurve(epsilons=eps, delta_forward=fwd, delta_backward=bwd)
+
+
+def _support(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two views on a shared index, restricted to where either has mass."""
+    keep = (va > 0.0) | (vb > 0.0)
+    return va[keep], vb[keep]
 
 
 def audit_privacy(
@@ -296,14 +443,11 @@ def audit_privacy(
                 raise ValueError("output view needs a full protocol")
             va = push_through_analyzer(va, mechanism.analyzer)
             vb = push_through_analyzer(vb, mechanism.analyzer)
-        return _curve_from_views([va], [vb], eps_grid)
+        return _curve([_aligned(va, vb)], eps_grid)
     if isinstance(mechanism, PanPrivateAlgorithm):
-        times = list(intrusion_times) if intrusion_times is not None else list(
-            range(1, len(data_a) + 1)
-        )
-        views_a = [exact_pan_view(mechanism, data_a, t) for t in times]
-        views_b = [exact_pan_view(mechanism, data_b, t) for t in times]
-        return _curve_from_views(views_a, views_b, eps_grid)
+        times = range(1, len(data_a) + 1) if intrusion_times is None else intrusion_times
+        views = _pan_views(mechanism, [data_a, data_b], times)
+        return _curve((_support(va, vb) for _, _, (va, vb) in views), eps_grid)
     raise TypeError(f"cannot audit {type(mechanism).__name__}")
 
 
@@ -365,37 +509,41 @@ def hybrid_tv_certificate(
     else:
         ref = outcome_dict(reference)
 
-    def hybrid_output(i: int) -> dict:
-        out: dict = {}
-        for mem in members:
-            steps = [ref] * i + [mem] * (n - i)
-            dist = exact_pan_output(alg, steps)
-            for o, p in dist.items():
-                out[o] = out.get(o, 0.0) + p / len(members)
-        return out
+    # one forward pass of the reference prefix; each member's kernels come from
+    # every state a hybrid can reach, for its backward pass
+    k = len(members)
+    states, (ref_laws,), (_, *member_kernels) = _propagate(
+        alg, [[ref] * n], tails=[[mem] * n for mem in members]
+    )
+    outputs, out_kernel = _outputs(alg, states[n])
+    widest = max(len(s) for s in states)
+    _guard(alg, widest * len(outputs), f"hybrid tables ({widest} states x {len(outputs)} outputs)")
 
-    outputs = [hybrid_output(i) for i in range(n + 1)]
-    per_tv = [tv_dicts(outputs[i - 1], outputs[i]) for i in range(1, n + 1)]
+    # hybrid i's output law is law_ref_i . B_mem_i, averaged over members
+    hybrid = []
+    tables = [out_kernel.dense((len(states[n]), len(outputs)))] * k
+    for i in range(n, -1, -1):
+        acc = np.zeros(len(outputs))
+        for table in tables:
+            acc += (ref_laws[i][:, None] * table).sum(axis=0) / k
+        hybrid.insert(0, acc)
+        if i:
+            tables = [
+                kern[i - 1].pull(b, len(states[i - 1])) for kern, b in zip(member_kernels, tables)
+            ]
+    per_tv = [_tv(hybrid[i - 1], hybrid[i]) for i in range(1, n + 1)]
 
+    # state after i elements in hybrid i-1's world: i-1 reference steps, then
+    # one member step with the shared latent index
     bounds = []
     for i in range(1, n + 1):
-        # state after i elements in hybrid i-1's world: i-1 reference steps,
-        # then one member step with the shared latent index
-        state_keys: set = set()
-        per_member = []
-        for mem in members:
-            states = exact_pan_states(alg, [ref] * (i - 1) + [mem], upto=i)
-            per_member.append(states)
-            state_keys |= states.keys()
-        keys = list(state_keys)
-        table = np.zeros((len(members), len(keys)))
-        for r, states in enumerate(per_member):
-            for c, k in enumerate(keys):
-                table[r, c] = states.get(k, 0.0) / len(members)
+        table = np.array(
+            [kern[i - 1].push(ref_laws[i - 1], len(states[i])) / k for kern in member_kernels]
+        )
         info = mutual_information(table)
         bounds.append(math.sqrt(max(0.0, 0.5 * info)))
 
-    endpoint = tv_dicts(outputs[0], outputs[n])
+    endpoint = _tv(hybrid[0], hybrid[n])
     slacks = [b - t for t, b in zip(per_tv, bounds)]
     min_slack = min(slacks)
     ok = (min_slack >= -tol) and (endpoint <= sum(per_tv) + tol)

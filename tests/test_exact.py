@@ -182,6 +182,8 @@ def test_tv_dicts_and_hockey_dicts():
     assert hockey_dicts(p, q, 50.0) == pytest.approx(0.3, abs=1e-12)
     shared = {0: 0.55, 1: 0.45}
     assert hockey_dicts(p, shared, 50.0) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        hockey_dicts(p, q, -0.1)
 
 
 def test_audit_single_user_rr_closed_form():

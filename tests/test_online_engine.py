@@ -1,0 +1,178 @@
+"""The indexed online engine against the dict-walk oracle, its guards and its invariants."""
+
+import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import panshuffle
+import panshuffle.exact as exact_mod
+from panshuffle.errors import GuardError
+from panshuffle.exact import (
+    audit_privacy,
+    exact_pan_output,
+    exact_pan_states,
+    exact_pan_view,
+)
+from panshuffle.mechanisms import (
+    last_element_echo,
+    noisy_parity_chain,
+    quantized_laplace_counter,
+    saturating_counter,
+)
+
+from oracles import pan_oracle
+
+GRID = [0.0, 0.25, 0.5, 1.0, 2.0]
+
+# (mechanism, neighbouring streams, intrusion times)
+CASES = {
+    "noisy-parity": (noisy_parity_chain(0.15), ([1, 0, 1, 1], [1, 0, 0, 1]), None),
+    "saturating": (saturating_counter(cap=2), ([1, 1, 0, 1], [1, 0, 0, 1]), None),
+    "last-echo": (last_element_echo(), ([1, 0, 1], [1, 1, 1]), None),
+    "coarse-qlap": (
+        quantized_laplace_counter(0.5, 0.5, step=0.5, span=6.0),
+        ([1, 0, 1, 0, 1], [1, 0, 0, 0, 1]),
+        None,
+    ),
+    "dict-elements": (
+        noisy_parity_chain(0.2),
+        ([1, {1: 0.3, 0: 0.7}, {1: 0.6, 0: 0.4}], [0, {1: 0.3, 0: 0.7}, {1: 0.5, 0: 0.5}]),
+        None,
+    ),
+    "explicit-times": (
+        quantized_laplace_counter(1.0, 0.5, step=0.5, span=5.0),
+        ([0, 1, 1, 0], [0, 1, 0, 0]),
+        [3, 1],
+    ),
+}
+
+
+def _assert_same_law(got: dict, want: dict) -> None:
+    assert set(got) == set(want)
+    for key, p in want.items():
+        assert got[key] == pytest.approx(p, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_views_match_dict_walk_oracle(case):
+    alg, (stream_a, stream_b), times = CASES[case]
+    for stream in (stream_a, stream_b):
+        _assert_same_law(exact_pan_states(alg, stream), pan_oracle.pan_states(alg, stream))
+        _assert_same_law(exact_pan_output(alg, stream), pan_oracle.pan_output(alg, stream))
+        for t in times or range(1, len(stream) + 1):
+            _assert_same_law(exact_pan_view(alg, stream, t), pan_oracle.pan_view(alg, stream, t))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_audit_matches_dict_walk_oracle(case):
+    alg, pair, times = CASES[case]
+    curve = audit_privacy(alg, pair, GRID, intrusion_times=times)
+    fwd, bwd = pan_oracle.audit_curve(alg, pair, GRID, intrusion_times=times)
+    np.testing.assert_allclose(curve.delta_forward, fwd, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curve.delta_backward, bwd, rtol=0, atol=1e-12)
+
+
+def test_criterion07_counter_preflight_raises_before_any_step(monkeypatch):
+    calls = []
+    ctr = quantized_laplace_counter(0.5, 0.5, step=1.0 / 16, span=24.0)
+    kernel = ctr.update_kernel
+
+    def counted(i, x, s):
+        calls.append(i)
+        return kernel(i, x, s)
+
+    ctr = dataclasses.replace(ctr, update_kernel=counted)
+    monkeypatch.setattr(exact_mod, "MAX_PATHS", 500)
+    with pytest.raises(GuardError, match="span.*step"):
+        audit_privacy(ctr, ([1, 0, 1, 0], [1, 0, 0, 0]), [1.0])
+    assert calls == []
+
+
+def test_view_preflight_names_the_stream_length(monkeypatch):
+    # one path per step passes, but the 2 states x 2 outputs view does not
+    monkeypatch.setattr(exact_mod, "MAX_PATHS", 3)
+    with pytest.raises(GuardError, match="view.*shorten the stream"):
+        audit_privacy(saturating_counter(cap=2), ([1, 1], [1, 0]), [0.5])
+
+
+LABELED_AUDIT = """
+import sys
+from panshuffle.exact import audit_privacy
+from panshuffle.mechanisms import PanPrivateAlgorithm
+
+LABELS = ("amber", "birch", "cedar", "dune", "ember", "fjord", "grove")
+STEP = {0: (0.5, 0.3, 0.2), 1: (0.15, 0.35, 0.5)}
+
+
+def update_kernel(i, x, s):
+    j = LABELS.index(s)
+    return {LABELS[(j + k * (x + 1)) % 7]: p for k, p in enumerate(STEP[x])}
+
+
+def output_kernel(s):
+    j = LABELS.index(s)
+    return {LABELS[(j + k) % 7].upper(): p for k, p in enumerate((0.55, 0.3, 0.1, 0.05))}
+
+
+alg = PanPrivateAlgorithm(name="labels", init_kernel={"amber": 0.7, "dune": 0.3},
+                          update_kernel=update_kernel, output_kernel=output_kernel)
+curve = audit_privacy(alg, ([1, 0, 1, 1, 0], [1, 0, 0, 1, 0]), [0.0, 0.1, 0.3])
+curve.write_csv(sys.argv[1])
+"""
+
+
+def test_string_outcome_audit_is_hash_seed_independent(tmp_path):
+    src = str(Path(panshuffle.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        path = tmp_path / f"curve-{seed}.csv"
+        subprocess.run([sys.executable, "-c", LABELED_AUDIT, str(path)], env=env, check=True)
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"epsilon,delta_forward,delta_backward,delta_max\n")
+
+
+MECHANISMS = st.one_of(
+    st.floats(0.0, 0.5).map(noisy_parity_chain),
+    st.integers(1, 3).map(lambda cap: saturating_counter(cap=cap)),
+    st.just(last_element_echo()),
+    st.sampled_from([0.5, 1.0]).map(
+        lambda step: quantized_laplace_counter(0.7, 0.4, step=step, span=4.0)
+    ),
+)
+ELEMENTS = st.one_of(
+    st.integers(0, 1),
+    st.floats(0.0, 1.0).map(lambda w: {1: w, 0: 1.0 - w}),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alg=MECHANISMS,
+    pair=st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.lists(ELEMENTS, min_size=n, max_size=n),
+                            st.lists(ELEMENTS, min_size=n, max_size=n))
+    ),
+    eps=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5),
+)
+def test_laws_normalize_and_curves_decrease(alg, pair, eps):
+    stream_a, stream_b = pair
+    for stream in pair:
+        laws = [exact_pan_states(alg, stream), exact_pan_output(alg, stream)]
+        laws += [exact_pan_view(alg, stream, t) for t in range(1, len(stream) + 1)]
+        for law in laws:
+            assert math.fsum(law.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
+    grid = sorted(eps)
+    curve = audit_privacy(alg, (stream_a, stream_b), grid)
+    for deltas in (curve.delta_forward, curve.delta_backward):
+        assert np.all(np.diff(deltas) <= 0.0)
