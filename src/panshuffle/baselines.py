@@ -37,10 +37,11 @@ from .distributions import (
     sample as draw_from,
 )
 from .errors import GuardError, InsufficientCohortError
-from .metrics import hockey_stick
+from .exact import _check_paths
 from .rng import as_generator, gaussian, laplace, make_generator
 
 EXACT_AUDIT_MAX_N = 12
+_AUDIT_ROWS = 64  # neighbor pairs per block of the randomized-response audit
 
 __all__ = [
     "CalibratedRR",
@@ -75,24 +76,56 @@ __all__ = [
 # randomized-response calibration
 
 
+def _binomial_rows(m: int, q: float) -> np.ndarray:
+    """Row j (j = 0..m) holds the Bin(j, q) pmf, zero-padded to m + 1 entries.
+
+    Built by the Bernoulli recurrence ``B_{j+1} = (1-q) B_j + q shift(B_j)``,
+    whose terms are all nonnegative, so each entry is accurate to a few ulps.
+    Bin(j, 1-q) is row j's first j + 1 entries reversed.
+    """
+    rows = np.zeros((m + 1, m + 1))
+    rows[0, 0] = 1.0
+    for j in range(m):
+        rows[j + 1, : j + 1] = (1.0 - q) * rows[j, : j + 1]
+        rows[j + 1, 1 : j + 2] += q * rows[j, : j + 1]
+    return rows
+
+
 def rr_count_pmf(n_ones: int, n_zeros: int, flip_p: float) -> np.ndarray:
-    """Law of the 1-count after per-user flips: Bin(n1, 1-p) + Bin(n0, p)."""
-    a = np.zeros(n_ones + 1)
-    for k in range(n_ones + 1):
-        a[k] = math.comb(n_ones, k) * (1 - flip_p) ** k * flip_p ** (n_ones - k)
-    b = np.zeros(n_zeros + 1)
-    for k in range(n_zeros + 1):
-        b[k] = math.comb(n_zeros, k) * flip_p**k * (1 - flip_p) ** (n_zeros - k)
-    return np.convolve(a, b)
+    """Law of the 1-count after per-user flips: Bin(n1, 1-p) + Bin(n0, p).
+
+    Both binomials come from the Bernoulli recurrence of :func:`_binomial_rows`.
+    """
+    rows = _binomial_rows(max(n_ones, n_zeros), flip_p)
+    return np.convolve(rows[n_ones, n_ones::-1], rows[n_zeros, : n_zeros + 1])
 
 
 def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
-    """Worst hockey-stick gap over all one-user neighbor pairs, both directions."""
+    """Worst hockey-stick gap over all one-user neighbor pairs, both directions.
+
+    The pair that differs in one user, with k ones among the other n - 1,
+    shares the law ``R_k = Bin(k, 1-p) * Bin(n-1-k, p)`` of those users'
+    1-count; the differing user adds a 1 with probability p (input 0) or
+    1 - p (input 1), so ``P_k = (1-p) R_k + p shift(R_k)`` and ``Q_k = p R_k +
+    (1-p) shift(R_k)``. Every k is audited; rows are processed in blocks of
+    ``_AUDIT_ROWS`` to bound the temporaries, and ``MAX_PATHS`` is checked
+    against the n x n binomial table before it is built.
+    """
+    if epsilon < 0:
+        raise ValueError("eps must be nonnegative")
+    _check_paths(n * n, f"randomized-response audit (n={n})", "; reduce the cohort size n")
+    rows = _binomial_rows(n - 1, flip_p)
+    scale = math.exp(epsilon)
     worst = 0.0
-    for k in range(n):
-        p = rr_count_pmf(k, n - k, flip_p)
-        q = rr_count_pmf(k + 1, n - k - 1, flip_p)
-        worst = max(worst, hockey_stick(p, q, epsilon), hockey_stick(q, p, epsilon))
+    for lo in range(0, n, _AUDIT_ROWS):
+        ks = range(lo, min(n, lo + _AUDIT_ROWS))
+        base = np.array([np.convolve(rows[k, k::-1], rows[n - 1 - k, : n - k]) for k in ks])
+        same = np.pad(base, ((0, 0), (0, 1)))
+        shifted = np.pad(base, ((0, 0), (1, 0)))
+        p_law = (1.0 - flip_p) * same + flip_p * shifted
+        q_law = flip_p * same + (1.0 - flip_p) * shifted
+        for a, b in ((p_law, q_law), (q_law, p_law)):
+            worst = max(worst, float(np.clip(a - scale * b, 0.0, None).sum(axis=1).max()))
     return worst
 
 

@@ -1,7 +1,14 @@
 """Exact distribution propagation, privacy audits, and the hybrid certificate.
 
-Laws through a shuffle are plain dictionaries over count tuples, built by
-convolution.
+A law through a shuffle is a :class:`CountLaw`: an ``(m, w)`` int64 matrix of
+distinct count vectors (one column per message of the alphabet) and a float64
+probability vector. Users are convolved in one at a time; each convolution
+codes the pairwise sums as mixed-radix int64 numbers and merges equal codes
+with ``np.unique`` and ``np.bincount``, so the result has a deterministic
+order and no hash dependence. The same representation serves every alphabet
+width and multi-message randomizer. ``convolve_counts``, ``repeat_convolve``
+and ``exact_shuffle_counts`` return ``{counts_tuple: prob}`` dicts built from
+it.
 
 Online algorithms run on an indexed array engine. At each time t the reachable
 states get integer indices in first-seen order, shared by every stream
@@ -14,9 +21,10 @@ the time-t state, so the one-intrusion view at every t is ``law_t[:, None] *
 B_t``: one forward and one backward pass cover all intrusion times. The public
 functions still return dictionaries.
 
-Every enumeration is checked against ``MAX_PATHS`` before it starts (states x
-input support before a step, states x outputs before a view matrix), and the
-error names the parameter to reduce.
+Every enumeration is checked against ``MAX_PATHS`` before it starts (support
+x kernel size before a count convolution, states x input support before a
+step, states x outputs before a view matrix), and the error names the
+parameter to reduce.
 
 Audits compare the exact views of a mechanism on two neighboring inputs
 through the hockey-stick divergence, in both orderings, on aligned arrays. For
@@ -27,7 +35,9 @@ and the reported curve takes the worst case over intrusion times.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +49,7 @@ from .metrics import mutual_information
 
 MAX_PATHS = 10**7
 _BLOCK = 1 << 21  # float64 elements in one hockey-stick temporary
+_CODE_MAX = int(np.iinfo(np.int64).max)
 
 __all__ = [
     "convolve_counts",
@@ -65,23 +76,121 @@ def _check_paths(size: int, label: str, remedy: str = "") -> None:
         raise GuardError(f"{label}: {size} paths exceed the {MAX_PATHS} guard{remedy}")
 
 
+# ---------------------------------------------------------------------------
+# count laws: arrays of count vectors
+
+
+def _strides(span: np.ndarray, label: str) -> np.ndarray:
+    """Mixed-radix place values for digit vectors below ``span``, refusing codes past int64."""
+    places = list(accumulate(span.tolist(), operator.mul, initial=1))
+    if places[-1] > _CODE_MAX:
+        raise GuardError(
+            f"{label}: {places[-1]} count-vector codes overflow int64; "
+            f"reduce the alphabet width ({len(span)}) or the cohort size n"
+        )
+    return np.array(places[:-1], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class CountLaw:
+    """A law over count vectors: row ``counts[i]`` (int64) has probability ``probs[i]``.
+
+    Columns follow the randomizer's alphabet and rows are distinct. Every
+    merge codes each row as a mixed-radix int64 number and groups equal codes
+    with ``np.unique`` and ``np.bincount``, so rows come out in code order and
+    sums run in input order, never in hash order. One representation serves
+    every alphabet width and multi-message randomizer.
+    """
+
+    counts: np.ndarray
+    probs: np.ndarray
+
+    @classmethod
+    def of(cls, dist: dict, width: int) -> CountLaw:
+        counts = np.array(list(dist), dtype=np.int64).reshape(len(dist), width)
+        return cls(counts, np.fromiter(dist.values(), dtype=np.float64, count=len(dist)))
+
+    @classmethod
+    def zero(cls, width: int) -> CountLaw:
+        """The empty cohort: the zero vector with probability one."""
+        return cls(np.zeros((1, width), dtype=np.int64), np.ones(1))
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def scaled(self, weight: float) -> CountLaw:
+        return CountLaw(self.counts, weight * self.probs)
+
+    def convolve(self, other: CountLaw, label: str = "count convolution") -> CountLaw:
+        """Law of the sum of independent draws from both laws.
+
+        Support x kernel size is checked against ``MAX_PATHS``, and the code
+        box against int64, before any pair is formed. A sum's code is the sum
+        of the codes (digits never carry), so pairs are coded without
+        materializing their count vectors.
+        """
+        _check_paths(len(self) * len(other), label, "; reduce the cohort size n")
+        lo_a, lo_b = self.counts.min(axis=0), other.counts.min(axis=0)
+        span = self.counts.max(axis=0) - lo_a + other.counts.max(axis=0) - lo_b + 1
+        strides = _strides(span, label)
+        codes = np.add.outer((self.counts - lo_a) @ strides, (other.counts - lo_b) @ strides)
+        uniq, first, inv = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+        probs = np.bincount(
+            inv, weights=np.multiply.outer(self.probs, other.probs).ravel(), minlength=len(uniq)
+        )
+        rows, cols = np.divmod(first, len(other))
+        return CountLaw(self.counts[rows] + other.counts[cols], probs)
+
+    def power(self, times: int) -> CountLaw:
+        """``times``-fold convolution with itself, one factor at a time."""
+        out = CountLaw.zero(self.counts.shape[1])
+        for _ in range(times):
+            out = out.convolve(self)
+        return out
+
+    def __add__(self, other: CountLaw) -> CountLaw:
+        """Mixture sum: both laws' mass on the union of their supports."""
+        counts, pa, pb = _union(self, other)
+        return CountLaw(counts, pa + pb)
+
+    def as_dict(self) -> dict:
+        return dict(zip(map(tuple, self.counts.tolist()), self.probs.tolist()))
+
+    def push(self, analyzer: Analyzer) -> dict:
+        """Analyzer-output law; the analyzer runs once per count vector."""
+        return _push(zip(self.counts, self.probs.tolist()), analyzer)
+
+
+def _union(a: CountLaw, b: CountLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of two supports in code order, and each law's probabilities on it."""
+    counts = np.concatenate([a.counts, b.counts])
+    lo = counts.min(axis=0)
+    codes = (counts - lo) @ _strides(counts.max(axis=0) - lo + 1, "count union")
+    uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    return (
+        counts[first],
+        np.bincount(inv[: len(a)], weights=a.probs, minlength=len(uniq)),
+        np.bincount(inv[len(a):], weights=b.probs, minlength=len(uniq)),
+    )
+
+
+def _push(pairs: Iterable, analyzer: Analyzer) -> dict:
+    out: dict = {}
+    for counts, p in pairs:
+        val = analyzer(np.asarray(counts))
+        out[val] = out.get(val, 0.0) + p
+    return out
+
+
 def convolve_counts(d1: dict, d2: dict) -> dict:
     """Convolution of two distributions over count tuples (componentwise sums)."""
-    _check_paths(len(d1) * len(d2), "count convolution")
-    out: dict = {}
-    for c1, p1 in d1.items():
-        for c2, p2 in d2.items():
-            key = tuple(a + b for a, b in zip(c1, c2))
-            out[key] = out.get(key, 0.0) + p1 * p2
-    return out
+    width = len(next(iter(d1)))
+    return CountLaw.of(d1, width).convolve(CountLaw.of(d2, width)).as_dict()
 
 
 def repeat_convolve(kernel: dict, times: int, width: int) -> dict:
     """``times``-fold convolution of one count-tuple kernel with itself."""
-    acc = {tuple([0] * width): 1.0}
-    for _ in range(times):
-        acc = convolve_counts(acc, kernel)
-    return acc
+    return CountLaw.of(kernel, width).power(times).as_dict()
 
 
 def outcome_dict(dist) -> dict:
@@ -113,29 +222,33 @@ def randomizer_kernel_for(randomizer: Randomizer, input_dist: dict) -> dict:
     return out
 
 
-def exact_shuffle_counts(randomizer: Randomizer, users: Sequence) -> dict:
-    """Exact multiset (count-vector) distribution for a cohort.
+def _shuffle_law(randomizer: Randomizer, users: Sequence) -> CountLaw:
+    """Exact count-vector law of a cohort, one user convolved in at a time.
 
     Each user entry is either a fixed input or a ``{input: prob}`` dict.
     """
     width = len(randomizer.alphabet)
-    acc = {tuple([0] * width): 1.0}
-    for user in users:
+    law = CountLaw.zero(width)
+    for i, user in enumerate(users, start=1):
         kernel = (
             randomizer_kernel_for(randomizer, user)
             if isinstance(user, dict)
             else randomizer.kernel(user)
         )
-        acc = convolve_counts(acc, kernel)
-    return acc
+        law = law.convolve(CountLaw.of(kernel, width), f"cohort of n={len(users)}, user {i}")
+    return law
+
+
+def exact_shuffle_counts(randomizer: Randomizer, users: Sequence) -> dict:
+    """Exact multiset (count-vector) distribution for a cohort: {counts_tuple: prob}.
+
+    Each user entry is either a fixed input or a ``{input: prob}`` dict.
+    """
+    return _shuffle_law(randomizer, users).as_dict()
 
 
 def push_through_analyzer(counts_dist: dict, analyzer: Analyzer) -> dict:
-    out: dict = {}
-    for counts, p in counts_dist.items():
-        val = analyzer(np.asarray(counts))
-        out[val] = out.get(val, 0.0) + p
-    return out
+    return _push(counts_dist.items(), analyzer)
 
 
 def exact_output_distribution(mechanism, data: Sequence, reduce_output: bool = True) -> dict:
@@ -148,10 +261,8 @@ def exact_output_distribution(mechanism, data: Sequence, reduce_output: bool = T
     final-output law.
     """
     if isinstance(mechanism, ShuffleProtocol):
-        counts = exact_shuffle_counts(mechanism.randomizer, data)
-        if not reduce_output:
-            return counts
-        return push_through_analyzer(counts, mechanism.analyzer)
+        law = _shuffle_law(mechanism.randomizer, data)
+        return law.push(mechanism.analyzer) if reduce_output else law.as_dict()
     if isinstance(mechanism, Randomizer):
         return exact_shuffle_counts(mechanism, data)
     if isinstance(mechanism, PanPrivateAlgorithm):
@@ -436,14 +547,13 @@ def audit_privacy(
         raise ValueError("neighboring inputs must have equal length")
     if isinstance(mechanism, (ShuffleProtocol, Randomizer)):
         randomizer = mechanism.randomizer if isinstance(mechanism, ShuffleProtocol) else mechanism
-        va = exact_shuffle_counts(randomizer, data_a)
-        vb = exact_shuffle_counts(randomizer, data_b)
-        if view == "output":
-            if not isinstance(mechanism, ShuffleProtocol):
-                raise ValueError("output view needs a full protocol")
-            va = push_through_analyzer(va, mechanism.analyzer)
-            vb = push_through_analyzer(vb, mechanism.analyzer)
-        return _curve([_aligned(va, vb)], eps_grid)
+        la, lb = _shuffle_law(randomizer, data_a), _shuffle_law(randomizer, data_b)
+        if view != "output":
+            return _curve([_union(la, lb)[1:]], eps_grid)
+        if not isinstance(mechanism, ShuffleProtocol):
+            raise ValueError("output view needs a full protocol")
+        analyzer = mechanism.analyzer
+        return _curve([_aligned(la.push(analyzer), lb.push(analyzer))], eps_grid)
     if isinstance(mechanism, PanPrivateAlgorithm):
         times = range(1, len(data_a) + 1) if intrusion_times is None else intrusion_times
         views = _pan_views(mechanism, [data_a, data_b], times)

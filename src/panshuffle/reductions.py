@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import binom
 
+from .baselines import wilson_interval
 from .distributions import ParametricHardDistribution, ParityIndex
 from .distributions import sample as draw_from
 from .errors import GuardError
@@ -124,15 +126,19 @@ class ShuffleToPanWrapper:
 
     # -- exact kernels -----------------------------------------------------
 
-    def init_kernel(self) -> dict:
-        kernel = self._reference_kernel()
+    @cached_property
+    def _pad_law(self) -> ex.CountLaw:
+        """Count law of n/3 reference messages: the preload, and again the output pad."""
         width = len(self.protocol.randomizer.alphabet)
-        preload_counts = ex.repeat_convolve(kernel, self.preload, width)
-        out: dict = {}
-        for b, pb in self.budget_distribution().items():
-            for counts, pc in preload_counts.items():
-                out[(b, counts)] = out.get((b, counts), 0.0) + pb * pc
-        return out
+        return ex.CountLaw.of(self._reference_kernel(), width).power(self.preload)
+
+    def init_kernel(self) -> dict:
+        preload = self._pad_law.as_dict()
+        return {
+            (b, counts): pb * pc
+            for b, pb in self.budget_distribution().items()
+            for counts, pc in preload.items()
+        }
 
     def update_kernel(self, i: int, x, state) -> dict:
         budget, counts = state
@@ -148,15 +154,8 @@ class ShuffleToPanWrapper:
 
     def output_kernel(self, state) -> dict:
         _, counts = state
-        kernel = self._reference_kernel()
-        width = len(self.protocol.randomizer.alphabet)
-        pad = ex.repeat_convolve(kernel, self.preload, width)
-        out: dict = {}
-        for inc, p in pad.items():
-            total = tuple(a + b for a, b in zip(counts, inc))
-            val = self.protocol.analyzer(np.asarray(total))
-            out[val] = out.get(val, 0.0) + p
-        return out
+        pad = self._pad_law
+        return ex.CountLaw(pad.counts + np.asarray(counts), pad.probs).push(self.protocol.analyzer)
 
     # -- sampling ----------------------------------------------------------
 
@@ -209,29 +208,26 @@ class ShuffleToPanWrapper:
     def exact_output_distribution(self, input_dist: dict) -> dict:
         """Exact output law on a stream of ``n/3`` iid draws from ``input_dist``.
 
-        Mixes over the budget: with budget b the final multiset holds b real
-        messages and (n - b) reference messages (preload, replacements, pad).
+        With budget b the final multiset holds b real messages and n - b
+        reference messages (preload, replacements, pad), so the count law is
+        ``sum_b p_b real^b ref^(n-b)``. It is built on count arrays in Horner
+        form, ``G_0 = p_0``, ``G_j = G_{j-1} * ref + p_j real^j``, then
+        ``G_cap * ref^(n-cap)``, and the analyzer runs once per distinct count
+        vector of the result.
         """
         width = len(self.protocol.randomizer.alphabet)
-        real_kernel = ex.randomizer_kernel_for(self.protocol.randomizer, input_dist)
-        ref_kernel = self._reference_kernel()
-        n, cap = self.n, self.stream_len
-        real_parts = [{tuple([0] * width): 1.0}]
-        for _ in range(cap):
-            real_parts.append(ex.convolve_counts(real_parts[-1], real_kernel))
-        # reference part for budget b has n - b draws; walk b downward
-        ref_part = ex.repeat_convolve(ref_kernel, n - cap, width)
+        real = ex.CountLaw.of(ex.randomizer_kernel_for(self.protocol.randomizer, input_dist), width)
+        ref = ex.CountLaw.of(self._reference_kernel(), width)
+        label = f"wrapper law (n={self.n})"
         budget_law = self.budget_distribution()
-        out: dict = {}
-        for b in range(cap, -1, -1):
-            counts_dist = ex.convolve_counts(real_parts[b], ref_part)
-            pb = budget_law[b]
-            for counts, pc in counts_dist.items():
-                val = self.protocol.analyzer(np.asarray(counts))
-                out[val] = out.get(val, 0.0) + pb * pc
-            if b > 0:
-                ref_part = ex.convolve_counts(ref_part, ref_kernel)
-        return out
+        real_power = ex.CountLaw.zero(width)
+        mixed = real_power.scaled(budget_law[0])
+        for b in range(1, self.stream_len + 1):
+            real_power = real_power.convolve(real, label)
+            mixed = mixed.convolve(ref, label) + real_power.scaled(budget_law[b])
+        for _ in range(self.n - self.stream_len):
+            mixed = mixed.convolve(ref, label)
+        return mixed.push(self.protocol.analyzer)
 
 
 def shuffle_to_pan(protocol: ShuffleProtocol, reference: dict, name: str | None = None) -> PanPrivateAlgorithm:
@@ -470,17 +466,6 @@ class ThresholdReport:
         }
 
 
-def _wilson(successes: float, n: int, z: float = 2.5758293035489004) -> tuple[float, float]:
-    """Wilson score interval; default z is the two-sided 99% quantile."""
-    if n == 0:
-        return 0.0, 1.0
-    phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
 def threshold_distinguisher(
     z_planted: np.ndarray, z_uniform: np.ndarray, min_samples: int = 10_000
 ) -> ThresholdReport:
@@ -507,8 +492,8 @@ def threshold_distinguisher(
     advantage = float(gaps[best])
     hit_p = float(np.sum(zp > tau))
     hit_u = float(np.sum(zu > tau))
-    lo_p, hi_p = _wilson(hit_p, len(zp))
-    lo_u, hi_u = _wilson(hit_u, len(zu))
+    lo_p, hi_p = wilson_interval(hit_p, len(zp))
+    lo_u, hi_u = wilson_interval(hit_u, len(zu))
     return ThresholdReport(
         tau=tau,
         advantage=advantage,

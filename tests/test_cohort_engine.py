@@ -1,0 +1,255 @@
+"""The array cohort engine against the dict-walk oracle, its guards and its invariants."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import panshuffle.baselines as baselines_mod
+import panshuffle.exact as exact_mod
+from panshuffle.baselines import _rr_audit_delta, calibrate_rr, rr_count_pmf
+from panshuffle.errors import GuardError
+from panshuffle.exact import (
+    audit_privacy,
+    convolve_counts,
+    exact_shuffle_counts,
+    repeat_convolve,
+)
+from panshuffle.mechanisms import (
+    ShuffleProtocol,
+    asymmetric_binary_randomizer,
+    binary_randomized_response,
+    echo_randomizer,
+    histogram_analyzer,
+    one_count_analyzer,
+    threshold_analyzer,
+)
+from panshuffle.reductions import ShuffleToPanWrapper
+
+from oracles import cohort_oracle
+
+ECHO3 = echo_randomizer((0, 1, 2))
+
+# (randomizer, cohort)
+COHORTS = {
+    "binary-rr": (binary_randomized_response(0.2), [1, 0, 1, 1, 0, 1, 0]),
+    "binary-rr-dict-users": (
+        binary_randomized_response(0.35),
+        [{1: 0.3, 0: 0.7}, 1, {1: 0.9, 0: 0.1}, 0, {1: 0.5, 0: 0.5}],
+    ),
+    "asymmetric": (asymmetric_binary_randomizer(0.8, 0.3), [1, 1, 0, 1, 0, 0]),
+    "asymmetric-dict-users": (
+        asymmetric_binary_randomizer(0.9, 0.05),
+        [{1: 0.25, 0: 0.75}, 0, {1: 1.0}, {0: 0.6, 1: 0.4}],
+    ),
+    "echo3-dict-users": (
+        ECHO3,
+        [{0: 0.2, 1: 0.5, 2: 0.3}, 1, {2: 0.9, 0: 0.1}, {0: 0.4, 1: 0.6}] * 3,
+    ),
+}
+
+
+def _assert_same_law(got: dict, want: dict) -> None:
+    assert set(got) == set(want)
+    for key, p in want.items():
+        assert abs(got[key] - p) <= 1e-12, key
+
+
+@pytest.mark.parametrize("case", sorted(COHORTS))
+def test_shuffle_counts_match_oracle(case):
+    randomizer, users = COHORTS[case]
+    law = exact_shuffle_counts(randomizer, users)
+    _assert_same_law(law, cohort_oracle.shuffle_counts(randomizer, users))
+    assert all(type(c) is int for key in law for c in key)
+
+
+def test_convolve_and_repeat_match_oracle():
+    a = {(2, 0, 1): 0.25, (0, 3, 0): 0.5, (1, 1, 1): 0.25}
+    b = {(1, 0, 0): 0.1, (0, 0, 1): 0.9}
+    _assert_same_law(convolve_counts(a, b), cohort_oracle.convolve_counts(a, b))
+    _assert_same_law(repeat_convolve(a, 5, 3), cohort_oracle.repeat_convolve(a, 5, 3))
+    _assert_same_law(repeat_convolve(b, 0, 3), {(0, 0, 0): 1.0})
+
+
+def test_zero_probability_keys_are_kept():
+    # a user whose input law puts zero mass on an input still contributes its key
+    rz = binary_randomized_response(0.0)
+    users = [{1: 0.0, 0: 1.0}, 1, 0]
+    _assert_same_law(exact_shuffle_counts(rz, users), cohort_oracle.shuffle_counts(rz, users))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 60])
+@pytest.mark.parametrize("flip", [0.0, 0.03, 0.2, 0.5])
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 2.0])
+def test_rr_audit_matches_oracle(n, flip, eps):
+    got = _rr_audit_delta(n, flip, eps)
+    assert abs(got - cohort_oracle.rr_audit_delta(n, flip, eps)) <= 1e-12
+
+
+@pytest.mark.parametrize("ones, zeros", [(0, 0), (4, 3), (0, 9), (11, 0), (25, 40)])
+def test_rr_count_pmf_matches_oracle(ones, zeros):
+    got = rr_count_pmf(ones, zeros, 0.27)
+    want = cohort_oracle.rr_count_pmf(ones, zeros, 0.27)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 8, 12])
+def test_calibrate_rr_matches_oracle_bisection(n):
+    cal = calibrate_rr(1.0, 0.05, n)
+    assert cal.method == "exact-audit"
+    assert abs(cal.flip_p - cohort_oracle.calibrated_flip(1.0, 0.05, n)) <= 1e-12
+
+
+def test_multiset_audit_matches_oracle():
+    rz = asymmetric_binary_randomizer(0.8, 0.3)
+    a, b = [1, 0, 1, 1, 0], [1, 0, 0, 1, 0]
+    grid = [0.0, 0.5, 1.0]
+    curve = audit_privacy(rz, (a, b), grid)
+    pa, pb = cohort_oracle.shuffle_counts(rz, a), cohort_oracle.shuffle_counts(rz, b)
+    for e, fwd, bwd in zip(grid, curve.delta_forward, curve.delta_backward):
+        keys = sorted(set(pa) | set(pb))
+        va = np.array([pa.get(k, 0.0) for k in keys])
+        vb = np.array([pb.get(k, 0.0) for k in keys])
+        assert abs(fwd - np.clip(va - math.exp(e) * vb, 0, None).sum()) <= 1e-12
+        assert abs(bwd - np.clip(vb - math.exp(e) * va, 0, None).sum()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 30, 60])
+def test_wrapper_law_matches_oracle(n):
+    proto = ShuffleProtocol(
+        randomizer=binary_randomized_response(0.2), analyzer=threshold_analyzer(n // 3), n=n
+    )
+    wrapper = ShuffleToPanWrapper(protocol=proto, reference={0: 0.6, 1: 0.4})
+    for input_dist in ({0: 0.6, 1: 0.4}, {0: 0.1, 1: 0.9}):
+        _assert_same_law(
+            wrapper.exact_output_distribution(input_dist),
+            cohort_oracle.wrapper_output_law(wrapper, input_dist),
+        )
+
+
+@pytest.mark.parametrize("analyzer", [histogram_analyzer(), one_count_analyzer()])
+def test_wrapper_law_matches_oracle_on_count_vectors(analyzer):
+    rz = ECHO3 if analyzer.name == "histogram" else binary_randomized_response(0.3)
+    reference = {0: 0.5, 1: 0.3, 2: 0.2} if rz is ECHO3 else {0: 0.5, 1: 0.5}
+    wrapper = ShuffleToPanWrapper(
+        protocol=ShuffleProtocol(randomizer=rz, analyzer=analyzer, n=9), reference=reference
+    )
+    planted = {1: 1.0}
+    _assert_same_law(
+        wrapper.exact_output_distribution(planted),
+        cohort_oracle.wrapper_output_law(wrapper, planted),
+    )
+
+
+def test_wrapper_kernels_match_oracle():
+    proto = ShuffleProtocol(randomizer=ECHO3, analyzer=histogram_analyzer(), n=12)
+    wrapper = ShuffleToPanWrapper(protocol=proto, reference={0: 0.5, 1: 0.3, 2: 0.2})
+    init = wrapper.init_kernel()
+    pad = cohort_oracle.repeat_convolve(wrapper._reference_kernel(), 4, 3)
+    budget = wrapper.budget_distribution()
+    want = {(b, c): pb * pc for b, pb in budget.items() for c, pc in pad.items()}
+    _assert_same_law(init, want)
+    for state in [(0, (4, 0, 0)), (2, (1, 2, 3)), (4, (0, 0, 8))]:
+        _assert_same_law(
+            wrapper.output_kernel(state), cohort_oracle.wrapper_output_kernel(wrapper, state)
+        )
+
+
+# ---------------------------------------------------------------------------
+# guards
+
+
+def test_cohort_guard_raises_before_an_oversized_product(monkeypatch):
+    sizes: list = []
+    unique = np.unique
+
+    def spy(codes, *args, **kwargs):
+        sizes.append(len(codes))
+        return unique(codes, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    users = [{0: 0.2, 1: 0.5, 2: 0.3}] * 10
+    # supports 1, 3, 6, 10 times a 3-entry kernel: the fourth product (30 pairs) trips
+    monkeypatch.setattr(exact_mod, "MAX_PATHS", 20)
+    with pytest.raises(GuardError, match=r"cohort size n.*") as err:
+        exact_shuffle_counts(ECHO3, users)
+    assert "n=10, user 4" in str(err.value)
+    assert sizes == [3, 9, 18]
+
+    sizes.clear()
+    monkeypatch.setattr(exact_mod, "MAX_PATHS", 2)
+    with pytest.raises(GuardError, match="cohort size n"):
+        exact_shuffle_counts(ECHO3, users)
+    assert sizes == []
+
+
+def test_count_codes_refuse_int64_overflow():
+    wide = echo_randomizer(tuple(range(70)))
+    user = {x: 1.0 / 70 for x in range(70)}
+    with pytest.raises(GuardError, match=r"alphabet width \(70\)"):
+        exact_shuffle_counts(wide, [user])
+
+
+def test_rr_audit_guard_raises_before_the_binomial_rows(monkeypatch):
+    def fail(*args):
+        raise AssertionError("binomial rows built past the guard")
+
+    monkeypatch.setattr(baselines_mod, "_binomial_rows", fail)
+    monkeypatch.setattr(exact_mod, "MAX_PATHS", 99)
+    with pytest.raises(GuardError, match="n=10.*cohort size n"):
+        _rr_audit_delta(10, 0.1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# invariants
+
+RANDOMIZERS = [
+    binary_randomized_response(0.15),
+    asymmetric_binary_randomizer(0.7, 0.2),
+    ECHO3,
+]
+
+
+@st.composite
+def cohorts(draw):
+    randomizer = draw(st.sampled_from(RANDOMIZERS))
+    inputs = list(range(len(randomizer.alphabet)))
+
+    def user():
+        weights = draw(st.lists(st.integers(0, 4), min_size=len(inputs), max_size=len(inputs)))
+        if sum(weights) == 0:
+            return draw(st.sampled_from(inputs))
+        return {x: w / sum(weights) for x, w in zip(inputs, weights)}
+
+    return randomizer, [user() for _ in range(draw(st.integers(0, 7)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cohorts())
+def test_shuffle_law_sums_to_one_and_has_the_right_mean(cohort):
+    randomizer, users = cohort
+    law = exact_shuffle_counts(randomizer, users)
+    assert abs(sum(law.values()) - 1.0) <= 1e-12
+    mean = sum(p * np.array(c, dtype=float) for c, p in law.items())
+    want = np.zeros(len(randomizer.alphabet))
+    for user in users:
+        for x, px in (user if isinstance(user, dict) else {user: 1.0}).items():
+            for c, pc in randomizer.kernel(x).items():
+                want += px * pc * np.array(c, dtype=float)
+    assert np.max(np.abs(mean - want)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 80),
+    st.floats(0.0, 0.5, allow_nan=False),
+    st.floats(0.0, 3.0, allow_nan=False),
+)
+def test_rr_audit_lies_between_zero_and_the_local_level(n, flip, eps):
+    delta = _rr_audit_delta(n, flip, eps)
+    # the count law post-processes the reports, so it leaks no more than one report
+    local = max(0.0, (1.0 - flip) - math.exp(eps) * flip)
+    assert 0.0 <= delta <= local + 1e-12

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panshuffle.distributions import (
+    _popcount,
     FiniteDistribution,
     MixtureSpec,
     ParametricHardDistribution,
@@ -288,3 +290,15 @@ def test_tv_from_uniform_is_alpha(d, alpha, data):
     p = densify(member(d, (j,), b, alpha)).probs
     u = np.full(1 << d, 1.0 / (1 << d))
     assert 0.5 * np.abs(p - u).sum() == pytest.approx(alpha, abs=1e-12)
+
+
+def test_numpy_floor_is_declared_and_popcount_counts_bits():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    # np.bitwise_count, behind _popcount, first shipped in numpy 2.0
+    assert "numpy>=2.0" in deps
+    values = make_generator(0, "popcount").integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=500)
+    got = _popcount(values)
+    assert got.tolist() == [bin(int(v)).count("1") for v in values]
