@@ -197,7 +197,7 @@ def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
 
 def _as_sign_matrix(samples) -> np.ndarray:
     x = np.atleast_2d(np.asarray(samples, dtype=np.int64))
-    if x.size and not np.isin(x, (-1, 1)).all():
+    if not (np.abs(x) == 1).all():
         raise ValueError("samples must be +-1 signs")
     return x
 

@@ -15,26 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exact as ex
-from .baselines import find_selection_threshold
-from .distributions import (
-    densify,
-    dump_pmf_csv,
-    family_enumerate,
-    from_descriptor,
-    sample as draw_from,
+from .distributions import densify, dump_pmf_csv, from_descriptor, sample as draw_from
+from .harness import (
+    ExperimentSpec,
+    audit_curve,
+    family_norm,
+    fit_scaling,
+    learner_advantage,
+    run_spec,
+    wrapper_gap,
 )
-from .harness import ExperimentSpec, fit_scaling, run_spec
-from .mechanisms import PrivacyBudget, ShuffleProtocol, mechanism_from_manifest, threshold_analyzer
-from .metrics import infty_to_2_norm_bruteforce, parity_family_norm_bound_sq, tv_distance
-from .reductions import (
-    LearnerDistinguisher,
-    PlantedLearner,
-    PlugInParityLearner,
-    ShuffleToPanWrapper,
-    threshold_distinguisher,
-    wrapper_escape_mass,
-)
+from .metrics import tv_distance
 from .rng import make_generator
 
 CHECK_FAILED = 2
@@ -96,9 +87,8 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    members = [densify(m) for m in family_enumerate(args.d, args.k, args.alpha, args.family)]
-    bound = parity_family_norm_bound_sq(args.d, args.k, args.alpha)
-    report = infty_to_2_norm_bruteforce(members, bound_sq=bound)
+    report = family_norm({"d": args.d, "k": args.k, "alpha": args.alpha, "family": args.family})
+    bound = report.bound_sq
     print(f"family={args.family} d={args.d} k={args.k} alpha={args.alpha}")
     print(f"value_sq = {report.value_sq!r}")
     print(f"bound_sq = {bound!r} (ratio {report.value_sq / bound:.6f})")
@@ -112,12 +102,10 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    mech = mechanism_from_manifest(_load_json_arg(args.mechanism))
+    mechanism = _load_json_arg(args.mechanism)
     neighbors = _load_json_arg(args.neighbors)
-    stream_a = [tuple(x) if isinstance(x, list) else x for x in neighbors["a"]]
-    stream_b = [tuple(x) if isinstance(x, list) else x for x in neighbors["b"]]
-    eps_grid = [float(e) for e in args.eps.split(",")]
-    curve = ex.audit_privacy(mech, (stream_a, stream_b), eps_grid)
+    curve = audit_curve({"mechanism": mechanism, "stream_a": neighbors["a"],
+                         "stream_b": neighbors["b"], "eps_grid": args.eps.split(",")})
     for e, dmax in zip(curve.epsilons, curve.delta_max):
         print(f"epsilon={float(e)!r}  delta_max={float(dmax)!r}")
     if args.out:
@@ -136,24 +124,14 @@ def _cmd_reduce_check(args) -> int:
     if n % 3 != 0:
         print(f"n must be divisible by 3, got {n}", file=sys.stderr)
         return 1
-    randomizer = mechanism_from_manifest({"type": "binary_rr", "flip_p": args.flip_p})
-    protocol = ShuffleProtocol(
-        randomizer=randomizer,
-        analyzer=threshold_analyzer(n // 3),
-        n=n,
-        budget=PrivacyBudget(epsilon=1.0, delta=0.0, gamma=1.0 / 3.0),
-    )
-    ref = {0: 1.0 - args.ref_one, 1: args.ref_one}
-    wrapper = ShuffleToPanWrapper(protocol=protocol, reference=ref)
-    null_law = wrapper.exact_output_distribution(ref)
-    null_target = ex.exact_output_distribution(protocol, [ref] * n)
-    tv_null = ex.tv_dicts(null_law, null_target)
-    inp = {0: 1.0 - args.input_one, 1: args.input_one}
-    diluted = {k: 2.0 / 9.0 * inp[k] + 7.0 / 9.0 * ref[k] for k in (0, 1)}
-    real_law = wrapper.exact_output_distribution(inp)
-    real_target = ex.exact_output_distribution(protocol, [diluted] * n)
-    tv_real = ex.tv_dicts(real_law, real_target)
-    bound = wrapper_escape_mass(n)
+    gap = wrapper_gap({
+        "n": n,
+        "randomizer": {"type": "binary_rr", "flip_p": args.flip_p},
+        "cutoff": n // 3,
+        "reference": {0: 1.0 - args.ref_one, 1: args.ref_one},
+        "input": {0: 1.0 - args.input_one, 1: args.input_one},
+    })
+    tv_null, tv_real, bound = gap["tv_null"], gap["tv_real"], gap["escape_bound"]
     print(f"n={n}: tv on reference stream = {tv_null!r}")
     print(f"n={n}: tv on shifted stream   = {tv_real!r} (bound {bound!r})")
     ok = tv_null <= 1e-10 and tv_real <= bound + 1e-10
@@ -162,25 +140,13 @@ def _cmd_reduce_check(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    from .distributions import ParityIndex
-
-    planted = ParityIndex(tuple(args.planted), 1)
-    if args.learner == "plugin":
-        learner = PlugInParityLearner(d=args.d, k=args.k)
-    else:
-        learner = PlantedLearner(index=planted)
-    dist = LearnerDistinguisher(
-        learner=learner,
-        d=args.d,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        n_learn=args.n_learn,
-        test_phase_scale=args.scale,
+    dist, report = learner_advantage(
+        {"d": args.d, "k": args.k, "alpha": args.alpha, "epsilon": args.epsilon,
+         "n_learn": args.n_learn, "test_phase_scale": args.scale,
+         "planted_subset": args.planted, "learner": args.learner},
+        args.trials,
+        make_generator(args.seed, "cli-distinguish"),
     )
-    rng = make_generator(args.seed, "cli-distinguish")
-    z_p = dist.run_batch(planted, args.trials, rng)
-    z_u = dist.run_batch(None, args.trials, rng)
-    report = threshold_distinguisher(z_p, z_u, min_samples=min(args.trials, 10_000))
     print(f"test_len={dist.test_len} tau={report.tau!r}")
     print(f"advantage={report.advantage!r} ci=[{report.ci_low!r}, {report.ci_high!r}]")
     if args.min_advantage is not None:

@@ -464,10 +464,6 @@ def member_descriptor(dist: ParametricHardDistribution, k: int | None = None) ->
     }
 
 
-def family_descriptor(d: int, k: int, alpha: float, family: str = "plain") -> dict:
-    return {"family": family, "d": d, "k": k, "ell": None, "b": None, "alpha": alpha}
-
-
 def from_descriptor(desc: dict | str, allow_degenerate: bool = False):
     """Rebuild a member (ell present) or a family list (ell absent) from JSON."""
     if isinstance(desc, str):

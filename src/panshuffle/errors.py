@@ -7,7 +7,3 @@ class GuardError(RuntimeError):
 
 class InsufficientCohortError(RuntimeError):
     """A calibration target cannot be met at the given cohort size."""
-
-
-class CheckFailedError(AssertionError):
-    """A requested verification (CLI check mode) did not hold."""

@@ -45,10 +45,9 @@ import numpy as np
 from .distributions import FiniteDistribution, densify, index_to_vectors
 from .errors import GuardError
 from .mechanisms import Analyzer, PanPrivateAlgorithm, Randomizer, ShuffleProtocol
-from .metrics import mutual_information
+from .metrics import _hockey, hockey_stick, mutual_information, tv_distance
 
 MAX_PATHS = 10**7
-_BLOCK = 1 << 21  # float64 elements in one hockey-stick temporary
 _CODE_MAX = int(np.iinfo(np.int64).max)
 
 __all__ = [
@@ -456,28 +455,12 @@ def _aligned(p: dict, q: dict) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _tv(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(a - b).sum())
-
-
-def _hockey(a: np.ndarray, b: np.ndarray, eps) -> np.ndarray:
-    """``sum(max(a - e^eps b, 0))`` on aligned arrays, one value per grid point."""
-    scales = np.array([math.exp(e) for e in eps], dtype=np.float64)
-    out = np.empty(len(scales))
-    per = max(1, _BLOCK // max(1, a.size))
-    for lo in range(0, len(scales), per):
-        out[lo:lo + per] = np.clip(a - scales[lo:lo + per, None] * b, 0.0, None).sum(axis=1)
-    return out
-
-
 def tv_dicts(p: dict, q: dict) -> float:
-    return _tv(*_aligned(p, q))
+    return tv_distance(*_aligned(p, q))
 
 
 def hockey_dicts(p: dict, q: dict, eps: float) -> float:
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return float(_hockey(*_aligned(p, q), [eps])[0])
+    return hockey_stick(*_aligned(p, q), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +624,7 @@ def hybrid_tv_certificate(
             tables = [
                 kern[i - 1].pull(b, len(states[i - 1])) for kern, b in zip(member_kernels, tables)
             ]
-    per_tv = [_tv(hybrid[i - 1], hybrid[i]) for i in range(1, n + 1)]
+    per_tv = [tv_distance(hybrid[i - 1], hybrid[i]) for i in range(1, n + 1)]
 
     # state after i elements in hybrid i-1's world: i-1 reference steps, then
     # one member step with the shared latent index
@@ -653,7 +636,7 @@ def hybrid_tv_certificate(
         info = mutual_information(table)
         bounds.append(math.sqrt(max(0.0, 0.5 * info)))
 
-    endpoint = _tv(hybrid[0], hybrid[n])
+    endpoint = tv_distance(hybrid[0], hybrid[n])
     slacks = [b - t for t, b in zip(per_tv, bounds)]
     min_slack = min(slacks)
     ok = (min_slack >= -tol) and (endpoint <= sum(per_tv) + tol)

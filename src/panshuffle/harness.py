@@ -14,7 +14,10 @@ files into the output directory:
   bookkeeping, not data: it is excluded from byte-identity claims.
 
 Registered kinds: ``mean_error``, ``audit``, ``norm``, ``distinguish``,
-``wrapper_gap``, ``selection_sweep``.
+``wrapper_gap``, ``selection_sweep``. The checks behind ``audit``, ``norm``,
+``distinguish`` and ``wrapper_gap`` are the functions :func:`audit_curve`,
+:func:`family_norm`, :func:`learner_advantage` and :func:`wrapper_gap`,
+which the CLI subcommands call too.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ from .mechanisms import (
     mechanism_from_manifest,
     threshold_analyzer,
 )
-from .metrics import infty_to_2_norm_bruteforce, parity_family_norm_bound_sq
+from .metrics import NormReport, infty_to_2_norm_bruteforce, parity_family_norm_bound_sq
 from .reductions import (
     LearnerDistinguisher,
     PlantedLearner,
     PlugInParityLearner,
     ShuffleToPanWrapper,
+    ThresholdReport,
     threshold_distinguisher,
     wrapper_escape_mass,
 )
@@ -72,6 +76,10 @@ __all__ = [
     "ScalingFit",
     "write_rows_csv",
     "EXPERIMENT_KINDS",
+    "audit_curve",
+    "family_norm",
+    "learner_advantage",
+    "wrapper_gap",
 ]
 
 
@@ -143,6 +151,93 @@ def _pmap(fn, spec: ExperimentSpec, indices: list[int]) -> list:
 
 
 # ---------------------------------------------------------------------------
+# checks: one function per check, shared by the experiment kinds and the CLI
+
+
+def audit_curve(p: dict) -> ex.AuditCurve:
+    """Exact privacy curve of a mechanism manifest on one neighboring stream pair.
+
+    List elements of the streams become tuples; ``intrusion_times``, when
+    given, restricts the online views audited.
+    """
+    mech = mechanism_from_manifest(p["mechanism"])
+    stream_a = [tuple(x) if isinstance(x, list) else x for x in p["stream_a"]]
+    stream_b = [tuple(x) if isinstance(x, list) else x for x in p["stream_b"]]
+    eps_grid = [float(e) for e in p["eps_grid"]]
+    times = p.get("intrusion_times")
+    return ex.audit_privacy(
+        mech, (stream_a, stream_b), eps_grid,
+        intrusion_times=[int(t) for t in times] if times else None,
+    )
+
+
+def family_norm(p: dict) -> NormReport:
+    """Brute-force norm of the (d, k, alpha) family, ``bound_sq`` set to the closed form."""
+    d, k, alpha = int(p["d"]), int(p["k"]), float(p["alpha"])
+    members = [densify(m) for m in family_enumerate(d, k, alpha, p.get("family", "plain"))]
+    bound = parity_family_norm_bound_sq(d, k, alpha)
+    return infty_to_2_norm_bruteforce(members, bound_sq=bound)
+
+
+def learner_advantage(
+    p: dict, trials: int, rng: np.random.Generator
+) -> tuple[LearnerDistinguisher, ThresholdReport]:
+    """Threshold advantage of the learner distinguisher, ``trials`` runs per world.
+
+    Both worlds draw from ``rng``, the planted world first.
+    """
+    d = int(p["d"])
+    planted = ParityIndex(tuple(p.get("planted_subset", [1])), int(p.get("planted_sign", 1)))
+    if p.get("learner", "planted") == "plugin":
+        learner = PlugInParityLearner(d=d, k=int(p.get("k", 1)))
+    else:
+        learner = PlantedLearner(index=planted)
+    dist = LearnerDistinguisher(
+        learner=learner,
+        d=d,
+        alpha=float(p["alpha"]),
+        epsilon=float(p["epsilon"]),
+        n_learn=int(p.get("n_learn", 0)),
+        test_phase_scale=float(p.get("test_phase_scale", 24.0)),
+    )
+    z_p = dist.run_batch(planted, trials, rng)
+    z_u = dist.run_batch(None, trials, rng)
+    return dist, threshold_distinguisher(z_p, z_u, min_samples=min(trials, 10_000))
+
+
+def wrapper_gap(p: dict) -> dict:
+    """Output-law gaps of the shuffle-to-pan wrapper around an n-user protocol.
+
+    ``tv_null`` compares the wrapper and the protocol on the reference law
+    (exactly 0 in theory); ``tv_real`` compares the wrapper on ``p["input"]``
+    with the protocol on the (2/9)-diluted mixture, which ``escape_bound``
+    bounds.
+    """
+    n = int(p["n"])
+    randomizer = mechanism_from_manifest(p["randomizer"])
+    cutoff = p.get("cutoff")
+    analyzer = threshold_analyzer(int(cutoff)) if cutoff is not None else histogram_analyzer()
+    protocol = ShuffleProtocol(
+        randomizer=randomizer, analyzer=analyzer, n=n,
+        budget=PrivacyBudget(epsilon=float(p.get("epsilon", 1.0)),
+                             delta=float(p.get("delta", 0.0)),
+                             gamma=1.0 / 3.0),
+    )
+    ref = {int(k): float(v) for k, v in p["reference"].items()}
+    wrapper = ShuffleToPanWrapper(protocol=protocol, reference=ref)
+    null_law = wrapper.exact_output_distribution(ref)
+    null_target = ex.exact_output_distribution(protocol, [ref] * n)
+    tv_null = ex.tv_dicts(null_law, null_target)
+    inp = {int(k): float(v) for k, v in p["input"].items()}
+    diluted = {k: 2.0 / 9.0 * inp.get(k, 0.0) + 7.0 / 9.0 * ref.get(k, 0.0)
+               for k in set(inp) | set(ref)}
+    real_law = wrapper.exact_output_distribution(inp)
+    real_target = ex.exact_output_distribution(protocol, [diluted] * n)
+    tv_real = ex.tv_dicts(real_law, real_target)
+    return {"tv_null": tv_null, "tv_real": tv_real, "escape_bound": wrapper_escape_mass(n)}
+
+
+# ---------------------------------------------------------------------------
 # experiment kinds
 
 
@@ -191,16 +286,7 @@ def _run_mean_error(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]
 
 
 def _run_audit(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    p = spec.params
-    mech = mechanism_from_manifest(p["mechanism"])
-    stream_a = [tuple(x) if isinstance(x, list) else x for x in p["stream_a"]]
-    stream_b = [tuple(x) if isinstance(x, list) else x for x in p["stream_b"]]
-    eps_grid = [float(e) for e in p["eps_grid"]]
-    times = p.get("intrusion_times")
-    curve = ex.audit_privacy(
-        mech, (stream_a, stream_b), eps_grid,
-        intrusion_times=[int(t) for t in times] if times else None,
-    )
+    curve = audit_curve(spec.params)
     rows = [
         (float(e), float(f), float(b), float(m))
         for e, f, b, m in zip(
@@ -213,73 +299,25 @@ def _run_audit(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
 
 def _run_norm(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
     p = spec.params
-    d, k, alpha = int(p["d"]), int(p["k"]), float(p["alpha"])
-    family = p.get("family", "plain")
-    members = [densify(m) for m in family_enumerate(d, k, alpha, family)]
-    bound = parity_family_norm_bound_sq(d, k, alpha)
-    report = infty_to_2_norm_bruteforce(members, bound_sq=bound)
-    rows = [(d, k, alpha, family, report.value_sq, bound, report.value_sq / bound)]
-    summary = {
-        "value_sq": report.value_sq,
-        "bound_sq": bound,
-        "tight": bool(abs(report.value_sq - bound) < 1e-9),
-    }
+    report = family_norm(p)
+    value, bound = report.value_sq, report.bound_sq
+    rows = [(int(p["d"]), int(p["k"]), float(p["alpha"]), p.get("family", "plain"),
+             value, bound, value / bound)]
+    summary = {"value_sq": value, "bound_sq": bound, "tight": bool(abs(value - bound) < 1e-9)}
     return ["d", "k", "alpha", "family", "value_sq", "bound_sq", "ratio"], rows, summary
 
 
 def _run_distinguish(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    p = spec.params
-    d = int(p["d"])
-    alpha = float(p["alpha"])
-    planted = ParityIndex(tuple(p.get("planted_subset", [1])), int(p.get("planted_sign", 1)))
-    if p.get("learner", "planted") == "plugin":
-        learner = PlugInParityLearner(d=d, k=int(p.get("k", 1)))
-    else:
-        learner = PlantedLearner(index=planted)
-    dist = LearnerDistinguisher(
-        learner=learner,
-        d=d,
-        alpha=alpha,
-        epsilon=float(p["epsilon"]),
-        n_learn=int(p.get("n_learn", 0)),
-        test_phase_scale=float(p.get("test_phase_scale", 24.0)),
-    )
-    rng = _trial_rng(spec, 0)
-    z_p = dist.run_batch(planted, spec.trials, rng)
-    z_u = dist.run_batch(None, spec.trials, rng)
-    report = threshold_distinguisher(z_p, z_u, min_samples=min(spec.trials, 10_000))
+    dist, report = learner_advantage(spec.params, spec.trials, _trial_rng(spec, 0))
     rows = [(report.tau, report.advantage, report.ci_low, report.ci_high)]
     summary = report.to_json() | {"test_len": dist.test_len}
     return ["tau", "advantage", "ci_low", "ci_high"], rows, summary
 
 
 def _run_wrapper_gap(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    p = spec.params
-    n = int(p["n"])
-    randomizer = mechanism_from_manifest(p["randomizer"])
-    cutoff = p.get("cutoff")
-    analyzer = threshold_analyzer(int(cutoff)) if cutoff is not None else histogram_analyzer()
-    protocol = ShuffleProtocol(
-        randomizer=randomizer, analyzer=analyzer, n=n,
-        budget=PrivacyBudget(epsilon=float(p.get("epsilon", 1.0)),
-                             delta=float(p.get("delta", 0.0)),
-                             gamma=1.0 / 3.0),
-    )
-    ref = {int(k): float(v) for k, v in p["reference"].items()}
-    wrapper = ShuffleToPanWrapper(protocol=protocol, reference=ref)
-    null_law = wrapper.exact_output_distribution(ref)
-    null_target = ex.exact_output_distribution(protocol, [ref] * n)
-    tv_null = ex.tv_dicts(null_law, null_target)
-    inp = {int(k): float(v) for k, v in p["input"].items()}
-    diluted = {k: 2.0 / 9.0 * inp.get(k, 0.0) + 7.0 / 9.0 * ref.get(k, 0.0)
-               for k in set(inp) | set(ref)}
-    real_law = wrapper.exact_output_distribution(inp)
-    real_target = ex.exact_output_distribution(protocol, [diluted] * n)
-    tv_real = ex.tv_dicts(real_law, real_target)
-    bound = wrapper_escape_mass(n)
-    rows = [(n, tv_null, tv_real, bound)]
-    summary = {"tv_null": tv_null, "tv_real": tv_real, "escape_bound": bound}
-    return ["n", "tv_null", "tv_real", "escape_bound"], rows, summary
+    gap = wrapper_gap(spec.params)
+    rows = [(int(spec.params["n"]), gap["tv_null"], gap["tv_real"], gap["escape_bound"])]
+    return ["n", "tv_null", "tv_real", "escape_bound"], rows, gap
 
 
 def _run_selection_sweep(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:

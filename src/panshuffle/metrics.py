@@ -18,6 +18,7 @@ from .distributions import FiniteDistribution, binom_sum
 from .errors import GuardError
 
 NORM_MAX_DOMAIN = 16
+_BLOCK = 1 << 21  # float64 elements in one hockey-stick temporary
 
 __all__ = [
     "tv_distance",
@@ -109,7 +110,17 @@ def hockey_stick(p, q, eps: float) -> float:
         raise ValueError(f"domain mismatch: {a.shape} vs {b.shape}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return float(np.clip(a - math.exp(eps) * b, 0.0, None).sum())
+    return float(_hockey(a, b, [eps])[0])
+
+
+def _hockey(a: np.ndarray, b: np.ndarray, eps) -> np.ndarray:
+    """``sum(max(a - e^eps b, 0))`` on aligned arrays, one value per grid point."""
+    scales = np.array([math.exp(e) for e in eps], dtype=np.float64)
+    out = np.empty(len(scales))
+    per = max(1, _BLOCK // max(1, a.size))
+    for lo in range(0, len(scales), per):
+        out[lo:lo + per] = np.clip(a - scales[lo:lo + per, None] * b, 0.0, None).sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import bdtrc
 
-from .baselines import wilson_interval
+from .baselines import ProblemInstance, _binomial_rows, plug_in_solve, wilson_interval
 from .distributions import ParametricHardDistribution, ParityIndex
 from .distributions import sample as draw_from
 from .errors import GuardError
@@ -56,7 +55,7 @@ __all__ = [
 
 def wrapper_escape_mass(n: int) -> float:
     """P[Bin(n, 2/9) > n/3]: the wrapper's worst-case output-law gap."""
-    return float(binom.sf(n // 3, n, 2.0 / 9.0))
+    return float(bdtrc(n // 3, n, 2.0 / 9.0))
 
 
 @dataclass(frozen=True)
@@ -113,15 +112,17 @@ class ShuffleToPanWrapper:
         """Length of the stream the online algorithm consumes (= n/3)."""
         return self.n // 3
 
+    @cached_property
     def _reference_kernel(self) -> dict:
+        """Count-tuple kernel of one reference draw; built once per wrapper."""
         return ex.randomizer_kernel_for(self.protocol.randomizer, self.reference)
 
     def budget_distribution(self) -> dict:
-        """Law of min(Bin(n, 2/9), n/3) over {0, ..., n/3}."""
-        n, cap = self.n, self.preload
-        pmf = binom.pmf(np.arange(cap + 1), n, 2.0 / 9.0)
-        out = {k: float(pmf[k]) for k in range(cap + 1)}
-        out[cap] += float(binom.sf(cap, n, 2.0 / 9.0))
+        """Law of min(Bin(n, 2/9), n/3) over {0, ..., n/3}; the tail past n/3 sits at n/3."""
+        cap = self.preload
+        pmf = _binomial_rows(self.n, 2.0 / 9.0)[self.n]
+        out = {k: float(pmf[k]) for k in range(cap)}
+        out[cap] = float(pmf[cap:].sum())
         return out
 
     # -- exact kernels -----------------------------------------------------
@@ -130,7 +131,7 @@ class ShuffleToPanWrapper:
     def _pad_law(self) -> ex.CountLaw:
         """Count law of n/3 reference messages: the preload, and again the output pad."""
         width = len(self.protocol.randomizer.alphabet)
-        return ex.CountLaw.of(self._reference_kernel(), width).power(self.preload)
+        return ex.CountLaw.of(self._reference_kernel, width).power(self.preload)
 
     def init_kernel(self) -> dict:
         preload = self._pad_law.as_dict()
@@ -145,7 +146,7 @@ class ShuffleToPanWrapper:
         if i <= budget:
             step = self.protocol.randomizer.kernel(x)
         else:
-            step = self._reference_kernel()
+            step = self._reference_kernel
         out: dict = {}
         for inc, p in step.items():
             key = (budget, tuple(a + b for a, b in zip(counts, inc)))
@@ -217,7 +218,7 @@ class ShuffleToPanWrapper:
         """
         width = len(self.protocol.randomizer.alphabet)
         real = ex.CountLaw.of(ex.randomizer_kernel_for(self.protocol.randomizer, input_dist), width)
-        ref = ex.CountLaw.of(self._reference_kernel(), width)
+        ref = ex.CountLaw.of(self._reference_kernel, width)
         label = f"wrapper law (n={self.n})"
         budget_law = self.budget_distribution()
         real_power = ex.CountLaw.zero(width)
@@ -293,24 +294,13 @@ class PlugInParityLearner:
     k: int
 
     def fit(self, samples: np.ndarray) -> ParityIndex:
-        samples = np.atleast_2d(samples)
-        if samples.shape[1] != self.d + 1:
-            raise ValueError(f"expected width {self.d + 1}, got {samples.shape[1]}")
-        labels = samples[:, self.d]
-        best: tuple[float, tuple, int] | None = None
-        for size in range(0, self.k + 1):
-            for subset in combinations(range(1, self.d + 1), size):
-                cols = [j - 1 for j in subset]
-                par = labels if not cols else labels * np.prod(samples[:, cols], axis=1)
-                est = float(par.mean()) if len(par) else 0.0
-                score = abs(est)
-                better = best is None or score > best[0] or (
-                    score == best[0] and (len(subset), subset) < (len(best[1]), best[1])
-                )
-                if better:
-                    best = (score, subset, 1 if est >= 0 else -1)
-        assert best is not None
-        return ParityIndex(subset=best[1], sign=best[2])
+        """The noiseless parity-learning decision of :func:`baselines.plug_in_solve`."""
+        inst = ProblemInstance(
+            problem="parity-learning", model="central", d=self.d, k=self.k, alpha=0.0,
+            n=len(samples), epsilon=math.inf, delta=0.0,
+            truth={"family": "uniform", "d": self.d + 1},
+        )
+        return ParityIndex(*plug_in_solve(inst, samples))
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_wrapper_kernels_match_oracle():
     proto = ShuffleProtocol(randomizer=ECHO3, analyzer=histogram_analyzer(), n=12)
     wrapper = ShuffleToPanWrapper(protocol=proto, reference={0: 0.5, 1: 0.3, 2: 0.2})
     init = wrapper.init_kernel()
-    pad = cohort_oracle.repeat_convolve(wrapper._reference_kernel(), 4, 3)
+    pad = cohort_oracle.repeat_convolve(wrapper._reference_kernel, 4, 3)
     budget = wrapper.budget_distribution()
     want = {(b, c): pb * pc for b, pb in budget.items() for c, pc in pad.items()}
     _assert_same_law(init, want)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +277,29 @@ def test_cli_sweep_then_fit_roundtrip(tmp_path):
 
 def test_cli_fit_handles_missing_file(tmp_path):
     assert main(["fit", "--csv", str(tmp_path / "absent.csv")]) == 1
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[c["id"] for c in _GOLDEN])
+def test_cli_output_matches_golden(case, tmp_path, monkeypatch, capsys):
+    """Exit code, stdout, stderr and every written file, byte for byte.
+
+    The golden text was recorded before the check subcommands called the
+    harness check functions. The reduce-check cases were recorded with the
+    escape mass and budget law already taken from ``scipy.special`` and the
+    Bernoulli recurrence, which moved their printed bound and shifted-stream
+    tv by at most 6e-17 against ``scipy.stats.binom``.
+    """
+    monkeypatch.chdir(tmp_path)
+    code = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert code == case["exit"]
+    assert out == case["stdout"]
+    assert err == case["stderr"]
+    written = {f.name: f.read_bytes().decode() for f in sorted(tmp_path.iterdir())}
+    assert written == case["files"]
 
 
 def test_cli_usage_errors_exit_one():

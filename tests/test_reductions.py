@@ -1,11 +1,16 @@
 """Reductions: shuffle-to-online wrapper, stream augmentation, learner harness."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom, ks_2samp
 
+import panshuffle
 from panshuffle.distributions import ParityIndex
 from panshuffle.errors import GuardError
 from panshuffle.exact import (
@@ -53,6 +58,16 @@ def _rr_protocol(n: int, cutoff: int, gamma: float = 1.0 / 3.0) -> ShuffleProtoc
 def test_wrapper_escape_mass_matches_frozen_oracle():
     for n, expected in sorted(FROZEN_ESCAPE.items()):
         assert wrapper_escape_mass(n) == pytest.approx(expected, rel=1e-12)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    src = str(Path(panshuffle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, panshuffle; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_wrapper_rejects_bad_configurations():
