@@ -38,6 +38,7 @@ from .distributions import (
 )
 from .errors import GuardError, InsufficientCohortError
 from .exact import _check_paths
+from .metrics import _hockey
 from .rng import as_generator, gaussian, laplace, make_generator
 
 EXACT_AUDIT_MAX_N = 12
@@ -115,7 +116,6 @@ def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
         raise ValueError("eps must be nonnegative")
     _check_paths(n * n, f"randomized-response audit (n={n})", "; reduce the cohort size n")
     rows = _binomial_rows(n - 1, flip_p)
-    scale = math.exp(epsilon)
     worst = 0.0
     for lo in range(0, n, _AUDIT_ROWS):
         ks = range(lo, min(n, lo + _AUDIT_ROWS))
@@ -125,7 +125,7 @@ def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
         p_law = (1.0 - flip_p) * same + flip_p * shifted
         q_law = flip_p * same + (1.0 - flip_p) * shifted
         for a, b in ((p_law, q_law), (q_law, p_law)):
-            worst = max(worst, float(np.clip(a - scale * b, 0.0, None).sum(axis=1).max()))
+            worst = max(worst, float(_hockey(a, b, [epsilon]).max()))
     return worst
 
 
@@ -204,7 +204,11 @@ def _as_sign_matrix(samples) -> np.ndarray:
 
 def empirical_means(samples) -> np.ndarray:
     """Exact per-feature means from integer sums (the shared noiseless path)."""
-    x = _as_sign_matrix(samples)
+    return _sign_means(_as_sign_matrix(samples))
+
+
+def _sign_means(x: np.ndarray) -> np.ndarray:
+    """:func:`empirical_means` of a matrix already checked to hold +-1 signs."""
     n = x.shape[0]
     if n == 0:
         return np.zeros(x.shape[1])
@@ -406,13 +410,17 @@ def instance_candidates(inst: ProblemInstance) -> list[tuple[int, ...]]:
 
 def feature_matrix(inst: ProblemInstance, samples: np.ndarray) -> np.ndarray:
     """The n x m matrix of +-1 candidate-parity values for the instance."""
+    return _feature_matrix(inst, instance_candidates(inst), samples)
+
+
+def _feature_matrix(inst: ProblemInstance, cands: list, samples) -> np.ndarray:
     x = _as_sign_matrix(samples)
     with_label = inst.problem == "parity-learning"
     width = inst.d + (1 if with_label else 0)
     if x.shape[1] != width:
         raise ValueError(f"expected sample width {width}, got {x.shape[1]}")
     cols = []
-    for subset in instance_candidates(inst):
+    for subset in cands:
         idx = [j - 1 for j in subset]
         if with_label:
             idx = idx + [inst.d]
@@ -439,10 +447,13 @@ def decide(inst: ProblemInstance, means: np.ndarray):
     ties); sparse-mean and parity-release -> the estimate vector itself;
     hypothesis-test -> index into [uniform] + width-1 members in enumeration
     order (nearest candidate mean vector in L2); parity-learning -> (subset,
-    sign) with the largest absolute estimate.
+    sign) with the largest absolute estimate (first in enumeration order on ties).
     """
+    return _decide(inst, instance_candidates(inst), means)
+
+
+def _decide(inst: ProblemInstance, cands: list, means):
     means = np.asarray(means, dtype=np.float64)
-    cands = instance_candidates(inst)
     if inst.problem == "selection":
         return int(cands[int(np.argmax(means))][0])
     if inst.problem in ("sparse-mean", "parity-release"):
@@ -457,17 +468,8 @@ def decide(inst: ProblemInstance, means: np.ndarray):
                 candidates.append(vec)
         dists = [float(np.sum((means - c) ** 2)) for c in candidates]
         return int(np.argmin(dists))
-    best = None
-    for i, subset in enumerate(cands):
-        est = float(means[i])
-        key = (abs(est), subset)
-        better = best is None or key[0] > best[0] or (
-            key[0] == best[0] and (len(subset), subset) < (len(best[1]), best[1])
-        )
-        if better:
-            best = (abs(est), subset, 1 if est >= 0 else -1)
-    assert best is not None
-    return (best[1], best[2])
+    best = int(np.argmax(np.abs(means)))
+    return (cands[best], 1 if means[best] >= 0 else -1)
 
 
 def _truth_member(inst: ProblemInstance) -> ParametricHardDistribution | None:
@@ -506,15 +508,15 @@ def score(inst: ProblemInstance, decision) -> bool:
 
 def solve(inst: ProblemInstance, samples: np.ndarray, rng=None):
     """Estimate candidate means under the instance's model, then decide."""
-    features = feature_matrix(inst, samples)
-    means = private_feature_means(inst, features, as_generator(rng))
-    return decide(inst, means)
+    cands = instance_candidates(inst)
+    features = _feature_matrix(inst, cands, samples)
+    return _decide(inst, cands, private_feature_means(inst, features, as_generator(rng)))
 
 
 def plug_in_solve(inst: ProblemInstance, samples: np.ndarray):
     """Noiseless baseline: exact empirical means, same decision rule."""
-    features = feature_matrix(inst, samples)
-    return decide(inst, empirical_means(features))
+    cands = instance_candidates(inst)
+    return _decide(inst, cands, _sign_means(_feature_matrix(inst, cands, samples)))
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,12 @@ def _cmd_norm(args) -> int:
 def _cmd_audit(args) -> int:
     mechanism = _load_json_arg(args.mechanism)
     neighbors = _load_json_arg(args.neighbors)
-    curve = audit_curve({"mechanism": mechanism, "stream_a": neighbors["a"],
-                         "stream_b": neighbors["b"], "eps_grid": args.eps.split(",")})
+    try:
+        curve = audit_curve({"mechanism": mechanism, "stream_a": neighbors["a"],
+                             "stream_b": neighbors["b"], "eps_grid": args.eps.split(",")})
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     for e, dmax in zip(curve.epsilons, curve.delta_max):
         print(f"epsilon={float(e)!r}  delta_max={float(dmax)!r}")
     if args.out:
@@ -124,13 +128,17 @@ def _cmd_reduce_check(args) -> int:
     if n % 3 != 0:
         print(f"n must be divisible by 3, got {n}", file=sys.stderr)
         return 1
-    gap = wrapper_gap({
-        "n": n,
-        "randomizer": {"type": "binary_rr", "flip_p": args.flip_p},
-        "cutoff": n // 3,
-        "reference": {0: 1.0 - args.ref_one, 1: args.ref_one},
-        "input": {0: 1.0 - args.input_one, 1: args.input_one},
-    })
+    try:
+        gap = wrapper_gap({
+            "n": n,
+            "randomizer": {"type": "binary_rr", "flip_p": args.flip_p},
+            "cutoff": n // 3,
+            "reference": {0: 1.0 - args.ref_one, 1: args.ref_one},
+            "input": {0: 1.0 - args.input_one, 1: args.input_one},
+        })
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     tv_null, tv_real, bound = gap["tv_null"], gap["tv_real"], gap["escape_bound"]
     print(f"n={n}: tv on reference stream = {tv_null!r}")
     print(f"n={n}: tv on shifted stream   = {tv_real!r} (bound {bound!r})")

@@ -73,49 +73,27 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class Randomizer:
-    """Per-user message sampler over a finite alphabet.
+    """Per-user randomizer over a finite alphabet: one exact kernel, one count sampler.
 
-    ``emit_fn(x, rng)`` returns the user's messages (a tuple). ``kernel_fn(x)``,
-    when present, gives the exact distribution of the count vector the user
-    contributes, as ``{counts_tuple: prob}`` aligned with ``alphabet``.
-    ``batch_fn(xs, rng)``, when present, vectorizes emission for an input array
-    and returns an ``(len(xs), len(alphabet))`` count matrix; it must agree in
-    distribution with per-call emission (tests enforce this for the built-ins).
+    A user's messages are kept only as the count vector they add, aligned with
+    ``alphabet``, since the shuffle reveals no more than the multiset.
+    ``kernel_fn(x)`` is the exact law of that vector, ``{counts_tuple: prob}``.
+    ``batch_fn(xs, rng)`` draws it for each input of the sequence ``xs`` and
+    returns a ``(len(xs), len(alphabet))`` count matrix. Both raise
+    ``ValueError`` on an input outside the randomizer's domain, and the sampler
+    agrees in law with the kernel (tests enforce this for the built-ins).
     """
 
     alphabet: tuple
-    emit_fn: Callable[[Any, np.random.Generator], tuple]
-    kernel_fn: Callable[[Any], dict] | None = None
-    batch_fn: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
+    kernel_fn: Callable[[Any], dict]
+    batch_fn: Callable[[Sequence, np.random.Generator], np.ndarray]
     name: str = "randomizer"
 
-    def emit(self, x, rng) -> tuple:
-        msgs = self.emit_fn(x, as_generator(rng))
-        for m in msgs:
-            if m not in self.alphabet:
-                raise ValueError(f"message {m!r} outside alphabet {self.alphabet}")
-        return msgs
-
-    def counts(self, msgs: Sequence) -> np.ndarray:
-        vec = np.zeros(len(self.alphabet), dtype=np.int64)
-        lookup = {m: i for i, m in enumerate(self.alphabet)}
-        for m in msgs:
-            vec[lookup[m]] += 1
-        return vec
-
     def kernel(self, x) -> dict:
-        if self.kernel_fn is None:
-            raise ValueError(f"{self.name} has no exact kernel")
         return self.kernel_fn(x)
 
-    def emit_batch(self, xs: np.ndarray, rng) -> np.ndarray:
-        gen = as_generator(rng)
-        if self.batch_fn is not None:
-            return self.batch_fn(np.asarray(xs), gen)
-        out = np.zeros((len(xs), len(self.alphabet)), dtype=np.int64)
-        for i, x in enumerate(xs):
-            out[i] = self.counts(self.emit(x, gen))
-        return out
+    def emit_batch(self, xs: Sequence, rng) -> np.ndarray:
+        return self.batch_fn(xs, as_generator(rng))
 
 
 @dataclass(frozen=True)
@@ -123,16 +101,10 @@ class Analyzer:
     """Deterministic read-out of the shuffled count vector."""
 
     fn: Callable[[np.ndarray], Hashable]
-    batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "analyzer"
 
     def __call__(self, counts: np.ndarray) -> Hashable:
         return self.fn(np.asarray(counts))
-
-    def batch(self, count_matrix: np.ndarray) -> np.ndarray:
-        if self.batch_fn is not None:
-            return self.batch_fn(np.asarray(count_matrix))
-        return np.array([self.fn(row) for row in np.asarray(count_matrix)])
 
 
 @dataclass(frozen=True)
@@ -141,7 +113,6 @@ class ShuffleProtocol:
     analyzer: Analyzer
     n: int
     budget: PrivacyBudget | None = None
-    public_seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -183,7 +154,7 @@ def run_shuffle(
             f"participation {1 - dropout_fraction} below declared floor {protocol.budget.gamma}"
         )
     gen = as_generator(rng)
-    counts = protocol.randomizer.emit_batch(np.asarray(dataset), gen).sum(axis=0)
+    counts = protocol.randomizer.emit_batch(dataset, gen).sum(axis=0)
     return counts, protocol.analyzer(counts)
 
 
@@ -267,21 +238,28 @@ def run_pan(alg: PanPrivateAlgorithm, stream: Sequence, t: int, rng=None) -> Adv
 # randomizers and analyzers
 
 
+def _bit(x) -> int:
+    """The input as the bit 0 or 1; ValueError on any other value."""
+    bit = int(x)
+    if bit not in (0, 1):
+        raise ValueError(f"input must be a bit, got {x!r}")
+    return bit
+
+
+def _one_hot(idx: np.ndarray, width: int) -> np.ndarray:
+    """Count matrix with a single 1 per row, in column ``idx[row]``."""
+    counts = np.zeros((len(idx), width), dtype=np.int64)
+    counts[np.arange(len(idx)), idx] = 1
+    return counts
+
+
 def binary_randomized_response(flip_p: float) -> Randomizer:
     """One-bit randomized response: report the input bit, flipped w.p. flip_p."""
     if not 0.0 <= flip_p <= 0.5:
         raise ValueError("flip_p must be in [0, 1/2]")
 
-    def emit(x, rng):
-        bit = int(x)
-        if bit not in (0, 1):
-            raise ValueError(f"input must be a bit, got {x!r}")
-        return (bit ^ int(rng.random() < flip_p),)
-
     def kernel(x):
-        bit = int(x)
-        if bit not in (0, 1):
-            raise ValueError(f"input must be a bit, got {x!r}")
+        bit = _bit(x)
         stay = ((1, 0), (0, 1))[bit]
         move = ((0, 1), (1, 0))[bit]
         if flip_p == 0.0:
@@ -289,16 +267,11 @@ def binary_randomized_response(flip_p: float) -> Randomizer:
         return {stay: 1.0 - flip_p, move: flip_p}
 
     def batch(xs, rng):
-        bits = np.asarray(xs, dtype=np.int64)
-        flips = rng.random(bits.shape[0]) < flip_p
-        out_bits = bits ^ flips
-        counts = np.zeros((bits.shape[0], 2), dtype=np.int64)
-        counts[np.arange(bits.shape[0]), out_bits] = 1
-        return counts
+        bits = np.array([_bit(x) for x in xs], dtype=np.int64)
+        return _one_hot(bits ^ (rng.random(len(bits)) < flip_p), 2)
 
     return Randomizer(
-        alphabet=(0, 1), emit_fn=emit, kernel_fn=kernel, batch_fn=batch,
-        name=f"rr(flip={flip_p})",
+        alphabet=(0, 1), kernel_fn=kernel, batch_fn=batch, name=f"rr(flip={flip_p})",
     )
 
 
@@ -308,17 +281,8 @@ def asymmetric_binary_randomizer(p_one_given_one: float, p_one_given_zero: float
         if not 0.0 <= p <= 1.0:
             raise ValueError("probabilities must be in [0, 1]")
 
-    def prob_one(x) -> float:
-        bit = int(x)
-        if bit not in (0, 1):
-            raise ValueError(f"input must be a bit, got {x!r}")
-        return p_one_given_one if bit else p_one_given_zero
-
-    def emit(x, rng):
-        return (int(rng.random() < prob_one(x)),)
-
     def kernel(x):
-        p = prob_one(x)
+        p = p_one_given_one if _bit(x) else p_one_given_zero
         out = {}
         if p < 1.0:
             out[(1, 0)] = 1.0 - p
@@ -327,15 +291,11 @@ def asymmetric_binary_randomizer(p_one_given_one: float, p_one_given_zero: float
         return out
 
     def batch(xs, rng):
-        bits = np.asarray(xs, dtype=np.int64)
-        p = np.where(bits == 1, p_one_given_one, p_one_given_zero)
-        ones = (rng.random(bits.shape[0]) < p).astype(np.int64)
-        counts = np.zeros((bits.shape[0], 2), dtype=np.int64)
-        counts[np.arange(bits.shape[0]), ones] = 1
-        return counts
+        p = np.array([p_one_given_one if _bit(x) else p_one_given_zero for x in xs])
+        return _one_hot((rng.random(len(p)) < p).astype(np.int64), 2)
 
     return Randomizer(
-        alphabet=(0, 1), emit_fn=emit, kernel_fn=kernel, batch_fn=batch,
+        alphabet=(0, 1), kernel_fn=kernel, batch_fn=batch,
         name=f"channel({p_one_given_zero},{p_one_given_one})",
     )
 
@@ -344,32 +304,26 @@ def echo_randomizer(alphabet: tuple) -> Randomizer:
     """Forward the input unchanged (no privacy; used for worst-case baselines)."""
     lookup = {m: i for i, m in enumerate(alphabet)}
 
-    def emit(x, rng):
+    def index(x) -> int:
         if x not in lookup:
             raise ValueError(f"input {x!r} outside alphabet {alphabet}")
-        return (x,)
+        return lookup[x]
 
     def kernel(x):
         vec = [0] * len(alphabet)
-        vec[lookup[x]] = 1
+        vec[index(x)] = 1
         return {tuple(vec): 1.0}
 
     def batch(xs, rng):
-        idx = np.array([lookup[x] for x in np.asarray(xs).tolist()], dtype=np.int64)
-        counts = np.zeros((len(idx), len(alphabet)), dtype=np.int64)
-        counts[np.arange(len(idx)), idx] = 1
-        return counts
+        return _one_hot(np.array([index(x) for x in xs], dtype=np.int64), len(alphabet))
 
-    return Randomizer(
-        alphabet=alphabet, emit_fn=emit, kernel_fn=kernel, batch_fn=batch, name="echo",
-    )
+    return Randomizer(alphabet=alphabet, kernel_fn=kernel, batch_fn=batch, name="echo")
 
 
 def one_count_analyzer() -> Analyzer:
     """Output the number of 1-messages (binary alphabet)."""
     return Analyzer(
         fn=lambda counts: int(counts[1]),
-        batch_fn=lambda mat: mat[:, 1].astype(np.int64),
         name="one-count",
     )
 
@@ -378,7 +332,6 @@ def threshold_analyzer(cutoff: int) -> Analyzer:
     """Output 1 when the 1-message count exceeds ``cutoff`` (binary alphabet)."""
     return Analyzer(
         fn=lambda counts: int(counts[1] > cutoff),
-        batch_fn=lambda mat: (mat[:, 1] > cutoff).astype(np.int64),
         name=f"threshold(>{cutoff})",
     )
 
@@ -393,6 +346,13 @@ def histogram_analyzer() -> Analyzer:
 
 # ---------------------------------------------------------------------------
 # online mechanisms
+
+
+def _ones(x) -> int:
+    """Count of +1 entries of a sign-tuple element; 1 for a scalar 1 bit, else 0."""
+    if isinstance(x, tuple):
+        return sum(1 for v in x if v == 1)
+    return 1 if int(x) == 1 else 0
 
 
 def quantized_laplace_pmf(scale: float, step: float, span: float) -> tuple[dict, float]:
@@ -429,14 +389,13 @@ def quantized_laplace_counter(
     step: float = 1.0 / 64,
     span: float | None = None,
     sensitivity: float = 1.0,
-    value_fn: Callable[[Any], int] | None = None,
     name: str = "qlap-counter",
 ) -> PanPrivateAlgorithm:
     """Noise-initialized counter over an integer grid, re-noised at output.
 
     The state starts at quantized Laplace(sensitivity/eps_update) noise, each
-    element shifts it by ``value_fn(x)`` (default: 1 for a positive sign or a
-    1 bit, else 0), and the output adds independent quantized
+    element shifts it by its count of +1 entries (a bit counts 1 when it is
+    1), and the output adds independent quantized
     Laplace(sensitivity/eps_output) noise. With the one-look adversary the
     released view is ``max(eps_update, eps_output)``-private up to the folded
     tail mass: the look and the output expose disjoint noise draws. States are
@@ -454,20 +413,14 @@ def quantized_laplace_counter(
     init_pmf, tail_init = quantized_laplace_pmf(sensitivity / eps_update, step, span)
     out_pmf, tail_out = quantized_laplace_pmf(sensitivity / eps_output, step, span)
 
-    if value_fn is None:
-        def value_fn(x):
-            if isinstance(x, tuple):
-                return sum(1 for v in x if v == 1)
-            return 1 if int(x) == 1 else 0
-
     def update_kernel(i, x, s):
-        return {s + value_fn(x) * per_unit: 1.0}
+        return {s + _ones(x) * per_unit: 1.0}
 
     def output_kernel(s):
         return {s + j: p for j, p in out_pmf.items()}
 
     def update_sample(i, x, s, rng):
-        return s + value_fn(x) * per_unit
+        return s + _ones(x) * per_unit
 
     return PanPrivateAlgorithm(
         name=name,
@@ -496,13 +449,8 @@ def noisy_parity_chain(flip_p: float, name: str = "noisy-parity") -> PanPrivateA
     if not 0.0 <= flip_p <= 0.5:
         raise ValueError("flip_p must be in [0, 1/2]")
 
-    def bit(x):
-        if isinstance(x, tuple):
-            return sum(1 for v in x if v == 1) & 1
-        return 1 if int(x) == 1 else 0
-
     def update_kernel(i, x, s):
-        nxt = s ^ bit(x)
+        nxt = s ^ (_ones(x) & 1)
         if flip_p == 0.0:
             return {nxt: 1.0}
         return {nxt: 1.0 - flip_p, nxt ^ 1: flip_p}
@@ -518,15 +466,10 @@ def noisy_parity_chain(flip_p: float, name: str = "noisy-parity") -> PanPrivateA
 def saturating_counter(cap: int, name: str = "saturating-counter") -> PanPrivateAlgorithm:
     """Deterministic count of 1-values, capped at ``cap`` (not private; for tests)."""
 
-    def bit(x):
-        if isinstance(x, tuple):
-            return sum(1 for v in x if v == 1)
-        return 1 if int(x) == 1 else 0
-
     return PanPrivateAlgorithm(
         name=name,
         init_kernel={0: 1.0},
-        update_kernel=lambda i, x, s: {min(s + bit(x), cap): 1.0},
+        update_kernel=lambda i, x, s: {min(s + _ones(x), cap): 1.0},
         output_kernel=lambda s: {s: 1.0},
     )
 
@@ -556,26 +499,44 @@ def mechanism_from_manifest(manifest: dict):
     Supported types: ``binary_rr`` (flip_p), ``channel`` (p_one_given_one,
     p_one_given_zero), ``echo`` (alphabet), ``qlap_counter`` (eps_update,
     eps_output, step, span, sensitivity), ``noisy_parity`` (flip_p),
-    ``saturating_counter`` (cap).
+    ``saturating_counter`` (cap). A missing required key or an unknown key
+    raises ``ValueError`` listing the keys the type accepts.
     """
-    kind = manifest.get("type")
-    params = {k: v for k, v in manifest.items() if k != "type"}
+    # type -> (required keys, optional keys, builder)
     builders = {
-        "binary_rr": lambda: binary_randomized_response(float(params["flip_p"])),
-        "channel": lambda: asymmetric_binary_randomizer(
-            float(params["p_one_given_one"]), float(params["p_one_given_zero"])
+        "binary_rr": (("flip_p",), (), lambda p: binary_randomized_response(float(p["flip_p"]))),
+        "channel": (
+            ("p_one_given_one", "p_one_given_zero"), (),
+            lambda p: asymmetric_binary_randomizer(
+                float(p["p_one_given_one"]), float(p["p_one_given_zero"])
+            ),
         ),
-        "echo": lambda: echo_randomizer(tuple(params.get("alphabet", (0, 1)))),
-        "qlap_counter": lambda: quantized_laplace_counter(
-            eps_update=float(params["eps_update"]),
-            eps_output=float(params["eps_output"]),
-            step=float(params.get("step", 1.0 / 64)),
-            span=(float(params["span"]) if "span" in params else None),
-            sensitivity=float(params.get("sensitivity", 1.0)),
+        "echo": ((), ("alphabet",), lambda p: echo_randomizer(tuple(p.get("alphabet", (0, 1))))),
+        "qlap_counter": (
+            ("eps_update", "eps_output"), ("step", "span", "sensitivity"),
+            lambda p: quantized_laplace_counter(
+                eps_update=float(p["eps_update"]),
+                eps_output=float(p["eps_output"]),
+                step=float(p.get("step", 1.0 / 64)),
+                span=(float(p["span"]) if "span" in p else None),
+                sensitivity=float(p.get("sensitivity", 1.0)),
+            ),
         ),
-        "noisy_parity": lambda: noisy_parity_chain(float(params["flip_p"])),
-        "saturating_counter": lambda: saturating_counter(int(params["cap"])),
+        "noisy_parity": (("flip_p",), (), lambda p: noisy_parity_chain(float(p["flip_p"]))),
+        "saturating_counter": (("cap",), (), lambda p: saturating_counter(int(p["cap"]))),
     }
+    if not isinstance(manifest, dict):
+        raise ValueError(f"a mechanism manifest is a JSON object, got {manifest!r}")
+    kind = manifest.get("type")
     if kind not in builders:
-        raise ValueError(f"unknown mechanism type {kind!r}")
-    return builders[kind]()
+        raise ValueError(f"unknown mechanism type {kind!r}; 'type' is one of {list(builders)}")
+    required, optional, build = builders[kind]
+    params = {k: v for k, v in manifest.items() if k != "type"}
+    missing = [k for k in required if k not in params]
+    unknown = sorted(k for k in params if k not in required + optional)
+    if missing or unknown:
+        raise ValueError(
+            f"{kind} manifest: missing keys {missing}, unknown keys {unknown}; "
+            f"accepted keys: {['type', *required, *optional]}"
+        )
+    return build(params)

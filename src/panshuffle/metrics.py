@@ -114,12 +114,17 @@ def hockey_stick(p, q, eps: float) -> float:
 
 
 def _hockey(a: np.ndarray, b: np.ndarray, eps) -> np.ndarray:
-    """``sum(max(a - e^eps b, 0))`` on aligned arrays, one value per grid point."""
+    """``sum(max(a - e^eps b, 0))`` over the last axis, one value per grid point.
+
+    ``a`` and ``b`` of shape ``(..., m)`` give shape ``(..., len(eps))``.
+    """
     scales = np.array([math.exp(e) for e in eps], dtype=np.float64)
-    out = np.empty(len(scales))
+    a, b = a[..., None, :], b[..., None, :]
+    out = np.empty(a.shape[:-2] + (len(scales),))
     per = max(1, _BLOCK // max(1, a.size))
     for lo in range(0, len(scales), per):
-        out[lo:lo + per] = np.clip(a - scales[lo:lo + per, None] * b, 0.0, None).sum(axis=1)
+        gap = a - scales[lo:lo + per, None] * b
+        out[..., lo:lo + per] = np.clip(gap, 0.0, None).sum(axis=-1)
     return out
 
 

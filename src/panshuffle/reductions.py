@@ -93,6 +93,8 @@ class ShuffleToPanWrapper:
                 f"declared participation floor {budget.gamma} exceeds 1/3; "
                 "the wrapper only guarantees n/3 real participants"
             )
+        if not all(math.isfinite(v) and v >= 0 for v in self.reference.values()):
+            raise ValueError("reference probabilities must be finite and non-negative")
         total = sum(self.reference.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("reference distribution must sum to 1")
@@ -117,6 +119,7 @@ class ShuffleToPanWrapper:
         """Count-tuple kernel of one reference draw; built once per wrapper."""
         return ex.randomizer_kernel_for(self.protocol.randomizer, self.reference)
 
+    @cached_property
     def budget_distribution(self) -> dict:
         """Law of min(Bin(n, 2/9), n/3) over {0, ..., n/3}; the tail past n/3 sits at n/3."""
         cap = self.preload
@@ -137,7 +140,7 @@ class ShuffleToPanWrapper:
         preload = self._pad_law.as_dict()
         return {
             (b, counts): pb * pc
-            for b, pb in self.budget_distribution().items()
+            for b, pb in self.budget_distribution.items()
             for counts, pc in preload.items()
         }
 
@@ -160,39 +163,44 @@ class ShuffleToPanWrapper:
 
     # -- sampling ----------------------------------------------------------
 
-    def _sample_reference(self, size: int, rng) -> list:
-        keys = list(self.reference.keys())
+    @cached_property
+    def _reference_draw(self) -> tuple[list, np.ndarray]:
+        """Reference inputs and their cumulative probabilities; built once per wrapper.
+
+        Inverse-CDF lookups of uniform draws in this table pick the inputs
+        ``rng.choice`` picks with ``p`` the normalized probabilities, without
+        re-checking ``p`` on every call.
+        """
+        keys = list(self.reference)
         probs = np.array([self.reference[k] for k in keys], dtype=np.float64)
-        probs = probs / probs.sum()
-        picks = rng.choice(len(keys), size=size, p=probs)
-        return [keys[int(i)] for i in picks]
+        cdf = (probs / probs.sum()).cumsum()
+        return keys, cdf / cdf[-1]
+
+    def _emit_reference(self, size: int, rng) -> np.ndarray:
+        """Count matrix of ``size`` users drawn from the reference law."""
+        keys, cdf = self._reference_draw
+        picks = cdf.searchsorted(rng.random(size), side="right")
+        return self.protocol.randomizer.emit_batch([keys[i] for i in picks], rng)
 
     def sample_budget(self, rng) -> int:
         return int(min(rng.binomial(self.n, 2.0 / 9.0), self.preload))
 
-    def _emit_counts(self, x, rng) -> np.ndarray:
-        rz = self.protocol.randomizer
-        return rz.counts(rz.emit(x, rng))
-
     def init_sample(self, rng):
         budget = self.sample_budget(rng)
-        counts = np.zeros(len(self.protocol.randomizer.alphabet), dtype=np.int64)
-        for x in self._sample_reference(self.preload, rng):
-            counts += self._emit_counts(x, rng)
-        return (budget, tuple(int(c) for c in counts))
+        return (budget, tuple(self._emit_reference(self.preload, rng).sum(axis=0).tolist()))
 
     def update_sample(self, i: int, x, state, rng):
         budget, counts = state
-        inp = x if i <= budget else self._sample_reference(1, rng)[0]
-        inc = self._emit_counts(inp, rng)
+        if i <= budget:
+            inc = self.protocol.randomizer.emit_batch([x], rng)[0]
+        else:
+            inc = self._emit_reference(1, rng)[0]
         return (budget, tuple(a + int(b) for a, b in zip(counts, inc)))
 
     def output_sample(self, state, rng):
-        budget, counts = state
-        total = np.asarray(counts, dtype=np.int64)
-        for x in self._sample_reference(self.preload, rng):
-            total += self._emit_counts(x, rng)
-        return self.protocol.analyzer(total)
+        _, counts = state
+        pad = self._emit_reference(self.preload, rng).sum(axis=0)
+        return self.protocol.analyzer(np.asarray(counts) + pad)
 
     def as_pan_algorithm(self) -> PanPrivateAlgorithm:
         return PanPrivateAlgorithm(
@@ -220,7 +228,7 @@ class ShuffleToPanWrapper:
         real = ex.CountLaw.of(ex.randomizer_kernel_for(self.protocol.randomizer, input_dist), width)
         ref = ex.CountLaw.of(self._reference_kernel, width)
         label = f"wrapper law (n={self.n})"
-        budget_law = self.budget_distribution()
+        budget_law = self.budget_distribution
         real_power = ex.CountLaw.zero(width)
         mixed = real_power.scaled(budget_law[0])
         for b in range(1, self.stream_len + 1):

@@ -86,7 +86,7 @@ def wrapper_output_law(wrapper, input_dist: dict) -> dict:
         real_parts.append(convolve_counts(real_parts[-1], real_kernel))
     # reference part for budget b has n - b draws; walk b downward
     ref_part = repeat_convolve(ref_kernel, n - cap, width)
-    budget_law = wrapper.budget_distribution()
+    budget_law = wrapper.budget_distribution
     out: dict = {}
     for b in range(cap, -1, -1):
         counts_dist = convolve_counts(real_parts[b], ref_part)

@@ -149,7 +149,7 @@ def test_wrapper_kernels_match_oracle():
     wrapper = ShuffleToPanWrapper(protocol=proto, reference={0: 0.5, 1: 0.3, 2: 0.2})
     init = wrapper.init_kernel()
     pad = cohort_oracle.repeat_convolve(wrapper._reference_kernel, 4, 3)
-    budget = wrapper.budget_distribution()
+    budget = wrapper.budget_distribution
     want = {(b, c): pb * pc for b, pb in budget.items() for c, pc in pad.items()}
     _assert_same_law(init, want)
     for state in [(0, (4, 0, 0)), (2, (1, 2, 3)), (4, (0, 0, 8))]:

@@ -302,6 +302,24 @@ def test_cli_output_matches_golden(case, tmp_path, monkeypatch, capsys):
     assert written == case["files"]
 
 
+def test_cli_audit_rejects_a_bad_manifest_in_one_line(capsys):
+    code = main(["audit", "--mechanism", '{"type": "binary_rr", "flip": 0.2}',
+                 "--neighbors", '{"a": [1], "b": [0]}'])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'flip_p'" in err and "'flip'" in err
+
+
+def test_cli_reduce_check_rejects_a_reference_outside_zero_one(capsys):
+    code = main(["reduce-check", "--n", "6", "--ref-one", "1.5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: reference probabilities must be finite and non-negative\n"
+
+
 def test_cli_usage_errors_exit_one():
     with pytest.raises(SystemExit) as err:
         main([])

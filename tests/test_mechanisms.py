@@ -7,7 +7,6 @@ import pytest
 
 from panshuffle.errors import GuardError
 from panshuffle.mechanisms import (
-    Analyzer,
     PanPrivateAlgorithm,
     PrivacyBudget,
     ShuffleProtocol,
@@ -48,8 +47,7 @@ def test_binary_rr_kernel_probabilities():
     rz = binary_randomized_response(0.25)
     k1 = rz.kernel(1)
     k0 = rz.kernel(0)
-    on = tuple(rz.counts([1]))
-    off = tuple(rz.counts([0]))
+    on, off = (0, 1), (1, 0)
     assert k1[on] == pytest.approx(0.75)
     assert k1[off] == pytest.approx(0.25)
     assert k0[off] == pytest.approx(0.75)
@@ -65,7 +63,7 @@ def test_binary_rr_flip_bounds():
 
 def test_asymmetric_randomizer_kernel():
     rz = asymmetric_binary_randomizer(0.9, 0.2)
-    one = tuple(rz.counts([1]))
+    one = (0, 1)
     assert rz.kernel(1)[one] == pytest.approx(0.9)
     assert rz.kernel(0)[one] == pytest.approx(0.2)
 
@@ -79,17 +77,23 @@ def test_echo_randomizer_is_deterministic():
 
 
 def test_emit_batch_matches_law():
-    rz = binary_randomized_response(0.2)
-    rng = make_generator(0, "batch")
-    inputs = np.array([1] * 20_000 + [0] * 20_000)
-    counts = rz.emit_batch(inputs, rng)
-    assert counts.shape == (40_000, 2)
-    assert np.array_equal(counts.sum(axis=1), np.ones(40_000))
-    one_col = rz.alphabet.index(1)
-    rate_one = float(np.mean(counts[:20_000, one_col]))
-    rate_zero = float(np.mean(counts[20_000:, one_col]))
-    assert rate_one == pytest.approx(0.8, abs=0.01)
-    assert rate_zero == pytest.approx(0.2, abs=0.01)
+    """Each built-in's batch sampler draws its kernel's law, input by input."""
+    per = 20_000
+    for rz, domain in [
+        (binary_randomized_response(0.2), (0, 1)),
+        (asymmetric_binary_randomizer(0.9, 0.35), (0, 1)),
+        (echo_randomizer(("a", (1, 2), 3)), ("a", (1, 2), 3)),
+    ]:
+        rng = make_generator(0, "batch", rz.name)
+        counts = rz.emit_batch([x for x in domain for _ in range(per)], rng)
+        assert counts.shape == (per * len(domain), len(rz.alphabet))
+        for i, x in enumerate(domain):
+            rows, freq = np.unique(counts[i * per:(i + 1) * per], axis=0, return_counts=True)
+            seen = {tuple(int(c) for c in row): f / per for row, f in zip(rows, freq)}
+            law = rz.kernel(x)
+            assert set(seen) <= set(law)
+            for vec, p in law.items():
+                assert seen.get(vec, 0.0) == pytest.approx(p, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +124,22 @@ def test_run_shuffle_enforces_size_and_floor():
     counts, _ = run_shuffle(proto, [1, 0, 1], dropout_fraction=0.25,
                             rng=make_generator(2))
     assert counts.sum() == 3
+
+
+@pytest.mark.parametrize("rz, good, bad", [
+    (binary_randomized_response(0.25), 1, -1),
+    (binary_randomized_response(0.25), 0, 2),
+    (asymmetric_binary_randomizer(0.8, 0.1), 1, -1),
+    (asymmetric_binary_randomizer(0.8, 0.1), 0, 5),
+    (echo_randomizer((0, 1, 2)), 2, 3),
+    (echo_randomizer(("a", (1, 2))), (1, 2), (2, 1)),
+], ids=["rr-negative", "rr-two", "channel-negative", "channel-five", "echo-int", "echo-tuple"])
+def test_run_shuffle_rejects_inputs_outside_the_domain(rz, good, bad):
+    proto = ShuffleProtocol(randomizer=rz, analyzer=histogram_analyzer(), n=4)
+    with pytest.raises(ValueError, match="bit|outside alphabet"):
+        run_shuffle(proto, [good, bad, good, good], rng=make_generator(2, "domain"))
+    with pytest.raises(ValueError, match="bit|outside alphabet"):
+        rz.kernel(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +244,11 @@ def test_privacy_budget_validation():
 
 def test_mechanism_from_manifest_roundtrips():
     rr = mechanism_from_manifest({"type": "binary_rr", "flip_p": 0.3})
-    assert rr.kernel(1)[tuple(rr.counts([0]))] == pytest.approx(0.3)
+    assert rr.kernel(1)[(1, 0)] == pytest.approx(0.3)
     chan = mechanism_from_manifest(
         {"type": "channel", "p_one_given_one": 0.8, "p_one_given_zero": 0.1}
     )
-    assert chan.kernel(0)[tuple(chan.counts([1]))] == pytest.approx(0.1)
+    assert chan.kernel(0)[(0, 1)] == pytest.approx(0.1)
     ctr = mechanism_from_manifest(
         {"type": "qlap_counter", "eps_update": 1.0, "eps_output": 1.0, "step": 0.125,
          "span": 12.0}
@@ -242,7 +262,14 @@ def test_mechanism_from_manifest_roundtrips():
         mechanism_from_manifest({"type": "nope"})
 
 
-def test_analyzer_batch_defaults_to_loop():
-    an = Analyzer(fn=lambda counts: int(counts.sum()), name="total")
-    stacked = np.array([[1, 2], [3, 4]])
-    assert list(an.batch(stacked)) == [3, 7]
+@pytest.mark.parametrize("manifest, named", [
+    ({"type": "binary_rr", "flip": 0.2}, "missing keys ['flip_p'], unknown keys ['flip']"),
+    ({"type": "noisy_parity", "flip_p": 0.1, "seed": 3}, "unknown keys ['seed']"),
+    ({"type": "qlap_counter", "eps_update": 1.0}, "missing keys ['eps_output']"),
+    ({"flip_p": 0.2}, "'type' is one of"),
+    ([{"type": "binary_rr"}], "JSON object"),
+], ids=["missing-and-unknown", "unknown", "missing", "no-type", "not-an-object"])
+def test_mechanism_from_manifest_names_bad_keys(manifest, named):
+    with pytest.raises(ValueError, match="accepted keys|one of|JSON object") as err:
+        mechanism_from_manifest(manifest)
+    assert named in str(err.value)

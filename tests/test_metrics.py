@@ -19,6 +19,7 @@ from panshuffle.distributions import densify, family_enumerate, fourier_spectrum
 from panshuffle.errors import GuardError
 from panshuffle.metrics import (
     JointDistribution,
+    _hockey,
     fact_markov_check,
     fact_tv_chain_check,
     hockey_stick,
@@ -78,6 +79,19 @@ def test_hockey_stick_binary():
     eps = math.log(1.6)
     assert hockey_stick(p, q, eps) == pytest.approx(0.0, abs=1e-12)
     assert hockey_stick(p, q, 10.0) == 0.0
+
+
+def test_hockey_rows_match_one_row_at_a_time():
+    rng = np.random.default_rng(5)
+    a, b = rng.random((4, 3, 9)), rng.random((4, 3, 9))
+    eps = [0.0, 0.25, 1.0]
+    rows = _hockey(a, b, eps)
+    assert rows.shape == (4, 3, 3)
+    for i in range(4):
+        for j in range(3):
+            assert np.array_equal(rows[i, j], _hockey(a[i, j], b[i, j], eps))
+            want = [np.clip(a[i, j] - math.exp(e) * b[i, j], 0.0, None).sum() for e in eps]
+            assert np.array_equal(rows[i, j], want)
 
 
 @given(simplex, simplex)

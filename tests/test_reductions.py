@@ -1,5 +1,6 @@
 """Reductions: shuffle-to-online wrapper, stream augmentation, learner harness."""
 
+import json
 import math
 import os
 import subprocess
@@ -22,8 +23,10 @@ from panshuffle.exact import (
 from panshuffle.mechanisms import (
     PrivacyBudget,
     ShuffleProtocol,
+    asymmetric_binary_randomizer,
     binary_randomized_response,
     echo_randomizer,
+    histogram_analyzer,
     run_pan,
     threshold_analyzer,
 )
@@ -77,6 +80,10 @@ def test_wrapper_rejects_bad_configurations():
         ShuffleToPanWrapper(protocol=_rr_protocol(6, 3, gamma=0.5), reference=REF)
     with pytest.raises(ValueError, match="sum to 1"):
         ShuffleToPanWrapper(protocol=_rr_protocol(6, 3), reference={1: 0.5, 0: 0.4})
+    with pytest.raises(ValueError, match="non-negative"):
+        ShuffleToPanWrapper(protocol=_rr_protocol(6, 3), reference={0: 1.5, 1: -0.5})
+    with pytest.raises(ValueError, match="non-negative"):
+        ShuffleToPanWrapper(protocol=_rr_protocol(6, 3), reference={0: float("nan"), 1: 1.0})
 
 
 def test_wrapper_lengths():
@@ -88,7 +95,7 @@ def test_wrapper_lengths():
 
 def test_budget_distribution_caps_binomial():
     w = ShuffleToPanWrapper(protocol=_rr_protocol(6, 3), reference=REF)
-    law = w.budget_distribution()
+    law = w.budget_distribution
     assert set(law) == {0, 1, 2}
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
     for b in (0, 1):
@@ -154,6 +161,33 @@ def test_wrapper_sampling_matches_exact_law():
     rng = make_generator(404, "wrapper-sampling")
     hits = sum(run_pan(alg, [1, 0], t=1, rng=rng).output for _ in range(20_000))
     assert hits / 20_000 == pytest.approx(law.get(1, 0.0), abs=0.015)
+
+
+def test_wrapper_sampling_matches_recorded_draws():
+    """50 seeded views per wrapper, recorded when each message was drawn one call at a time.
+
+    Sampling through ``emit_batch`` and inverse-CDF reference picks must
+    consume the generator as ``rng.choice`` and per-message draws did, so the
+    views and the generator's final state are unchanged.
+    """
+    golden = json.loads((Path(__file__).parent / "wrapper_golden.json").read_text())
+    budget = PrivacyBudget(epsilon=1.0, delta=0.0, gamma=1.0 / 3.0)
+    cases = {
+        "rr": (binary_randomized_response(0.3), {1: 0.3, 0: 0.7}),
+        "channel": (asymmetric_binary_randomizer(0.8, 0.25), {0: 0.6, 1: 0.4}),
+        "echo3": (echo_randomizer((0, 1, 2)), {0: 0.5, 2: 0.2, 1: 0.3}),
+    }
+    gen = make_generator(7, "wrapper-golden")
+    for name, (rz, ref) in cases.items():
+        proto = ShuffleProtocol(randomizer=rz, analyzer=histogram_analyzer(), n=24, budget=budget)
+        alg = shuffle_to_pan(proto, ref)
+        views = []
+        for j in range(50):
+            stream = gen.integers(0, len(rz.alphabet), size=8).tolist()
+            view = run_pan(alg, stream, t=1 + j % 8, rng=gen)
+            views.append([view.t, view.state[0], list(view.state[1]), list(view.output)])
+        assert views == golden[name]
+    assert int(gen.integers(0, 2**62)) == golden["probe"]
 
 
 def test_shuffle_to_pan_factory_sets_metadata():
