@@ -4,14 +4,15 @@ The estimators all reduce to means of +-1 feature values:
 
 * ``empirical_means`` is the noiseless path, computed from integer sums so two
   callers on the same samples produce bit-identical floats;
-* ``central_mean_vector`` adds calibrated Laplace noise to the sums;
-* ``local_mean_vector`` sends each feature bit through randomized response at
-  a per-feature split of the budget and debiases the counts;
-* ``shuffle_mean_vector`` does the same through :func:`calibrate_rr`, whose
-  flip probability is certified against the shuffled count law itself (exact
-  audit for small cohorts, a closed-form amplification rate otherwise);
-* ``pan_mean_vector`` releases a noise-initialized, noise-published sum per
-  feature, splitting the budget between the two noise draws.
+* ``private_means`` estimates the same means under one of the four trust
+  models, which differ only in the noise they add: ``central`` adds Laplace
+  noise to the sums; ``local`` sends each feature bit through randomized
+  response at a per-feature split of the budget and debiases the counts;
+  ``shuffle`` does the same at the flip probability :func:`calibrate_rr`
+  certifies against the shuffled count law itself (exact audit for small
+  cohorts, a closed-form amplification rate otherwise); ``pan`` releases a
+  noise-initialized, noise-published sum per feature, splitting the budget
+  between the two noise draws.
 
 Problem instances (selection, sparse mean estimation, parity release, simple
 hypothesis testing, parity learning) share one pipeline: build the +-1 feature
@@ -49,10 +50,7 @@ __all__ = [
     "calibrate_rr",
     "rr_count_pmf",
     "empirical_means",
-    "central_mean_vector",
-    "local_mean_vector",
-    "shuffle_mean_vector",
-    "pan_mean_vector",
+    "private_means",
     "pan_noise_parameters",
     "wilson_interval",
     "PROBLEMS",
@@ -69,7 +67,7 @@ __all__ = [
     "ThresholdSearchResult",
     "find_selection_threshold",
     "advanced_split",
-    "private_feature_means",
+    "true_means",
 ]
 
 
@@ -216,30 +214,43 @@ def _sign_means(x: np.ndarray) -> np.ndarray:
     return (2 * ones - n) / n
 
 
-def central_mean_vector(samples, epsilon: float, rng=None) -> np.ndarray:
-    """Laplace mechanism on the sign sums; pure, budget split over features."""
-    x = _as_sign_matrix(samples)
-    if math.isinf(epsilon):
-        return empirical_means(x)
-    n, d = x.shape
-    if n == 0:
-        raise ValueError("need at least one sample")
-    gen = as_generator(rng)
-    scale = 2.0 * d / epsilon
-    return (x.sum(axis=0) + laplace(gen, scale, size=d)) / n
+def private_means(samples, model: str, epsilon: float, delta: float = 0.0, rng=None) -> np.ndarray:
+    """Per-feature means of +-1 samples under one trust model's noise.
+
+    ``central`` adds one Laplace vector at scale 2d/epsilon to the sign sums
+    (pure, budget split over features); ``local`` debiases per-user randomized
+    response at flip 1/(1 + e^(epsilon/d)); ``shuffle`` does the same at the
+    :func:`calibrate_rr` flip for the :func:`advanced_split` of (epsilon,
+    delta); ``pan`` adds two draws of :func:`pan_noise_parameters` noise to the
+    sums. An infinite budget gives :func:`empirical_means` under every model.
+    Central, local and shuffle need at least one sample; pan divides by
+    max(n, 1).
+    """
+    return _private_means(_as_sign_matrix(samples), model, epsilon, delta, rng)
 
 
-def local_mean_vector(samples, epsilon: float, rng=None) -> np.ndarray:
-    """Per-user randomized response at a per-feature split of the budget."""
-    x = _as_sign_matrix(samples)
+def _private_means(x: np.ndarray, model: str, epsilon: float, delta: float, rng) -> np.ndarray:
+    """:func:`private_means` of a matrix already checked to hold +-1 signs."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     if math.isinf(epsilon):
-        return empirical_means(x)
+        return _sign_means(x)
     n, d = x.shape
-    if n == 0:
+    if n == 0 and model != "pan":
         raise ValueError("need at least one sample")
     gen = as_generator(rng)
-    p = 1.0 / (1.0 + math.exp(epsilon / d))
-    return _debiased_rr_means(x, p, gen)
+    if model == "central":
+        return (x.sum(axis=0) + laplace(gen, 2.0 * d / epsilon, size=d)) / n
+    if model == "pan":
+        kind, scale = pan_noise_parameters(epsilon, delta, d)
+        draw = gaussian if kind == "gaussian" else laplace
+        noisy = x.sum(axis=0) + draw(gen, scale, size=d) + draw(gen, scale, size=d)
+        return noisy / max(n, 1)
+    if model == "local":
+        flip_p = 1.0 / (1.0 + math.exp(epsilon / d))
+    else:
+        flip_p = calibrate_rr(*advanced_split(epsilon, delta, d), n).flip_p
+    return _debiased_rr_means(x, flip_p, gen)
 
 
 def _debiased_rr_means(x: np.ndarray, flip_p: float, gen) -> np.ndarray:
@@ -261,20 +272,6 @@ def advanced_split(epsilon: float, delta: float, d: int) -> tuple[float, float]:
     return eps_i, delta / (2.0 * d)
 
 
-def shuffle_mean_vector(samples, epsilon: float, delta: float, rng=None) -> np.ndarray:
-    """Shuffled randomized response per feature at an advanced-composition split."""
-    x = _as_sign_matrix(samples)
-    if math.isinf(epsilon):
-        return empirical_means(x)
-    n, d = x.shape
-    if n == 0:
-        raise ValueError("need at least one sample")
-    gen = as_generator(rng)
-    eps_i, delta_i = advanced_split(epsilon, delta, d)
-    cal = calibrate_rr(eps_i, delta_i, n)
-    return _debiased_rr_means(x, cal.flip_p, gen)
-
-
 def pan_noise_parameters(epsilon: float, delta: float, d: int) -> tuple[str, float]:
     """Noise kind and per-noising scale for the two accumulator noisings.
 
@@ -289,20 +286,6 @@ def pan_noise_parameters(epsilon: float, delta: float, d: int) -> tuple[str, flo
         sigma = 2.0 * math.sqrt(d) * math.sqrt(2.0 * math.log(1.25 / (delta / 2.0)))
         return "gaussian", sigma / (epsilon / 2.0)
     return "laplace", 2.0 * d / (epsilon / 2.0)
-
-
-def pan_mean_vector(samples, epsilon: float, delta: float, rng=None) -> np.ndarray:
-    """Noise-initialized accumulator per feature, re-noised at release."""
-    x = _as_sign_matrix(samples)
-    if math.isinf(epsilon):
-        return empirical_means(x)
-    n, d = x.shape
-    gen = as_generator(rng)
-    kind, scale = pan_noise_parameters(epsilon, delta, d)
-    draw = gaussian if kind == "gaussian" else laplace
-    sums = x.sum(axis=0).astype(np.float64)
-    noisy = sums + draw(gen, scale, size=d) + draw(gen, scale, size=d)
-    return noisy / max(n, 1)
 
 
 def wilson_interval(successes: float, n: int, z: float = 2.5758293035489004) -> tuple[float, float]:
@@ -428,18 +411,6 @@ def _feature_matrix(inst: ProblemInstance, cands: list, samples) -> np.ndarray:
     return np.column_stack(cols) if cols else np.empty((x.shape[0], 0), dtype=np.int64)
 
 
-def private_feature_means(inst: ProblemInstance, features: np.ndarray, rng) -> np.ndarray:
-    if math.isinf(inst.epsilon):
-        return empirical_means(features)
-    if inst.model == "central":
-        return central_mean_vector(features, inst.epsilon, rng)
-    if inst.model == "local":
-        return local_mean_vector(features, inst.epsilon, rng)
-    if inst.model == "shuffle":
-        return shuffle_mean_vector(features, inst.epsilon, inst.delta, rng)
-    return pan_mean_vector(features, inst.epsilon, inst.delta, rng)
-
-
 def decide(inst: ProblemInstance, means: np.ndarray):
     """Deterministic decision from candidate-mean estimates.
 
@@ -476,25 +447,33 @@ def _truth_member(inst: ProblemInstance) -> ParametricHardDistribution | None:
     if inst.truth.get("family") == "uniform":
         return None
     member = from_descriptor(inst.truth)
-    assert isinstance(member, ParametricHardDistribution)
+    if not isinstance(member, ParametricHardDistribution):
+        raise ValueError("truth must describe one member (with 'ell') or the uniform null")
     return member
+
+
+def true_means(inst: ProblemInstance) -> np.ndarray:
+    """Exact candidate means under the instance's truth, in candidate order.
+
+    Each candidate's parity mean, with the label coordinate appended for
+    parity learning; the uniform null gives zeros.
+    """
+    member = _truth_member(inst)
+    cands = instance_candidates(inst)
+    if member is None:
+        return np.zeros(len(cands))
+    label = (inst.d + 1,) if inst.problem == "parity-learning" else ()
+    return np.array([member.parity_mean(s + label) for s in cands], dtype=np.float64)
 
 
 def score(inst: ProblemInstance, decision) -> bool:
     """Exact success predicate against the instance's truth descriptor."""
+    if inst.problem in ("sparse-mean", "parity-release"):
+        return float(np.abs(np.asarray(decision) - true_means(inst)).max()) < inst.alpha
     member = _truth_member(inst)
     if inst.problem == "selection":
         assert member is not None and member.index.width == 1 and member.index.sign == 1
         return decision == member.index.subset[0]
-    if inst.problem == "sparse-mean":
-        true_mu = member.mean_vector() if member is not None else np.zeros(inst.d)
-        return float(np.abs(np.asarray(decision) - true_mu).max()) < inst.alpha
-    if inst.problem == "parity-release":
-        assert member is not None
-        truths = np.array(
-            [member.parity_mean(s) for s in instance_candidates(inst)], dtype=np.float64
-        )
-        return float(np.abs(np.asarray(decision) - truths).max()) < inst.alpha
     if inst.problem == "hypothesis-test":
         if member is None:
             return decision == 0
@@ -510,7 +489,8 @@ def solve(inst: ProblemInstance, samples: np.ndarray, rng=None):
     """Estimate candidate means under the instance's model, then decide."""
     cands = instance_candidates(inst)
     features = _feature_matrix(inst, cands, samples)
-    return _decide(inst, cands, private_feature_means(inst, features, as_generator(rng)))
+    means = _private_means(features, inst.model, inst.epsilon, inst.delta, rng)
+    return _decide(inst, cands, means)
 
 
 def plug_in_solve(inst: ProblemInstance, samples: np.ndarray):
@@ -594,12 +574,11 @@ def find_selection_threshold(
     confirm_trials: int = 1000,
     master_seed: int = 0,
     tag: str = "nstar",
-    n_start: int = 64,
     corridor_divisor: int = 8,
 ) -> ThresholdSearchResult:
     """Smallest confirmed sample size where fast selection succeeds at rate target.
 
-    Doubles from ``n_start`` until a pilot clears the target, bisects to about
+    Doubles from n = 64 until a pilot clears the target, bisects to about
     1.5% granularity, then confirms with fresh trials, requiring the Wilson
     99% lower bound to clear ``target - 0.03``; on a failed confirmation the
     candidate is bumped by 25% (at most six times). All stages draw from
@@ -611,7 +590,7 @@ def find_selection_threshold(
         gen = make_generator(master_seed, tag, model, d, stage, n)
         return selection_success_fast(d, n, model, epsilon, delta, alpha, trials, gen)
 
-    n = n_start
+    n = 64
     for _ in range(24):
         if rate(n, pilot_trials, "pilot") >= target:
             break

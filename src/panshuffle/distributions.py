@@ -387,7 +387,7 @@ def family_size(d: int, k: int, family: str = "plain") -> int:
 
 
 def family_enumerate(
-    d: int, k: int, alpha: float, family: str = "plain", allow_degenerate: bool = False
+    d: int, k: int, alpha: float, family: str = "plain"
 ) -> list[ParametricHardDistribution]:
     """All family members with subset width <= k, in a fixed order.
 
@@ -405,11 +405,7 @@ def family_enumerate(
             for sign in (1, -1):
                 members.append(
                     ParametricHardDistribution(
-                        d=d,
-                        index=ParityIndex(subset, sign),
-                        alpha=alpha,
-                        family=family,
-                        allow_degenerate=allow_degenerate,
+                        d=d, index=ParityIndex(subset, sign), alpha=alpha, family=family
                     )
                 )
     assert len(members) == family_size(d, k, family)
@@ -464,7 +460,7 @@ def member_descriptor(dist: ParametricHardDistribution, k: int | None = None) ->
     }
 
 
-def from_descriptor(desc: dict | str, allow_degenerate: bool = False):
+def from_descriptor(desc: dict | str):
     """Rebuild a member (ell present) or a family list (ell absent) from JSON."""
     if isinstance(desc, str):
         desc = json.loads(desc)
@@ -473,13 +469,12 @@ def from_descriptor(desc: dict | str, allow_degenerate: bool = False):
         return uniform_hypercube(int(desc["d"]))
     d, alpha = int(desc["d"]), float(desc["alpha"])
     if desc.get("ell") is None:
-        return family_enumerate(d, int(desc["k"]), alpha, family, allow_degenerate)
+        return family_enumerate(d, int(desc["k"]), alpha, family)
     return ParametricHardDistribution(
         d=d,
         index=ParityIndex(tuple(int(j) for j in desc["ell"]), int(desc["b"])),
         alpha=alpha,
         family=family,
-        allow_degenerate=allow_degenerate,
     )
 
 

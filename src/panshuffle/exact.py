@@ -250,20 +250,17 @@ def push_through_analyzer(counts_dist: dict, analyzer: Analyzer) -> dict:
     return _push(counts_dist.items(), analyzer)
 
 
-def exact_output_distribution(mechanism, data: Sequence, reduce_output: bool = True) -> dict:
+def exact_output_distribution(mechanism, data: Sequence) -> dict:
     """Exact output law of a protocol or online algorithm on the given inputs.
 
     For a :class:`ShuffleProtocol`, ``data`` is the cohort (fixed inputs or
-    per-user input distributions) and the result is the analyzer-output law
-    (set ``reduce_output=False`` for the raw multiset law). For a
-    :class:`PanPrivateAlgorithm`, ``data`` is the stream and the result is the
-    final-output law.
+    per-user input distributions) and the result is the analyzer-output law;
+    :func:`exact_shuffle_counts` gives the multiset law before the analyzer.
+    For a :class:`PanPrivateAlgorithm`, ``data`` is the stream and the result
+    is the final-output law.
     """
     if isinstance(mechanism, ShuffleProtocol):
-        law = _shuffle_law(mechanism.randomizer, data)
-        return law.push(mechanism.analyzer) if reduce_output else law.as_dict()
-    if isinstance(mechanism, Randomizer):
-        return exact_shuffle_counts(mechanism, data)
+        return _shuffle_law(mechanism.randomizer, data).push(mechanism.analyzer)
     if isinstance(mechanism, PanPrivateAlgorithm):
         return exact_pan_output(mechanism, data)
     raise TypeError(f"cannot propagate through {type(mechanism).__name__}")
@@ -420,9 +417,9 @@ def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]
             tables = [kern[t - 1].pull(b, len(states[t - 1])) for kern, b in zip(kernels, tables)]
 
 
-def exact_pan_states(alg: PanPrivateAlgorithm, stream: Sequence, upto: int | None = None) -> dict:
-    """State distribution after the first ``upto`` elements (default: all)."""
-    states, laws, _ = _propagate(alg, [stream[:upto]])
+def exact_pan_states(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
+    """State distribution after the whole stream."""
+    states, laws, _ = _propagate(alg, [stream])
     return _as_dict(states[-1], laws[0][-1])
 
 
@@ -575,15 +572,14 @@ def hybrid_tv_certificate(
     family: Sequence,
     n: int,
     reference=None,
-    tol: float = 1e-10,
 ) -> HybridReport:
     """Certify, step by step, the state-information bound on output distinguishing.
 
     ``family`` lists the member input distributions (dicts, dense pmfs, or
     anything densify handles); ``reference`` defaults to their equal-weight
     mixture. All n steps are checked: the output-law TV between consecutive
-    hybrids must not exceed sqrt(I(S_i; V)/2) (slack >= -tol), and the endpoint
-    TV must not exceed the telescoped sum.
+    hybrids must not exceed sqrt(I(S_i; V)/2) (slack >= -1e-10), and the
+    endpoint TV must not exceed the telescoped sum (up to 1e-10).
 
     The per-step inequality is only guaranteed when the reference equals the
     members' mixture (then the time-i state has the same marginal law in the
@@ -639,7 +635,7 @@ def hybrid_tv_certificate(
     endpoint = tv_distance(hybrid[0], hybrid[n])
     slacks = [b - t for t, b in zip(per_tv, bounds)]
     min_slack = min(slacks)
-    ok = (min_slack >= -tol) and (endpoint <= sum(per_tv) + tol)
+    ok = (min_slack >= -1e-10) and (endpoint <= sum(per_tv) + 1e-10)
     return HybridReport(
         per_step_tv=tuple(per_tv),
         per_step_bound=tuple(bounds),

@@ -37,16 +37,10 @@ from .baselines import (
     ProblemInstance,
     feature_matrix,
     find_selection_threshold,
-    instance_candidates,
-    private_feature_means,
+    private_means,
+    true_means,
 )
-from .distributions import (
-    ParametricHardDistribution,
-    ParityIndex,
-    densify,
-    family_enumerate,
-    from_descriptor,
-)
+from .distributions import ParityIndex, densify, family_enumerate
 from .errors import GuardError
 from .mechanisms import (
     PrivacyBudget,
@@ -255,21 +249,9 @@ def _mean_error_trial(spec: ExperimentSpec, trial: int) -> tuple:
         delta=float(p.get("delta", 1e-6)),
         truth=p["truth"],
     )
-    samples = inst.sample_data(rng)
-    member = from_descriptor(inst.truth)
-    features = feature_matrix(inst, samples)
-    means = private_feature_means(inst, features, rng)
-    if isinstance(member, ParametricHardDistribution):
-        with_label = inst.problem == "parity-learning"
-        true_means = np.array(
-            [
-                member.parity_mean(s + (inst.d + 1,) if with_label else s)
-                for s in instance_candidates(inst)
-            ]
-        )
-    else:
-        true_means = np.zeros(means.shape)
-    err = float(np.abs(means - true_means).max())
+    features = feature_matrix(inst, inst.sample_data(rng))
+    means = private_means(features, inst.model, inst.epsilon, inst.delta, rng)
+    err = float(np.abs(means - true_means(inst)).max())
     return (trial, err)
 
 

@@ -10,15 +10,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, binom_sum
+from .distributions import FiniteDistribution, binom_sum, parity_values
 from .errors import GuardError
 
 NORM_MAX_DOMAIN = 16
 _BLOCK = 1 << 21  # float64 elements in one hockey-stick temporary
+_NORM_CHUNK = 1 << 13  # test functions per block of the norm enumeration
 
 __all__ = [
     "tv_distance",
@@ -61,9 +63,9 @@ def kl_divergence(p, q) -> float:
     return max(0.0, val)
 
 
-def pinsker_check(p, q, tol: float = 1e-12) -> bool:
-    """tv(p,q)^2 <= KL(p||q)/2, up to tol."""
-    return tv_distance(p, q) ** 2 <= 0.5 * kl_divergence(p, q) + tol
+def pinsker_check(p, q) -> bool:
+    """tv(p,q)^2 <= KL(p||q)/2, up to 1e-12."""
+    return tv_distance(p, q) ** 2 <= 0.5 * kl_divergence(p, q) + 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,24 +85,19 @@ class JointDistribution:
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
-    def row_marginal(self) -> np.ndarray:
-        return self.table.sum(axis=1)
 
-    def col_marginal(self) -> np.ndarray:
-        return self.table.sum(axis=0)
+def _table(joint) -> np.ndarray:
+    """The joint pmf of a JointDistribution or array-like as a float array."""
+    return joint.table if isinstance(joint, JointDistribution) else np.asarray(joint, dtype=np.float64)
 
 
 def mutual_information(joint) -> float:
-    """I(A;B) in nats from a joint table (array or JointDistribution)."""
-    t = joint.table if isinstance(joint, JointDistribution) else np.asarray(joint, dtype=np.float64)
+    """I(A;B) in nats: KL of the joint table from the product of its marginals."""
+    t = _table(joint)
     if t.ndim != 2:
         raise ValueError("joint must be 2-D")
-    r = t.sum(axis=1, keepdims=True)
-    c = t.sum(axis=0, keepdims=True)
-    prod = r * c
-    on = t > 0
-    val = float(np.sum(t[on] * np.log(t[on] / prod[on])))
-    return max(0.0, val)
+    prod = t.sum(axis=1, keepdims=True) * t.sum(axis=0, keepdims=True)
+    return kl_divergence(t.ravel(), prod.ravel())
 
 
 def hockey_stick(p, q, eps: float) -> float:
@@ -162,8 +159,7 @@ def parity_family_norm_bound_sq(d: int, k: int, alpha: float) -> float:
 
 
 def infty_to_2_norm_bruteforce(
-    family: Sequence, reference=None, bound_sq: float | None = None,
-    chunk_size: int = 1 << 13,
+    family: Sequence, reference=None, bound_sq: float | None = None
 ) -> NormReport:
     """Exact sup over +-1-valued test functions by vertex enumeration.
 
@@ -172,10 +168,10 @@ def infty_to_2_norm_bruteforce(
     all ``2^m`` vertices are enumerated (guarded at m <= 16). The reference
     defaults to the family's equal-weight mixture. Enumeration is chunked with
     a deterministic reduction: ties keep the lowest function index, except
-    that when the domain is a hypercube (m a power of two) and some signed
-    parity character co-attains the maximum, the witness is canonicalized to
-    that character (smallest subset first, then lexicographic, sign +1 before
-    -1). Maximizers are often non-unique and the characters are the
+    that when the domain is a hypercube (m a power of two) and some parity
+    character co-attains the maximum, the witness is canonicalized to that
+    character with sign +1 (smallest subset first, then lexicographic, as
+    ``family_enumerate`` orders subsets). Maximizers are often non-unique and the characters are the
     structurally meaningful representatives.
     """
     rows = [_vec(p) for p in family]
@@ -194,8 +190,8 @@ def infty_to_2_norm_bruteforce(
     best_idx = -1
     total = 1 << m
     positions = np.arange(m, dtype=np.int64)
-    for start in range(0, total, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
+    for start in range(0, total, _NORM_CHUNK):
+        idx = np.arange(start, min(start + _NORM_CHUNK, total), dtype=np.int64)
         # function j maps point x to +1 iff bit x of j is 0
         bits = (idx[:, None] >> positions[None, :]) & 1
         funcs = (1 - 2 * bits).astype(np.float64)
@@ -217,27 +213,20 @@ def _character_witness(diff: np.ndarray, m: int, best_val: float,
                        tol: float = 1e-12) -> np.ndarray | None:
     """First signed parity character co-attaining the brute-force maximum.
 
-    Candidate order: subset size, then lexicographic subset, then sign +1
-    before -1. Returns None when m is not a power of two or no character
-    comes within ``tol`` of ``best_val``. Domain point p has coordinate c
-    (1-based, most significant first) equal to +1 iff bit (q - c) of p is 0.
+    Candidate order: subset size, then lexicographic subset, the order of
+    :func:`~panshuffle.distributions.family_enumerate`. Only the +1 sign is
+    tried, since -chi has the same squared gaps as chi. Returns None when m is
+    not a power of two or no character comes within ``tol`` of ``best_val``.
     """
     q = m.bit_length() - 1
     if (1 << q) != m:
         return None
-    points = np.arange(m, dtype=np.int64)
-    coord_signs = 1 - 2 * ((points[:, None] >> (q - 1 - np.arange(q))[None, :]) & 1)
-    subsets = sorted(range(1 << q), key=lambda s: (bin(s).count("1"), s))
-    for subset_bits in subsets:
-        char = np.ones(m, dtype=np.int64)
-        for c in range(q):
-            if subset_bits >> c & 1:
-                char = char * coord_signs[:, c]
-        for sign in (1, -1):
-            f = (sign * char).astype(np.float64)
-            gaps = diff @ f
+    for size in range(q + 1):
+        for subset in combinations(range(1, q + 1), size):
+            char = parity_values(subset, q)
+            gaps = diff @ char.astype(np.float64)
             if float(np.mean(gaps * gaps)) >= best_val - tol:
-                return (sign * char).astype(np.int8)
+                return char
     return None
 
 
@@ -245,33 +234,28 @@ def _character_witness(diff: np.ndarray, m: int, best_val: float,
 # supporting facts used by the hybrid argument
 
 
-def fact_tv_chain_check(joint_ab, joint_ab_prime, tol: float = 1e-9) -> bool:
-    """Check tv((A,B),(A,B')) <= E_{a~A}[tv(B|a, B'|a)] for shared-marginal joints."""
-    t1 = joint_ab.table if isinstance(joint_ab, JointDistribution) else np.asarray(joint_ab, float)
-    t2 = (
-        joint_ab_prime.table
-        if isinstance(joint_ab_prime, JointDistribution)
-        else np.asarray(joint_ab_prime, float)
-    )
+def fact_tv_chain_check(joint_ab, joint_ab_prime) -> bool:
+    """Check tv((A,B),(A,B')) <= E_{a~A}[tv(B|a, B'|a)] + 1e-9 for shared-marginal joints."""
+    t1, t2 = _table(joint_ab), _table(joint_ab_prime)
     if t1.shape != t2.shape:
         raise ValueError("joints must share a domain")
     r1, r2 = t1.sum(axis=1), t2.sum(axis=1)
     if np.abs(r1 - r2).max() > 1e-9:
         raise ValueError("first-variable marginals differ; the fact does not apply")
-    lhs = 0.5 * float(np.abs(t1 - t2).sum())
+    lhs = tv_distance(t1, t2)
     rhs = 0.0
     for a in range(t1.shape[0]):
         if r1[a] <= 0:
             continue
-        rhs += r1[a] * 0.5 * float(np.abs(t1[a] / r1[a] - t2[a] / r2[a]).sum())
-    return lhs <= rhs + tol
+        rhs += r1[a] * tv_distance(t1[a] / r1[a], t2[a] / r2[a])
+    return lhs <= rhs + 1e-9
 
 
-def fact_markov_check(joint_abc, tol: float = 1e-9, ci_tol: float = 1e-12) -> bool:
-    """For A ⟂ B | C: check tv(B|a, B) <= tv(C|a, C) for every a in A's support.
+def fact_markov_check(joint_abc) -> bool:
+    """For A ⟂ B | C: check tv(B|a, B) <= tv(C|a, C) + 1e-9 for every a in A's support.
 
     ``joint_abc`` is a 3-D pmf indexed (a, b, c). Raises ValueError when the
-    conditional-independence precondition fails beyond ``ci_tol``.
+    conditional-independence precondition fails beyond 1e-12.
     """
     t = np.asarray(joint_abc, dtype=np.float64)
     if t.ndim != 3:
@@ -283,11 +267,11 @@ def fact_markov_check(joint_abc, tol: float = 1e-9, ci_tol: float = 1e-12) -> bo
     pbc = t.sum(axis=0)
     for c in range(t.shape[2]):
         if pc[c] <= 0:
-            if np.abs(t[:, :, c]).max() > ci_tol:
+            if np.abs(t[:, :, c]).max() > 1e-12:
                 raise ValueError("mass on a zero-probability slice")
             continue
         recon = np.outer(pac[:, c], pbc[:, c]) / pc[c]
-        if np.abs(t[:, :, c] - recon).max() > ci_tol:
+        if np.abs(t[:, :, c] - recon).max() > 1e-12:
             raise ValueError("A and B are not conditionally independent given C")
     pa = t.sum(axis=(1, 2))
     pb = t.sum(axis=(0, 2))
@@ -296,7 +280,7 @@ def fact_markov_check(joint_abc, tol: float = 1e-9, ci_tol: float = 1e-12) -> bo
     for a in range(t.shape[0]):
         if pa[a] <= 0:
             continue
-        tv_b = 0.5 * float(np.abs(pab[a] / pa[a] - pb).sum())
-        tv_c = 0.5 * float(np.abs(pac[a] / pa[a] - pc).sum())
-        ok = ok and (tv_b <= tv_c + tol)
+        tv_b = tv_distance(pab[a] / pa[a], pb)
+        tv_c = tv_distance(pac[a] / pa[a], pc)
+        ok = ok and (tv_b <= tv_c + 1e-9)
     return ok

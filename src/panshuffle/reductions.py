@@ -144,10 +144,17 @@ class ShuffleToPanWrapper:
             for counts, pc in preload.items()
         }
 
+    @cached_property
+    def _input_kernels(self) -> dict:
+        """Count-tuple kernel of each stream input met so far, built once per wrapper."""
+        return {}
+
     def update_kernel(self, i: int, x, state) -> dict:
         budget, counts = state
         if i <= budget:
-            step = self.protocol.randomizer.kernel(x)
+            if x not in self._input_kernels:
+                self._input_kernels[x] = self.protocol.randomizer.kernel(x)
+            step = self._input_kernels[x]
         else:
             step = self._reference_kernel
         out: dict = {}

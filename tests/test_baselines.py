@@ -9,25 +9,24 @@ from scipy.stats import binom
 
 from panshuffle.baselines import (
     EXACT_AUDIT_MAX_N,
+    MODELS,
     ProblemInstance,
     advanced_split,
     calibrate_rr,
-    central_mean_vector,
     decide,
     empirical_means,
     feature_matrix,
     find_selection_threshold,
     instance_candidates,
-    local_mean_vector,
-    pan_mean_vector,
     pan_noise_parameters,
     plug_in_solve,
+    private_means,
     random_instance,
     rr_count_pmf,
     score,
     selection_success_fast,
-    shuffle_mean_vector,
     solve,
+    true_means,
     wilson_interval,
 )
 from panshuffle.distributions import ParametricHardDistribution, ParityIndex, member_descriptor
@@ -92,20 +91,11 @@ def test_empirical_means_exact_and_deterministic():
         empirical_means(np.array([[1, 0]]))
 
 
-@pytest.mark.parametrize(
-    "estimator",
-    [
-        lambda x, rng: central_mean_vector(x, math.inf, rng),
-        lambda x, rng: local_mean_vector(x, math.inf, rng),
-        lambda x, rng: shuffle_mean_vector(x, math.inf, 1e-6, rng),
-        lambda x, rng: pan_mean_vector(x, math.inf, 1e-6, rng),
-    ],
-    ids=["central", "local", "shuffle", "pan"],
-)
-def test_infinite_budget_collapses_to_empirical(estimator):
+@pytest.mark.parametrize("model", MODELS)
+def test_infinite_budget_collapses_to_empirical(model):
     rng = make_generator(31, "inf-budget")
     x = (rng.integers(0, 2, size=(64, 4)) * 2 - 1).astype(np.int64)
-    assert np.array_equal(estimator(x, rng), empirical_means(x))
+    assert np.array_equal(private_means(x, model, math.inf, 1e-6, rng), empirical_means(x))
 
 
 def test_noisy_estimators_concentrate_near_truth():
@@ -118,21 +108,24 @@ def test_noisy_estimators_concentrate_near_truth():
     x = draw_from(member, 6000, rng)
     truth = member.mean_vector()
     assert np.allclose(empirical_means(x), truth, atol=0.05)
-    assert np.allclose(central_mean_vector(x, 5.0, rng), truth, atol=0.05)
-    assert np.allclose(local_mean_vector(x, 12.0, rng), truth, atol=0.1)
-    assert np.allclose(shuffle_mean_vector(x, 4.0, 1e-4, rng), truth, atol=0.2)
-    assert np.allclose(pan_mean_vector(x, 20.0, 1e-4, rng), truth, atol=0.15)
+    assert np.allclose(private_means(x, "central", 5.0, rng=rng), truth, atol=0.05)
+    assert np.allclose(private_means(x, "local", 12.0, rng=rng), truth, atol=0.1)
+    assert np.allclose(private_means(x, "shuffle", 4.0, 1e-4, rng), truth, atol=0.2)
+    assert np.allclose(private_means(x, "pan", 20.0, 1e-4, rng), truth, atol=0.15)
 
 
 def test_estimators_reject_empty_input():
     empty = np.empty((0, 2), dtype=np.int64)
     rng = make_generator(33)
-    with pytest.raises(ValueError):
-        central_mean_vector(empty, 1.0, rng)
-    with pytest.raises(ValueError):
-        local_mean_vector(empty, 1.0, rng)
-    with pytest.raises(ValueError):
-        shuffle_mean_vector(empty, 1.0, 1e-6, rng)
+    for model in ("central", "local", "shuffle"):
+        with pytest.raises(ValueError, match="at least one sample"):
+            private_means(empty, model, 1.0, 1e-6, rng)
+    # pan divides the noisy sums by max(n, 1)
+    assert private_means(empty, "pan", 1.0, 1e-6, rng).shape == (2,)
+    with pytest.raises(ValueError, match="central"):
+        private_means(np.ones((3, 2)), "federated", 1.0)
+    with pytest.raises(ValueError, match="signs"):
+        private_means(np.zeros((3, 2)), "central", 1.0)
 
 
 def test_advanced_split_formula():
@@ -255,6 +248,28 @@ def test_score_sparse_mean_and_parity_release():
     assert not score(release, truths + 0.21)
 
 
+def test_score_parity_learning_and_true_means():
+    member = ParametricHardDistribution(
+        d=3, index=ParityIndex((1, 3), -1), alpha=0.2, family="labeled"
+    )
+    inst = ProblemInstance(
+        problem="parity-learning", model="central", d=3, k=2, alpha=0.2, n=10,
+        epsilon=1.0, delta=1e-6, truth=member_descriptor(member, k=2),
+    )
+    cands = instance_candidates(inst)
+    want = np.zeros(len(cands))
+    want[cands.index((1, 3))] = -0.4  # the label is part of the tilted parity
+    assert np.array_equal(true_means(inst), want)
+    assert score(inst, ((1, 3), -1))
+    assert not score(inst, ((1, 3), 1)) and not score(inst, ((1,), -1))
+    null = dataclasses.replace(inst, truth={"family": "uniform", "d": 4})
+    assert np.array_equal(true_means(null), np.zeros(len(cands)))
+    assert score(null, ((2,), 1))
+    with pytest.raises(ValueError, match="one member"):
+        true_means(dataclasses.replace(inst, truth={"family": "labeled", "d": 3, "k": 2,
+                                                    "alpha": 0.2}))
+
+
 def test_random_instances_are_well_formed():
     rng = make_generator(34, "instances")
     for _ in range(50):
@@ -277,6 +292,42 @@ def test_infinite_budget_solver_matches_plug_in():
             assert np.array_equal(got, want)
         else:
             assert got == want
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_solve_is_decide_of_private_means(model):
+    rng = make_generator(42, "solve-pipeline", model)
+    for trial in range(8):
+        inst = random_instance(rng, model=model)
+        if model == "shuffle":
+            # the closed-form calibration needs a per-feature budget <= 1 and a large cohort
+            m = len(instance_candidates(inst))
+            inst = dataclasses.replace(
+                inst, n=3000, delta=0.05, epsilon=0.9 * math.sqrt(8 * m * math.log(20.0))
+            )
+        samples = inst.sample_data(make_generator(43, "solve-data", trial))
+        got = solve(inst, samples, make_generator(44, "solve-noise", trial))
+        means = private_means(
+            feature_matrix(inst, samples), model, inst.epsilon, inst.delta,
+            make_generator(44, "solve-noise", trial),
+        )
+        want = decide(inst, means)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("epsilon", [1.0, math.inf])
+def test_solve_checks_signs_once(monkeypatch, epsilon):
+    import panshuffle.baselines as bl
+
+    calls = []
+    checked = bl._as_sign_matrix
+    monkeypatch.setattr(bl, "_as_sign_matrix", lambda x: calls.append(1) or checked(x))
+    inst = dataclasses.replace(random_instance(make_generator(45), model="pan"), epsilon=epsilon)
+    solve(inst, inst.sample_data(make_generator(46)), make_generator(47))
+    assert len(calls) == 1
 
 
 def test_plug_in_solver_succeeds_on_clean_data():

@@ -15,7 +15,14 @@ from oracles.norm_oracle import (
     envelope_sq,
     labeled_norm_sq,
 )
-from panshuffle.distributions import densify, family_enumerate, fourier_spectrum
+from panshuffle.distributions import (
+    ParametricHardDistribution,
+    ParityIndex,
+    densify,
+    family_enumerate,
+    fourier_spectrum,
+    parity_values,
+)
 from panshuffle.errors import GuardError
 from panshuffle.metrics import (
     JointDistribution,
@@ -187,6 +194,19 @@ def test_norm_explicit_reference_and_guard():
     assert by_default.value_sq == pytest.approx(by_explicit.value_sq, abs=1e-15)
     with pytest.raises(GuardError):
         infty_to_2_norm_bruteforce([np.full(1 << 17, 2.0**-17)])
+
+
+def test_norm_witness_is_first_character_in_lexicographic_order():
+    # chi_(2,3) and chi_(1,4) both attain the maximum 4 alpha^2 / 2 = 0.08;
+    # (1, 4) comes first in family_enumerate's (size, lexicographic) order
+    fam = [
+        densify(ParametricHardDistribution(d=4, index=ParityIndex(s, b), alpha=0.2))
+        for s in [(2, 3), (1, 4)]
+        for b in (1, -1)
+    ]
+    report = infty_to_2_norm_bruteforce(fam)
+    assert report.value_sq == pytest.approx(0.08, abs=1e-15)
+    assert np.array_equal(report.witness, parity_values((1, 4), 4))
 
 
 def test_norm_report_json_includes_witness_bits():
