@@ -5,14 +5,12 @@ The estimators all reduce to means of +-1 feature values:
 * ``empirical_means`` is the noiseless path, computed from integer sums so two
   callers on the same samples produce bit-identical floats;
 * ``private_means`` estimates the same means under one of the four trust
-  models, which differ only in the noise they add: ``central`` adds Laplace
-  noise to the sums; ``local`` sends each feature bit through randomized
-  response at a per-feature split of the budget and debiases the counts;
-  ``shuffle`` does the same at the flip probability :func:`calibrate_rr`
-  certifies against the shuffled count law itself (exact audit for small
-  cohorts, a closed-form amplification rate otherwise); ``pan`` releases a
-  noise-initialized, noise-published sum per feature, splitting the budget
-  between the two noise draws.
+  models, which differ only in the noise they add. Each model's noise has one
+  home, shared with the selection sweeps of ``selection_success_fast``:
+  ``_noisy_sums`` adds central Laplace noise, or the pan accumulator's two
+  noisings, to the sign sums; ``_rr_flip`` gives the randomized-response flip
+  of a local user (a per-feature split of the budget) or of a shuffled cohort
+  (the rate :func:`calibrate_rr` certifies against the shuffled count law).
 
 Problem instances (selection, sparse mean estimation, parity release, simple
 hypothesis testing, parity learning) share one pipeline: build the +-1 feature
@@ -217,40 +215,59 @@ def _sign_means(x: np.ndarray) -> np.ndarray:
 def private_means(samples, model: str, epsilon: float, delta: float = 0.0, rng=None) -> np.ndarray:
     """Per-feature means of +-1 samples under one trust model's noise.
 
-    ``central`` adds one Laplace vector at scale 2d/epsilon to the sign sums
-    (pure, budget split over features); ``local`` debiases per-user randomized
-    response at flip 1/(1 + e^(epsilon/d)); ``shuffle`` does the same at the
-    :func:`calibrate_rr` flip for the :func:`advanced_split` of (epsilon,
-    delta); ``pan`` adds two draws of :func:`pan_noise_parameters` noise to the
-    sums. An infinite budget gives :func:`empirical_means` under every model.
-    Central, local and shuffle need at least one sample; pan divides by
-    max(n, 1).
+    ``central`` and ``pan`` add :func:`_noisy_sums` noise to the sign sums;
+    ``local`` and ``shuffle`` debias per-user randomized response at the
+    :func:`_rr_flip` probability. An infinite budget gives
+    :func:`empirical_means` under every model. Central, local and shuffle need
+    at least one sample; pan divides by max(n, 1).
     """
     return _private_means(_as_sign_matrix(samples), model, epsilon, delta, rng)
 
 
 def _private_means(x: np.ndarray, model: str, epsilon: float, delta: float, rng) -> np.ndarray:
     """:func:`private_means` of a matrix already checked to hold +-1 signs."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    _check_model(model)
     if math.isinf(epsilon):
         return _sign_means(x)
     n, d = x.shape
     if n == 0 and model != "pan":
         raise ValueError("need at least one sample")
     gen = as_generator(rng)
+    if model in _RR_MODELS:
+        return _debiased_rr_means(x, _rr_flip(model, epsilon, delta, d, n), gen)
+    return _noisy_sums(x.sum(axis=0), model, epsilon, delta, gen) / max(n, 1)
+
+
+def _check_model(model: str) -> None:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+
+
+def _noisy_sums(sums: np.ndarray, model: str, epsilon: float, delta: float, gen) -> np.ndarray:
+    """Sign sums of shape (..., d) plus central or pan noise, one draw per noising.
+
+    ``central`` adds one Laplace draw at scale 2d/epsilon (pure, budget split
+    over features); ``pan`` adds two draws of :func:`pan_noise_parameters`
+    noise (state initialization, then release).
+    """
+    d = sums.shape[-1]
     if model == "central":
-        return (x.sum(axis=0) + laplace(gen, 2.0 * d / epsilon, size=d)) / n
-    if model == "pan":
-        kind, scale = pan_noise_parameters(epsilon, delta, d)
-        draw = gaussian if kind == "gaussian" else laplace
-        noisy = x.sum(axis=0) + draw(gen, scale, size=d) + draw(gen, scale, size=d)
-        return noisy / max(n, 1)
+        return sums + laplace(gen, 2.0 * d / epsilon, size=sums.shape)
+    kind, scale = pan_noise_parameters(epsilon, delta, d)
+    draw = gaussian if kind == "gaussian" else laplace
+    return sums + draw(gen, scale, size=sums.shape) + draw(gen, scale, size=sums.shape)
+
+
+def _rr_flip(model: str, epsilon: float, delta: float, d: int, n: int) -> float:
+    """Per-feature randomized-response flip probability of a local or shuffle cohort.
+
+    ``local`` splits a pure budget over the d features, 1/(1 + e^(epsilon/d));
+    ``shuffle`` takes the :func:`calibrate_rr` flip for the n-user cohort at
+    the :func:`advanced_split` of (epsilon, delta).
+    """
     if model == "local":
-        flip_p = 1.0 / (1.0 + math.exp(epsilon / d))
-    else:
-        flip_p = calibrate_rr(*advanced_split(epsilon, delta, d), n).flip_p
-    return _debiased_rr_means(x, flip_p, gen)
+        return 1.0 / (1.0 + math.exp(epsilon / d))
+    return calibrate_rr(*advanced_split(epsilon, delta, d), n).flip_p
 
 
 def _debiased_rr_means(x: np.ndarray, flip_p: float, gen) -> np.ndarray:
@@ -305,6 +322,7 @@ def wilson_interval(successes: float, n: int, z: float = 2.5758293035489004) -> 
 
 PROBLEMS = ("selection", "sparse-mean", "parity-release", "hypothesis-test", "parity-learning")
 MODELS = ("central", "local", "shuffle", "pan")
+_RR_MODELS = ("local", "shuffle")  # the models whose users send randomized response
 
 
 @dataclass(frozen=True)
@@ -330,8 +348,7 @@ class ProblemInstance:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+        _check_model(self.model)
 
     def truth_distribution(self):
         return from_descriptor(self.truth)
@@ -472,7 +489,8 @@ def score(inst: ProblemInstance, decision) -> bool:
         return float(np.abs(np.asarray(decision) - true_means(inst)).max()) < inst.alpha
     member = _truth_member(inst)
     if inst.problem == "selection":
-        assert member is not None and member.index.width == 1 and member.index.sign == 1
+        if member is None or member.index.width != 1 or member.index.sign != 1:
+            raise ValueError("a selection truth must be one width-1 member with sign +1")
         return decision == member.index.subset[0]
     if inst.problem == "hypothesis-test":
         if member is None:
@@ -516,41 +534,23 @@ def selection_success_fast(
     """Monte Carlo success rate of selection via sufficient statistics.
 
     The planted coordinate is 1 with mean ``2 alpha``; the others are
-    unbiased. Per-coordinate sign sums are drawn as transformed binomials and
-    noised exactly as the corresponding estimator would noise them, so the
-    argmax law matches the full sample-level pipeline without materializing
-    ``n x d`` sign matrices.
+    unbiased. Per-coordinate 1-counts are drawn as binomials and noised through
+    the helpers :func:`private_means` uses: :func:`_noisy_sums` on the sign
+    sums, or binomial randomized-response counts at the :func:`_rr_flip`
+    probability. The argmax law thus matches the sample-level pipeline without
+    materializing ``n x d`` sign matrices.
     """
+    _check_model(model)
     gen = as_generator(rng)
     mu = np.zeros(d)
     mu[0] = 2.0 * alpha
-    p_one = (1.0 + mu) / 2.0
-    ones = gen.binomial(n, p_one, size=(trials, d))
-    if model == "pan":
-        kind, scale = pan_noise_parameters(epsilon, delta, d)
-        draw = gaussian if kind == "gaussian" else laplace
-        sums = 2.0 * ones - n
-        noisy = sums + draw(gen, scale, size=(trials, d)) + draw(
-            gen, scale, size=(trials, d)
-        )
-        picks = np.argmax(noisy, axis=1)
-    elif model == "shuffle":
-        eps_i, delta_i = advanced_split(epsilon, delta, d)
-        cal = calibrate_rr(eps_i, delta_i, n)
-        p = cal.flip_p
-        counts = gen.binomial(ones, 1.0 - p) + gen.binomial(n - ones, p)
-        picks = np.argmax(counts, axis=1)
-    elif model == "central":
-        scale = 2.0 * d / epsilon
-        sums = 2.0 * ones - n
-        picks = np.argmax(sums + laplace(gen, scale, size=(trials, d)), axis=1)
-    elif model == "local":
-        p = 1.0 / (1.0 + math.exp(epsilon / d))
-        counts = gen.binomial(ones, 1.0 - p) + gen.binomial(n - ones, p)
-        picks = np.argmax(counts, axis=1)
+    ones = gen.binomial(n, (1.0 + mu) / 2.0, size=(trials, d))
+    if model in _RR_MODELS:
+        p = _rr_flip(model, epsilon, delta, d, n)
+        scores = gen.binomial(ones, 1.0 - p) + gen.binomial(n - ones, p)
     else:
-        raise ValueError(f"unknown model {model!r}")
-    return float(np.mean(picks == 0))
+        scores = _noisy_sums(2.0 * ones - n, model, epsilon, delta, gen)
+    return float(np.mean(np.argmax(scores, axis=1) == 0))
 
 
 @dataclass(frozen=True)

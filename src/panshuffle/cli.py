@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import MODELS
 from .distributions import densify, dump_pmf_csv, from_descriptor, sample as draw_from
 from .harness import (
     ExperimentSpec,
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="selection sample-complexity sweep over dimensions")
     p.add_argument("--dims", default="8,16,32,64,128")
-    p.add_argument("--model", choices=("central", "local", "shuffle", "pan"), default="pan")
+    p.add_argument("--model", choices=MODELS, default="pan")
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--alpha", type=float, default=0.2)

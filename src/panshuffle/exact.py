@@ -6,9 +6,8 @@ probability vector. Users are convolved in one at a time; each convolution
 codes the pairwise sums as mixed-radix int64 numbers and merges equal codes
 with ``np.unique`` and ``np.bincount``, so the result has a deterministic
 order and no hash dependence. The same representation serves every alphabet
-width and multi-message randomizer. ``convolve_counts``, ``repeat_convolve``
-and ``exact_shuffle_counts`` return ``{counts_tuple: prob}`` dicts built from
-it.
+width and multi-message randomizer. ``convolve_counts`` and
+``exact_shuffle_counts`` return ``{counts_tuple: prob}`` dicts built from it.
 
 Online algorithms run on an indexed array engine. At each time t the reachable
 states get integer indices in first-seen order, shared by every stream
@@ -52,7 +51,6 @@ _CODE_MAX = int(np.iinfo(np.int64).max)
 
 __all__ = [
     "convolve_counts",
-    "repeat_convolve",
     "randomizer_kernel_for",
     "exact_shuffle_counts",
     "push_through_analyzer",
@@ -185,11 +183,6 @@ def convolve_counts(d1: dict, d2: dict) -> dict:
     """Convolution of two distributions over count tuples (componentwise sums)."""
     width = len(next(iter(d1)))
     return CountLaw.of(d1, width).convolve(CountLaw.of(d2, width)).as_dict()
-
-
-def repeat_convolve(kernel: dict, times: int, width: int) -> dict:
-    """``times``-fold convolution of one count-tuple kernel with itself."""
-    return CountLaw.of(kernel, width).power(times).as_dict()
 
 
 def outcome_dict(dist) -> dict:

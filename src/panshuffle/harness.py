@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .baselines import (
     ProblemInstance,
+    _private_means,
     feature_matrix,
     find_selection_threshold,
-    private_means,
     true_means,
 )
 from .distributions import ParityIndex, densify, family_enumerate
@@ -249,8 +249,8 @@ def _mean_error_trial(spec: ExperimentSpec, trial: int) -> tuple:
         delta=float(p.get("delta", 1e-6)),
         truth=p["truth"],
     )
-    features = feature_matrix(inst, inst.sample_data(rng))
-    means = private_means(features, inst.model, inst.epsilon, inst.delta, rng)
+    features = feature_matrix(inst, inst.sample_data(rng))  # checks the signs once
+    means = _private_means(features, inst.model, inst.epsilon, inst.delta, rng)
     err = float(np.abs(means - true_means(inst)).max())
     return (trial, err)
 

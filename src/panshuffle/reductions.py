@@ -419,19 +419,20 @@ class LearnerDistinguisher:
         """
         n_learn, d = self.n_learn, self.d
 
+        def learn(buf, rng):
+            # with a full buffer (at once when n_learn = 0) fit and draw the noise counter
+            if len(buf) < n_learn:
+                return ("learn", buf)
+            rows = np.array(buf, dtype=np.int64) if buf else np.empty((0, d + 1), dtype=np.int64)
+            guess = self.learner.fit(rows)
+            return ("test", guess, float(laplace(rng, 1.0 / self.epsilon)))
+
         def init_sample(rng):
-            return ("learn", ())
+            return learn((), rng)
 
         def update_sample(i, x, state, rng):
-            tag = state[0]
-            if tag == "learn":
-                buf = state[1] + (tuple(x),)
-                if len(buf) < n_learn:
-                    return ("learn", buf)
-                rows = np.array([list(r) for r in buf], dtype=np.int64)
-                guess = self.learner.fit(rows)
-                c = float(laplace(rng, 1.0 / self.epsilon))
-                return ("test", guess, c)
+            if state[0] == "learn":
+                return learn(state[1] + (tuple(x),), rng)
             _, guess, c = state
             row = np.asarray(x, dtype=np.int64)[None, :]
             return ("test", guess, c + self._score(guess, row))

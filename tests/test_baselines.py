@@ -1,12 +1,18 @@
 """Baselines: calibration, estimators, problem instances, selection thresholds."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+import panshuffle
 from panshuffle.baselines import (
     EXACT_AUDIT_MAX_N,
     MODELS,
@@ -270,6 +276,31 @@ def test_score_parity_learning_and_true_means():
                                                     "alpha": 0.2}))
 
 
+_BAD_SELECTION_TRUTH = """
+from panshuffle.baselines import ProblemInstance, score
+from panshuffle.distributions import ParametricHardDistribution, ParityIndex, member_descriptor
+member = ParametricHardDistribution(d=3, index=ParityIndex((1, 2), -1), alpha=0.2)
+inst = ProblemInstance(problem="selection", model="central", d=3, k=2, alpha=0.2, n=10,
+                       epsilon=1.0, delta=1e-6, truth=member_descriptor(member, k=2))
+try:
+    print(score(inst, 1))
+except ValueError as err:
+    print("ValueError:", err)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_score_rejects_bad_selection_truth(flags):
+    """A selection truth that is not one width-1, sign +1 member raises, also under -O."""
+    src = str(Path(panshuffle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _BAD_SELECTION_TRUTH],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.startswith("ValueError: a selection truth must be")
+
+
 def test_random_instances_are_well_formed():
     rng = make_generator(34, "instances")
     for _ in range(50):
@@ -371,3 +402,39 @@ def test_find_selection_threshold_reproducible_and_sane():
     assert res.success_at_n_star >= 0.87
     assert res.corridor_n == max(1, res.n_star // 8)
     assert res.corridor_success < res.success_at_n_star
+
+
+_DRAWS_GOLDEN = Path(__file__).parent / "draws_golden.json"
+
+
+def _seeded_draws() -> dict:
+    """Seeded outputs of both noise paths, each with a probe of the generator's next state.
+
+    ``private_means`` runs on one 12 x 4 sign matrix at (4, 1e-3) under every
+    model (shuffle at n = 12 is calibrated by the exact audit);
+    ``selection_success_fast`` runs at d = 3 for n = 12 and n = 5000 (shuffle
+    at 5000 takes the closed-form flip).
+    """
+    signs = make_generator(11, "draws-golden", "signs").choice([-1, 1], size=(12, 4))
+    out: dict = {"private_means": {}, "selection_success_fast": {}}
+    for model in MODELS:
+        gen = make_generator(11, "draws-golden", model)
+        means = private_means(signs, model, 4.0, 1e-3, gen)
+        out["private_means"][model] = [means.tolist(), int(gen.integers(0, 2**62))]
+        for n in (12, 5000):
+            gen = make_generator(11, "draws-golden", "selection", model, n)
+            rate = selection_success_fast(3, n, model, 4.0, 1e-3, 0.1, 200, gen)
+            out["selection_success_fast"][f"{model}-{n}"] = [rate, int(gen.integers(0, 2**62))]
+    return out
+
+
+def test_seeded_draws_match_golden():
+    """Both noise paths draw the same values in the same order as when recorded."""
+    assert _seeded_draws() == json.loads(_DRAWS_GOLDEN.read_text())
+
+
+def test_selection_success_fast_rejects_unknown_model_before_drawing():
+    gen = make_generator(42, "unknown-model")
+    with pytest.raises(ValueError, match="unknown model"):
+        selection_success_fast(4, 10, "federated", 1.0, 1e-6, 0.2, 10, gen)
+    assert gen.integers(0, 2**62) == make_generator(42, "unknown-model").integers(0, 2**62)

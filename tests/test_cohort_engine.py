@@ -11,12 +11,7 @@ import panshuffle.baselines as baselines_mod
 import panshuffle.exact as exact_mod
 from panshuffle.baselines import _rr_audit_delta, calibrate_rr, rr_count_pmf
 from panshuffle.errors import GuardError
-from panshuffle.exact import (
-    audit_privacy,
-    convolve_counts,
-    exact_shuffle_counts,
-    repeat_convolve,
-)
+from panshuffle.exact import CountLaw, audit_privacy, convolve_counts, exact_shuffle_counts
 from panshuffle.mechanisms import (
     ShuffleProtocol,
     asymmetric_binary_randomizer,
@@ -69,8 +64,8 @@ def test_convolve_and_repeat_match_oracle():
     a = {(2, 0, 1): 0.25, (0, 3, 0): 0.5, (1, 1, 1): 0.25}
     b = {(1, 0, 0): 0.1, (0, 0, 1): 0.9}
     _assert_same_law(convolve_counts(a, b), cohort_oracle.convolve_counts(a, b))
-    _assert_same_law(repeat_convolve(a, 5, 3), cohort_oracle.repeat_convolve(a, 5, 3))
-    _assert_same_law(repeat_convolve(b, 0, 3), {(0, 0, 0): 1.0})
+    _assert_same_law(CountLaw.of(a, 3).power(5).as_dict(), cohort_oracle.repeat_convolve(a, 5, 3))
+    _assert_same_law(CountLaw.of(b, 3).power(0).as_dict(), {(0, 0, 0): 1.0})
 
 
 def test_zero_probability_keys_are_kept():

@@ -10,6 +10,7 @@ import panshuffle.exact as exact_mod
 from panshuffle.errors import GuardError
 from panshuffle.exact import (
     AuditCurve,
+    CountLaw,
     audit_privacy,
     convolve_counts,
     exact_output_distribution,
@@ -21,7 +22,6 @@ from panshuffle.exact import (
     hybrid_tv_certificate,
     outcome_dict,
     push_through_analyzer,
-    repeat_convolve,
     tv_dicts,
 )
 from panshuffle.mechanisms import (
@@ -55,7 +55,7 @@ def test_convolve_counts_adds_tuples():
 
 def test_repeat_convolve_matches_binomial():
     kernel = {(1, 0): 0.7, (0, 1): 0.3}
-    out = repeat_convolve(kernel, times=6, width=2)
+    out = CountLaw.of(kernel, 2).power(6).as_dict()
     for counts, p in out.items():
         k = counts[1]
         assert p == pytest.approx(math.comb(6, k) * 0.3**k * 0.7 ** (6 - k))

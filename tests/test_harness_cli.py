@@ -89,6 +89,17 @@ def test_mean_error_kind_and_worker_invariance(tmp_path):
     assert "numpy" in manifest["versions"]
 
 
+def test_mean_error_checks_signs_once_per_trial(tmp_path, monkeypatch):
+    import panshuffle.baselines as bl
+
+    calls = []
+    checked = bl._as_sign_matrix
+    monkeypatch.setattr(bl, "_as_sign_matrix", lambda x: calls.append(1) or checked(x))
+    spec = _mean_error_spec(1)
+    run_spec(spec, tmp_path)
+    assert len(calls) == spec.trials
+
+
 def test_audit_kind_matches_closed_form(tmp_path):
     flip_p = 0.2
     grid = [0.0, 0.5, math.log((1 - flip_p) / flip_p)]

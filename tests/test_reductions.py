@@ -313,6 +313,26 @@ def test_online_form_matches_direct_run_in_law():
     assert ks_2samp(online, batched).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("n_learn", [0, 40])
+@pytest.mark.parametrize("learner", ["planted", "plugin"])
+def test_online_form_matches_direct_run_on_one_stream(learner, n_learn):
+    """Same stream and seed: the online form reports the scalar ``run`` reports.
+
+    With no learning phase every stream element is scored and none reaches the
+    learner.
+    """
+    idx = ParityIndex(subset=(1,), sign=1)
+    fitter = PlantedLearner(index=idx) if learner == "planted" else PlugInParityLearner(d=3, k=1)
+    dist = LearnerDistinguisher(
+        learner=fitter, d=3, alpha=0.2, epsilon=1.0, n_learn=n_learn, test_phase_scale=2.0,
+    )
+    stream = [tuple(r) for r in dist._draw_rows(idx, dist.total_len, make_generator(61, "rows"))]
+    stream[0] = (1, 1, 1, 1)  # agrees with the planted parity, so scoring it counts
+    direct = dist.run(stream, make_generator(61, "noise"))
+    view = run_pan(dist.as_pan_algorithm(), stream, t=1, rng=make_generator(61, "noise"))
+    assert abs(view.output - direct) <= 1e-9
+
+
 def test_online_form_guards_short_streams():
     dist = _distinguisher(PlantedLearner(index=ParityIndex(subset=(1,), sign=1)))
     alg = dist.as_pan_algorithm()
