@@ -71,7 +71,6 @@ from .reductions import (
     ShuffleToPanWrapper,
     ThresholdReport,
     selection_augment,
-    shuffle_to_pan,
     threshold_distinguisher,
     wrapper_escape_mass,
 )
@@ -146,7 +145,6 @@ __all__ = [
     "ShuffleToPanWrapper",
     "ThresholdReport",
     "selection_augment",
-    "shuffle_to_pan",
     "threshold_distinguisher",
     "wrapper_escape_mass",
     "CalibratedRR",

@@ -332,7 +332,8 @@ class ProblemInstance:
     ``truth`` is a member descriptor dict (or ``{"family": "uniform", ...}``
     for the null); problems constrain its shape (selection and sparse-mean
     and hypothesis-test use width-1 plain members, parity problems use width
-    <= k, learning uses the labeled family).
+    <= k, learning uses the labeled family). A selection truth that is not one
+    width-1 member with sign +1 is rejected at construction.
     """
 
     problem: str
@@ -349,6 +350,10 @@ class ProblemInstance:
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         _check_model(self.model)
+        if self.problem == "selection":
+            member = _truth_member(self)
+            if member is None or member.index.width != 1 or member.index.sign != 1:
+                raise ValueError("a selection truth must be one width-1 member with sign +1")
 
     def truth_distribution(self):
         return from_descriptor(self.truth)
@@ -489,8 +494,6 @@ def score(inst: ProblemInstance, decision) -> bool:
         return float(np.abs(np.asarray(decision) - true_means(inst)).max()) < inst.alpha
     member = _truth_member(inst)
     if inst.problem == "selection":
-        if member is None or member.index.width != 1 or member.index.sign != 1:
-            raise ValueError("a selection truth must be one width-1 member with sign +1")
         return decision == member.index.subset[0]
     if inst.problem == "hypothesis-test":
         if member is None:

@@ -16,15 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import MODELS
-from .distributions import densify, dump_pmf_csv, from_descriptor, sample as draw_from
+from .distributions import densify, from_descriptor, index_to_vectors, sample as draw_from
 from .harness import (
+    EXPERIMENT_KINDS,
     ExperimentSpec,
-    audit_curve,
     family_norm,
     fit_scaling,
     learner_advantage,
     run_spec,
     wrapper_gap,
+    write_rows_csv,
 )
 from .metrics import tv_distance
 from .rng import make_generator
@@ -46,6 +47,10 @@ def _load_json_arg(text: str) -> dict:
     return json.loads(Path(text).read_text())
 
 
+def _glyphs(row) -> str:
+    return "".join("+" if v > 0 else "-" for v in row)
+
+
 def _cmd_sample(args) -> int:
     desc = _load_json_arg(args.dist)
     dist = from_descriptor(desc)
@@ -55,18 +60,19 @@ def _cmd_sample(args) -> int:
     rng = make_generator(args.seed, "cli-sample")
     points = draw_from(dist, args.n, rng)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("row," + ",".join(f"x{j}" for j in range(1, points.shape[1] + 1)) + "\n")
-            for i, row in enumerate(points):
-                fh.write(f"{i}," + ",".join(str(int(v)) for v in row) + "\n")
+        header = ["row", *(f"x{j}" for j in range(1, points.shape[1] + 1))]
+        write_rows_csv(args.out, header, ((i, *row.tolist()) for i, row in enumerate(points)))
         print(f"wrote {args.n} samples to {args.out}")
     else:
         for row in points[:20]:
-            print("".join("+" if v > 0 else "-" for v in row))
+            print(_glyphs(row))
         if args.n > 20:
             print(f"... ({args.n - 20} more rows; use --out to keep them)")
     if args.pmf_out:
-        dump_pmf_csv(dist, args.pmf_out)
+        dense = densify(dist)
+        signs = index_to_vectors(np.arange(dense.size), dense.dim)
+        rows = ((i, _glyphs(x), float(p)) for i, (x, p) in enumerate(zip(signs, dense.probs)))
+        write_rows_csv(args.pmf_out, ["index", "x", "prob"], rows)
         print(f"wrote pmf to {args.pmf_out}")
     return 0
 
@@ -105,19 +111,25 @@ def _cmd_norm(args) -> int:
 def _cmd_audit(args) -> int:
     mechanism = _load_json_arg(args.mechanism)
     neighbors = _load_json_arg(args.neighbors)
+    if not (isinstance(neighbors, dict) and {"a", "b"} <= neighbors.keys()):
+        print(f'error: --neighbors needs keys "a" and "b", got {neighbors!r}', file=sys.stderr)
+        return 1
+    spec = ExperimentSpec(kind="audit", experiment_id="audit", params={
+        "mechanism": mechanism, "stream_a": neighbors["a"], "stream_b": neighbors["b"],
+        "eps_grid": args.eps.split(","),
+    })
     try:
-        curve = audit_curve({"mechanism": mechanism, "stream_a": neighbors["a"],
-                             "stream_b": neighbors["b"], "eps_grid": args.eps.split(",")})
+        header, rows, summary = EXPERIMENT_KINDS["audit"](spec)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    for e, dmax in zip(curve.epsilons, curve.delta_max):
-        print(f"epsilon={float(e)!r}  delta_max={float(dmax)!r}")
+    for e, _, _, dmax in rows:
+        print(f"epsilon={e!r}  delta_max={dmax!r}")
     if args.out:
-        curve.write_csv(args.out)
+        write_rows_csv(args.out, header, rows)
         print(f"wrote curve to {args.out}")
     if args.max_delta is not None:
-        worst = float(curve.delta_max.max())
+        worst = summary["worst_delta"]
         ok = worst <= args.max_delta
         print(f"worst delta {worst!r} vs cap {args.max_delta!r}: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else CHECK_FAILED

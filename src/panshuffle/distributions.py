@@ -62,7 +62,6 @@ __all__ = [
     "two_point_mixture",
     "member_descriptor",
     "from_descriptor",
-    "dump_pmf_csv",
 ]
 
 
@@ -476,15 +475,3 @@ def from_descriptor(desc: dict | str):
         alpha=alpha,
         family=family,
     )
-
-
-def dump_pmf_csv(dist: Distribution, path) -> None:
-    """Write the dense pmf as ``index,x,prob`` rows; x is a +/- glyph string."""
-    dense = densify(dist)
-    dim = dense.dim
-    with open(path, "w", newline="") as fh:
-        fh.write("index,x,prob\n")
-        for i, p in enumerate(dense.probs):
-            signs = index_to_vectors(i, dim)[0]
-            glyphs = "".join("+" if s > 0 else "-" for s in signs)
-            fh.write(f"{i},{glyphs},{float(p)!r}\n")

@@ -383,12 +383,29 @@ def _as_dict(keys: list, probs: np.ndarray) -> dict:
     return {k: p for k, p in zip(keys, probs.tolist()) if p > 0.0}
 
 
+def _backward(alg: PanPrivateAlgorithm, states: list, kernels: Sequence, first: int, what: str):
+    """Yield ``(t, outputs, tables)`` for t from n down to ``first``, widest table guarded.
+
+    ``tables[k]`` is kernel list k's ``B_t``, the output law given the time-t
+    state: ``B_n = O`` and ``B_{t-1} = T_t B_t``.
+    """
+    n = len(states) - 1
+    outputs, out_kernel = _outputs(alg, states[n])
+    widest = max(len(s) for s in states[first:])
+    _guard(alg, widest * len(outputs), f"{what} ({widest} states x {len(outputs)} outputs)")
+    tables = [out_kernel.dense((len(states[n]), len(outputs)))] * len(kernels)
+    for t in range(n, first - 1, -1):
+        yield t, outputs, tables
+        if t > first:
+            tables = [kern[t - 1].pull(b, len(states[t - 1])) for kern, b in zip(kernels, tables)]
+
+
 def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]):
     """Yield ``(states_t, outputs, views)`` for each intrusion time t, latest first.
 
     ``views[k]`` is stream k's joint law of (state at t, final output) as a
-    states x outputs array ``law_t[:, None] * B_t``, where ``B_n = O`` and
-    ``B_{t-1} = T_t B_t``: one backward pass serves every time.
+    states x outputs array ``law_t[:, None] * B_t``, with ``B_t`` from
+    :func:`_backward`: one backward pass serves every time.
     """
     n = len(streams[0])
     wanted = set(times)
@@ -398,16 +415,9 @@ def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]
     if not wanted:
         return
     states, laws, kernels = _propagate(alg, streams)
-    outputs, out_kernel = _outputs(alg, states[n])
-    first = min(wanted)
-    widest = max(len(s) for s in states[first:])
-    _guard(alg, widest * len(outputs), f"view ({widest} states x {len(outputs)} outputs)")
-    tables = [out_kernel.dense((len(states[n]), len(outputs)))] * len(streams)
-    for t in range(n, first - 1, -1):
+    for t, outputs, tables in _backward(alg, states, kernels, min(wanted), "view"):
         if t in wanted:
             yield states[t], outputs, [law[t][:, None] * b for law, b in zip(laws, tables)]
-        if t > first:
-            tables = [kern[t - 1].pull(b, len(states[t - 1])) for kern, b in zip(kernels, tables)]
 
 
 def exact_pan_states(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
@@ -474,14 +484,6 @@ class AuditCurve:
         if abs(self.epsilons[idx] - eps) > 1e-12:
             raise ValueError(f"epsilon {eps} not on the audited grid")
         return float(self.delta_max[idx])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("epsilon,delta_forward,delta_backward,delta_max\n")
-            for e, f, b, m in zip(
-                self.epsilons, self.delta_forward, self.delta_backward, self.delta_max
-            ):
-                fh.write(f"{float(e)!r},{float(f)!r},{float(b)!r},{float(m)!r}\n")
 
 
 def _curve(pairs: Iterable[tuple[np.ndarray, np.ndarray]], eps_grid) -> AuditCurve:
@@ -597,22 +599,14 @@ def hybrid_tv_certificate(
     states, (ref_laws,), (_, *member_kernels) = _propagate(
         alg, [[ref] * n], tails=[[mem] * n for mem in members]
     )
-    outputs, out_kernel = _outputs(alg, states[n])
-    widest = max(len(s) for s in states)
-    _guard(alg, widest * len(outputs), f"hybrid tables ({widest} states x {len(outputs)} outputs)")
 
     # hybrid i's output law is law_ref_i . B_mem_i, averaged over members
     hybrid = []
-    tables = [out_kernel.dense((len(states[n]), len(outputs)))] * k
-    for i in range(n, -1, -1):
+    for i, outputs, tables in _backward(alg, states, member_kernels, 0, "hybrid tables"):
         acc = np.zeros(len(outputs))
         for table in tables:
             acc += (ref_laws[i][:, None] * table).sum(axis=0) / k
         hybrid.insert(0, acc)
-        if i:
-            tables = [
-                kern[i - 1].pull(b, len(states[i - 1])) for kern, b in zip(member_kernels, tables)
-            ]
     per_tv = [tv_distance(hybrid[i - 1], hybrid[i]) for i in range(1, n + 1)]
 
     # state after i elements in hybrid i-1's world: i-1 reference steps, then

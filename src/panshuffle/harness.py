@@ -17,7 +17,8 @@ Registered kinds: ``mean_error``, ``audit``, ``norm``, ``distinguish``,
 ``wrapper_gap``, ``selection_sweep``. The checks behind ``audit``, ``norm``,
 ``distinguish`` and ``wrapper_gap`` are the functions :func:`audit_curve`,
 :func:`family_norm`, :func:`learner_advantage` and :func:`wrapper_gap`,
-which the CLI subcommands call too.
+which the CLI subcommands call too; ``panshuffle audit`` runs the ``audit``
+kind itself. Every CSV, here and in the CLI, goes through :func:`write_rows_csv`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -107,7 +109,14 @@ class RunResult:
     summary: dict
 
 
+# exact built-in types skip the isinstance chain (type(True) is bool, so bools fall through)
+_EXACT_FMT = {int: str, float: repr, str: str}
+
+
 def _fmt(value) -> str:
+    exact = _EXACT_FMT.get(type(value))
+    if exact is not None:
+        return exact(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -117,12 +126,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def write_rows_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     """Write rows with repr-serialized floats and unix newlines."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _trial_rng(spec: ExperimentSpec, trial: int) -> np.random.Generator:
@@ -269,12 +278,8 @@ def _run_mean_error(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]
 
 def _run_audit(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
     curve = audit_curve(spec.params)
-    rows = [
-        (float(e), float(f), float(b), float(m))
-        for e, f, b, m in zip(
-            curve.epsilons, curve.delta_forward, curve.delta_backward, curve.delta_max
-        )
-    ]
+    columns = (curve.epsilons, curve.delta_forward, curve.delta_backward, curve.delta_max)
+    rows = list(zip(*(c.tolist() for c in columns)))
     summary = {"worst_delta": float(curve.delta_max.max())}
     return ["epsilon", "delta_forward", "delta_backward", "delta_max"], rows, summary
 

@@ -20,6 +20,7 @@ in rational-free float arithmetic over explicit dictionaries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
 
@@ -493,6 +494,21 @@ def last_element_echo(name: str = "last-echo") -> PanPrivateAlgorithm:
     )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# the JSON type each manifest key takes, as (description, test); every other key takes a number
+_MANIFEST_VALUES = {
+    "cap": ("an integer", lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
+    "alphabet": (
+        "a list of numbers or strings",
+        lambda v: isinstance(v, (list, tuple))
+        and all(_is_number(m) or isinstance(m, str) for m in v),
+    ),
+}
+
+
 def mechanism_from_manifest(manifest: dict):
     """Build a mechanism from a JSON-able manifest {"type": ..., params...}.
 
@@ -500,7 +516,8 @@ def mechanism_from_manifest(manifest: dict):
     p_one_given_zero), ``echo`` (alphabet), ``qlap_counter`` (eps_update,
     eps_output, step, span, sensitivity), ``noisy_parity`` (flip_p),
     ``saturating_counter`` (cap). A missing required key or an unknown key
-    raises ``ValueError`` listing the keys the type accepts.
+    raises ``ValueError`` listing the keys the type accepts; a value of the
+    wrong JSON type raises ``ValueError`` naming the type, the key and the value.
     """
     # type -> (required keys, optional keys, builder)
     builders = {
@@ -539,4 +556,8 @@ def mechanism_from_manifest(manifest: dict):
             f"{kind} manifest: missing keys {missing}, unknown keys {unknown}; "
             f"accepted keys: {['type', *required, *optional]}"
         )
+    for key, value in params.items():
+        want, accepts = _MANIFEST_VALUES.get(key, ("a number", _is_number))
+        if not accepts(value):
+            raise ValueError(f"{kind} manifest: {key!r} must be {want}, got {value!r}")
     return build(params)

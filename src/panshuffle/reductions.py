@@ -34,13 +34,12 @@ from .baselines import ProblemInstance, _binomial_rows, plug_in_solve, wilson_in
 from .distributions import ParametricHardDistribution, ParityIndex
 from .distributions import sample as draw_from
 from .errors import GuardError
-from .mechanisms import PanPrivateAlgorithm, ShuffleProtocol
+from .mechanisms import PanPrivateAlgorithm, ShuffleProtocol, run_pan
 from .rng import as_generator, laplace
 from . import exact as ex
 
 __all__ = [
     "ShuffleToPanWrapper",
-    "shuffle_to_pan",
     "wrapper_escape_mass",
     "selection_augment",
     "augment_stream",
@@ -246,16 +245,6 @@ class ShuffleToPanWrapper:
         return mixed.push(self.protocol.analyzer)
 
 
-def shuffle_to_pan(protocol: ShuffleProtocol, reference: dict, name: str | None = None) -> PanPrivateAlgorithm:
-    """Wrap a shuffled protocol as an online algorithm (see the wrapper class)."""
-    wrapper = ShuffleToPanWrapper(
-        protocol=protocol,
-        reference=reference,
-        name=name or f"{protocol.randomizer.name}-as-pan",
-    )
-    return wrapper.as_pan_algorithm()
-
-
 # ---------------------------------------------------------------------------
 # stream augmentation
 
@@ -352,23 +341,13 @@ class LearnerDistinguisher:
     def total_len(self) -> int:
         return self.n_learn + self.test_len
 
-    def _score(self, guess: ParityIndex, rows: np.ndarray) -> int:
-        labels = rows[:, self.d]
-        cols = [j - 1 for j in guess.subset]
-        par = np.ones(len(rows)) if not cols else np.prod(rows[:, cols], axis=1)
-        return int(np.sum(guess.sign * par * labels == 1))
-
     def run(self, stream: Sequence, rng) -> float:
-        rng = as_generator(rng)
-        rows = np.array([list(x) for x in stream], dtype=np.int64)
-        if rows.shape[0] != self.total_len:
+        """The scalar of one run on ``stream``: the online form's final output."""
+        if len(stream) != self.total_len:
             raise ValueError(
-                f"stream length {rows.shape[0]} != learn {self.n_learn} + test {self.test_len}"
+                f"stream length {len(stream)} != learn {self.n_learn} + test {self.test_len}"
             )
-        guess = self.learner.fit(rows[: self.n_learn])
-        c = float(laplace(rng, 1.0 / self.epsilon))
-        count = self._score(guess, rows[self.n_learn :])
-        return c + count + float(laplace(rng, 1.0 / self.epsilon))
+        return run_pan(self.as_pan_algorithm(), stream, t=1, rng=rng).output
 
     def run_batch(self, planted: ParityIndex | None, trials: int, rng) -> np.ndarray:
         """Sample the scalar's law directly under a fixed world.
@@ -434,8 +413,8 @@ class LearnerDistinguisher:
             if state[0] == "learn":
                 return learn(state[1] + (tuple(x),), rng)
             _, guess, c = state
-            row = np.asarray(x, dtype=np.int64)[None, :]
-            return ("test", guess, c + self._score(guess, row))
+            parity = math.prod(x[j - 1] for j in guess.subset)
+            return ("test", guess, c + int(guess.sign * parity * x[d] == 1))
 
         def output_sample(state, rng):
             if state[0] != "test":

@@ -170,13 +170,15 @@ def test_problem_instance_validation():
 
 
 def test_instance_candidates_shapes():
-    def inst(problem, d=4, k=2):
+    def inst(problem, truth=None):
         return ProblemInstance(
-            problem=problem, model="central", d=d, k=k, alpha=0.2, n=10,
-            epsilon=1.0, delta=1e-6, truth={"family": "uniform", "d": d},
+            problem=problem, model="central", d=4, k=2, alpha=0.2, n=10,
+            epsilon=1.0, delta=1e-6, truth=truth or {"family": "uniform", "d": 4},
         )
 
-    assert instance_candidates(inst("selection")) == [(1,), (2,), (3,), (4,)]
+    width_one = ParametricHardDistribution(d=4, index=ParityIndex((2,), 1), alpha=0.2)
+    selection = inst("selection", member_descriptor(width_one, k=2))
+    assert instance_candidates(selection) == [(1,), (2,), (3,), (4,)]
     release = instance_candidates(inst("parity-release"))
     assert release[0] == (1,) and len(release) == 4 + 6
     learning = instance_candidates(inst("parity-learning"))
@@ -277,13 +279,13 @@ def test_score_parity_learning_and_true_means():
 
 
 _BAD_SELECTION_TRUTH = """
-from panshuffle.baselines import ProblemInstance, score
+from panshuffle.baselines import ProblemInstance
 from panshuffle.distributions import ParametricHardDistribution, ParityIndex, member_descriptor
 member = ParametricHardDistribution(d=3, index=ParityIndex((1, 2), -1), alpha=0.2)
-inst = ProblemInstance(problem="selection", model="central", d=3, k=2, alpha=0.2, n=10,
-                       epsilon=1.0, delta=1e-6, truth=member_descriptor(member, k=2))
 try:
-    print(score(inst, 1))
+    ProblemInstance(problem="selection", model="central", d=3, k=2, alpha=0.2, n=10,
+                    epsilon=1.0, delta=1e-6, truth=member_descriptor(member, k=2))
+    print("constructed")
 except ValueError as err:
     print("ValueError:", err)
 """
@@ -291,7 +293,11 @@ except ValueError as err:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_score_rejects_bad_selection_truth(flags):
-    """A selection truth that is not one width-1, sign +1 member raises, also under -O."""
+    """A selection truth that is not one width-1, sign +1 member fails construction.
+
+    It raises before any data is sampled or solved (so ``score`` never sees it),
+    also under -O.
+    """
     src = str(Path(panshuffle.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(

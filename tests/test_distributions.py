@@ -17,7 +17,6 @@ from panshuffle.distributions import (
     ParityIndex,
     binom_sum,
     densify,
-    dump_pmf_csv,
     family_enumerate,
     family_size,
     fourier_coefficient,
@@ -255,16 +254,6 @@ def test_descriptor_roundtrip_family_and_uniform():
     assert isinstance(fam, list) and len(fam) == 12
     u = from_descriptor({"family": "uniform", "d": 3})
     assert densify(u).probs.sum() == pytest.approx(1.0)
-
-
-def test_dump_pmf_csv(tmp_path):
-    p = member(2, (1,), 1, 0.25)
-    path = tmp_path / "pmf.csv"
-    dump_pmf_csv(p, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,x,prob"
-    assert lines[1] == "0,++,0.375"
-    assert len(lines) == 5
 
 
 def test_densify_guard_on_large_dim():

@@ -9,7 +9,6 @@ import pytest
 import panshuffle.exact as exact_mod
 from panshuffle.errors import GuardError
 from panshuffle.exact import (
-    AuditCurve,
     CountLaw,
     audit_privacy,
     convolve_counts,
@@ -228,20 +227,6 @@ def test_audit_rejects_unequal_lengths():
     rz = binary_randomized_response(0.2)
     with pytest.raises(ValueError):
         audit_privacy(rz, ([1, 0], [1]), [0.0])
-
-
-def test_audit_curve_csv_format(tmp_path):
-    curve = AuditCurve(
-        epsilons=np.array([0.0, 1.0]),
-        delta_forward=np.array([0.25, 0.015625]),
-        delta_backward=np.array([0.2, 0.0078125]),
-    )
-    path = tmp_path / "curve.csv"
-    curve.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epsilon,delta_forward,delta_backward,delta_max"
-    assert lines[1] == "0.0,0.25,0.2,0.25"
-    assert lines[2] == "1.0,0.015625,0.0078125,0.015625"
 
 
 def _binary_family(alpha: float) -> list[dict]:

@@ -323,6 +323,39 @@ def test_cli_audit_rejects_a_bad_manifest_in_one_line(capsys):
     assert "'flip_p'" in err and "'flip'" in err
 
 
+@pytest.mark.parametrize("mechanism, neighbors, named", [
+    ('{"type": "binary_rr", "flip_p": null}', '{"a": [1], "b": [0]}',
+     ["binary_rr", "'flip_p'", "a number", "None"]),
+    ('{"type": "echo", "alphabet": 3}', '{"a": [1], "b": [0]}',
+     ["echo", "'alphabet'", "a list", "got 3"]),
+    ('{"type": "saturating_counter", "cap": "x"}', '{"a": [1], "b": [0]}',
+     ["saturating_counter", "'cap'", "an integer", "'x'"]),
+    ('{"type": "binary_rr", "flip_p": 0.2}', '{"a": [1]}', ['"a" and "b"', "{'a': [1]}"]),
+], ids=["null-number", "scalar-alphabet", "string-integer", "neighbors-without-b"])
+def test_cli_audit_rejects_a_bad_value_in_one_line(mechanism, neighbors, named, capsys):
+    code = main(["audit", "--mechanism", mechanism, "--neighbors", neighbors])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(part in err for part in named), err
+
+
+def test_cli_audit_writes_the_audit_kind_table(tmp_path):
+    manifest = {"type": "noisy_parity", "flip_p": 0.25}
+    stream_a, stream_b = [1, 0, 1, 1], [0, 0, 1, 1]
+    cli_csv = tmp_path / "cli.csv"
+    code = main(["audit", "--mechanism", json.dumps(manifest),
+                 "--neighbors", json.dumps({"a": stream_a, "b": stream_b}),
+                 "--eps", "0.0,0.5,1.0,2.0", "--out", str(cli_csv)])
+    assert code == 0
+    spec = ExperimentSpec(kind="audit", experiment_id="kind-audit", params={
+        "mechanism": manifest, "stream_a": stream_a, "stream_b": stream_b,
+        "eps_grid": [0.0, 0.5, 1.0, 2.0],
+    })
+    assert cli_csv.read_bytes() == run_spec(spec, tmp_path).csv_path.read_bytes()
+
+
 def test_cli_reduce_check_rejects_a_reference_outside_zero_one(capsys):
     code = main(["reduce-check", "--n", "6", "--ref-one", "1.5"])
     out, err = capsys.readouterr()

@@ -38,11 +38,10 @@ from panshuffle.reductions import (
     augment_kernel,
     augment_stream,
     selection_augment,
-    shuffle_to_pan,
     threshold_distinguisher,
     wrapper_escape_mass,
 )
-from panshuffle.rng import make_generator
+from panshuffle.rng import laplace, make_generator
 
 from oracles.wrapper_oracle import FROZEN_ESCAPE
 
@@ -180,7 +179,7 @@ def test_wrapper_sampling_matches_recorded_draws():
     gen = make_generator(7, "wrapper-golden")
     for name, (rz, ref) in cases.items():
         proto = ShuffleProtocol(randomizer=rz, analyzer=histogram_analyzer(), n=24, budget=budget)
-        alg = shuffle_to_pan(proto, ref)
+        alg = ShuffleToPanWrapper(protocol=proto, reference=ref).as_pan_algorithm()
         views = []
         for j in range(50):
             stream = gen.integers(0, len(rz.alphabet), size=8).tolist()
@@ -191,9 +190,9 @@ def test_wrapper_sampling_matches_recorded_draws():
 
 
 def test_shuffle_to_pan_factory_sets_metadata():
-    alg = shuffle_to_pan(_rr_protocol(6, 3), REF)
+    alg = ShuffleToPanWrapper(protocol=_rr_protocol(6, 3), reference=REF).as_pan_algorithm()
     assert alg.meta == {"n": 6, "stream_len": 2}
-    assert alg.name.endswith("-as-pan")
+    assert alg.name == "shuffle-to-pan"
 
 
 def test_selection_augment_appends_biased_label():
@@ -316,10 +315,11 @@ def test_online_form_matches_direct_run_in_law():
 @pytest.mark.parametrize("n_learn", [0, 40])
 @pytest.mark.parametrize("learner", ["planted", "plugin"])
 def test_online_form_matches_direct_run_on_one_stream(learner, n_learn):
-    """Same stream and seed: the online form reports the scalar ``run`` reports.
+    """Same stream and seed: ``run`` reports the scalar computed by hand.
 
-    With no learning phase every stream element is scored and none reaches the
-    learner.
+    The scalar is the first Laplace draw, plus the guessed parity's label
+    agreements over every test element, plus a second Laplace draw. With no
+    learning phase every stream element is scored and none reaches the learner.
     """
     idx = ParityIndex(subset=(1,), sign=1)
     fitter = PlantedLearner(index=idx) if learner == "planted" else PlugInParityLearner(d=3, k=1)
@@ -328,9 +328,15 @@ def test_online_form_matches_direct_run_on_one_stream(learner, n_learn):
     )
     stream = [tuple(r) for r in dist._draw_rows(idx, dist.total_len, make_generator(61, "rows"))]
     stream[0] = (1, 1, 1, 1)  # agrees with the planted parity, so scoring it counts
-    direct = dist.run(stream, make_generator(61, "noise"))
-    view = run_pan(dist.as_pan_algorithm(), stream, t=1, rng=make_generator(61, "noise"))
-    assert abs(view.output - direct) <= 1e-9
+    rows = np.array(stream, dtype=np.int64)
+    guess = fitter.fit(rows[:n_learn])
+    test = rows[n_learn:]
+    parity = np.prod(test[:, [j - 1 for j in guess.subset]], axis=1)
+    agreements = int(np.sum(guess.sign * parity == test[:, 3]))
+    noise = make_generator(61, "noise")
+    first = float(laplace(noise, 1.0))
+    expected = first + agreements + float(laplace(noise, 1.0))
+    assert abs(dist.run(stream, make_generator(61, "noise")) - expected) <= 1e-9
 
 
 def test_online_form_guards_short_streams():
