@@ -208,8 +208,7 @@ def _sign_means(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     if n == 0:
         return np.zeros(x.shape[1])
-    ones = ((x + 1) // 2).sum(axis=0)
-    return (2 * ones - n) / n
+    return x.sum(axis=0) / n
 
 
 def private_means(samples, model: str, epsilon: float, delta: float = 0.0, rng=None) -> np.ndarray:
@@ -415,22 +414,35 @@ def instance_candidates(inst: ProblemInstance) -> list[tuple[int, ...]]:
 
 def feature_matrix(inst: ProblemInstance, samples: np.ndarray) -> np.ndarray:
     """The n x m matrix of +-1 candidate-parity values for the instance."""
-    return _feature_matrix(inst, instance_candidates(inst), samples)
+    return _feature_matrix(inst, _candidate_columns(inst, instance_candidates(inst)), samples)
 
 
-def _feature_matrix(inst: ProblemInstance, cands: list, samples) -> np.ndarray:
+def _candidate_columns(inst: ProblemInstance, cands: list) -> np.ndarray:
+    """The (m, span) table of 0-based sample columns whose product is each candidate.
+
+    Row i lists candidate i's coordinates, then the label column for parity
+    learning. Shorter rows are padded with index ``width`` (the sample width),
+    which :func:`_feature_matrix` points at an all-ones column.
+    """
+    label = [inst.d] if inst.problem == "parity-learning" else []
+    width = inst.d + len(label)
+    span = max((len(s) for s in cands), default=0) + len(label)
+    rows = [[j - 1 for j in s] + label + [width] * (span - len(s) - len(label)) for s in cands]
+    return np.array(rows, dtype=np.intp).reshape(len(cands), span)
+
+
+def _feature_matrix(inst: ProblemInstance, cols: np.ndarray, samples) -> np.ndarray:
+    """The int64 n x m feature matrix: one gather of the :func:`_candidate_columns` table.
+
+    The samples (checked to be +-1 signs of the instance's width) get an
+    all-ones column appended, so padded entries multiply by 1.
+    """
     x = _as_sign_matrix(samples)
-    with_label = inst.problem == "parity-learning"
-    width = inst.d + (1 if with_label else 0)
+    width = inst.d + (1 if inst.problem == "parity-learning" else 0)
     if x.shape[1] != width:
         raise ValueError(f"expected sample width {width}, got {x.shape[1]}")
-    cols = []
-    for subset in cands:
-        idx = [j - 1 for j in subset]
-        if with_label:
-            idx = idx + [inst.d]
-        cols.append(x[:, idx].prod(axis=1) if idx else np.ones(x.shape[0], dtype=np.int64))
-    return np.column_stack(cols) if cols else np.empty((x.shape[0], 0), dtype=np.int64)
+    ones = np.ones((x.shape[0], 1), dtype=np.int64)
+    return np.concatenate([x, ones], axis=1)[:, cols].prod(axis=2)
 
 
 def decide(inst: ProblemInstance, means: np.ndarray):
@@ -509,7 +521,7 @@ def score(inst: ProblemInstance, decision) -> bool:
 def solve(inst: ProblemInstance, samples: np.ndarray, rng=None):
     """Estimate candidate means under the instance's model, then decide."""
     cands = instance_candidates(inst)
-    features = _feature_matrix(inst, cands, samples)
+    features = _feature_matrix(inst, _candidate_columns(inst, cands), samples)
     means = _private_means(features, inst.model, inst.epsilon, inst.delta, rng)
     return _decide(inst, cands, means)
 
@@ -517,7 +529,8 @@ def solve(inst: ProblemInstance, samples: np.ndarray, rng=None):
 def plug_in_solve(inst: ProblemInstance, samples: np.ndarray):
     """Noiseless baseline: exact empirical means, same decision rule."""
     cands = instance_candidates(inst)
-    return _decide(inst, cands, _sign_means(_feature_matrix(inst, cands, samples)))
+    features = _feature_matrix(inst, _candidate_columns(inst, cands), samples)
+    return _decide(inst, cands, _sign_means(features))
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json_arg(text: str) -> dict:
-    """Parse an inline JSON object or read one from a file path."""
+    """Parse an inline JSON object or read one from a file path.
+
+    Malformed JSON, an unreadable file and JSON that is not an object raise
+    ``ValueError``, which :func:`main` reports in one ``error:`` line.
+    """
     text = text.strip()
-    if text.startswith("{") or text.startswith("["):
-        return json.loads(text)
-    return json.loads(Path(text).read_text())
+    inline = text.startswith("{") or text.startswith("[")
+    try:
+        value = json.loads(text if inline else Path(text).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"malformed JSON in {text!r}: {err}") from None
+    except OSError as err:
+        raise ValueError(f"cannot read JSON file {text!r}: {err.strerror}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object in {text!r}, got {value!r}")
+    return value
 
 
 def _glyphs(row) -> str:
@@ -111,18 +122,13 @@ def _cmd_norm(args) -> int:
 def _cmd_audit(args) -> int:
     mechanism = _load_json_arg(args.mechanism)
     neighbors = _load_json_arg(args.neighbors)
-    if not (isinstance(neighbors, dict) and {"a", "b"} <= neighbors.keys()):
-        print(f'error: --neighbors needs keys "a" and "b", got {neighbors!r}', file=sys.stderr)
-        return 1
+    if not {"a", "b"} <= neighbors.keys():
+        raise ValueError(f'--neighbors needs keys "a" and "b", got {neighbors!r}')
     spec = ExperimentSpec(kind="audit", experiment_id="audit", params={
         "mechanism": mechanism, "stream_a": neighbors["a"], "stream_b": neighbors["b"],
         "eps_grid": args.eps.split(","),
     })
-    try:
-        header, rows, summary = EXPERIMENT_KINDS["audit"](spec)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    header, rows, summary = EXPERIMENT_KINDS["audit"](spec)
     for e, _, _, dmax in rows:
         print(f"epsilon={e!r}  delta_max={dmax!r}")
     if args.out:
@@ -141,17 +147,13 @@ def _cmd_reduce_check(args) -> int:
     if n % 3 != 0:
         print(f"n must be divisible by 3, got {n}", file=sys.stderr)
         return 1
-    try:
-        gap = wrapper_gap({
-            "n": n,
-            "randomizer": {"type": "binary_rr", "flip_p": args.flip_p},
-            "cutoff": n // 3,
-            "reference": {0: 1.0 - args.ref_one, 1: args.ref_one},
-            "input": {0: 1.0 - args.input_one, 1: args.input_one},
-        })
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    gap = wrapper_gap({
+        "n": n,
+        "randomizer": {"type": "binary_rr", "flip_p": args.flip_p},
+        "cutoff": n // 3,
+        "reference": {0: 1.0 - args.ref_one, 1: args.ref_one},
+        "input": {0: 1.0 - args.input_one, 1: args.input_one},
+    })
     tv_null, tv_real, bound = gap["tv_null"], gap["tv_real"], gap["escape_bound"]
     print(f"n={n}: tv on reference stream = {tv_null!r}")
     print(f"n={n}: tv on shifted stream   = {tv_real!r} (bound {bound!r})")
@@ -310,9 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    """Run one subcommand; a ``ValueError`` from it exits 1 with one ``error:`` line."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

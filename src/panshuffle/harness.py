@@ -160,18 +160,26 @@ def _pmap(fn, spec: ExperimentSpec, indices: list[int]) -> list:
 def audit_curve(p: dict) -> ex.AuditCurve:
     """Exact privacy curve of a mechanism manifest on one neighboring stream pair.
 
-    List elements of the streams become tuples; ``intrusion_times``, when
-    given, restricts the online views audited.
+    List elements of the streams become tuples, and a stream that is not a
+    list raises ``ValueError`` naming it; ``intrusion_times``, when given,
+    restricts the online views audited.
     """
     mech = mechanism_from_manifest(p["mechanism"])
-    stream_a = [tuple(x) if isinstance(x, list) else x for x in p["stream_a"]]
-    stream_b = [tuple(x) if isinstance(x, list) else x for x in p["stream_b"]]
+    stream_a, stream_b = _stream(p, "stream_a"), _stream(p, "stream_b")
     eps_grid = [float(e) for e in p["eps_grid"]]
     times = p.get("intrusion_times")
     return ex.audit_privacy(
         mech, (stream_a, stream_b), eps_grid,
         intrusion_times=[int(t) for t in times] if times else None,
     )
+
+
+def _stream(p: dict, key: str) -> list:
+    """The stream ``p[key]`` with its list elements made tuples."""
+    stream = p[key]
+    if not isinstance(stream, (list, tuple)):
+        raise ValueError(f"{key} must be a list of stream elements, got {stream!r}")
+    return [tuple(x) if isinstance(x, list) else x for x in stream]
 
 
 def family_norm(p: dict) -> NormReport:

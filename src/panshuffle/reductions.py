@@ -30,7 +30,16 @@ from typing import Sequence
 import numpy as np
 from scipy.special import bdtrc
 
-from .baselines import ProblemInstance, _binomial_rows, plug_in_solve, wilson_interval
+from .baselines import (
+    ProblemInstance,
+    _binomial_rows,
+    _candidate_columns,
+    _decide,
+    _feature_matrix,
+    _sign_means,
+    instance_candidates,
+    wilson_interval,
+)
 from .distributions import ParametricHardDistribution, ParityIndex
 from .distributions import sample as draw_from
 from .errors import GuardError
@@ -291,20 +300,29 @@ class PlugInParityLearner:
     """Empirical-correlation learner over all candidate parities up to size k.
 
     Picks the (subset, sign) whose labeled-parity empirical mean is largest;
-    no privacy of its own, used to exercise the reduction end to end.
+    no privacy of its own, used to exercise the reduction end to end. The
+    parity-learning instance, its candidates and their column table are built
+    once per learner, so a fit is one gather of the sample columns.
     """
 
     d: int
     k: int
 
-    def fit(self, samples: np.ndarray) -> ParityIndex:
-        """The noiseless parity-learning decision of :func:`baselines.plug_in_solve`."""
+    @cached_property
+    def _plan(self) -> tuple[ProblemInstance, list, np.ndarray]:
+        """The noiseless instance, its candidates and their :func:`_candidate_columns`."""
         inst = ProblemInstance(
             problem="parity-learning", model="central", d=self.d, k=self.k, alpha=0.0,
-            n=len(samples), epsilon=math.inf, delta=0.0,
-            truth={"family": "uniform", "d": self.d + 1},
+            n=0, epsilon=math.inf, delta=0.0, truth={"family": "uniform", "d": self.d + 1},
         )
-        return ParityIndex(*plug_in_solve(inst, samples))
+        cands = instance_candidates(inst)
+        return inst, cands, _candidate_columns(inst, cands)
+
+    def fit(self, samples: np.ndarray) -> ParityIndex:
+        """The noiseless parity-learning decision of :func:`baselines.plug_in_solve`."""
+        inst, cands, cols = self._plan
+        means = _sign_means(_feature_matrix(inst, cols, samples))
+        return ParityIndex(*_decide(inst, cands, means))
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +383,10 @@ class LearnerDistinguisher:
             counts = rng.binomial(t, p_match, size=trials)
             noise = laplace(rng, 1.0 / self.epsilon, size=(trials, 2)).sum(axis=1)
             return counts + noise
+        member = self._member(planted)
         out = np.empty(trials, dtype=np.float64)
         for j in range(trials):
-            rows = self._draw_rows(planted, self.n_learn, rng)
+            rows = self._draw_rows(member, self.n_learn, rng)
             guess = self.learner.fit(rows)
             p_match = self._match_prob(planted, guess)
             count = rng.binomial(t, p_match)
@@ -375,11 +394,17 @@ class LearnerDistinguisher:
             out[j] = count + float(noise.sum())
         return out
 
-    def _draw_rows(self, planted: ParityIndex | None, m: int, rng) -> np.ndarray:
-        if planted is not None:
-            member = ParametricHardDistribution(
-                d=self.d, index=planted, alpha=self.alpha, family="labeled"
-            )
+    def _member(self, planted: ParityIndex | None) -> ParametricHardDistribution | None:
+        """The labeled member planting ``planted``; None for the uniform world."""
+        if planted is None:
+            return None
+        return ParametricHardDistribution(
+            d=self.d, index=planted, alpha=self.alpha, family="labeled"
+        )
+
+    def _draw_rows(self, member: ParametricHardDistribution | None, m: int, rng) -> np.ndarray:
+        """``m`` rows from ``member``, or uniform signs of width d + 1 when it is None."""
+        if member is not None:
             return draw_from(member, m, rng)
         return (rng.integers(0, 2, size=(m, self.d + 1)) * 2 - 1).astype(np.int64)
 

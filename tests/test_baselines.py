@@ -16,6 +16,7 @@ import panshuffle
 from panshuffle.baselines import (
     EXACT_AUDIT_MAX_N,
     MODELS,
+    PROBLEMS,
     ProblemInstance,
     advanced_split,
     calibrate_rr,
@@ -38,6 +39,8 @@ from panshuffle.baselines import (
 from panshuffle.distributions import ParametricHardDistribution, ParityIndex, member_descriptor
 from panshuffle.errors import InsufficientCohortError
 from panshuffle.rng import make_generator
+
+from oracles.feature_oracle import feature_matrix_by_columns
 
 
 def test_rr_count_pmf_is_binomial_convolution():
@@ -196,6 +199,44 @@ def test_feature_matrix_values_and_validation():
     assert np.array_equal(feats, np.array([[-1, -1, 1], [1, -1, -1]]))
     with pytest.raises(ValueError, match="width"):
         feature_matrix(inst, rows[:, :2])
+
+
+def _feature_instance(problem: str, d: int, k: int) -> ProblemInstance:
+    if problem == "selection":
+        member = ParametricHardDistribution(d=d, index=ParityIndex((1,), 1), alpha=0.2)
+        truth = member_descriptor(member, k=1)
+    else:
+        truth = {"family": "uniform", "d": d + (problem == "parity-learning")}
+    return ProblemInstance(
+        problem=problem, model="central", d=d, k=k, alpha=0.2, n=0,
+        epsilon=1.0, delta=1e-6, truth=truth,
+    )
+
+
+_FEATURE_SHAPES = {
+    "selection": [(d, 1) for d in range(1, 11)] + [(128, 1)],
+    "sparse-mean": [(d, 1) for d in range(1, 11)],
+    "hypothesis-test": [(d, 1) for d in range(1, 11)],
+    "parity-release": [(d, k) for d in range(1, 11) for k in range(4)],
+    "parity-learning": [(d, k) for d in range(1, 11) for k in range(4)] + [(70, 1)],
+}
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_feature_matrix_matches_the_column_loop_oracle(problem):
+    """Same values, int64 dtype and n x m shape as one column per candidate."""
+    rng = make_generator(17, "feature-oracle", problem)
+    for d, k in _FEATURE_SHAPES[problem]:
+        inst = _feature_instance(problem, d, k)
+        width = d + (problem == "parity-learning")
+        cands = instance_candidates(inst)
+        for n in (0, 1, 2, 199):
+            rows = (rng.integers(0, 2, size=(n, width), dtype=np.int8) * 2 - 1).astype(np.int8)
+            got = feature_matrix(inst, rows)
+            want = feature_matrix_by_columns(problem, d, cands, rows)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape == (n, len(cands))
+            assert np.array_equal(got, want), (d, k, n)
 
 
 def test_decide_selection_breaks_ties_low():

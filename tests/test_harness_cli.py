@@ -341,6 +341,56 @@ def test_cli_audit_rejects_a_bad_value_in_one_line(mechanism, neighbors, named, 
     assert all(part in err for part in named), err
 
 
+_RR = '{"type": "binary_rr", "flip_p": 0.2}'
+_MEMBER = '{"family": "plain", "d": 3, "k": 1, "ell": [1], "b": 1, "alpha": 0.2}'
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["audit", "--mechanism", _RR[:-1], "--neighbors", '{"a": [1], "b": [0]}'],
+     ["malformed JSON", "delimiter"]),
+    (["audit", "--mechanism", _RR, "--neighbors", '{"a": [1], "b": [0]'],
+     ["malformed JSON", "delimiter"]),
+    (["audit", "--mechanism", "absent.json", "--neighbors", '{"a": [1], "b": [0]}'],
+     ["cannot read", "'absent.json'"]),
+    (["sample", "--dist", '{"family": "plain", "d": }'], ["malformed JSON", "Expecting value"]),
+    (["sample", "--dist", "absent.json"], ["cannot read", "'absent.json'"]),
+    (["tv", "--dist-a", _MEMBER, "--dist-b", "absent.json"], ["cannot read", "'absent.json'"]),
+    (["tv", "--dist-a", "bad.json", "--dist-b", _MEMBER], ["malformed JSON", "'bad.json'"]),
+    (["sample", "--dist", "[1, 2]"], ["expected a JSON object", "[1, 2]"]),
+], ids=["audit-mechanism-brace", "audit-neighbors-brace", "audit-missing-file",
+        "sample-inline", "sample-missing-file", "tv-missing-file", "tv-malformed-file",
+        "sample-array"])
+def test_cli_bad_json_argument_exits_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"family": "plain",\n')
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(part in err for part in named), err
+
+
+@pytest.mark.parametrize("neighbors, key", [
+    ('{"a": 1, "b": [0]}', "stream_a"),
+    ('{"a": [1], "b": "0"}', "stream_b"),
+], ids=["a-number", "b-string"])
+def test_cli_audit_rejects_a_stream_that_is_not_a_list(neighbors, key, capsys):
+    code = main(["audit", "--mechanism", _RR, "--neighbors", neighbors])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {key} must be a list") and err.count("\n") == 1
+
+
+def test_audit_kind_names_a_stream_that_is_not_a_list(tmp_path):
+    spec = ExperimentSpec(kind="audit", experiment_id="bad-stream", params={
+        "mechanism": json.loads(_RR), "stream_a": [1], "stream_b": 0, "eps_grid": [1.0],
+    })
+    with pytest.raises(ValueError, match="stream_b must be a list"):
+        run_spec(spec, tmp_path)
+
+
 def test_cli_audit_writes_the_audit_kind_table(tmp_path):
     manifest = {"type": "noisy_parity", "flip_p": 0.25}
     stream_a, stream_b = [1, 0, 1, 1], [0, 0, 1, 1]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from scipy.stats import binom, ks_2samp
 
 import panshuffle
+from panshuffle.baselines import ProblemInstance, plug_in_solve
 from panshuffle.distributions import ParityIndex
 from panshuffle.errors import GuardError
 from panshuffle.exact import (
@@ -234,9 +236,16 @@ def test_plugin_learner_recovers_planted_parity():
         epsilon=1.0,
         n_learn=4000,
     )
-    rows = dist._draw_rows(planted, 4000, make_generator(11, "plugin"))
+    rows = dist._draw_rows(dist._member(planted), 4000, make_generator(11, "plugin"))
     guess = PlugInParityLearner(d=d, k=2).fit(rows)
     assert guess == planted
+
+
+def _learning_instance(d: int, k: int) -> ProblemInstance:
+    return ProblemInstance(
+        problem="parity-learning", model="central", d=d, k=k, alpha=0.0, n=0,
+        epsilon=math.inf, delta=0.0, truth={"family": "uniform", "d": d + 1},
+    )
 
 
 def test_plugin_learner_tie_break_prefers_smaller_subset():
@@ -244,6 +253,34 @@ def test_plugin_learner_tie_break_prefers_smaller_subset():
     rows = np.array([[1, 1, 1], [-1, -1, -1]], dtype=np.int64)
     guess = PlugInParityLearner(d=2, k=2).fit(rows)
     assert guess == ParityIndex(subset=(1,), sign=1)
+    assert guess == ParityIndex(*plug_in_solve(_learning_instance(2, 2), rows))
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (3, 2), (6, 2), (10, 3)])
+def test_plugin_learner_fit_equals_plug_in_solve(d, k):
+    """The cached column table decides as ``plug_in_solve`` does.
+
+    At n = 1 and 2 most candidates tie, so the earlier-candidate tie-break is
+    exercised; n = 0 gives the empty subset with sign +1.
+    """
+    learner = PlugInParityLearner(d=d, k=k)
+    inst = _learning_instance(d, k)
+    rng = make_generator(12, "fit-vs-solve", d, k)
+    for n in (0, 1, 2, 7, 200):
+        for _ in range(20):
+            rows = (rng.integers(0, 2, size=(n, d + 1)) * 2 - 1).astype(np.int8)
+            assert learner.fit(rows) == ParityIndex(*plug_in_solve(inst, rows))
+    assert learner.fit(np.empty((0, d + 1), dtype=np.int8)) == ParityIndex((), 1)
+
+
+def test_plugin_learner_survives_a_pickle_round_trip():
+    learner = PlugInParityLearner(d=4, k=2)
+    rows = (make_generator(13, "pickle").integers(0, 2, size=(50, 5)) * 2 - 1)
+    before = learner.fit(rows)  # builds the column table
+    clone = pickle.loads(pickle.dumps(learner))
+    assert clone.fit(rows) == before
+    assert clone == learner == PlugInParityLearner(d=4, k=2)
+    assert hash(clone) == hash(PlugInParityLearner(d=4, k=2))
 
 
 def test_plugin_learner_validates_width():
@@ -278,7 +315,7 @@ def test_run_and_run_batch_agree_in_law():
     trials = 1500
     streamed = np.empty(trials)
     for j in range(trials):
-        stream = [tuple(r) for r in dist._draw_rows(planted, dist.total_len, rng)]
+        stream = [tuple(r) for r in dist._draw_rows(dist._member(planted), dist.total_len, rng)]
         streamed[j] = dist.run(stream, rng)
     batched = dist.run_batch(planted, trials, rng)
     assert ks_2samp(streamed, batched).pvalue > 1e-3
@@ -306,7 +343,7 @@ def test_online_form_matches_direct_run_in_law():
     trials = 1500
     online = np.empty(trials)
     for j in range(trials):
-        stream = [tuple(r) for r in dist._draw_rows(idx, dist.total_len, rng)]
+        stream = [tuple(r) for r in dist._draw_rows(dist._member(idx), dist.total_len, rng)]
         online[j] = run_pan(alg, stream, t=1, rng=rng).output
     batched = dist.run_batch(idx, trials, rng)
     assert ks_2samp(online, batched).pvalue > 1e-3
@@ -326,7 +363,8 @@ def test_online_form_matches_direct_run_on_one_stream(learner, n_learn):
     dist = LearnerDistinguisher(
         learner=fitter, d=3, alpha=0.2, epsilon=1.0, n_learn=n_learn, test_phase_scale=2.0,
     )
-    stream = [tuple(r) for r in dist._draw_rows(idx, dist.total_len, make_generator(61, "rows"))]
+    drawn = dist._draw_rows(dist._member(idx), dist.total_len, make_generator(61, "rows"))
+    stream = [tuple(r) for r in drawn]
     stream[0] = (1, 1, 1, 1)  # agrees with the planted parity, so scoring it counts
     rows = np.array(stream, dtype=np.int64)
     guess = fitter.fit(rows[:n_learn])
