@@ -16,20 +16,17 @@ from .errors import GuardError, InsufficientCohortError
 from .rng import as_generator, derive_seed, gaussian, laplace, make_generator
 from .distributions import (
     FiniteDistribution,
-    MixtureSpec,
     ParametricHardDistribution,
     ParityIndex,
     binom_sum,
     densify,
     family_enumerate,
     family_size,
-    fourier_coefficient,
     fourier_spectrum,
     from_descriptor,
     member_descriptor,
     pmf_eval,
     sample,
-    two_point_mixture,
     uniform_hypercube,
 )
 from .metrics import (
@@ -70,7 +67,6 @@ from .reductions import (
     PlugInParityLearner,
     ShuffleToPanWrapper,
     ThresholdReport,
-    selection_augment,
     threshold_distinguisher,
     wrapper_escape_mass,
 )
@@ -82,7 +78,6 @@ from .baselines import (
     find_selection_threshold,
     plug_in_solve,
     private_means,
-    random_instance,
     selection_success_fast,
     solve,
 )
@@ -98,20 +93,17 @@ __all__ = [
     "laplace",
     "make_generator",
     "FiniteDistribution",
-    "MixtureSpec",
     "ParametricHardDistribution",
     "ParityIndex",
     "binom_sum",
     "densify",
     "family_enumerate",
     "family_size",
-    "fourier_coefficient",
     "fourier_spectrum",
     "from_descriptor",
     "member_descriptor",
     "pmf_eval",
     "sample",
-    "two_point_mixture",
     "uniform_hypercube",
     "JointDistribution",
     "NormReport",
@@ -144,7 +136,6 @@ __all__ = [
     "PlugInParityLearner",
     "ShuffleToPanWrapper",
     "ThresholdReport",
-    "selection_augment",
     "threshold_distinguisher",
     "wrapper_escape_mass",
     "CalibratedRR",
@@ -154,7 +145,6 @@ __all__ = [
     "find_selection_threshold",
     "plug_in_solve",
     "private_means",
-    "random_instance",
     "selection_success_fast",
     "solve",
     "ExperimentSpec",

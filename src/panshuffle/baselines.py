@@ -24,17 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .distributions import (
-    ParametricHardDistribution,
-    ParityIndex,
-    from_descriptor,
-    member_descriptor,
-    sample as draw_from,
-)
+from .distributions import ParametricHardDistribution, from_descriptor, sample as draw_from
 from .errors import GuardError, InsufficientCohortError
 from .exact import _check_paths
 from .metrics import _hockey
@@ -54,8 +49,6 @@ __all__ = [
     "PROBLEMS",
     "MODELS",
     "ProblemInstance",
-    "random_instance",
-    "instance_candidates",
     "feature_matrix",
     "decide",
     "score",
@@ -333,6 +326,10 @@ class ProblemInstance:
     and hypothesis-test use width-1 plain members, parity problems use width
     <= k, learning uses the labeled family). A selection truth that is not one
     width-1 member with sign +1 is rejected at construction.
+
+    The truth :attr:`member`, the :attr:`candidates` and their gather table
+    :attr:`columns` are computed once per instance and cached on it; the
+    fields alone still decide equality and what ``dataclasses.replace`` keeps.
     """
 
     problem: str
@@ -350,9 +347,57 @@ class ProblemInstance:
             raise ValueError(f"unknown problem {self.problem!r}")
         _check_model(self.model)
         if self.problem == "selection":
-            member = _truth_member(self)
+            member = self.member
             if member is None or member.index.width != 1 or member.index.sign != 1:
                 raise ValueError("a selection truth must be one width-1 member with sign +1")
+
+    @cached_property
+    def member(self) -> ParametricHardDistribution | None:
+        """The truth member, or None for the uniform null.
+
+        A truth that names a whole family (no ``ell``) raises ``ValueError``.
+        """
+        if self.truth.get("family") == "uniform":
+            return None
+        member = from_descriptor(self.truth)
+        if not isinstance(member, ParametricHardDistribution):
+            raise ValueError("truth must describe one member (with 'ell') or the uniform null")
+        return member
+
+    @cached_property
+    def candidates(self) -> tuple[tuple[int, ...], ...]:
+        """Candidate subsets whose feature means drive the decision.
+
+        Selection, sparse-mean, and hypothesis-test estimate the d coordinates.
+        Parity release scans nonempty subsets of width <= k; parity learning
+        scans subsets of width <= k including the empty one, each implicitly
+        paired with the label coordinate.
+        """
+        if self.problem in ("selection", "sparse-mean", "hypothesis-test"):
+            return tuple((j,) for j in range(1, self.d + 1))
+        lo = 0 if self.problem == "parity-learning" else 1
+        out = []
+        for size in range(lo, self.k + 1):
+            out.extend(combinations(range(1, self.d + 1), size))
+        return tuple(out)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The (m, span) table of 0-based sample columns whose product is each candidate.
+
+        Row i lists candidate i's coordinates, then the label column for parity
+        learning. Shorter rows are padded with index ``width`` (the sample
+        width), which :func:`feature_matrix` points at an all-ones column. The
+        table is shared by every caller, so it is read-only.
+        """
+        label = [self.d] if self.problem == "parity-learning" else []
+        width = self.d + len(label)
+        cands = self.candidates
+        span = max((len(s) for s in cands), default=0) + len(label)
+        rows = [[j - 1 for j in s] + label + [width] * (span - len(s) - len(label)) for s in cands]
+        table = np.array(rows, dtype=np.intp).reshape(len(cands), span)
+        table.flags.writeable = False
+        return table
 
     def truth_distribution(self):
         return from_descriptor(self.truth)
@@ -361,78 +406,8 @@ class ProblemInstance:
         return draw_from(self.truth_distribution(), self.n, rng)
 
 
-def random_instance(rng, problem: str | None = None, model: str | None = None) -> ProblemInstance:
-    """A small random instance; used for agreement and smoke tests."""
-    gen = as_generator(rng)
-    prob = problem or PROBLEMS[gen.integers(len(PROBLEMS))]
-    mod = model or MODELS[gen.integers(len(MODELS))]
-    d = int(gen.integers(3, 7))
-    k = int(gen.integers(1, 3)) if prob in ("parity-release", "parity-learning") else 1
-    alpha = float(gen.uniform(0.1, 0.3))
-    n = int(gen.integers(40, 200))
-    epsilon = float(gen.uniform(0.5, 2.0))
-    delta = 1e-6
-    family = "labeled" if prob == "parity-learning" else "plain"
-    allow_uniform = prob in ("hypothesis-test", "parity-learning")
-    if allow_uniform and gen.random() < 0.25:
-        truth: dict = {"family": "uniform", "d": d + (1 if family == "labeled" else 0)}
-    else:
-        if prob == "parity-learning":
-            size = int(gen.integers(0, k + 1))
-        elif prob in ("parity-release",):
-            size = int(gen.integers(1, k + 1))
-        else:
-            size = 1
-        subset = tuple(sorted(gen.choice(np.arange(1, d + 1), size=size, replace=False).tolist()))
-        sign = 1 if prob == "selection" else (1 if gen.random() < 0.5 else -1)
-        member = ParametricHardDistribution(
-            d=d, index=ParityIndex(subset, sign), alpha=alpha, family=family
-        )
-        truth = member_descriptor(member, k=k)
-    return ProblemInstance(
-        problem=prob, model=mod, d=d, k=k, alpha=alpha, n=n,
-        epsilon=epsilon, delta=delta, truth=truth,
-    )
-
-
-def instance_candidates(inst: ProblemInstance) -> list[tuple[int, ...]]:
-    """Candidate subsets whose feature means drive the decision.
-
-    Selection, sparse-mean, and hypothesis-test estimate the d coordinates.
-    Parity release scans nonempty subsets of width <= k; parity learning scans
-    subsets of width <= k including the empty one, each implicitly paired with
-    the label coordinate.
-    """
-    if inst.problem in ("selection", "sparse-mean", "hypothesis-test"):
-        return [(j,) for j in range(1, inst.d + 1)]
-    lo = 0 if inst.problem == "parity-learning" else 1
-    out = []
-    for size in range(lo, inst.k + 1):
-        out.extend(combinations(range(1, inst.d + 1), size))
-    return out
-
-
 def feature_matrix(inst: ProblemInstance, samples: np.ndarray) -> np.ndarray:
-    """The n x m matrix of +-1 candidate-parity values for the instance."""
-    return _feature_matrix(inst, _candidate_columns(inst, instance_candidates(inst)), samples)
-
-
-def _candidate_columns(inst: ProblemInstance, cands: list) -> np.ndarray:
-    """The (m, span) table of 0-based sample columns whose product is each candidate.
-
-    Row i lists candidate i's coordinates, then the label column for parity
-    learning. Shorter rows are padded with index ``width`` (the sample width),
-    which :func:`_feature_matrix` points at an all-ones column.
-    """
-    label = [inst.d] if inst.problem == "parity-learning" else []
-    width = inst.d + len(label)
-    span = max((len(s) for s in cands), default=0) + len(label)
-    rows = [[j - 1 for j in s] + label + [width] * (span - len(s) - len(label)) for s in cands]
-    return np.array(rows, dtype=np.intp).reshape(len(cands), span)
-
-
-def _feature_matrix(inst: ProblemInstance, cols: np.ndarray, samples) -> np.ndarray:
-    """The int64 n x m feature matrix: one gather of the :func:`_candidate_columns` table.
+    """The int64 n x m matrix of +-1 candidate-parity values: one gather of ``inst.columns``.
 
     The samples (checked to be +-1 signs of the instance's width) get an
     all-ones column appended, so padded entries multiply by 1.
@@ -442,7 +417,7 @@ def _feature_matrix(inst: ProblemInstance, cols: np.ndarray, samples) -> np.ndar
     if x.shape[1] != width:
         raise ValueError(f"expected sample width {width}, got {x.shape[1]}")
     ones = np.ones((x.shape[0], 1), dtype=np.int64)
-    return np.concatenate([x, ones], axis=1)[:, cols].prod(axis=2)
+    return np.concatenate([x, ones], axis=1)[:, inst.columns].prod(axis=2)
 
 
 def decide(inst: ProblemInstance, means: np.ndarray):
@@ -454,13 +429,9 @@ def decide(inst: ProblemInstance, means: np.ndarray):
     order (nearest candidate mean vector in L2); parity-learning -> (subset,
     sign) with the largest absolute estimate (first in enumeration order on ties).
     """
-    return _decide(inst, instance_candidates(inst), means)
-
-
-def _decide(inst: ProblemInstance, cands: list, means):
     means = np.asarray(means, dtype=np.float64)
     if inst.problem == "selection":
-        return int(cands[int(np.argmax(means))][0])
+        return int(inst.candidates[int(np.argmax(means))][0])
     if inst.problem in ("sparse-mean", "parity-release"):
         return means
     if inst.problem == "hypothesis-test":
@@ -474,16 +445,7 @@ def _decide(inst: ProblemInstance, cands: list, means):
         dists = [float(np.sum((means - c) ** 2)) for c in candidates]
         return int(np.argmin(dists))
     best = int(np.argmax(np.abs(means)))
-    return (cands[best], 1 if means[best] >= 0 else -1)
-
-
-def _truth_member(inst: ProblemInstance) -> ParametricHardDistribution | None:
-    if inst.truth.get("family") == "uniform":
-        return None
-    member = from_descriptor(inst.truth)
-    if not isinstance(member, ParametricHardDistribution):
-        raise ValueError("truth must describe one member (with 'ell') or the uniform null")
-    return member
+    return (inst.candidates[best], 1 if means[best] >= 0 else -1)
 
 
 def true_means(inst: ProblemInstance) -> np.ndarray:
@@ -492,19 +454,18 @@ def true_means(inst: ProblemInstance) -> np.ndarray:
     Each candidate's parity mean, with the label coordinate appended for
     parity learning; the uniform null gives zeros.
     """
-    member = _truth_member(inst)
-    cands = instance_candidates(inst)
+    member = inst.member
     if member is None:
-        return np.zeros(len(cands))
+        return np.zeros(len(inst.candidates))
     label = (inst.d + 1,) if inst.problem == "parity-learning" else ()
-    return np.array([member.parity_mean(s + label) for s in cands], dtype=np.float64)
+    return np.array([member.parity_mean(s + label) for s in inst.candidates], dtype=np.float64)
 
 
 def score(inst: ProblemInstance, decision) -> bool:
     """Exact success predicate against the instance's truth descriptor."""
     if inst.problem in ("sparse-mean", "parity-release"):
         return float(np.abs(np.asarray(decision) - true_means(inst)).max()) < inst.alpha
-    member = _truth_member(inst)
+    member = inst.member
     if inst.problem == "selection":
         return decision == member.index.subset[0]
     if inst.problem == "hypothesis-test":
@@ -520,17 +481,13 @@ def score(inst: ProblemInstance, decision) -> bool:
 
 def solve(inst: ProblemInstance, samples: np.ndarray, rng=None):
     """Estimate candidate means under the instance's model, then decide."""
-    cands = instance_candidates(inst)
-    features = _feature_matrix(inst, _candidate_columns(inst, cands), samples)
-    means = _private_means(features, inst.model, inst.epsilon, inst.delta, rng)
-    return _decide(inst, cands, means)
+    features = feature_matrix(inst, samples)
+    return decide(inst, _private_means(features, inst.model, inst.epsilon, inst.delta, rng))
 
 
 def plug_in_solve(inst: ProblemInstance, samples: np.ndarray):
     """Noiseless baseline: exact empirical means, same decision rule."""
-    cands = instance_candidates(inst)
-    features = _feature_matrix(inst, _candidate_columns(inst, cands), samples)
-    return _decide(inst, cands, _sign_means(features))
+    return decide(inst, _sign_means(feature_matrix(inst, samples)))
 
 
 # ---------------------------------------------------------------------------

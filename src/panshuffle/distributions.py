@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -45,13 +45,11 @@ __all__ = [
     "ParityIndex",
     "FiniteDistribution",
     "ParametricHardDistribution",
-    "MixtureSpec",
     "pmf_eval",
     "sample",
     "densify",
     "family_enumerate",
     "family_size",
-    "fourier_coefficient",
     "fourier_spectrum",
     "binom_sum",
     "uniform_hypercube",
@@ -59,7 +57,6 @@ __all__ = [
     "vectors_to_index",
     "subset_mask",
     "parity_values",
-    "two_point_mixture",
     "member_descriptor",
     "from_descriptor",
 ]
@@ -255,37 +252,7 @@ class ParametricHardDistribution:
         return 0.0 if s else 1.0
 
 
-Distribution = Union[FiniteDistribution, ParametricHardDistribution, "MixtureSpec"]
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Finite mixture of distributions sharing one hypercube dimension."""
-
-    components: tuple
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.components) != len(self.weights) or not self.components:
-            raise ValueError("components and weights must be nonempty, same length")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        dims = {dimension_of(c) for c in self.components}
-        if len(dims) != 1:
-            raise ValueError(f"components disagree on dimension: {dims}")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
-
-    @property
-    def dim(self) -> int:
-        return dimension_of(self.components[0])
-
-
-def two_point_mixture(dist: Distribution, weight: float, reference: Distribution) -> MixtureSpec:
-    """``weight * dist + (1 - weight) * reference`` as a MixtureSpec."""
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must be in [0, 1], got {weight}")
-    return MixtureSpec((dist, reference), (weight, 1.0 - weight))
+Distribution = Union[FiniteDistribution, ParametricHardDistribution]
 
 
 def dimension_of(dist: Distribution) -> int:
@@ -294,8 +261,6 @@ def dimension_of(dist: Distribution) -> int:
     if isinstance(dist, FiniteDistribution):
         if dist.dim is None:
             raise ValueError("FiniteDistribution lacks a hypercube dimension")
-        return dist.dim
-    if isinstance(dist, MixtureSpec):
         return dist.dim
     raise TypeError(f"not a distribution: {type(dist).__name__}")
 
@@ -318,12 +283,8 @@ def pmf_eval(dist: Distribution, x: np.ndarray) -> np.ndarray | float:
         cols = [j - 1 for j in dist.tilted_subset]
         par = rows[:, cols].prod(axis=1)
         out = (1.0 + dist.bias * par) / float(1 << dim)
-    elif isinstance(dist, FiniteDistribution):
-        out = dist.probs[vectors_to_index(rows)]
     else:
-        out = np.zeros(rows.shape[0])
-        for comp, w in zip(dist.components, dist.weights):
-            out = out + w * np.atleast_1d(pmf_eval(comp, rows))
+        out = dist.probs[vectors_to_index(rows)]
     return float(out[0]) if single else out
 
 
@@ -352,14 +313,6 @@ def sample(dist: Distribution, n: int, rng) -> np.ndarray:
         if dist.dim is None:
             return idx
         return index_to_vectors(idx, dist.dim)
-    if isinstance(dist, MixtureSpec):
-        picks = gen.choice(len(dist.components), size=n, p=np.asarray(dist.weights))
-        out = np.empty((n, dist.dim), dtype=np.int8)
-        for c, comp in enumerate(dist.components):
-            sel = picks == c
-            if sel.any():
-                out[sel] = sample(comp, int(sel.sum()), gen)
-        return out
     raise TypeError(f"not a distribution: {type(dist).__name__}")
 
 
@@ -370,14 +323,8 @@ def densify(dist: Distribution) -> FiniteDistribution:
         raise GuardError(f"densify guarded at dim <= {DENSIFY_MAX_DIM}, got {dim}")
     if isinstance(dist, FiniteDistribution):
         return dist
-    if isinstance(dist, ParametricHardDistribution):
-        chi = parity_values(dist.tilted_subset, dim).astype(np.float64)
-        probs = (1.0 + dist.bias * chi) / float(1 << dim)
-        return FiniteDistribution(probs, dim=dim)
-    probs = np.zeros(1 << dim)
-    for comp, w in zip(dist.components, dist.weights):
-        probs += w * densify(comp).probs
-    return FiniteDistribution(probs, dim=dim)
+    chi = parity_values(dist.tilted_subset, dim).astype(np.float64)
+    return FiniteDistribution((1.0 + dist.bias * chi) / float(1 << dim), dim=dim)
 
 
 def family_size(d: int, k: int, family: str = "plain") -> int:
@@ -409,17 +356,6 @@ def family_enumerate(
                 )
     assert len(members) == family_size(d, k, family)
     return members
-
-
-def fourier_coefficient(dist: FiniteDistribution | ParametricHardDistribution,
-                        subset: Sequence[int]) -> float:
-    """E[prod_{j in subset} x_j] under ``dist`` (the empty product is 1)."""
-    if isinstance(dist, ParametricHardDistribution):
-        return dist.parity_mean(subset)
-    if dist.dim is None:
-        raise ValueError("need a hypercube FiniteDistribution")
-    chi = parity_values(tuple(subset), dist.dim).astype(np.float64)
-    return float(dist.probs @ chi)
 
 
 def fourier_spectrum(values: np.ndarray | FiniteDistribution) -> np.ndarray:
@@ -460,18 +396,28 @@ def member_descriptor(dist: ParametricHardDistribution, k: int | None = None) ->
 
 
 def from_descriptor(desc: dict | str):
-    """Rebuild a member (ell present) or a family list (ell absent) from JSON."""
+    """Rebuild a member (ell present) or a family list (ell absent) from JSON.
+
+    A key the descriptor needs but lacks (or holds null) raises ``ValueError``
+    naming the key.
+    """
     if isinstance(desc, str):
         desc = json.loads(desc)
+
+    def need(key: str):
+        if desc.get(key) is None:
+            raise ValueError(f"descriptor lacks the key {key!r}: {desc!r}")
+        return desc[key]
+
     family = desc.get("family", "plain")
     if family == "uniform":
-        return uniform_hypercube(int(desc["d"]))
-    d, alpha = int(desc["d"]), float(desc["alpha"])
+        return uniform_hypercube(int(need("d")))
+    d, alpha = int(need("d")), float(need("alpha"))
     if desc.get("ell") is None:
-        return family_enumerate(d, int(desc["k"]), alpha, family)
+        return family_enumerate(d, int(need("k")), alpha, family)
     return ParametricHardDistribution(
         d=d,
-        index=ParityIndex(tuple(int(j) for j in desc["ell"]), int(desc["b"])),
+        index=ParityIndex(tuple(int(j) for j in desc["ell"]), int(need("b"))),
         alpha=alpha,
         family=family,
     )

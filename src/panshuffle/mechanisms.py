@@ -26,8 +26,7 @@ from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
-from .errors import GuardError
-from .rng import as_generator, laplace
+from .rng import as_generator
 
 __all__ = [
     "PrivacyBudget",
@@ -41,7 +40,6 @@ __all__ = [
     "binary_randomized_response",
     "asymmetric_binary_randomizer",
     "echo_randomizer",
-    "one_count_analyzer",
     "threshold_analyzer",
     "histogram_analyzer",
     "quantized_laplace_pmf",
@@ -50,7 +48,6 @@ __all__ = [
     "noisy_parity_chain",
     "saturating_counter",
     "constant_mechanism",
-    "last_element_echo",
     "mechanism_from_manifest",
 ]
 
@@ -321,14 +318,6 @@ def echo_randomizer(alphabet: tuple) -> Randomizer:
     return Randomizer(alphabet=alphabet, kernel_fn=kernel, batch_fn=batch, name="echo")
 
 
-def one_count_analyzer() -> Analyzer:
-    """Output the number of 1-messages (binary alphabet)."""
-    return Analyzer(
-        fn=lambda counts: int(counts[1]),
-        name="one-count",
-    )
-
-
 def threshold_analyzer(cutoff: int) -> Analyzer:
     """Output 1 when the 1-message count exceeds ``cutoff`` (binary alphabet)."""
     return Analyzer(
@@ -481,16 +470,6 @@ def constant_mechanism(value: Hashable = 0, name: str = "constant") -> PanPrivat
         init_kernel={0: 1.0},
         update_kernel=lambda i, x, s: {0: 1.0},
         output_kernel=lambda s: {value: 1.0},
-    )
-
-
-def last_element_echo(name: str = "last-echo") -> PanPrivateAlgorithm:
-    """State = most recent element (maximally leaky; certificate stress case)."""
-    return PanPrivateAlgorithm(
-        name=name,
-        init_kernel={None: 1.0},
-        update_kernel=lambda i, x, s: {x: 1.0},
-        output_kernel=lambda s: {s: 1.0},
     )
 
 

@@ -1,6 +1,6 @@
 """Reductions between trust models and between learning and distinguishing.
 
-Three constructions live here:
+Two constructions live here:
 
 * :class:`ShuffleToPanWrapper` turns any single-round shuffled protocol whose
   declared guarantee tolerates a one-third participation floor into an online
@@ -10,9 +10,6 @@ Three constructions live here:
   running the analyzer. On an all-reference stream the output law is exactly
   the protocol's; on iid draws from any other law the gap to the protocol's
   law on the (2/9)-diluted mixture is at most the tail P[Bin(n, 2/9) > n/3].
-
-* :func:`selection_augment` appends a fresh biased sign to each hypercube
-  element, converting mean-estimation inputs into labeled-parity inputs.
 
 * :class:`LearnerDistinguisher` runs a parity learner on a prefix, then counts
   label agreements of the learned parity on a test phase behind symmetric
@@ -30,16 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import bdtrc
 
-from .baselines import (
-    ProblemInstance,
-    _binomial_rows,
-    _candidate_columns,
-    _decide,
-    _feature_matrix,
-    _sign_means,
-    instance_candidates,
-    wilson_interval,
-)
+from .baselines import ProblemInstance, _binomial_rows, plug_in_solve, wilson_interval
 from .distributions import ParametricHardDistribution, ParityIndex
 from .distributions import sample as draw_from
 from .errors import GuardError
@@ -50,9 +38,6 @@ from . import exact as ex
 __all__ = [
     "ShuffleToPanWrapper",
     "wrapper_escape_mass",
-    "selection_augment",
-    "augment_stream",
-    "augment_kernel",
     "PlantedLearner",
     "PlugInParityLearner",
     "LearnerDistinguisher",
@@ -255,33 +240,6 @@ class ShuffleToPanWrapper:
 
 
 # ---------------------------------------------------------------------------
-# stream augmentation
-
-
-def selection_augment(x: np.ndarray, alpha: float, rng) -> np.ndarray:
-    """Append one fresh sign with mean ``alpha`` to each hypercube row."""
-    x = np.atleast_2d(np.asarray(x))
-    rng = as_generator(rng)
-    labels = np.where(rng.random(x.shape[0]) < (1.0 + alpha) / 2.0, 1, -1)
-    return np.column_stack([x, labels.astype(x.dtype)])
-
-
-def augment_stream(stream: Sequence, alpha: float, rng) -> list:
-    """Augment a stream of sign tuples; keeps tuples as tuples."""
-    rng = as_generator(rng)
-    rows = np.array([list(x) for x in stream], dtype=np.int64)
-    out = selection_augment(rows, alpha, rng)
-    return [tuple(int(v) for v in row) for row in out]
-
-
-def augment_kernel(x: tuple, alpha: float) -> dict:
-    """Exact law of the augmented element given the original: two outcomes."""
-    plus = tuple(x) + (1,)
-    minus = tuple(x) + (-1,)
-    return {plus: (1.0 + alpha) / 2.0, minus: (1.0 - alpha) / 2.0}
-
-
-# ---------------------------------------------------------------------------
 # learners
 
 
@@ -301,28 +259,24 @@ class PlugInParityLearner:
 
     Picks the (subset, sign) whose labeled-parity empirical mean is largest;
     no privacy of its own, used to exercise the reduction end to end. The
-    parity-learning instance, its candidates and their column table are built
-    once per learner, so a fit is one gather of the sample columns.
+    parity-learning instance is built once per learner and caches its
+    candidates and column table, so a fit is one gather of the sample columns.
     """
 
     d: int
     k: int
 
     @cached_property
-    def _plan(self) -> tuple[ProblemInstance, list, np.ndarray]:
-        """The noiseless instance, its candidates and their :func:`_candidate_columns`."""
-        inst = ProblemInstance(
+    def _instance(self) -> ProblemInstance:
+        """The noiseless parity-learning instance; it caches its candidates and column table."""
+        return ProblemInstance(
             problem="parity-learning", model="central", d=self.d, k=self.k, alpha=0.0,
             n=0, epsilon=math.inf, delta=0.0, truth={"family": "uniform", "d": self.d + 1},
         )
-        cands = instance_candidates(inst)
-        return inst, cands, _candidate_columns(inst, cands)
 
     def fit(self, samples: np.ndarray) -> ParityIndex:
         """The noiseless parity-learning decision of :func:`baselines.plug_in_solve`."""
-        inst, cands, cols = self._plan
-        means = _sign_means(_feature_matrix(inst, cols, samples))
-        return ParityIndex(*_decide(inst, cands, means))
+        return ParityIndex(*plug_in_solve(self._instance, samples))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from scipy.stats import ks_2samp
 from panshuffle.baselines import (
     calibrate_rr,
     plug_in_solve,
-    random_instance,
     solve,
     wilson_interval,
 )
@@ -67,6 +66,7 @@ from panshuffle.reductions import (
 from panshuffle.rng import laplace, make_generator
 
 from oracles.advantage_oracle import FROZEN_ADVANTAGE
+from oracles.instances import random_instance
 from oracles.norm_oracle import labeled_norm_sq, plain_norm_sq
 
 MASTER_SEED = 20260817

@@ -24,11 +24,9 @@ from panshuffle.baselines import (
     empirical_means,
     feature_matrix,
     find_selection_threshold,
-    instance_candidates,
     pan_noise_parameters,
     plug_in_solve,
     private_means,
-    random_instance,
     rr_count_pmf,
     score,
     selection_success_fast,
@@ -41,6 +39,7 @@ from panshuffle.errors import InsufficientCohortError
 from panshuffle.rng import make_generator
 
 from oracles.feature_oracle import feature_matrix_by_columns
+from oracles.instances import random_instance
 
 
 def test_rr_count_pmf_is_binomial_convolution():
@@ -181,10 +180,10 @@ def test_instance_candidates_shapes():
 
     width_one = ParametricHardDistribution(d=4, index=ParityIndex((2,), 1), alpha=0.2)
     selection = inst("selection", member_descriptor(width_one, k=2))
-    assert instance_candidates(selection) == [(1,), (2,), (3,), (4,)]
-    release = instance_candidates(inst("parity-release"))
+    assert selection.candidates == ((1,), (2,), (3,), (4,))
+    release = inst("parity-release").candidates
     assert release[0] == (1,) and len(release) == 4 + 6
-    learning = instance_candidates(inst("parity-learning"))
+    learning = inst("parity-learning").candidates
     assert learning[0] == () and len(learning) == 1 + 4 + 6
 
 
@@ -229,7 +228,7 @@ def test_feature_matrix_matches_the_column_loop_oracle(problem):
     for d, k in _FEATURE_SHAPES[problem]:
         inst = _feature_instance(problem, d, k)
         width = d + (problem == "parity-learning")
-        cands = instance_candidates(inst)
+        cands = inst.candidates
         for n in (0, 1, 2, 199):
             rows = (rng.integers(0, 2, size=(n, width), dtype=np.int8) * 2 - 1).astype(np.int8)
             got = feature_matrix(inst, rows)
@@ -292,7 +291,7 @@ def test_score_sparse_mean_and_parity_release():
     assert score(inst, truth_mu + 0.1)
     assert not score(inst, truth_mu + np.array([0.0, 0.25, 0.0]))
     release = dataclasses.replace(inst, problem="parity-release")
-    truths = np.array([member.parity_mean(s) for s in instance_candidates(release)])
+    truths = np.array([member.parity_mean(s) for s in release.candidates])
     assert score(release, truths + 0.19)
     assert not score(release, truths + 0.21)
 
@@ -305,7 +304,7 @@ def test_score_parity_learning_and_true_means():
         problem="parity-learning", model="central", d=3, k=2, alpha=0.2, n=10,
         epsilon=1.0, delta=1e-6, truth=member_descriptor(member, k=2),
     )
-    cands = instance_candidates(inst)
+    cands = inst.candidates
     want = np.zeros(len(cands))
     want[cands.index((1, 3))] = -0.4  # the label is part of the tilted parity
     assert np.array_equal(true_means(inst), want)
@@ -317,6 +316,21 @@ def test_score_parity_learning_and_true_means():
     with pytest.raises(ValueError, match="one member"):
         true_means(dataclasses.replace(inst, truth={"family": "labeled", "d": 3, "k": 2,
                                                     "alpha": 0.2}))
+
+
+def test_truth_must_describe_one_member():
+    """A family descriptor (no ``ell``) is not a truth: selection rejects it when
+    built, and sparse-mean when its truth is first read."""
+    family = {"family": "plain", "d": 3, "k": 1, "alpha": 0.2}
+    fields = dict(model="central", d=3, k=1, alpha=0.2, n=10, epsilon=1.0, delta=1e-6,
+                  truth=family)
+    with pytest.raises(ValueError, match="truth must describe one member"):
+        ProblemInstance(problem="selection", **fields)
+    inst = ProblemInstance(problem="sparse-mean", **fields)
+    with pytest.raises(ValueError, match="truth must describe one member"):
+        true_means(inst)
+    with pytest.raises(ValueError, match="truth must describe one member"):
+        score(inst, np.zeros(3))
 
 
 _BAD_SELECTION_TRUTH = """
@@ -379,7 +393,7 @@ def test_solve_is_decide_of_private_means(model):
         inst = random_instance(rng, model=model)
         if model == "shuffle":
             # the closed-form calibration needs a per-feature budget <= 1 and a large cohort
-            m = len(instance_candidates(inst))
+            m = len(inst.candidates)
             inst = dataclasses.replace(
                 inst, n=3000, delta=0.05, epsilon=0.9 * math.sqrt(8 * m * math.log(20.0))
             )

@@ -18,12 +18,12 @@ from panshuffle.mechanisms import (
     binary_randomized_response,
     echo_randomizer,
     histogram_analyzer,
-    one_count_analyzer,
     threshold_analyzer,
 )
 from panshuffle.reductions import ShuffleToPanWrapper
 
 from oracles import cohort_oracle
+from oracles.toy_mechanisms import one_count_analyzer
 
 ECHO3 = echo_randomizer((0, 1, 2))
 

@@ -30,7 +30,6 @@ from panshuffle.mechanisms import (
     asymmetric_binary_randomizer,
     binary_randomized_response,
     constant_mechanism,
-    last_element_echo,
     noisy_parity_chain,
     quantized_laplace_counter,
     saturating_counter,
@@ -39,6 +38,7 @@ from panshuffle.mechanisms import (
 from panshuffle.distributions import FiniteDistribution
 from panshuffle.rng import make_generator
 
+from oracles.toy_mechanisms import last_element_echo
 from oracles.wrapper_oracle import count_pmf
 
 

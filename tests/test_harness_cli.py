@@ -371,6 +371,19 @@ def test_cli_bad_json_argument_exits_one_in_one_line(argv, named, tmp_path, monk
     assert all(part in err for part in named), err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["sample", "--dist", '{"family": "plain"}'], "'d'"),
+    (["tv", "--dist-a", '{"family": "plain", "d": 3, "ell": [1], "b": 1}', "--dist-b", _MEMBER],
+     "'alpha'"),
+], ids=["sample-without-d", "tv-without-alpha"])
+def test_cli_descriptor_without_a_key_exits_one_in_one_line(argv, key, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: descriptor lacks the key {key}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("neighbors, key", [
     ('{"a": 1, "b": [0]}', "stream_a"),
     ('{"a": [1], "b": "0"}', "stream_b"),

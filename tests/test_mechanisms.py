@@ -15,10 +15,8 @@ from panshuffle.mechanisms import (
     constant_mechanism,
     echo_randomizer,
     histogram_analyzer,
-    last_element_echo,
     mechanism_from_manifest,
     noisy_parity_chain,
-    one_count_analyzer,
     quantization_slack,
     quantized_laplace_counter,
     quantized_laplace_pmf,
@@ -28,6 +26,8 @@ from panshuffle.mechanisms import (
     threshold_analyzer,
 )
 from panshuffle.rng import make_generator
+
+from oracles.toy_mechanisms import last_element_echo, one_count_analyzer
 
 
 def fair_protocol(n=4, flip_p=0.3, gamma=1.0):

@@ -23,13 +23,13 @@ from panshuffle.exact import (
     exact_pan_view,
 )
 from panshuffle.mechanisms import (
-    last_element_echo,
     noisy_parity_chain,
     quantized_laplace_counter,
     saturating_counter,
 )
 
 from oracles import pan_oracle
+from oracles.toy_mechanisms import last_element_echo
 
 GRID = [0.0, 0.25, 0.5, 1.0, 2.0]
 

@@ -37,9 +37,6 @@ from panshuffle.reductions import (
     PlantedLearner,
     PlugInParityLearner,
     ShuffleToPanWrapper,
-    augment_kernel,
-    augment_stream,
-    selection_augment,
     threshold_distinguisher,
     wrapper_escape_mass,
 )
@@ -195,29 +192,6 @@ def test_shuffle_to_pan_factory_sets_metadata():
     alg = ShuffleToPanWrapper(protocol=_rr_protocol(6, 3), reference=REF).as_pan_algorithm()
     assert alg.meta == {"n": 6, "stream_len": 2}
     assert alg.name == "shuffle-to-pan"
-
-
-def test_selection_augment_appends_biased_label():
-    rng = make_generator(7, "augment")
-    x = (rng.integers(0, 2, size=(50_000, 3)) * 2 - 1).astype(np.int64)
-    out = selection_augment(x, alpha=0.2, rng=rng)
-    assert out.shape == (50_000, 4)
-    assert np.array_equal(out[:, :3], x)
-    assert set(np.unique(out[:, 3])) == {-1, 1}
-    assert float(out[:, 3].mean()) == pytest.approx(0.2, abs=0.02)
-
-
-def test_augment_stream_keeps_tuples():
-    rng = make_generator(8, "augment-stream")
-    stream = [(1, -1), (-1, -1), (1, 1)]
-    out = augment_stream(stream, alpha=0.5, rng=rng)
-    assert all(isinstance(row, tuple) and len(row) == 3 for row in out)
-    assert [row[:2] for row in out] == stream
-
-
-def test_augment_kernel_is_two_point():
-    kern = augment_kernel((1, -1), alpha=0.3)
-    assert kern == pytest.approx({(1, -1, 1): 0.65, (1, -1, -1): 0.35})
 
 
 def test_planted_learner_is_constant():
