@@ -30,16 +30,12 @@ from .distributions import (
     uniform_hypercube,
 )
 from .metrics import (
-    JointDistribution,
     NormReport,
-    fact_markov_check,
-    fact_tv_chain_check,
     hockey_stick,
     infty_to_2_norm_bruteforce,
     kl_divergence,
     mutual_information,
     parity_family_norm_bound_sq,
-    pinsker_check,
     tv_distance,
 )
 from .mechanisms import (
@@ -105,16 +101,12 @@ __all__ = [
     "pmf_eval",
     "sample",
     "uniform_hypercube",
-    "JointDistribution",
     "NormReport",
-    "fact_markov_check",
-    "fact_tv_chain_check",
     "hockey_stick",
     "infty_to_2_norm_bruteforce",
     "kl_divergence",
     "mutual_information",
     "parity_family_norm_bound_sq",
-    "pinsker_check",
     "tv_distance",
     "Analyzer",
     "PanPrivateAlgorithm",

@@ -327,9 +327,10 @@ class ProblemInstance:
     <= k, learning uses the labeled family). A selection truth that is not one
     width-1 member with sign +1 is rejected at construction.
 
-    The truth :attr:`member`, the :attr:`candidates` and their gather table
-    :attr:`columns` are computed once per instance and cached on it; the
-    fields alone still decide equality and what ``dataclasses.replace`` keeps.
+    The parsed :attr:`truth_distribution`, the truth :attr:`member`, the
+    :attr:`candidates` and their gather table :attr:`columns` are computed
+    once per instance and cached on it; the fields alone still decide
+    equality and what ``dataclasses.replace`` keeps.
     """
 
     problem: str
@@ -352,6 +353,11 @@ class ProblemInstance:
                 raise ValueError("a selection truth must be one width-1 member with sign +1")
 
     @cached_property
+    def truth_distribution(self):
+        """The truth descriptor, parsed once: a member, the uniform null, or a family list."""
+        return from_descriptor(self.truth)
+
+    @cached_property
     def member(self) -> ParametricHardDistribution | None:
         """The truth member, or None for the uniform null.
 
@@ -359,7 +365,7 @@ class ProblemInstance:
         """
         if self.truth.get("family") == "uniform":
             return None
-        member = from_descriptor(self.truth)
+        member = self.truth_distribution
         if not isinstance(member, ParametricHardDistribution):
             raise ValueError("truth must describe one member (with 'ell') or the uniform null")
         return member
@@ -399,11 +405,8 @@ class ProblemInstance:
         table.flags.writeable = False
         return table
 
-    def truth_distribution(self):
-        return from_descriptor(self.truth)
-
     def sample_data(self, rng) -> np.ndarray:
-        return draw_from(self.truth_distribution(), self.n, rng)
+        return draw_from(self.truth_distribution, self.n, rng)
 
 
 def feature_matrix(inst: ProblemInstance, samples: np.ndarray) -> np.ndarray:
@@ -547,14 +550,14 @@ def find_selection_threshold(
     confirm_trials: int = 1000,
     master_seed: int = 0,
     tag: str = "nstar",
-    corridor_divisor: int = 8,
 ) -> ThresholdSearchResult:
     """Smallest confirmed sample size where fast selection succeeds at rate target.
 
     Doubles from n = 64 until a pilot clears the target, bisects to about
     1.5% granularity, then confirms with fresh trials, requiring the Wilson
     99% lower bound to clear ``target - 0.03``; on a failed confirmation the
-    candidate is bumped by 25% (at most six times). All stages draw from
+    candidate is bumped by 25% (at most six times). The confirmed size over 8
+    is then run once more as the corridor. All stages draw from
     streams derived via (master_seed, tag, model, d, stage, n), so the search
     is reproducible regardless of call order.
     """
@@ -582,7 +585,7 @@ def find_selection_threshold(
         confirmed = rate(candidate, confirm_trials, "confirm")
         lo_w, _ = wilson_interval(confirmed * confirm_trials, confirm_trials)
         if lo_w >= target - 0.03:
-            corridor_n = max(1, candidate // corridor_divisor)
+            corridor_n = max(1, candidate // 8)
             corr = rate(corridor_n, confirm_trials, "corridor")
             return ThresholdSearchResult(
                 d=d, model=model, n_star=candidate, success_at_n_star=confirmed,

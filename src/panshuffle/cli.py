@@ -17,6 +17,7 @@ import numpy as np
 
 from .baselines import MODELS
 from .distributions import densify, from_descriptor, index_to_vectors, sample as draw_from
+from .errors import GuardError, InsufficientCohortError
 from .harness import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
@@ -312,11 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ``ValueError`` from it exits 1 with one ``error:`` line."""
+    """Run one subcommand; a bad input or a guard it trips exits 1 with one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as err:
+    except (ValueError, GuardError, InsufficientCohortError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

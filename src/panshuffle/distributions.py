@@ -28,8 +28,8 @@ ones.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence, Union
@@ -142,15 +142,10 @@ class ParityIndex:
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """Dense pmf over a finite domain; ``dim`` marks a full sign hypercube.
-
-    When ``dim`` is set the domain is ``{-1,+1}^dim`` in the documented index
-    order and sampling returns sign vectors; otherwise outcomes are the bare
-    indices ``0..len(probs)-1``.
-    """
+    """Dense pmf over the sign hypercube ``{-1,+1}^dim`` in the documented index order."""
 
     probs: np.ndarray
-    dim: int | None = None
+    dim: int
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64).copy()
@@ -165,11 +160,8 @@ class FiniteDistribution:
         probs /= total
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        if self.dim is not None:
-            if 1 << self.dim != probs.size:
-                raise ValueError(
-                    f"dim={self.dim} implies {1 << self.dim} outcomes, got {probs.size}"
-                )
+        if 1 << self.dim != probs.size:
+            raise ValueError(f"dim={self.dim} implies {1 << self.dim} outcomes, got {probs.size}")
 
     @property
     def size(self) -> int:
@@ -189,15 +181,13 @@ class ParametricHardDistribution:
 
     ``alpha`` must lie in the open interval (0, 1/2); the degenerate endpoints
     (alpha = 0, the uniform distribution, and alpha = 1/2, a deterministic
-    parity) are admitted only with ``allow_degenerate=True`` and are intended
-    for tests and noiseless baselines.
+    parity) are rejected.
     """
 
     d: int
     index: ParityIndex
     alpha: float
     family: str = "plain"
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         if self.family not in ("plain", "labeled"):
@@ -210,15 +200,8 @@ class ParametricHardDistribution:
             )
         if self.family == "plain" and not self.index.subset:
             raise ValueError("plain-family members need a nonempty subset")
-        if self.allow_degenerate:
-            ok = 0.0 <= self.alpha <= 0.5
-        else:
-            ok = 0.0 < self.alpha < 0.5
-        if not ok:
-            raise ValueError(
-                f"alpha must lie in {'[0, 1/2]' if self.allow_degenerate else '(0, 1/2)'},"
-                f" got {self.alpha}"
-            )
+        if not 0.0 < self.alpha < 0.5:
+            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
 
     @property
     def dim(self) -> int:
@@ -237,13 +220,6 @@ class ParametricHardDistribution:
         """Coefficient of the tilt: pmf(x) = (1 + bias * parity(x)) / 2^dim."""
         return 2.0 * self.alpha * self.index.sign
 
-    def mean_vector(self) -> np.ndarray:
-        """Exact per-coordinate means (nonzero only for a width-1 tilt)."""
-        mu = np.zeros(self.dim)
-        if len(self.tilted_subset) == 1:
-            mu[self.tilted_subset[0] - 1] = self.bias
-        return mu
-
     def parity_mean(self, subset: Sequence[int]) -> float:
         """Exact E[prod_{j in subset} x_j]; bias on the tilted set, else 0."""
         s = tuple(sorted(set(int(j) for j in subset)))
@@ -253,16 +229,6 @@ class ParametricHardDistribution:
 
 
 Distribution = Union[FiniteDistribution, ParametricHardDistribution]
-
-
-def dimension_of(dist: Distribution) -> int:
-    if isinstance(dist, ParametricHardDistribution):
-        return dist.dim
-    if isinstance(dist, FiniteDistribution):
-        if dist.dim is None:
-            raise ValueError("FiniteDistribution lacks a hypercube dimension")
-        return dist.dim
-    raise TypeError(f"not a distribution: {type(dist).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +242,7 @@ def pmf_eval(dist: Distribution, x: np.ndarray) -> np.ndarray | float:
     rows = np.atleast_2d(arr)
     if not np.isin(rows, (-1, 1)).all():
         raise ValueError("entries must be +-1 signs")
-    dim = dimension_of(dist)
+    dim = dist.dim
     if rows.shape[1] != dim:
         raise ValueError(f"expected dimension {dim}, got {rows.shape[1]}")
     if isinstance(dist, ParametricHardDistribution):
@@ -289,7 +255,7 @@ def pmf_eval(dist: Distribution, x: np.ndarray) -> np.ndarray | float:
 
 
 def sample(dist: Distribution, n: int, rng) -> np.ndarray:
-    """Draw ``n`` points; rows are +-1 sign vectors for hypercube domains.
+    """Draw ``n`` points as the rows of an int8 matrix of +-1 signs.
 
     Hard-family members are sampled without densifying: all coordinates are
     drawn uniformly, a target parity sign is drawn with probability
@@ -309,16 +275,13 @@ def sample(dist: Distribution, n: int, rng) -> np.ndarray:
         x[:, pivot] = (s * partial).astype(np.int8)
         return x
     if isinstance(dist, FiniteDistribution):
-        idx = gen.choice(dist.size, size=n, p=dist.probs)
-        if dist.dim is None:
-            return idx
-        return index_to_vectors(idx, dist.dim)
+        return index_to_vectors(gen.choice(dist.size, size=n, p=dist.probs), dist.dim)
     raise TypeError(f"not a distribution: {type(dist).__name__}")
 
 
 def densify(dist: Distribution) -> FiniteDistribution:
     """Materialize the full pmf vector (guarded at dim <= 20)."""
-    dim = dimension_of(dist)
+    dim = dist.dim
     if dim > DENSIFY_MAX_DIM:
         raise GuardError(f"densify guarded at dim <= {DENSIFY_MAX_DIM}, got {dim}")
     if isinstance(dist, FiniteDistribution):
@@ -358,14 +321,12 @@ def family_enumerate(
     return members
 
 
-def fourier_spectrum(values: np.ndarray | FiniteDistribution) -> np.ndarray:
+def fourier_spectrum(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh transform: W[mask] = sum_x v[x] * chi_mask(x).
 
     Applied to a pmf this returns every parity expectation at once, indexed by
     the subset's bit mask (see :func:`subset_mask`).
     """
-    if isinstance(values, FiniteDistribution):
-        values = values.probs
     v = np.asarray(values, dtype=np.float64).copy()
     m = v.size
     if m & (m - 1):
@@ -395,19 +356,36 @@ def member_descriptor(dist: ParametricHardDistribution, k: int | None = None) ->
     }
 
 
-def from_descriptor(desc: dict | str):
-    """Rebuild a member (ell present) or a family list (ell absent) from JSON.
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# the JSON type each descriptor key takes, as (description, test)
+_DESCRIPTOR_VALUES = {
+    "d": ("an integer", _integer),
+    "k": ("an integer", _integer),
+    "b": ("an integer", _integer),
+    "alpha": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "ell": ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(_integer, v))),
+}
+
+
+def from_descriptor(desc: dict):
+    """Rebuild a member (ell present) or a family list (ell absent) from a descriptor.
 
     A key the descriptor needs but lacks (or holds null) raises ``ValueError``
-    naming the key.
+    naming the key, and a value of the wrong JSON type one naming the key and
+    the value.
     """
-    if isinstance(desc, str):
-        desc = json.loads(desc)
 
     def need(key: str):
-        if desc.get(key) is None:
+        value = desc.get(key)
+        if value is None:
             raise ValueError(f"descriptor lacks the key {key!r}: {desc!r}")
-        return desc[key]
+        want, accepts = _DESCRIPTOR_VALUES[key]
+        if not accepts(value):
+            raise ValueError(f"descriptor key {key!r} must be {want}, got {value!r}")
+        return value
 
     family = desc.get("family", "plain")
     if family == "uniform":
@@ -417,7 +395,7 @@ def from_descriptor(desc: dict | str):
         return family_enumerate(d, int(need("k")), alpha, family)
     return ParametricHardDistribution(
         d=d,
-        index=ParityIndex(tuple(int(j) for j in desc["ell"]), int(need("b"))),
+        index=ParityIndex(tuple(need("ell")), int(need("b"))),
         alpha=alpha,
         family=family,
     )

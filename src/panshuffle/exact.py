@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, densify, index_to_vectors
+from .distributions import FiniteDistribution, index_to_vectors
 from .errors import GuardError
 from .mechanisms import Analyzer, PanPrivateAlgorithm, Randomizer, ShuffleProtocol
 from .metrics import _hockey, hockey_stick, mutual_information, tv_distance
@@ -185,24 +185,12 @@ def convolve_counts(d1: dict, d2: dict) -> dict:
     return CountLaw.of(d1, width).convolve(CountLaw.of(d2, width)).as_dict()
 
 
-def outcome_dict(dist) -> dict:
-    """Distribution -> {outcome: prob}; hypercube outcomes become sign tuples.
-
-    Accepts plain dicts (returned as-is), dense FiniteDistributions, and any
-    distribution :func:`panshuffle.distributions.densify` can materialize.
-    """
+def outcome_dict(dist: dict | FiniteDistribution) -> dict:
+    """A dict law (returned as-is) or a dense hypercube pmf -> {sign tuple: prob}."""
     if isinstance(dist, dict):
         return dist
-    if not isinstance(dist, FiniteDistribution):
-        dist = densify(dist)
-    if dist.dim is not None:
-        vecs = index_to_vectors(np.arange(dist.size), dist.dim)
-        return {
-            tuple(int(v) for v in vecs[i]): float(p)
-            for i, p in enumerate(dist.probs)
-            if p > 0
-        }
-    return {i: float(p) for i, p in enumerate(dist.probs) if p > 0}
+    vecs = index_to_vectors(np.arange(dist.size), dist.dim)
+    return {tuple(int(v) for v in vecs[i]): float(p) for i, p in enumerate(dist.probs) if p > 0}
 
 
 def randomizer_kernel_for(randomizer: Randomizer, input_dist: dict) -> dict:
@@ -562,36 +550,27 @@ class HybridReport:
         return float(sum(self.per_step_bound))
 
 
-def hybrid_tv_certificate(
-    alg: PanPrivateAlgorithm,
-    family: Sequence,
-    n: int,
-    reference=None,
-) -> HybridReport:
+def hybrid_tv_certificate(alg: PanPrivateAlgorithm, family: Sequence, n: int) -> HybridReport:
     """Certify, step by step, the state-information bound on output distinguishing.
 
-    ``family`` lists the member input distributions (dicts, dense pmfs, or
-    anything densify handles); ``reference`` defaults to their equal-weight
-    mixture. All n steps are checked: the output-law TV between consecutive
-    hybrids must not exceed sqrt(I(S_i; V)/2) (slack >= -1e-10), and the
-    endpoint TV must not exceed the telescoped sum (up to 1e-10).
+    ``family`` lists the member input distributions (dicts or dense hypercube
+    pmfs); the reference is their equal-weight mixture. All n steps are
+    checked: the output-law TV between consecutive hybrids must not exceed
+    sqrt(I(S_i; V)/2) (slack >= -1e-10), and the endpoint TV must not exceed
+    the telescoped sum (up to 1e-10).
 
-    The per-step inequality is only guaranteed when the reference equals the
-    members' mixture (then the time-i state has the same marginal law in the
-    two hybrids it separates, and Pinsker applies to the joint with the latent
-    index). Passing a different reference probes for counterexamples; a
-    negative ``min_slack`` then reports a genuine violation, not a bug.
+    The per-step inequality holds because the reference is the members'
+    mixture: the time-i state then has the same marginal law in the two
+    hybrids it separates, and Pinsker applies to the joint with the latent
+    index.
     """
     members = [outcome_dict(f) for f in family]
     if not members or n < 1:
         raise ValueError("need a nonempty family and n >= 1")
-    if reference is None:
-        ref: dict = {}
-        for mem in members:
-            for x, p in mem.items():
-                ref[x] = ref.get(x, 0.0) + p / len(members)
-    else:
-        ref = outcome_dict(reference)
+    ref: dict = {}
+    for mem in members:
+        for x, p in mem.items():
+            ref[x] = ref.get(x, 0.0) + p / len(members)
 
     # one forward pass of the reference prefix; each member's kernels come from
     # every state a hybrid can reach, for its backward pass

@@ -252,6 +252,15 @@ def wrapper_gap(p: dict) -> dict:
 # experiment kinds
 
 
+def _params(spec: ExperimentSpec, *required: str) -> dict:
+    """The spec's params; a required key that is missing or null raises ``ValueError``."""
+    missing = [key for key in required if spec.params.get(key) is None]
+    if missing:
+        raise ValueError(f"{spec.kind} spec {spec.experiment_id!r} lacks the params {missing}; "
+                         f"the kind requires {list(required)}")
+    return spec.params
+
+
 def _mean_error_trial(spec: ExperimentSpec, trial: int) -> tuple:
     p = spec.params
     rng = _trial_rng(spec, trial)
@@ -273,6 +282,7 @@ def _mean_error_trial(spec: ExperimentSpec, trial: int) -> tuple:
 
 
 def _run_mean_error(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
+    _params(spec, "model", "d", "alpha", "n", "epsilon", "truth")
     rows = _pmap(_mean_error_trial, spec, list(range(spec.trials)))
     rows.sort(key=lambda r: r[0])
     errs = np.array([r[1] for r in rows])
@@ -285,7 +295,7 @@ def _run_mean_error(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]
 
 
 def _run_audit(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    curve = audit_curve(spec.params)
+    curve = audit_curve(_params(spec, "mechanism", "stream_a", "stream_b", "eps_grid"))
     columns = (curve.epsilons, curve.delta_forward, curve.delta_backward, curve.delta_max)
     rows = list(zip(*(c.tolist() for c in columns)))
     summary = {"worst_delta": float(curve.delta_max.max())}
@@ -293,7 +303,7 @@ def _run_audit(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
 
 
 def _run_norm(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    p = spec.params
+    p = _params(spec, "d", "k", "alpha")
     report = family_norm(p)
     value, bound = report.value_sq, report.bound_sq
     rows = [(int(p["d"]), int(p["k"]), float(p["alpha"]), p.get("family", "plain"),
@@ -303,21 +313,25 @@ def _run_norm(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
 
 
 def _run_distinguish(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    dist, report = learner_advantage(spec.params, spec.trials, _trial_rng(spec, 0))
+    p = _params(spec, "d", "alpha", "epsilon")
+    dist, report = learner_advantage(p, spec.trials, _trial_rng(spec, 0))
     rows = [(report.tau, report.advantage, report.ci_low, report.ci_high)]
     summary = report.to_json() | {"test_len": dist.test_len}
     return ["tau", "advantage", "ci_low", "ci_high"], rows, summary
 
 
 def _run_wrapper_gap(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    gap = wrapper_gap(spec.params)
-    rows = [(int(spec.params["n"]), gap["tv_null"], gap["tv_real"], gap["escape_bound"])]
+    p = _params(spec, "n", "randomizer", "reference", "input")
+    gap = wrapper_gap(p)
+    rows = [(int(p["n"]), gap["tv_null"], gap["tv_real"], gap["escape_bound"])]
     return ["n", "tv_null", "tv_real", "escape_bound"], rows, gap
 
 
 def _run_selection_sweep(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    p = spec.params
+    p = _params(spec, "dims")
     dims = [int(d) for d in p["dims"]]
+    if len(dims) < 4:
+        raise ValueError(f"selection_sweep needs at least 4 dims for its scaling fit, got {dims}")
     model = p.get("model", "pan")
     rows = []
     for d in dims:
@@ -332,7 +346,6 @@ def _run_selection_sweep(spec: ExperimentSpec) -> tuple[list[str], list[tuple], 
             confirm_trials=spec.trials,
             master_seed=spec.master_seed,
             tag=spec.experiment_id,
-            corridor_divisor=int(p.get("corridor_divisor", 8)),
         )
         rows.append(
             (d, res.n_star, res.success_at_n_star, res.corridor_n, res.corridor_success)
@@ -357,11 +370,11 @@ def run_spec(spec: ExperimentSpec, out_dir) -> RunResult:
     if spec.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {spec.kind!r}; "
                          f"known: {sorted(EXPERIMENT_KINDS)}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     header, rows, summary = EXPERIMENT_KINDS[spec.kind](spec)
     wall = time.time() - started
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{spec.experiment_id}.csv"
     write_rows_csv(csv_path, header, rows)
     manifest = {

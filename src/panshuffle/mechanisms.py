@@ -129,28 +129,14 @@ class AdversaryView:
 def run_shuffle(
     protocol: ShuffleProtocol,
     dataset: Sequence,
-    dropout_fraction: float = 0.0,
     rng=None,
 ) -> tuple[np.ndarray, Hashable]:
-    """Execute one shuffled round on an already-reduced dataset.
+    """Execute one shuffled round on a dataset of exactly ``protocol.n`` users.
 
-    The caller removes dropped users beforehand; this checks the surviving
-    count matches ``floor((1 - dropout_fraction) * n)`` and, when the protocol
-    declares a budget, that participation stays at or above its gamma floor.
     Returns (count vector, analyzer output).
     """
-    if not 0.0 <= dropout_fraction < 1.0:
-        raise ValueError("dropout_fraction must be in [0, 1)")
-    expected = math.floor((1.0 - dropout_fraction) * protocol.n)
-    if len(dataset) != expected:
-        raise ValueError(
-            f"dataset has {len(dataset)} users, expected {expected} "
-            f"(n={protocol.n}, dropout={dropout_fraction})"
-        )
-    if protocol.budget is not None and (1.0 - dropout_fraction) < protocol.budget.gamma - 1e-12:
-        raise ValueError(
-            f"participation {1 - dropout_fraction} below declared floor {protocol.budget.gamma}"
-        )
+    if len(dataset) != protocol.n:
+        raise ValueError(f"dataset has {len(dataset)} users, expected n={protocol.n}")
     gen = as_generator(rng)
     counts = protocol.randomizer.emit_batch(dataset, gen).sum(axis=0)
     return counts, protocol.analyzer(counts)
@@ -379,7 +365,6 @@ def quantized_laplace_counter(
     step: float = 1.0 / 64,
     span: float | None = None,
     sensitivity: float = 1.0,
-    name: str = "qlap-counter",
 ) -> PanPrivateAlgorithm:
     """Noise-initialized counter over an integer grid, re-noised at output.
 
@@ -413,7 +398,7 @@ def quantized_laplace_counter(
         return s + _ones(x) * per_unit
 
     return PanPrivateAlgorithm(
-        name=name,
+        name="qlap-counter",
         init_kernel=dict(init_pmf),
         update_kernel=update_kernel,
         output_kernel=output_kernel,
@@ -434,7 +419,7 @@ def quantization_slack(alg: PanPrivateAlgorithm, eps: float) -> float:
     return (1.0 + math.exp(eps)) * tail
 
 
-def noisy_parity_chain(flip_p: float, name: str = "noisy-parity") -> PanPrivateAlgorithm:
+def noisy_parity_chain(flip_p: float) -> PanPrivateAlgorithm:
     """Binary state tracking the running parity of 1-values, flipped w.p. flip_p."""
     if not 0.0 <= flip_p <= 0.5:
         raise ValueError("flip_p must be in [0, 1/2]")
@@ -446,27 +431,27 @@ def noisy_parity_chain(flip_p: float, name: str = "noisy-parity") -> PanPrivateA
         return {nxt: 1.0 - flip_p, nxt ^ 1: flip_p}
 
     return PanPrivateAlgorithm(
-        name=name,
+        name="noisy-parity",
         init_kernel={0: 1.0},
         update_kernel=update_kernel,
         output_kernel=lambda s: {s: 1.0},
     )
 
 
-def saturating_counter(cap: int, name: str = "saturating-counter") -> PanPrivateAlgorithm:
+def saturating_counter(cap: int) -> PanPrivateAlgorithm:
     """Deterministic count of 1-values, capped at ``cap`` (not private; for tests)."""
 
     return PanPrivateAlgorithm(
-        name=name,
+        name="saturating-counter",
         init_kernel={0: 1.0},
         update_kernel=lambda i, x, s: {min(s + _ones(x), cap): 1.0},
         output_kernel=lambda s: {s: 1.0},
     )
 
 
-def constant_mechanism(value: Hashable = 0, name: str = "constant") -> PanPrivateAlgorithm:
+def constant_mechanism(value: Hashable = 0) -> PanPrivateAlgorithm:
     return PanPrivateAlgorithm(
-        name=name,
+        name="constant",
         init_kernel={0: 1.0},
         update_kernel=lambda i, x, s: {0: 1.0},
         output_kernel=lambda s: {value: 1.0},

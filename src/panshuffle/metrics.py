@@ -1,8 +1,8 @@
 """Information-theoretic distances and the brute-force test-function norm.
 
 All divergences use natural logarithms. Inputs are dense probability vectors
-or :class:`~panshuffle.distributions.FiniteDistribution` objects; joint
-distributions are matrices or higher-dimensional arrays summing to 1.
+or :class:`~panshuffle.distributions.FiniteDistribution` objects; a joint
+distribution is a matrix summing to 1.
 """
 
 from __future__ import annotations
@@ -25,15 +25,11 @@ _NORM_CHUNK = 1 << 13  # test functions per block of the norm enumeration
 __all__ = [
     "tv_distance",
     "kl_divergence",
-    "pinsker_check",
-    "JointDistribution",
     "mutual_information",
     "hockey_stick",
     "NormReport",
     "infty_to_2_norm_bruteforce",
     "parity_family_norm_bound_sq",
-    "fact_tv_chain_check",
-    "fact_markov_check",
 ]
 
 
@@ -63,37 +59,9 @@ def kl_divergence(p, q) -> float:
     return max(0.0, val)
 
 
-def pinsker_check(p, q) -> bool:
-    """tv(p,q)^2 <= KL(p||q)/2, up to 1e-12."""
-    return tv_distance(p, q) ** 2 <= 0.5 * kl_divergence(p, q) + 1e-12
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """A joint pmf over two finite variables, rows = first variable."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64).copy()
-        if t.ndim != 2:
-            raise ValueError("table must be 2-D")
-        if np.any(t < -1e-15) or abs(t.sum() - 1.0) > 1e-9:
-            raise ValueError("table must be a pmf (nonnegative, sums to 1)")
-        np.clip(t, 0.0, None, out=t)
-        t /= t.sum()
-        t.flags.writeable = False
-        object.__setattr__(self, "table", t)
-
-
-def _table(joint) -> np.ndarray:
-    """The joint pmf of a JointDistribution or array-like as a float array."""
-    return joint.table if isinstance(joint, JointDistribution) else np.asarray(joint, dtype=np.float64)
-
-
 def mutual_information(joint) -> float:
     """I(A;B) in nats: KL of the joint table from the product of its marginals."""
-    t = _table(joint)
+    t = np.asarray(joint, dtype=np.float64)
     if t.ndim != 2:
         raise ValueError("joint must be 2-D")
     prod = t.sum(axis=1, keepdims=True) * t.sum(axis=0, keepdims=True)
@@ -228,59 +196,3 @@ def _character_witness(diff: np.ndarray, m: int, best_val: float,
             if float(np.mean(gaps * gaps)) >= best_val - tol:
                 return char
     return None
-
-
-# ---------------------------------------------------------------------------
-# supporting facts used by the hybrid argument
-
-
-def fact_tv_chain_check(joint_ab, joint_ab_prime) -> bool:
-    """Check tv((A,B),(A,B')) <= E_{a~A}[tv(B|a, B'|a)] + 1e-9 for shared-marginal joints."""
-    t1, t2 = _table(joint_ab), _table(joint_ab_prime)
-    if t1.shape != t2.shape:
-        raise ValueError("joints must share a domain")
-    r1, r2 = t1.sum(axis=1), t2.sum(axis=1)
-    if np.abs(r1 - r2).max() > 1e-9:
-        raise ValueError("first-variable marginals differ; the fact does not apply")
-    lhs = tv_distance(t1, t2)
-    rhs = 0.0
-    for a in range(t1.shape[0]):
-        if r1[a] <= 0:
-            continue
-        rhs += r1[a] * tv_distance(t1[a] / r1[a], t2[a] / r2[a])
-    return lhs <= rhs + 1e-9
-
-
-def fact_markov_check(joint_abc) -> bool:
-    """For A ⟂ B | C: check tv(B|a, B) <= tv(C|a, C) + 1e-9 for every a in A's support.
-
-    ``joint_abc`` is a 3-D pmf indexed (a, b, c). Raises ValueError when the
-    conditional-independence precondition fails beyond 1e-12.
-    """
-    t = np.asarray(joint_abc, dtype=np.float64)
-    if t.ndim != 3:
-        raise ValueError("joint must be 3-D, indexed (a, b, c)")
-    if np.any(t < -1e-15) or abs(t.sum() - 1.0) > 1e-9:
-        raise ValueError("joint must be a pmf")
-    pc = t.sum(axis=(0, 1))
-    pac = t.sum(axis=1)
-    pbc = t.sum(axis=0)
-    for c in range(t.shape[2]):
-        if pc[c] <= 0:
-            if np.abs(t[:, :, c]).max() > 1e-12:
-                raise ValueError("mass on a zero-probability slice")
-            continue
-        recon = np.outer(pac[:, c], pbc[:, c]) / pc[c]
-        if np.abs(t[:, :, c] - recon).max() > 1e-12:
-            raise ValueError("A and B are not conditionally independent given C")
-    pa = t.sum(axis=(1, 2))
-    pb = t.sum(axis=(0, 2))
-    pab = t.sum(axis=2)
-    ok = True
-    for a in range(t.shape[0]):
-        if pa[a] <= 0:
-            continue
-        tv_b = tv_distance(pab[a] / pa[a], pb)
-        tv_c = tv_distance(pac[a] / pa[a], pc)
-        ok = ok and (tv_b <= tv_c + 1e-9)
-    return ok

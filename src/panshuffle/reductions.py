@@ -74,7 +74,6 @@ class ShuffleToPanWrapper:
 
     protocol: ShuffleProtocol
     reference: dict
-    name: str = "shuffle-to-pan"
 
     def __post_init__(self) -> None:
         n = self.protocol.n
@@ -98,13 +97,8 @@ class ShuffleToPanWrapper:
         return self.protocol.n
 
     @property
-    def preload(self) -> int:
-        """Reference draws folded into the initial state (= n/3)."""
-        return self.n // 3
-
-    @property
     def stream_len(self) -> int:
-        """Length of the stream the online algorithm consumes (= n/3)."""
+        """Length of the stream consumed, of the preload and of the output pad (= n/3)."""
         return self.n // 3
 
     @cached_property
@@ -115,7 +109,7 @@ class ShuffleToPanWrapper:
     @cached_property
     def budget_distribution(self) -> dict:
         """Law of min(Bin(n, 2/9), n/3) over {0, ..., n/3}; the tail past n/3 sits at n/3."""
-        cap = self.preload
+        cap = self.stream_len
         pmf = _binomial_rows(self.n, 2.0 / 9.0)[self.n]
         out = {k: float(pmf[k]) for k in range(cap)}
         out[cap] = float(pmf[cap:].sum())
@@ -127,7 +121,7 @@ class ShuffleToPanWrapper:
     def _pad_law(self) -> ex.CountLaw:
         """Count law of n/3 reference messages: the preload, and again the output pad."""
         width = len(self.protocol.randomizer.alphabet)
-        return ex.CountLaw.of(self._reference_kernel, width).power(self.preload)
+        return ex.CountLaw.of(self._reference_kernel, width).power(self.stream_len)
 
     def init_kernel(self) -> dict:
         preload = self._pad_law.as_dict()
@@ -183,11 +177,11 @@ class ShuffleToPanWrapper:
         return self.protocol.randomizer.emit_batch([keys[i] for i in picks], rng)
 
     def sample_budget(self, rng) -> int:
-        return int(min(rng.binomial(self.n, 2.0 / 9.0), self.preload))
+        return int(min(rng.binomial(self.n, 2.0 / 9.0), self.stream_len))
 
     def init_sample(self, rng):
         budget = self.sample_budget(rng)
-        return (budget, tuple(self._emit_reference(self.preload, rng).sum(axis=0).tolist()))
+        return (budget, tuple(self._emit_reference(self.stream_len, rng).sum(axis=0).tolist()))
 
     def update_sample(self, i: int, x, state, rng):
         budget, counts = state
@@ -199,12 +193,12 @@ class ShuffleToPanWrapper:
 
     def output_sample(self, state, rng):
         _, counts = state
-        pad = self._emit_reference(self.preload, rng).sum(axis=0)
+        pad = self._emit_reference(self.stream_len, rng).sum(axis=0)
         return self.protocol.analyzer(np.asarray(counts) + pad)
 
     def as_pan_algorithm(self) -> PanPrivateAlgorithm:
         return PanPrivateAlgorithm(
-            name=self.name,
+            name="shuffle-to-pan",
             init_kernel=self.init_kernel(),
             update_kernel=self.update_kernel,
             output_kernel=self.output_kernel,
@@ -369,7 +363,7 @@ class LearnerDistinguisher:
             return 0.5 + self.alpha * (1.0 if guess.sign == planted.sign else -1.0)
         return 0.5
 
-    def as_pan_algorithm(self, name: str = "learner-distinguisher") -> PanPrivateAlgorithm:
+    def as_pan_algorithm(self) -> PanPrivateAlgorithm:
         """Online form: phase-one buffer, then (guess, noised count) state.
 
         Exact kernels are not provided (the state space is continuous); the
@@ -401,7 +395,7 @@ class LearnerDistinguisher:
             return state[2] + float(laplace(rng, 1.0 / self.epsilon))
 
         return PanPrivateAlgorithm(
-            name=name,
+            name="learner-distinguisher",
             init_kernel=None,
             update_kernel=None,
             output_kernel=None,

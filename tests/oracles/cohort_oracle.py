@@ -104,7 +104,7 @@ def wrapper_output_kernel(wrapper, state) -> dict:
     _, counts = state
     protocol = wrapper.protocol
     kernel = randomizer_kernel_for(protocol.randomizer, wrapper.reference)
-    pad = repeat_convolve(kernel, wrapper.preload, len(protocol.randomizer.alphabet))
+    pad = repeat_convolve(kernel, wrapper.stream_len, len(protocol.randomizer.alphabet))
     out: dict = {}
     for inc, p in pad.items():
         total = tuple(a + b for a, b in zip(counts, inc))

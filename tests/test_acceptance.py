@@ -49,11 +49,8 @@ from panshuffle.mechanisms import (
     threshold_analyzer,
 )
 from panshuffle.metrics import (
-    fact_markov_check,
-    fact_tv_chain_check,
     infty_to_2_norm_bruteforce,
     parity_family_norm_bound_sq,
-    pinsker_check,
     tv_distance,
 )
 from panshuffle.reductions import (
@@ -66,6 +63,7 @@ from panshuffle.reductions import (
 from panshuffle.rng import laplace, make_generator
 
 from oracles.advantage_oracle import FROZEN_ADVANTAGE
+from oracles.facts import fact_markov_check, fact_tv_chain_check, pinsker_check
 from oracles.instances import random_instance
 from oracles.norm_oracle import labeled_norm_sq, plain_norm_sq
 

@@ -114,7 +114,7 @@ def test_noisy_estimators_concentrate_near_truth():
     from panshuffle.distributions import sample as draw_from
 
     x = draw_from(member, 6000, rng)
-    truth = member.mean_vector()
+    truth = np.array([member.parity_mean((j,)) for j in range(1, 4)])
     assert np.allclose(empirical_means(x), truth, atol=0.05)
     assert np.allclose(private_means(x, "central", 5.0, rng=rng), truth, atol=0.05)
     assert np.allclose(private_means(x, "local", 12.0, rng=rng), truth, atol=0.1)
@@ -287,7 +287,7 @@ def test_score_sparse_mean_and_parity_release():
         problem="sparse-mean", model="central", d=3, k=1, alpha=0.2, n=10,
         epsilon=1.0, delta=1e-6, truth=member_descriptor(member, k=1),
     )
-    truth_mu = member.mean_vector()
+    truth_mu = np.array([member.parity_mean((j,)) for j in range(1, 4)])
     assert score(inst, truth_mu + 0.1)
     assert not score(inst, truth_mu + np.array([0.0, 0.25, 0.0]))
     release = dataclasses.replace(inst, problem="parity-release")
@@ -367,7 +367,7 @@ def test_random_instances_are_well_formed():
     for _ in range(50):
         inst = random_instance(rng)
         assert 3 <= inst.d <= 6
-        assert inst.truth_distribution() is not None
+        assert inst.truth_distribution is not None
         data = inst.sample_data(make_generator(35, inst.problem, inst.model))
         width = inst.d + (1 if inst.problem == "parity-learning" else 0)
         assert data.shape == (inst.n, width)

@@ -63,8 +63,6 @@ def test_repeat_convolve_matches_binomial():
 
 def test_outcome_dict_accepts_dicts_and_finite_distributions():
     assert outcome_dict({0: 0.25, 1: 0.75}) == {0: 0.25, 1: 0.75}
-    dense = outcome_dict(FiniteDistribution(np.array([0.5, 0.0, 0.5, 0.0])))
-    assert dense == {0: 0.5, 2: 0.5}
     cube = outcome_dict(FiniteDistribution(np.array([0.25, 0.75]), dim=1))
     assert cube == {(1,): 0.25, (-1,): 0.75}
 

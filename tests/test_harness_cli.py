@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from panshuffle import harness
 from panshuffle.cli import CHECK_FAILED, main
 from panshuffle.distributions import ParametricHardDistribution, ParityIndex, member_descriptor
 from panshuffle.errors import GuardError
@@ -190,6 +191,37 @@ def test_selection_sweep_kind(tmp_path):
     refit = fit_scaling(dims, stars)
     assert res.summary["slope"] == pytest.approx(refit.slope, abs=1e-12)
     assert res.summary["model"] == "central"
+
+
+def test_selection_sweep_kind_checks_its_dims_before_searching(tmp_path, monkeypatch):
+    def search(**kwargs):
+        raise AssertionError("a threshold search ran")
+
+    monkeypatch.setattr(harness, "find_selection_threshold", search)
+    spec = ExperimentSpec("selection_sweep", "three-dims", {"dims": [8, 16, 32]})
+    with pytest.raises(ValueError, match=r"at least 4 dims.*\[8, 16, 32\]"):
+        run_spec(spec, tmp_path)
+
+
+_RR_MANIFEST = {"type": "binary_rr", "flip_p": 0.2}
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("mean_error", {"model": "central", "d": 3, "alpha": 0.2, "n": 40, "epsilon": 1.0}, "truth"),
+    ("audit", {"mechanism": _RR_MANIFEST, "stream_a": [1], "stream_b": [0]}, "eps_grid"),
+    ("norm", {"d": 3}, "k"),
+    ("distinguish", {"d": 4, "alpha": 0.2}, "epsilon"),
+    ("wrapper_gap", {"n": 6, "randomizer": _RR_MANIFEST, "reference": {"0": 0.5, "1": 0.5}},
+     "input"),
+    ("selection_sweep", {"model": "pan"}, "dims"),
+])
+def test_run_spec_names_a_missing_kind_param(kind, params, key, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as info:
+        run_spec(ExperimentSpec(kind, "missing", params), out)
+    missing = str(info.value).split(";")[0]
+    assert missing.startswith(f"{kind} spec") and f"'{key}'" in missing, missing
+    assert not out.exists()
 
 
 def test_fit_scaling_recovers_power_law():
@@ -382,6 +414,36 @@ def test_cli_descriptor_without_a_key_exits_one_in_one_line(argv, key, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: descriptor lacks the key {key}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("desc, named", [
+    ('{"family": "plain", "d": 3, "alpha": 0.2, "ell": 3, "b": 1}', ["'ell'", "got 3"]),
+    ('{"family": "plain", "d": [3], "alpha": 0.2, "ell": [1], "b": 1}', ["'d'", "got [3]"]),
+], ids=["ell-integer", "d-list"])
+def test_cli_descriptor_with_a_mistyped_key_exits_one_in_one_line(desc, named, capsys):
+    code = main(["sample", "--dist", desc])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: descriptor key") and err.count("\n") == 1
+    assert all(part in err for part in named), err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "--dims", "8,16", "--trials", "100"], ["selection_sweep", "dims", "[8, 16]"]),
+    (["sweep", "--dims", "8,16,32,64", "--model", "shuffle", "--trials", "100"],
+     ["n=64", "too small"]),
+    (["fit", "--csv", "short.csv"], [">= 4", "got 3"]),
+], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows"])
+def test_cli_guard_errors_exit_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.csv").write_text("d,n_star\n8,100\n16,200\n32,400\n")
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(part in err for part in named), err
 
 
 @pytest.mark.parametrize("neighbors, key", [

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles.facts import fact_markov_check, fact_tv_chain_check, pinsker_check
 from oracles.norm_oracle import (
     FROZEN_LABELED,
     FROZEN_PLAIN,
@@ -25,16 +26,12 @@ from panshuffle.distributions import (
 )
 from panshuffle.errors import GuardError
 from panshuffle.metrics import (
-    JointDistribution,
     _hockey,
-    fact_markov_check,
-    fact_tv_chain_check,
     hockey_stick,
     infty_to_2_norm_bruteforce,
     kl_divergence,
     mutual_information,
     parity_family_norm_bound_sq,
-    pinsker_check,
     tv_distance,
 )
 from panshuffle.rng import make_generator
@@ -129,13 +126,6 @@ def test_mutual_information_independent_is_zero():
 def test_mutual_information_copy_channel():
     joint = np.diag([0.25, 0.25, 0.25, 0.25])
     assert mutual_information(joint) == pytest.approx(math.log(4.0), rel=1e-12)
-
-
-def test_mutual_information_accepts_wrapper():
-    table = np.array([[0.4, 0.1], [0.1, 0.4]])
-    assert mutual_information(JointDistribution(table)) == pytest.approx(
-        mutual_information(table)
-    )
 
 
 def test_mutual_information_data_processing():

@@ -87,7 +87,6 @@ def test_wrapper_rejects_bad_configurations():
 def test_wrapper_lengths():
     w = ShuffleToPanWrapper(protocol=_rr_protocol(12, 5), reference=REF)
     assert w.n == 12
-    assert w.preload == 4
     assert w.stream_len == 4
 
 
