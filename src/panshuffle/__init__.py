@@ -75,7 +75,6 @@ from .baselines import (
     plug_in_solve,
     private_means,
     selection_success_fast,
-    solve,
 )
 from .harness import ExperimentSpec, RunResult, fit_scaling, run_spec
 
@@ -138,7 +137,6 @@ __all__ = [
     "plug_in_solve",
     "private_means",
     "selection_success_fast",
-    "solve",
     "ExperimentSpec",
     "RunResult",
     "fit_scaling",

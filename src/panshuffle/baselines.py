@@ -52,7 +52,6 @@ __all__ = [
     "feature_matrix",
     "decide",
     "score",
-    "solve",
     "plug_in_solve",
     "selection_success_fast",
     "ThresholdSearchResult",
@@ -480,12 +479,6 @@ def score(inst: ProblemInstance, decision) -> bool:
     if member is None:
         return True
     return decision == (member.index.subset, member.index.sign)
-
-
-def solve(inst: ProblemInstance, samples: np.ndarray, rng=None):
-    """Estimate candidate means under the instance's model, then decide."""
-    features = feature_matrix(inst, samples)
-    return decide(inst, _private_means(features, inst.model, inst.epsilon, inst.delta, rng))
 
 
 def plug_in_solve(inst: ProblemInstance, samples: np.ndarray):

@@ -129,7 +129,7 @@ def _cmd_audit(args) -> int:
         "mechanism": mechanism, "stream_a": neighbors["a"], "stream_b": neighbors["b"],
         "eps_grid": args.eps.split(","),
     })
-    header, rows, summary = EXPERIMENT_KINDS["audit"](spec)
+    header, rows, summary, _ = EXPERIMENT_KINDS["audit"](spec)
     for e, _, _, dmax in rows:
         print(f"epsilon={e!r}  delta_max={dmax!r}")
     if args.out:
@@ -181,11 +181,15 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    try:
+        dims = [int(d) for d in args.dims.split(",")]
+    except ValueError:
+        raise ValueError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     spec = ExperimentSpec(
         kind="selection_sweep",
         experiment_id=args.experiment_id,
         params={
-            "dims": [int(d) for d in args.dims.split(",")],
+            "dims": dims,
             "model": args.model,
             "epsilon": args.epsilon,
             "delta": args.delta,

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -360,10 +360,17 @@ def _propagate(alg: PanPrivateAlgorithm, streams: Sequence, tails: Sequence = ()
 
 
 def _outputs(alg: PanPrivateAlgorithm, states: list) -> tuple[list, _Kernel]:
-    """The outputs in index order and the output kernel from every state of ``states``."""
+    """The outputs in index order and the output kernel from every state of ``states``.
+
+    The first state's kernel sizes the whole table, which is guarded before the
+    rest are built; ``_enumerate``'s running guard backs up that estimate.
+    """
+    first = alg.output_kernel(states[0])
+    _guard(alg, len(states) * len(first),
+           f"output kernel ({len(states)} states x {len(first)} outputs)")
     index: dict = {}
-    sources = ((r, alg.output_kernel(s)) for r, s in enumerate(states))
-    kernel = _enumerate(alg, sources, index, "output kernel")
+    rest = ((r, alg.output_kernel(states[r])) for r in range(1, len(states)))
+    kernel = _enumerate(alg, chain([(0, first)], rest), index, "output kernel")
     return list(index), kernel
 
 

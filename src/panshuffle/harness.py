@@ -8,10 +8,18 @@ files into the output directory:
   ``repr`` (shortest round-trip form), rows are emitted in a canonical order,
   and each trial draws from a stream derived only from (master seed, kind,
   experiment id, trial index). Reruns of the same spec therefore produce
-  byte-identical CSVs at any worker count.
+  byte-identical CSVs at any process count.
 * ``<experiment_id>.manifest.json`` - the spec echo, a hash of the canonical
-  spec encoding, package and library versions, and wall time. The manifest is
-  bookkeeping, not data: it is excluded from byte-identity claims.
+  spec encoding, package and library versions, the ``workers`` asked for, the
+  ``processes`` that ran the kind, and wall time. The manifest is bookkeeping,
+  not data: it is excluded from byte-identity claims.
+
+Two kinds run in worker processes. ``mean_error`` spreads its trials, eight
+to a task, over ``workers`` processes (serially at 1). ``selection_sweep``
+ignores ``workers``: its threshold searches draw only from streams keyed by
+their dimension, so it runs one search per distinct dim, largest first, over
+one process per usable CPU (``os.sched_getaffinity``), and in-process when
+only one CPU or one distinct dim is there.
 
 Registered kinds: ``mean_error``, ``audit``, ``norm``, ``distinguish``,
 ``wrapper_gap``, ``selection_sweep``. The checks behind ``audit``, ``norm``,
@@ -26,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
@@ -138,19 +147,27 @@ def _trial_rng(spec: ExperimentSpec, trial: int) -> np.random.Generator:
     return make_generator(spec.master_seed, spec.kind, spec.experiment_id, trial)
 
 
-def _pmap(fn, spec: ExperimentSpec, indices: list[int]) -> list:
-    """Run fn(spec, i) over indices, optionally in worker processes.
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; 1 on a platform without affinity masks."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    Results are reassembled by index, so the output never depends on worker
-    scheduling.
+
+def _pmap(fn, spec: ExperimentSpec, items: list, workers: int, order: list | None = None) -> list:
+    """``[fn(spec, i) for i in items]``, over ``workers`` processes when more than one.
+
+    Each item is one task, submitted in ``order`` (default: ``items``); results
+    are read back in the order of ``items``, so the output, and the error
+    raised when items fail (the first failing one's), are the serial loop's
+    whatever the scheduling. The pool is shut down before this returns.
     """
-    if spec.workers <= 1:
-        return [fn(spec, i) for i in indices]
-    results: dict[int, object] = {}
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        for i, value in zip(indices, pool.map(fn, [spec] * len(indices), indices, chunksize=8)):
-            results[i] = value
-    return [results[i] for i in indices]
+    if workers <= 1:
+        return [fn(spec, i) for i in items]
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = {i: pool.submit(fn, spec, i) for i in (items if order is None else order)}
+        return [futures[i].result() for i in items]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +269,10 @@ def wrapper_gap(p: dict) -> dict:
 # experiment kinds
 
 
+# a kind's CSV header and rows, its summary, and how many processes ran it
+_KindResult = tuple[list[str], list[tuple], dict, int]
+
+
 def _params(spec: ExperimentSpec, *required: str) -> dict:
     """The spec's params; a required key that is missing or null raises ``ValueError``."""
     missing = [key for key in required if spec.params.get(key) is None]
@@ -259,6 +280,30 @@ def _params(spec: ExperimentSpec, *required: str) -> dict:
         raise ValueError(f"{spec.kind} spec {spec.experiment_id!r} lacks the params {missing}; "
                          f"the kind requires {list(required)}")
     return spec.params
+
+
+def _int_list(value) -> list[int]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"not a list: {value!r}")
+    return [int(v) for v in value]
+
+
+_CAST_NAMES = {int: "an integer", float: "a number", _int_list: "a list of integers"}
+
+
+def _param(spec: ExperimentSpec, key: str, cast, default=None):
+    """``spec.params[key]`` read through ``cast``, or ``default`` when it is absent or null.
+
+    A value ``cast`` rejects raises ``ValueError`` naming the kind and the key.
+    """
+    value = spec.params.get(key)
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{spec.kind} spec {spec.experiment_id!r}: param {key!r} must be "
+                         f"{_CAST_NAMES[cast]}, got {value!r}") from None
 
 
 def _mean_error_trial(spec: ExperimentSpec, trial: int) -> tuple:
@@ -281,79 +326,103 @@ def _mean_error_trial(spec: ExperimentSpec, trial: int) -> tuple:
     return (trial, err)
 
 
-def _run_mean_error(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
+_TRIAL_BLOCK = 8  # mean_error trials per pool task: one trial a task doubles the pool's cost
+
+
+def _mean_error_block(spec: ExperimentSpec, trials: range) -> list[tuple]:
+    return [_mean_error_trial(spec, trial) for trial in trials]
+
+
+def _run_mean_error(spec: ExperimentSpec) -> _KindResult:
     _params(spec, "model", "d", "alpha", "n", "epsilon", "truth")
-    rows = _pmap(_mean_error_trial, spec, list(range(spec.trials)))
-    rows.sort(key=lambda r: r[0])
+    workers = max(1, spec.workers)
+    blocks = [range(i, min(i + _TRIAL_BLOCK, spec.trials))
+              for i in range(0, spec.trials, _TRIAL_BLOCK)]
+    rows = [row for block in _pmap(_mean_error_block, spec, blocks, workers) for row in block]
     errs = np.array([r[1] for r in rows])
     summary = {
         "mean_err": float(errs.mean()),
         "median_err": float(np.median(errs)),
         "max_err": float(errs.max()),
     }
-    return ["trial", "err_linf"], rows, summary
+    return ["trial", "err_linf"], rows, summary, workers
 
 
-def _run_audit(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
+def _run_audit(spec: ExperimentSpec) -> _KindResult:
     curve = audit_curve(_params(spec, "mechanism", "stream_a", "stream_b", "eps_grid"))
     columns = (curve.epsilons, curve.delta_forward, curve.delta_backward, curve.delta_max)
     rows = list(zip(*(c.tolist() for c in columns)))
     summary = {"worst_delta": float(curve.delta_max.max())}
-    return ["epsilon", "delta_forward", "delta_backward", "delta_max"], rows, summary
+    return ["epsilon", "delta_forward", "delta_backward", "delta_max"], rows, summary, 1
 
 
-def _run_norm(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
+def _run_norm(spec: ExperimentSpec) -> _KindResult:
     p = _params(spec, "d", "k", "alpha")
-    report = family_norm(p)
+    d, k, alpha = _param(spec, "d", int), _param(spec, "k", int), _param(spec, "alpha", float)
+    family = p.get("family", "plain")
+    report = family_norm({"d": d, "k": k, "alpha": alpha, "family": family})
     value, bound = report.value_sq, report.bound_sq
-    rows = [(int(p["d"]), int(p["k"]), float(p["alpha"]), p.get("family", "plain"),
-             value, bound, value / bound)]
+    rows = [(d, k, alpha, family, value, bound, value / bound)]
     summary = {"value_sq": value, "bound_sq": bound, "tight": bool(abs(value - bound) < 1e-9)}
-    return ["d", "k", "alpha", "family", "value_sq", "bound_sq", "ratio"], rows, summary
+    return ["d", "k", "alpha", "family", "value_sq", "bound_sq", "ratio"], rows, summary, 1
 
 
-def _run_distinguish(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
+def _run_distinguish(spec: ExperimentSpec) -> _KindResult:
     p = _params(spec, "d", "alpha", "epsilon")
     dist, report = learner_advantage(p, spec.trials, _trial_rng(spec, 0))
     rows = [(report.tau, report.advantage, report.ci_low, report.ci_high)]
     summary = report.to_json() | {"test_len": dist.test_len}
-    return ["tau", "advantage", "ci_low", "ci_high"], rows, summary
+    return ["tau", "advantage", "ci_low", "ci_high"], rows, summary, 1
 
 
-def _run_wrapper_gap(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
+def _run_wrapper_gap(spec: ExperimentSpec) -> _KindResult:
     p = _params(spec, "n", "randomizer", "reference", "input")
     gap = wrapper_gap(p)
     rows = [(int(p["n"]), gap["tv_null"], gap["tv_real"], gap["escape_bound"])]
-    return ["n", "tv_null", "tv_real", "escape_bound"], rows, gap
+    return ["n", "tv_null", "tv_real", "escape_bound"], rows, gap, 1
 
 
-def _run_selection_sweep(spec: ExperimentSpec) -> tuple[list[str], list[tuple], dict]:
-    p = _params(spec, "dims")
-    dims = [int(d) for d in p["dims"]]
+def _search_args(spec: ExperimentSpec) -> dict:
+    """Keyword arguments of the sweep's threshold searches, all but ``d``."""
+    return {
+        "model": spec.params.get("model", "pan"),
+        "epsilon": _param(spec, "epsilon", float, 1.0),
+        "delta": _param(spec, "delta", float, 1e-6),
+        "alpha": _param(spec, "alpha", float, 0.2),
+        "target": _param(spec, "target", float, 0.9),
+        "pilot_trials": _param(spec, "pilot_trials", int, 300),
+        "confirm_trials": spec.trials,
+        "master_seed": spec.master_seed,
+        "tag": spec.experiment_id,
+    }
+
+
+def _threshold_row(spec: ExperimentSpec, d: int) -> tuple:
+    """The sweep's CSV row for dimension ``d``; it draws only from streams keyed by ``d``."""
+    res = find_selection_threshold(d=d, **_search_args(spec))
+    return (d, res.n_star, res.success_at_n_star, res.corridor_n, res.corridor_success)
+
+
+def _run_selection_sweep(spec: ExperimentSpec) -> _KindResult:
+    """One threshold search per distinct dim, over up to one process per usable CPU.
+
+    The dims go out largest first, one to a task, so the slowest search starts
+    first; the rows come back in ``dims`` order, the same bytes at any count.
+    """
+    _params(spec, "dims")
+    dims = _param(spec, "dims", _int_list)
     if len(dims) < 4:
         raise ValueError(f"selection_sweep needs at least 4 dims for its scaling fit, got {dims}")
-    model = p.get("model", "pan")
-    rows = []
-    for d in dims:
-        res = find_selection_threshold(
-            d=d,
-            model=model,
-            epsilon=float(p.get("epsilon", 1.0)),
-            delta=float(p.get("delta", 1e-6)),
-            alpha=float(p.get("alpha", 0.2)),
-            target=float(p.get("target", 0.9)),
-            pilot_trials=int(p.get("pilot_trials", 300)),
-            confirm_trials=spec.trials,
-            master_seed=spec.master_seed,
-            tag=spec.experiment_id,
-        )
-        rows.append(
-            (d, res.n_star, res.success_at_n_star, res.corridor_n, res.corridor_success)
-        )
-    fit = fit_scaling([r[0] for r in rows], [r[1] for r in rows])
+    model = _search_args(spec)["model"]  # reads every typed param before any search runs
+    distinct = list(dict.fromkeys(dims))
+    workers = min(len(distinct), _usable_cpus())
+    found = _pmap(_threshold_row, spec, distinct, workers, order=sorted(distinct, reverse=True))
+    by_dim = dict(zip(distinct, found))
+    rows = [by_dim[d] for d in dims]
+    fit = fit_scaling(dims, [r[1] for r in rows])
     summary = {"slope": fit.slope, "intercept": fit.intercept, "stderr": fit.stderr,
                "model": model}
-    return ["d", "n_star", "success", "corridor_n", "corridor_success"], rows, summary
+    return ["d", "n_star", "success", "corridor_n", "corridor_success"], rows, summary, workers
 
 
 EXPERIMENT_KINDS = {
@@ -371,7 +440,7 @@ def run_spec(spec: ExperimentSpec, out_dir) -> RunResult:
         raise ValueError(f"unknown experiment kind {spec.kind!r}; "
                          f"known: {sorted(EXPERIMENT_KINDS)}")
     started = time.time()
-    header, rows, summary = EXPERIMENT_KINDS[spec.kind](spec)
+    header, rows, summary, processes = EXPERIMENT_KINDS[spec.kind](spec)
     wall = time.time() - started
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -381,6 +450,7 @@ def run_spec(spec: ExperimentSpec, out_dir) -> RunResult:
         "spec": json.loads(spec.canonical_json()),
         "spec_hash": spec.spec_hash(),
         "workers": spec.workers,
+        "processes": processes,
         "summary": summary,
         "versions": {
             "package": _pkg_version,

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from panshuffle import harness
 from panshuffle.baselines import (
     calibrate_rr,
     plug_in_solve,
-    solve,
     wilson_interval,
 )
 from panshuffle.distributions import (
@@ -66,6 +66,7 @@ from oracles.advantage_oracle import FROZEN_ADVANTAGE
 from oracles.facts import fact_markov_check, fact_tv_chain_check, pinsker_check
 from oracles.instances import random_instance
 from oracles.norm_oracle import labeled_norm_sq, plain_norm_sq
+from oracles.solve_oracle import solve
 
 MASTER_SEED = 20260817
 
@@ -342,7 +343,7 @@ def test_criterion_07_privacy_audits():
     )
 
 
-def _sweep_spec(workers: int = 1) -> ExperimentSpec:
+def _sweep_spec() -> ExperimentSpec:
     return ExperimentSpec(
         kind="selection_sweep",
         experiment_id="selection-sweep-pan",
@@ -357,7 +358,6 @@ def _sweep_spec(workers: int = 1) -> ExperimentSpec:
         },
         trials=4000,
         master_seed=MASTER_SEED,
-        workers=workers,
     )
 
 
@@ -391,15 +391,17 @@ def test_criterion_09_solver_reductions():
     )
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     def digest(path) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    sweep_digests = {
-        digest(run_spec(_sweep_spec(workers=w), tmp_path / f"sweep-{w}-{rep}").csv_path)
-        for w in (1, 8)
-        for rep in (0, 1)
-    }
+    sweep_digests = set()
+    for cpus in (1, 2):
+        # the sweep runs its dims over one process per usable CPU
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        for rep in (0, 1):
+            result = run_spec(_sweep_spec(), tmp_path / f"sweep-{cpus}-{rep}")
+            sweep_digests.add(digest(result.csv_path))
 
     def mean_error_spec(workers: int) -> ExperimentSpec:
         from panshuffle.distributions import member_descriptor
@@ -431,7 +433,6 @@ def test_criterion_10_determinism(tmp_path):
     ok = len(sweep_digests) == 1 and len(mean_digests) == 1
     _verdict(
         10, "determinism", ok,
-        f"sweep digests {len(sweep_digests)} distinct, "
-        f"trial-parallel digests {len(mean_digests)} distinct "
-        f"(4 runs each, workers 1 and 8)",
+        f"sweep digests {len(sweep_digests)} distinct (4 runs, 1 and 2 processes), "
+        f"trial-parallel digests {len(mean_digests)} distinct (4 runs, workers 1 and 8)",
     )

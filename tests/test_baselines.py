@@ -30,7 +30,6 @@ from panshuffle.baselines import (
     rr_count_pmf,
     score,
     selection_success_fast,
-    solve,
     true_means,
     wilson_interval,
 )
@@ -40,6 +39,7 @@ from panshuffle.rng import make_generator
 
 from oracles.feature_oracle import feature_matrix_by_columns
 from oracles.instances import random_instance
+from oracles.solve_oracle import solve
 
 
 def test_rr_count_pmf_is_binomial_convolution():

@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from panshuffle import harness
+from panshuffle.baselines import ThresholdSearchResult, find_selection_threshold
 from panshuffle.cli import CHECK_FAILED, main
 from panshuffle.distributions import ParametricHardDistribution, ParityIndex, member_descriptor
 from panshuffle.errors import GuardError
@@ -86,6 +88,7 @@ def test_mean_error_kind_and_worker_invariance(tmp_path):
     manifest = json.loads(res1.manifest_path.read_text())
     assert manifest["spec_hash"] == _mean_error_spec(1).spec_hash()
     assert manifest["workers"] == 1
+    assert manifest["processes"] == 1
     assert manifest["summary"] == res1.summary
     assert "numpy" in manifest["versions"]
 
@@ -201,6 +204,94 @@ def test_selection_sweep_kind_checks_its_dims_before_searching(tmp_path, monkeyp
     spec = ExperimentSpec("selection_sweep", "three-dims", {"dims": [8, 16, 32]})
     with pytest.raises(ValueError, match=r"at least 4 dims.*\[8, 16, 32\]"):
         run_spec(spec, tmp_path)
+
+
+def _fanout_spec(dims) -> ExperimentSpec:
+    return ExperimentSpec("selection_sweep", "fan-out", {
+        "dims": dims, "model": "central", "epsilon": 1.0, "alpha": 0.2, "pilot_trials": 200,
+    }, trials=300, master_seed=5)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_selection_sweep_matches_a_serial_loop(cpus, tmp_path, monkeypatch):
+    # unsorted, with a repeated dim: the rows keep the order and the repeat
+    dims = [16, 4, 32, 8, 4]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    res = run_spec(_fanout_spec(dims), tmp_path / "sweep")
+    rows = []
+    for d in dims:
+        r = find_selection_threshold(d=d, model="central", epsilon=1.0, delta=1e-6, alpha=0.2,
+                                     target=0.9, pilot_trials=200, confirm_trials=300,
+                                     master_seed=5, tag="fan-out")
+        rows.append((d, r.n_star, r.success_at_n_star, r.corridor_n, r.corridor_success))
+    serial = tmp_path / "serial.csv"
+    write_rows_csv(serial, ["d", "n_star", "success", "corridor_n", "corridor_success"], rows)
+    assert res.csv_path.read_bytes() == serial.read_bytes()
+    fit = fit_scaling(dims, [r[1] for r in rows])
+    assert res.summary == {"slope": fit.slope, "intercept": fit.intercept,
+                           "stderr": fit.stderr, "model": "central"}
+    manifest = json.loads(res.manifest_path.read_text())
+    assert manifest["processes"] == cpus
+    assert multiprocessing.active_children() == []
+
+
+def _failing_search(**kwargs):
+    """A threshold search that fails at d = 8 and d = 64, quickly, and succeeds elsewhere."""
+    d = kwargs["d"]
+    if d in (8, 64):
+        raise GuardError(f"selection at d={d} did not reach the target")
+    return ThresholdSearchResult(d=d, model="pan", n_star=10 * d, success_at_n_star=0.95,
+                                 corridor_n=d, corridor_success=0.1)
+
+
+def test_a_worker_error_reaches_the_caller_as_the_serial_loop_raises_it(tmp_path, monkeypatch):
+    # d = 64 goes out first (largest first); the serial loop raises at d = 8
+    monkeypatch.setattr(harness, "find_selection_threshold", _failing_search)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(GuardError, match="d=8 "):
+        run_spec(_fanout_spec([16, 8, 32, 64]), tmp_path / "out")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_prints_a_worker_error_in_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "find_selection_threshold", _failing_search)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    code = main(["sweep", "--dims", "16,8,32,64", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: selection at d=8 did not reach the target\n"
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("selection_sweep", {"dims": 8}, "dims"),
+    ("selection_sweep", {"dims": [8, 16, "x", 64]}, "dims"),
+    ("selection_sweep", {"dims": [8, 16, 32, 64], "pilot_trials": "many"}, "pilot_trials"),
+    ("selection_sweep", {"dims": [8, 16, 32, 64], "epsilon": [1.0]}, "epsilon"),
+    ("norm", {"d": "three", "k": 1, "alpha": 0.2}, "d"),
+    ("norm", {"d": 3, "k": 1, "alpha": "x"}, "alpha"),
+], ids=["dims-int", "dims-string-element", "pilot-string", "epsilon-list", "norm-d",
+        "norm-alpha"])
+def test_run_spec_names_a_mistyped_kind_param(kind, params, key, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search or a worker process started")
+
+    monkeypatch.setattr(harness, "find_selection_threshold", refuse)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as info:
+        run_spec(ExperimentSpec(kind, "mistyped", params), out)
+    assert str(info.value).startswith(f"{kind} spec 'mistyped': param '{key}' must be")
+    assert not out.exists()
+
+
+def test_cli_sweep_names_a_bad_dims_list_in_one_line(capsys):
+    code = main(["sweep", "--dims", "8,x"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: --dims must be comma-separated integers, got '8,x'\n"
 
 
 _RR_MANIFEST = {"type": "binary_rr", "flip_p": 0.2}

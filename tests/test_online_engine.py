@@ -97,6 +97,24 @@ def test_criterion07_counter_preflight_raises_before_any_step(monkeypatch):
     assert calls == []
 
 
+def test_output_kernel_guard_fires_after_one_kernel():
+    # 6,201 states x 6,201 outputs is above 10^7 paths: the first state's
+    # kernel sizes the table, and no other kernel is built
+    calls = []
+    ctr = quantized_laplace_counter(1.0, 1.0, step=1.0 / 64, span=64.0)
+    kernel = ctr.output_kernel
+
+    def counted(s):
+        calls.append(s)
+        return kernel(s)
+
+    ctr = dataclasses.replace(ctr, output_kernel=counted)
+    assert len(ctr.init_kernel) * len(kernel(0)) > exact_mod.MAX_PATHS
+    with pytest.raises(GuardError, match="output kernel.*lower span or raise step"):
+        exact_pan_output(ctr, [1])
+    assert len(calls) == 1
+
+
 def test_view_preflight_names_the_stream_length(monkeypatch):
     # one path per step passes, but the 2 states x 2 outputs view does not
     monkeypatch.setattr(exact_mod, "MAX_PATHS", 3)
