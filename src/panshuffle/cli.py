@@ -19,8 +19,8 @@ from .baselines import MODELS
 from .distributions import densify, from_descriptor, index_to_vectors, sample as draw_from
 from .errors import GuardError, InsufficientCohortError
 from .harness import (
-    EXPERIMENT_KINDS,
     ExperimentSpec,
+    _run_kind,
     family_norm,
     fit_scaling,
     learner_advantage,
@@ -57,6 +57,15 @@ def _load_json_arg(text: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"expected a JSON object in {text!r}, got {value!r}")
     return value
+
+
+def _split(text: str, flag: str, cast) -> list:
+    """Comma-separated ``text`` read through ``cast``; a bad item raises ``ValueError``."""
+    try:
+        return [cast(item) for item in text.split(",")]
+    except ValueError:
+        want = "integers" if cast is int else "numbers"
+        raise ValueError(f"{flag} must be comma-separated {want}, got {text!r}") from None
 
 
 def _glyphs(row) -> str:
@@ -106,7 +115,7 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    report = family_norm({"d": args.d, "k": args.k, "alpha": args.alpha, "family": args.family})
+    report = family_norm(d=args.d, k=args.k, alpha=args.alpha, family=args.family)
     bound = report.bound_sq
     print(f"family={args.family} d={args.d} k={args.k} alpha={args.alpha}")
     print(f"value_sq = {report.value_sq!r}")
@@ -127,9 +136,9 @@ def _cmd_audit(args) -> int:
         raise ValueError(f'--neighbors needs keys "a" and "b", got {neighbors!r}')
     spec = ExperimentSpec(kind="audit", experiment_id="audit", params={
         "mechanism": mechanism, "stream_a": neighbors["a"], "stream_b": neighbors["b"],
-        "eps_grid": args.eps.split(","),
+        "eps_grid": _split(args.eps, "--eps", float),
     })
-    header, rows, summary, _ = EXPERIMENT_KINDS["audit"](spec)
+    header, rows, summary, _ = _run_kind(spec)
     for e, _, _, dmax in rows:
         print(f"epsilon={e!r}  delta_max={dmax!r}")
     if args.out:
@@ -148,13 +157,11 @@ def _cmd_reduce_check(args) -> int:
     if n % 3 != 0:
         print(f"n must be divisible by 3, got {n}", file=sys.stderr)
         return 1
-    gap = wrapper_gap({
-        "n": n,
-        "randomizer": {"type": "binary_rr", "flip_p": args.flip_p},
-        "cutoff": n // 3,
-        "reference": {0: 1.0 - args.ref_one, 1: args.ref_one},
-        "input": {0: 1.0 - args.input_one, 1: args.input_one},
-    })
+    gap = wrapper_gap(
+        n=n, randomizer={"type": "binary_rr", "flip_p": args.flip_p}, cutoff=n // 3,
+        epsilon=1.0, delta=0.0, reference={0: 1.0 - args.ref_one, 1: args.ref_one},
+        input={0: 1.0 - args.input_one, 1: args.input_one},
+    )
     tv_null, tv_real, bound = gap["tv_null"], gap["tv_real"], gap["escape_bound"]
     print(f"n={n}: tv on reference stream = {tv_null!r}")
     print(f"n={n}: tv on shifted stream   = {tv_real!r} (bound {bound!r})")
@@ -165,11 +172,10 @@ def _cmd_reduce_check(args) -> int:
 
 def _cmd_distinguish(args) -> int:
     dist, report = learner_advantage(
-        {"d": args.d, "k": args.k, "alpha": args.alpha, "epsilon": args.epsilon,
-         "n_learn": args.n_learn, "test_phase_scale": args.scale,
-         "planted_subset": args.planted, "learner": args.learner},
-        args.trials,
-        make_generator(args.seed, "cli-distinguish"),
+        args.trials, make_generator(args.seed, "cli-distinguish"),
+        d=args.d, k=args.k, alpha=args.alpha, epsilon=args.epsilon,
+        planted_subset=args.planted, planted_sign=1, learner=args.learner,
+        n_learn=args.n_learn, test_phase_scale=args.scale,
     )
     print(f"test_len={dist.test_len} tau={report.tau!r}")
     print(f"advantage={report.advantage!r} ci=[{report.ci_low!r}, {report.ci_high!r}]")
@@ -181,15 +187,11 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        dims = [int(d) for d in args.dims.split(",")]
-    except ValueError:
-        raise ValueError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
     spec = ExperimentSpec(
         kind="selection_sweep",
         experiment_id=args.experiment_id,
         params={
-            "dims": dims,
+            "dims": _split(args.dims, "--dims", int),
             "model": args.model,
             "epsilon": args.epsilon,
             "delta": args.delta,
@@ -207,7 +209,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fit(args) -> int:
     try:
-        rows = Path(args.csv).read_text().strip().splitlines()
+        rows = Path(args.csv).read_text().rstrip().splitlines()
     except OSError as exc:
         print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
         return 1
@@ -221,10 +223,16 @@ def _cmd_fit(args) -> int:
         print(f"columns {args.x!r}/{args.y!r} not in {header}", file=sys.stderr)
         return 1
     xs, ys = [], []
-    for line in rows[1:]:
+    for number, line in enumerate(rows[1:], start=2):
         parts = line.split(",")
-        xs.append(float(parts[xi]))
-        ys.append(float(parts[yi]))
+        try:
+            if len(parts) != len(header):
+                raise ValueError
+            xs.append(float(parts[xi]))
+            ys.append(float(parts[yi]))
+        except ValueError:
+            raise ValueError(f"{args.csv} line {number}: expected {len(header)} fields with "
+                             f"numbers under {args.x!r} and {args.y!r}, got {line!r}") from None
     fit = fit_scaling(xs, ys)
     print(json.dumps(fit.to_json(), indent=2, sort_keys=True))
     if args.slope_min is not None or args.slope_max is not None:

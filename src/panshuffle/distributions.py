@@ -29,14 +29,13 @@ ones.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import GuardError, _read_keys
 from .rng import as_generator
 
 DENSIFY_MAX_DIM = 20
@@ -356,46 +355,32 @@ def member_descriptor(dist: ParametricHardDistribution, k: int | None = None) ->
     }
 
 
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+_FAMILY = (("plain", "labeled"), "plain")
 
-
-# the JSON type each descriptor key takes, as (description, test)
-_DESCRIPTOR_VALUES = {
-    "d": ("an integer", _integer),
-    "k": ("an integer", _integer),
-    "b": ("an integer", _integer),
-    "alpha": ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
-    "ell": ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(_integer, v))),
+# descriptor shape -> its keys as (wanted type, default); ``...`` marks a required key
+_DESCRIPTORS = {
+    "uniform": {"family": (("uniform",), ...), "d": (int, ...)},
+    "family": {"family": _FAMILY, "d": (int, ...), "k": (int, ...), "alpha": (float, ...)},
+    "member": {"family": _FAMILY, "d": (int, ...), "k": (int, None), "ell": (list[int], ...),
+               "b": (int, ...), "alpha": (float, ...)},
 }
 
 
 def from_descriptor(desc: dict):
     """Rebuild a member (ell present) or a family list (ell absent) from a descriptor.
 
-    A key the descriptor needs but lacks (or holds null) raises ``ValueError``
-    naming the key, and a value of the wrong JSON type one naming the key and
-    the value.
+    ``family: "uniform"`` names the uniform hypercube on ``d`` coordinates. A
+    missing (or null) key the shape needs, a key it does not take or a value of
+    the wrong JSON type raises ``ValueError`` naming the key.
     """
-
-    def need(key: str):
-        value = desc.get(key)
-        if value is None:
-            raise ValueError(f"descriptor lacks the key {key!r}: {desc!r}")
-        want, accepts = _DESCRIPTOR_VALUES[key]
-        if not accepts(value):
-            raise ValueError(f"descriptor key {key!r} must be {want}, got {value!r}")
-        return value
-
-    family = desc.get("family", "plain")
-    if family == "uniform":
-        return uniform_hypercube(int(need("d")))
-    d, alpha = int(need("d")), float(need("alpha"))
-    if desc.get("ell") is None:
-        return family_enumerate(d, int(need("k")), alpha, family)
+    get = desc.get if isinstance(desc, dict) else {}.get  # the reader names a non-object
+    shape = ("uniform" if get("family") == "uniform"
+             else "family" if get("ell") is None else "member")
+    v = _read_keys("descriptor", desc, _DESCRIPTORS[shape])
+    if shape == "uniform":
+        return uniform_hypercube(v["d"])
+    if shape == "family":
+        return family_enumerate(v["d"], v["k"], v["alpha"], v["family"])
     return ParametricHardDistribution(
-        d=d,
-        index=ParityIndex(tuple(need("ell")), int(need("b"))),
-        alpha=alpha,
-        family=family,
+        d=v["d"], index=ParityIndex(tuple(v["ell"]), v["b"]), alpha=v["alpha"], family=v["family"],
     )

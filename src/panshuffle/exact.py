@@ -510,11 +510,14 @@ def audit_privacy(
     For shuffled mechanisms the audited view is the message multiset
     (``view="multiset"``) or the analyzer output (``view="output"``); for
     online mechanisms it is the joint (state at t, final output), maximized
-    over ``intrusion_times`` (default: every time).
+    over ``intrusion_times`` (default: every time). Epsilons must be finite and >= 0.
     """
     data_a, data_b = neighbors
     if len(data_a) != len(data_b):
         raise ValueError("neighboring inputs must have equal length")
+    bad = [float(e) for e in eps_grid if not 0.0 <= e < math.inf]
+    if bad:
+        raise ValueError(f"eps_grid must hold finite non-negative epsilons, got {bad}")
     if isinstance(mechanism, (ShuffleProtocol, Randomizer)):
         randomizer = mechanism.randomizer if isinstance(mechanism, ShuffleProtocol) else mechanism
         la, lb = _shuffle_law(randomizer, data_a), _shuffle_law(randomizer, data_b)

@@ -14,8 +14,15 @@ files into the output directory:
   ``processes`` that ran the kind, and wall time. The manifest is bookkeeping,
   not data: it is excluded from byte-identity claims.
 
+Before a kind runs, its spec's ``trials`` (at least 1), ``master_seed`` and
+``workers`` must be integers, and its params are read through the kind's table
+in :data:`EXPERIMENT_KINDS`: an unknown key, a missing or null required key,
+or a value of the wrong JSON type raises ``ValueError`` naming the spec and
+the key, as mechanism manifests and descriptors do.
+
 Two kinds run in worker processes. ``mean_error`` spreads its trials, eight
-to a task, over ``workers`` processes (serially at 1). ``selection_sweep``
+to a task, over at most ``workers`` processes, one per block and usable CPU,
+and in-process when that is one. ``selection_sweep``
 ignores ``workers``: its threshold searches draw only from streams keyed by
 their dimension, so it runs one search per distinct dim, largest first, over
 one process per usable CPU (``os.sched_getaffinity``), and in-process when
@@ -24,8 +31,9 @@ only one CPU or one distinct dim is there.
 Registered kinds: ``mean_error``, ``audit``, ``norm``, ``distinguish``,
 ``wrapper_gap``, ``selection_sweep``. The checks behind ``audit``, ``norm``,
 ``distinguish`` and ``wrapper_gap`` are the functions :func:`audit_curve`,
-:func:`family_norm`, :func:`learner_advantage` and :func:`wrapper_gap`,
-which the CLI subcommands call too; ``panshuffle audit`` runs the ``audit``
+:func:`family_norm`, :func:`learner_advantage` and :func:`wrapper_gap`, which
+take the typed params as keywords; the CLI subcommands call them with their
+flags' values, and ``panshuffle audit`` runs the ``audit``
 kind itself. Every CSV, here and in the CLI, goes through :func:`write_rows_csv`.
 """
 
@@ -39,12 +47,15 @@ import time
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .baselines import (
+    MODELS,
+    PROBLEMS,
     ProblemInstance,
     _private_means,
     feature_matrix,
@@ -52,7 +63,7 @@ from .baselines import (
     true_means,
 )
 from .distributions import ParityIndex, densify, family_enumerate
-from .errors import GuardError
+from .errors import GuardError, _read_keys
 from .mechanisms import (
     PrivacyBudget,
     ShuffleProtocol,
@@ -152,8 +163,8 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _pmap(fn, spec: ExperimentSpec, items: list, workers: int, order: list | None = None) -> list:
-    """``[fn(spec, i) for i in items]``, over ``workers`` processes when more than one.
+def _pmap(fn, items: list, workers: int, order: list | None = None) -> list:
+    """``[fn(i) for i in items]``, over ``workers`` processes when more than one.
 
     Each item is one task, submitted in ``order`` (default: ``items``); results
     are read back in the order of ``items``, so the output, and the error
@@ -161,10 +172,10 @@ def _pmap(fn, spec: ExperimentSpec, items: list, workers: int, order: list | Non
     whatever the scheduling. The pool is shut down before this returns.
     """
     if workers <= 1:
-        return [fn(spec, i) for i in items]
+        return [fn(i) for i in items]
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        futures = {i: pool.submit(fn, spec, i) for i in (items if order is None else order)}
+        futures = {i: pool.submit(fn, i) for i in (items if order is None else order)}
         return [futures[i].result() for i in items]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -174,273 +185,216 @@ def _pmap(fn, spec: ExperimentSpec, items: list, workers: int, order: list | Non
 # checks: one function per check, shared by the experiment kinds and the CLI
 
 
-def audit_curve(p: dict) -> ex.AuditCurve:
+def audit_curve(*, mechanism: dict, stream_a: list, stream_b: list, eps_grid: list[float],
+                intrusion_times: list[int] | None) -> ex.AuditCurve:
     """Exact privacy curve of a mechanism manifest on one neighboring stream pair.
 
-    List elements of the streams become tuples, and a stream that is not a
-    list raises ``ValueError`` naming it; ``intrusion_times``, when given,
-    restricts the online views audited.
+    List elements of the streams become tuples; ``intrusion_times``, when not
+    empty, restricts the online views audited.
     """
-    mech = mechanism_from_manifest(p["mechanism"])
-    stream_a, stream_b = _stream(p, "stream_a"), _stream(p, "stream_b")
-    eps_grid = [float(e) for e in p["eps_grid"]]
-    times = p.get("intrusion_times")
-    return ex.audit_privacy(
-        mech, (stream_a, stream_b), eps_grid,
-        intrusion_times=[int(t) for t in times] if times else None,
-    )
+    pair = tuple([tuple(x) if isinstance(x, list) else x for x in s] for s in (stream_a, stream_b))
+    return ex.audit_privacy(mechanism_from_manifest(mechanism), pair, eps_grid,
+                            intrusion_times=intrusion_times or None)
 
 
-def _stream(p: dict, key: str) -> list:
-    """The stream ``p[key]`` with its list elements made tuples."""
-    stream = p[key]
-    if not isinstance(stream, (list, tuple)):
-        raise ValueError(f"{key} must be a list of stream elements, got {stream!r}")
-    return [tuple(x) if isinstance(x, list) else x for x in stream]
-
-
-def family_norm(p: dict) -> NormReport:
+def family_norm(*, d: int, k: int, alpha: float, family: str) -> NormReport:
     """Brute-force norm of the (d, k, alpha) family, ``bound_sq`` set to the closed form."""
-    d, k, alpha = int(p["d"]), int(p["k"]), float(p["alpha"])
-    members = [densify(m) for m in family_enumerate(d, k, alpha, p.get("family", "plain"))]
-    bound = parity_family_norm_bound_sq(d, k, alpha)
-    return infty_to_2_norm_bruteforce(members, bound_sq=bound)
+    members = [densify(m) for m in family_enumerate(d, k, alpha, family)]
+    return infty_to_2_norm_bruteforce(members, bound_sq=parity_family_norm_bound_sq(d, k, alpha))
 
 
 def learner_advantage(
-    p: dict, trials: int, rng: np.random.Generator
+    trials: int, rng: np.random.Generator, *, d: int, k: int, alpha: float, epsilon: float,
+    planted_subset: list[int], planted_sign: int, learner: str, n_learn: int,
+    test_phase_scale: float,
 ) -> tuple[LearnerDistinguisher, ThresholdReport]:
     """Threshold advantage of the learner distinguisher, ``trials`` runs per world.
 
     Both worlds draw from ``rng``, the planted world first.
     """
-    d = int(p["d"])
-    planted = ParityIndex(tuple(p.get("planted_subset", [1])), int(p.get("planted_sign", 1)))
-    if p.get("learner", "planted") == "plugin":
-        learner = PlugInParityLearner(d=d, k=int(p.get("k", 1)))
-    else:
-        learner = PlantedLearner(index=planted)
+    planted = ParityIndex(tuple(planted_subset), planted_sign)
     dist = LearnerDistinguisher(
-        learner=learner,
-        d=d,
-        alpha=float(p["alpha"]),
-        epsilon=float(p["epsilon"]),
-        n_learn=int(p.get("n_learn", 0)),
-        test_phase_scale=float(p.get("test_phase_scale", 24.0)),
+        learner=PlugInParityLearner(d=d, k=k) if learner == "plugin"
+        else PlantedLearner(index=planted),
+        d=d, alpha=alpha, epsilon=epsilon, n_learn=n_learn, test_phase_scale=test_phase_scale,
     )
     z_p = dist.run_batch(planted, trials, rng)
     z_u = dist.run_batch(None, trials, rng)
     return dist, threshold_distinguisher(z_p, z_u, min_samples=min(trials, 10_000))
 
 
-def wrapper_gap(p: dict) -> dict:
+def wrapper_gap(*, n: int, randomizer: dict, cutoff: int | None, epsilon: float, delta: float,
+                reference: dict[int, float], input: dict[int, float]) -> dict:
     """Output-law gaps of the shuffle-to-pan wrapper around an n-user protocol.
 
-    ``tv_null`` compares the wrapper and the protocol on the reference law
-    (exactly 0 in theory); ``tv_real`` compares the wrapper on ``p["input"]``
-    with the protocol on the (2/9)-diluted mixture, which ``escape_bound``
-    bounds.
+    ``tv_null`` compares the wrapper and the protocol on the ``reference`` law
+    (exactly 0 in theory); ``tv_real`` compares the wrapper on ``input`` with
+    the protocol on the (2/9)-diluted mixture, which ``escape_bound`` bounds.
     """
-    n = int(p["n"])
-    randomizer = mechanism_from_manifest(p["randomizer"])
-    cutoff = p.get("cutoff")
-    analyzer = threshold_analyzer(int(cutoff)) if cutoff is not None else histogram_analyzer()
     protocol = ShuffleProtocol(
-        randomizer=randomizer, analyzer=analyzer, n=n,
-        budget=PrivacyBudget(epsilon=float(p.get("epsilon", 1.0)),
-                             delta=float(p.get("delta", 0.0)),
-                             gamma=1.0 / 3.0),
+        randomizer=mechanism_from_manifest(randomizer),
+        analyzer=histogram_analyzer() if cutoff is None else threshold_analyzer(cutoff), n=n,
+        budget=PrivacyBudget(epsilon=epsilon, delta=delta, gamma=1.0 / 3.0),
     )
-    ref = {int(k): float(v) for k, v in p["reference"].items()}
-    wrapper = ShuffleToPanWrapper(protocol=protocol, reference=ref)
-    null_law = wrapper.exact_output_distribution(ref)
-    null_target = ex.exact_output_distribution(protocol, [ref] * n)
+    wrapper = ShuffleToPanWrapper(protocol=protocol, reference=reference)
+    null_law = wrapper.exact_output_distribution(reference)
+    null_target = ex.exact_output_distribution(protocol, [reference] * n)
     tv_null = ex.tv_dicts(null_law, null_target)
-    inp = {int(k): float(v) for k, v in p["input"].items()}
-    diluted = {k: 2.0 / 9.0 * inp.get(k, 0.0) + 7.0 / 9.0 * ref.get(k, 0.0)
-               for k in set(inp) | set(ref)}
-    real_law = wrapper.exact_output_distribution(inp)
+    diluted = {k: 2.0 / 9.0 * input.get(k, 0.0) + 7.0 / 9.0 * reference.get(k, 0.0)
+               for k in set(input) | set(reference)}
+    real_law = wrapper.exact_output_distribution(input)
     real_target = ex.exact_output_distribution(protocol, [diluted] * n)
     tv_real = ex.tv_dicts(real_law, real_target)
     return {"tv_null": tv_null, "tv_real": tv_real, "escape_bound": wrapper_escape_mass(n)}
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: each runs on its spec and its params, read through its table
 
 
 # a kind's CSV header and rows, its summary, and how many processes ran it
 _KindResult = tuple[list[str], list[tuple], dict, int]
 
-
-def _params(spec: ExperimentSpec, *required: str) -> dict:
-    """The spec's params; a required key that is missing or null raises ``ValueError``."""
-    missing = [key for key in required if spec.params.get(key) is None]
-    if missing:
-        raise ValueError(f"{spec.kind} spec {spec.experiment_id!r} lacks the params {missing}; "
-                         f"the kind requires {list(required)}")
-    return spec.params
-
-
-def _int_list(value) -> list[int]:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"not a list: {value!r}")
-    return [int(v) for v in value]
-
-
-_CAST_NAMES = {int: "an integer", float: "a number", _int_list: "a list of integers"}
-
-
-def _param(spec: ExperimentSpec, key: str, cast, default=None):
-    """``spec.params[key]`` read through ``cast``, or ``default`` when it is absent or null.
-
-    A value ``cast`` rejects raises ``ValueError`` naming the kind and the key.
-    """
-    value = spec.params.get(key)
-    if value is None:
-        return default
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{spec.kind} spec {spec.experiment_id!r}: param {key!r} must be "
-                         f"{_CAST_NAMES[cast]}, got {value!r}") from None
-
-
-def _mean_error_trial(spec: ExperimentSpec, trial: int) -> tuple:
-    p = spec.params
-    rng = _trial_rng(spec, trial)
-    inst = ProblemInstance(
-        problem=p.get("problem", "sparse-mean"),
-        model=p["model"],
-        d=int(p["d"]),
-        k=int(p.get("k", 1)),
-        alpha=float(p["alpha"]),
-        n=int(p["n"]),
-        epsilon=float(p["epsilon"]),
-        delta=float(p.get("delta", 1e-6)),
-        truth=p["truth"],
-    )
-    features = feature_matrix(inst, inst.sample_data(rng))  # checks the signs once
-    means = _private_means(features, inst.model, inst.epsilon, inst.delta, rng)
-    err = float(np.abs(means - true_means(inst)).max())
-    return (trial, err)
-
-
 _TRIAL_BLOCK = 8  # mean_error trials per pool task: one trial a task doubles the pool's cost
 
 
-def _mean_error_block(spec: ExperimentSpec, trials: range) -> list[tuple]:
-    return [_mean_error_trial(spec, trial) for trial in trials]
+def _mean_error_block(spec: ExperimentSpec, inst: ProblemInstance, trials: range) -> list[tuple]:
+    rows = []
+    for trial in trials:
+        rng = _trial_rng(spec, trial)
+        features = feature_matrix(inst, inst.sample_data(rng))  # checks the signs once
+        means = _private_means(features, inst.model, inst.epsilon, inst.delta, rng)
+        rows.append((trial, float(np.abs(means - true_means(inst)).max())))
+    return rows
 
 
-def _run_mean_error(spec: ExperimentSpec) -> _KindResult:
-    _params(spec, "model", "d", "alpha", "n", "epsilon", "truth")
-    workers = max(1, spec.workers)
+def _run_mean_error(spec: ExperimentSpec, **fields) -> _KindResult:
+    """Trials in blocks of eight, over at most ``workers`` processes, one per block and CPU."""
+    inst = ProblemInstance(**fields)
+    inst.member  # reads the truth descriptor before any trial runs
     blocks = [range(i, min(i + _TRIAL_BLOCK, spec.trials))
               for i in range(0, spec.trials, _TRIAL_BLOCK)]
-    rows = [row for block in _pmap(_mean_error_block, spec, blocks, workers) for row in block]
+    processes = min(max(1, spec.workers), len(blocks), _usable_cpus())
+    found = _pmap(partial(_mean_error_block, spec, inst), blocks, processes)
+    rows = [row for block in found for row in block]
     errs = np.array([r[1] for r in rows])
     summary = {
         "mean_err": float(errs.mean()),
         "median_err": float(np.median(errs)),
         "max_err": float(errs.max()),
     }
-    return ["trial", "err_linf"], rows, summary, workers
+    return ["trial", "err_linf"], rows, summary, processes
 
 
-def _run_audit(spec: ExperimentSpec) -> _KindResult:
-    curve = audit_curve(_params(spec, "mechanism", "stream_a", "stream_b", "eps_grid"))
+def _run_audit(spec: ExperimentSpec, **params) -> _KindResult:
+    curve = audit_curve(**params)
     columns = (curve.epsilons, curve.delta_forward, curve.delta_backward, curve.delta_max)
     rows = list(zip(*(c.tolist() for c in columns)))
     summary = {"worst_delta": float(curve.delta_max.max())}
     return ["epsilon", "delta_forward", "delta_backward", "delta_max"], rows, summary, 1
 
 
-def _run_norm(spec: ExperimentSpec) -> _KindResult:
-    p = _params(spec, "d", "k", "alpha")
-    d, k, alpha = _param(spec, "d", int), _param(spec, "k", int), _param(spec, "alpha", float)
-    family = p.get("family", "plain")
-    report = family_norm({"d": d, "k": k, "alpha": alpha, "family": family})
+def _run_norm(spec: ExperimentSpec, d: int, k: int, alpha: float, family: str) -> _KindResult:
+    report = family_norm(d=d, k=k, alpha=alpha, family=family)
     value, bound = report.value_sq, report.bound_sq
     rows = [(d, k, alpha, family, value, bound, value / bound)]
     summary = {"value_sq": value, "bound_sq": bound, "tight": bool(abs(value - bound) < 1e-9)}
     return ["d", "k", "alpha", "family", "value_sq", "bound_sq", "ratio"], rows, summary, 1
 
 
-def _run_distinguish(spec: ExperimentSpec) -> _KindResult:
-    p = _params(spec, "d", "alpha", "epsilon")
-    dist, report = learner_advantage(p, spec.trials, _trial_rng(spec, 0))
+def _run_distinguish(spec: ExperimentSpec, **params) -> _KindResult:
+    dist, report = learner_advantage(spec.trials, _trial_rng(spec, 0), **params)
     rows = [(report.tau, report.advantage, report.ci_low, report.ci_high)]
     summary = report.to_json() | {"test_len": dist.test_len}
     return ["tau", "advantage", "ci_low", "ci_high"], rows, summary, 1
 
 
-def _run_wrapper_gap(spec: ExperimentSpec) -> _KindResult:
-    p = _params(spec, "n", "randomizer", "reference", "input")
-    gap = wrapper_gap(p)
-    rows = [(int(p["n"]), gap["tv_null"], gap["tv_real"], gap["escape_bound"])]
+def _run_wrapper_gap(spec: ExperimentSpec, **params) -> _KindResult:
+    gap = wrapper_gap(**params)
+    rows = [(params["n"], gap["tv_null"], gap["tv_real"], gap["escape_bound"])]
     return ["n", "tv_null", "tv_real", "escape_bound"], rows, gap, 1
 
 
-def _search_args(spec: ExperimentSpec) -> dict:
-    """Keyword arguments of the sweep's threshold searches, all but ``d``."""
-    return {
-        "model": spec.params.get("model", "pan"),
-        "epsilon": _param(spec, "epsilon", float, 1.0),
-        "delta": _param(spec, "delta", float, 1e-6),
-        "alpha": _param(spec, "alpha", float, 0.2),
-        "target": _param(spec, "target", float, 0.9),
-        "pilot_trials": _param(spec, "pilot_trials", int, 300),
-        "confirm_trials": spec.trials,
-        "master_seed": spec.master_seed,
-        "tag": spec.experiment_id,
-    }
-
-
-def _threshold_row(spec: ExperimentSpec, d: int) -> tuple:
+def _threshold_row(search: dict, d: int) -> tuple:
     """The sweep's CSV row for dimension ``d``; it draws only from streams keyed by ``d``."""
-    res = find_selection_threshold(d=d, **_search_args(spec))
+    res = find_selection_threshold(d=d, **search)
     return (d, res.n_star, res.success_at_n_star, res.corridor_n, res.corridor_success)
 
 
-def _run_selection_sweep(spec: ExperimentSpec) -> _KindResult:
+def _run_selection_sweep(spec: ExperimentSpec, dims: list[int], **search) -> _KindResult:
     """One threshold search per distinct dim, over up to one process per usable CPU.
 
     The dims go out largest first, one to a task, so the slowest search starts
     first; the rows come back in ``dims`` order, the same bytes at any count.
     """
-    _params(spec, "dims")
-    dims = _param(spec, "dims", _int_list)
     if len(dims) < 4:
         raise ValueError(f"selection_sweep needs at least 4 dims for its scaling fit, got {dims}")
-    model = _search_args(spec)["model"]  # reads every typed param before any search runs
+    search |= {"confirm_trials": spec.trials, "master_seed": spec.master_seed,
+               "tag": spec.experiment_id}
     distinct = list(dict.fromkeys(dims))
     workers = min(len(distinct), _usable_cpus())
-    found = _pmap(_threshold_row, spec, distinct, workers, order=sorted(distinct, reverse=True))
+    found = _pmap(partial(_threshold_row, search), distinct, workers,
+                  order=sorted(distinct, reverse=True))
     by_dim = dict(zip(distinct, found))
     rows = [by_dim[d] for d in dims]
     fit = fit_scaling(dims, [r[1] for r in rows])
     summary = {"slope": fit.slope, "intercept": fit.intercept, "stderr": fit.stderr,
-               "model": model}
+               "model": search["model"]}
     return ["d", "n_star", "success", "corridor_n", "corridor_success"], rows, summary, workers
 
 
+# kind -> (runner, its params as (wanted type, default); ``...`` marks a required param)
 EXPERIMENT_KINDS = {
-    "mean_error": _run_mean_error,
-    "audit": _run_audit,
-    "norm": _run_norm,
-    "distinguish": _run_distinguish,
-    "wrapper_gap": _run_wrapper_gap,
-    "selection_sweep": _run_selection_sweep,
+    "mean_error": (_run_mean_error, {
+        "problem": (PROBLEMS, "sparse-mean"), "model": (MODELS, ...), "d": (int, ...),
+        "k": (int, 1), "alpha": (float, ...), "n": (int, ...), "epsilon": (float, ...),
+        "delta": (float, 1e-6), "truth": (dict, ...),
+    }),
+    "audit": (_run_audit, {
+        "mechanism": (dict, ...), "stream_a": (list, ...), "stream_b": (list, ...),
+        "eps_grid": (list[float], ...), "intrusion_times": (list[int], None),
+    }),
+    "norm": (_run_norm, {
+        "d": (int, ...), "k": (int, ...), "alpha": (float, ...),
+        "family": (("plain", "labeled"), "plain"),
+    }),
+    "distinguish": (_run_distinguish, {
+        "d": (int, ...), "k": (int, 1), "alpha": (float, ...), "epsilon": (float, ...),
+        "planted_subset": (list[int], (1,)), "planted_sign": (int, 1),
+        "learner": (("planted", "plugin"), "planted"), "n_learn": (int, 0),
+        "test_phase_scale": (float, 24.0),
+    }),
+    "wrapper_gap": (_run_wrapper_gap, {
+        "n": (int, ...), "randomizer": (dict, ...), "cutoff": (int, None),
+        "epsilon": (float, 1.0), "delta": (float, 0.0), "reference": (dict[int, float], ...),
+        "input": (dict[int, float], ...),
+    }),
+    "selection_sweep": (_run_selection_sweep, {
+        "dims": (list[int], ...), "model": (MODELS, "pan"), "epsilon": (float, 1.0),
+        "delta": (float, 1e-6), "alpha": (float, 0.2), "target": (float, 0.9),
+        "pilot_trials": (int, 300),
+    }),
 }
 
+_SPEC_FIELDS = {"trials": (int, ...), "master_seed": (int, ...), "workers": (int, ...)}
 
-def run_spec(spec: ExperimentSpec, out_dir) -> RunResult:
+
+def _run_kind(spec: ExperimentSpec) -> _KindResult:
+    """Run the spec's kind once the spec's fields and params are read (see the module doc)."""
     if spec.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {spec.kind!r}; "
                          f"known: {sorted(EXPERIMENT_KINDS)}")
+    site = f"{spec.kind} spec {spec.experiment_id!r}"
+    _read_keys(site, {name: getattr(spec, name) for name in _SPEC_FIELDS}, _SPEC_FIELDS)
+    if spec.trials < 1:
+        raise ValueError(f"{site}: 'trials' must be at least 1, got {spec.trials!r}")
+    run, keys = EXPERIMENT_KINDS[spec.kind]
+    return run(spec, **_read_keys(site, spec.params, keys))
+
+
+def run_spec(spec: ExperimentSpec, out_dir) -> RunResult:
     started = time.time()
-    header, rows, summary, processes = EXPERIMENT_KINDS[spec.kind](spec)
+    header, rows, summary, processes = _run_kind(spec)
     wall = time.time() - started
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

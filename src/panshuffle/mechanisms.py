@@ -20,12 +20,12 @@ in rational-free float arithmetic over explicit dictionaries.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
+from .errors import _read_keys
 from .rng import as_generator
 
 __all__ = [
@@ -284,8 +284,9 @@ def asymmetric_binary_randomizer(p_one_given_one: float, p_one_given_zero: float
     )
 
 
-def echo_randomizer(alphabet: tuple) -> Randomizer:
+def echo_randomizer(alphabet: Sequence) -> Randomizer:
     """Forward the input unchanged (no privacy; used for worst-case baselines)."""
+    alphabet = tuple(alphabet)
     lookup = {m: i for i, m in enumerate(alphabet)}
 
     def index(x) -> int:
@@ -458,70 +459,33 @@ def constant_mechanism(value: Hashable = 0) -> PanPrivateAlgorithm:
     )
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# the JSON type each manifest key takes, as (description, test); every other key takes a number
-_MANIFEST_VALUES = {
-    "cap": ("an integer", lambda v: _is_number(v) and isinstance(v, numbers.Integral)),
-    "alphabet": (
-        "a list of numbers or strings",
-        lambda v: isinstance(v, (list, tuple))
-        and all(_is_number(m) or isinstance(m, str) for m in v),
-    ),
+# manifest type -> (builder, its keys as (wanted type, default); ``...`` marks a required key)
+_MANIFESTS = {
+    "binary_rr": (binary_randomized_response, {"flip_p": (float, ...)}),
+    "channel": (asymmetric_binary_randomizer,
+                {"p_one_given_one": (float, ...), "p_one_given_zero": (float, ...)}),
+    "echo": (echo_randomizer, {"alphabet": (list[float | str], (0, 1))}),
+    "qlap_counter": (quantized_laplace_counter, {
+        "eps_update": (float, ...), "eps_output": (float, ...), "step": (float, 1.0 / 64),
+        "span": (float, None), "sensitivity": (float, 1.0),
+    }),
+    "noisy_parity": (noisy_parity_chain, {"flip_p": (float, ...)}),
+    "saturating_counter": (saturating_counter, {"cap": (int, ...)}),
 }
 
 
 def mechanism_from_manifest(manifest: dict):
-    """Build a mechanism from a JSON-able manifest {"type": ..., params...}.
+    """Build a mechanism from a JSON manifest {"type": ..., params...}, typed by ``_MANIFESTS``.
 
-    Supported types: ``binary_rr`` (flip_p), ``channel`` (p_one_given_one,
-    p_one_given_zero), ``echo`` (alphabet), ``qlap_counter`` (eps_update,
-    eps_output, step, span, sensitivity), ``noisy_parity`` (flip_p),
-    ``saturating_counter`` (cap). A missing required key or an unknown key
-    raises ``ValueError`` listing the keys the type accepts; a value of the
-    wrong JSON type raises ``ValueError`` naming the type, the key and the value.
+    An unknown type, a missing (or null) required key, an unknown key or a
+    value of the wrong JSON type raises ``ValueError`` naming the type and the key.
     """
-    # type -> (required keys, optional keys, builder)
-    builders = {
-        "binary_rr": (("flip_p",), (), lambda p: binary_randomized_response(float(p["flip_p"]))),
-        "channel": (
-            ("p_one_given_one", "p_one_given_zero"), (),
-            lambda p: asymmetric_binary_randomizer(
-                float(p["p_one_given_one"]), float(p["p_one_given_zero"])
-            ),
-        ),
-        "echo": ((), ("alphabet",), lambda p: echo_randomizer(tuple(p.get("alphabet", (0, 1))))),
-        "qlap_counter": (
-            ("eps_update", "eps_output"), ("step", "span", "sensitivity"),
-            lambda p: quantized_laplace_counter(
-                eps_update=float(p["eps_update"]),
-                eps_output=float(p["eps_output"]),
-                step=float(p.get("step", 1.0 / 64)),
-                span=(float(p["span"]) if "span" in p else None),
-                sensitivity=float(p.get("sensitivity", 1.0)),
-            ),
-        ),
-        "noisy_parity": (("flip_p",), (), lambda p: noisy_parity_chain(float(p["flip_p"]))),
-        "saturating_counter": (("cap",), (), lambda p: saturating_counter(int(p["cap"]))),
-    }
     if not isinstance(manifest, dict):
-        raise ValueError(f"a mechanism manifest is a JSON object, got {manifest!r}")
+        raise ValueError(f"mechanism manifest must be a JSON object, got {manifest!r}")
     kind = manifest.get("type")
-    if kind not in builders:
-        raise ValueError(f"unknown mechanism type {kind!r}; 'type' is one of {list(builders)}")
-    required, optional, build = builders[kind]
-    params = {k: v for k, v in manifest.items() if k != "type"}
-    missing = [k for k in required if k not in params]
-    unknown = sorted(k for k in params if k not in required + optional)
-    if missing or unknown:
-        raise ValueError(
-            f"{kind} manifest: missing keys {missing}, unknown keys {unknown}; "
-            f"accepted keys: {['type', *required, *optional]}"
-        )
-    for key, value in params.items():
-        want, accepts = _MANIFEST_VALUES.get(key, ("a number", _is_number))
-        if not accepts(value):
-            raise ValueError(f"{kind} manifest: {key!r} must be {want}, got {value!r}")
-    return build(params)
+    if not isinstance(kind, str) or kind not in _MANIFESTS:
+        raise ValueError(f"mechanism manifest: 'type' must be one of {list(_MANIFESTS)}, "
+                         f"got {kind!r}")
+    build, keys = _MANIFESTS[kind]
+    params = {key: value for key, value in manifest.items() if key != "type"}
+    return build(**_read_keys(f"{kind} manifest", params, keys))

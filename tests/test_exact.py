@@ -221,6 +221,19 @@ def test_audit_pan_maximizes_over_intrusions():
     assert np.allclose(full.delta_max, stacked)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_audit_rejects_a_negative_or_non_finite_epsilon_before_propagating(bad, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law was propagated")
+
+    monkeypatch.setattr(exact_mod, "_shuffle_law", refuse)
+    monkeypatch.setattr(exact_mod, "_pan_views", refuse)
+    for mech in (binary_randomized_response(0.2), noisy_parity_chain(0.2)):
+        with pytest.raises(ValueError, match="finite non-negative epsilons") as err:
+            audit_privacy(mech, ([1], [0]), [0.5, bad])
+        assert str(err.value).endswith(f"got [{bad!r}]")
+
+
 def test_audit_rejects_unequal_lengths():
     rz = binary_randomized_response(0.2)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Experiment harness (specs, CSV conventions, kinds) and the CLI entry point."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,11 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panshuffle import harness
+from panshuffle import distributions, harness, mechanisms
 from panshuffle.baselines import ThresholdSearchResult, find_selection_threshold
 from panshuffle.cli import CHECK_FAILED, main
-from panshuffle.distributions import ParametricHardDistribution, ParityIndex, member_descriptor
+from panshuffle.distributions import (
+    ParametricHardDistribution,
+    ParityIndex,
+    from_descriptor,
+    member_descriptor,
+)
 from panshuffle.errors import GuardError
+from panshuffle.mechanisms import mechanism_from_manifest
 from panshuffle.harness import (
     ExperimentSpec,
     _fmt,
@@ -71,19 +78,22 @@ def _mean_error_spec(workers: int) -> ExperimentSpec:
             "epsilon": 2.0,
             "truth": member_descriptor(member, k=1),
         },
-        trials=6,
+        trials=12,
         master_seed=99,
         workers=workers,
     )
 
 
-def test_mean_error_kind_and_worker_invariance(tmp_path):
+def test_mean_error_kind_and_worker_invariance(tmp_path, monkeypatch):
+    # 12 trials are two blocks of eight: a real 2-process pool at workers 2 and 8
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     res1 = run_spec(_mean_error_spec(1), tmp_path / "w1")
     res2 = run_spec(_mean_error_spec(2), tmp_path / "w2")
-    assert _digest(res1.csv_path) == _digest(res2.csv_path)
+    res8 = run_spec(_mean_error_spec(8), tmp_path / "w8")
+    assert _digest(res1.csv_path) == _digest(res2.csv_path) == _digest(res8.csv_path)
     lines = res1.csv_path.read_text().splitlines()
     assert lines[0] == "trial,err_linf"
-    assert [int(row.split(",")[0]) for row in lines[1:]] == list(range(6))
+    assert [int(row.split(",")[0]) for row in lines[1:]] == list(range(12))
     assert set(res1.summary) == {"mean_err", "median_err", "max_err"}
     manifest = json.loads(res1.manifest_path.read_text())
     assert manifest["spec_hash"] == _mean_error_spec(1).spec_hash()
@@ -91,6 +101,23 @@ def test_mean_error_kind_and_worker_invariance(tmp_path):
     assert manifest["processes"] == 1
     assert manifest["summary"] == res1.summary
     assert "numpy" in manifest["versions"]
+    pooled = json.loads(res8.manifest_path.read_text())
+    assert (pooled["workers"], pooled["processes"]) == (8, 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_mean_error_runs_in_process_when_one_block_or_one_cpu(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker process started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    res = run_spec(_mean_error_spec(8), tmp_path / "one-cpu")
+    assert json.loads(res.manifest_path.read_text())["processes"] == 1
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    spec = dataclasses.replace(_mean_error_spec(8), trials=8)
+    res = run_spec(spec, tmp_path / "one-block")
+    assert json.loads(res.manifest_path.read_text())["processes"] == 1
 
 
 def test_mean_error_checks_signs_once_per_trial(tmp_path, monkeypatch):
@@ -264,6 +291,14 @@ def test_cli_sweep_prints_a_worker_error_in_one_line(tmp_path, monkeypatch, caps
     assert err == "error: selection at d=8 did not reach the target\n"
 
 
+_RR_MANIFEST = {"type": "binary_rr", "flip_p": 0.2}
+_MEAN = {"model": "central", "d": 3, "alpha": 0.2, "n": 40, "epsilon": 1.0,
+         "truth": {"family": "uniform", "d": 3}}
+_GAP = {"n": 6, "randomizer": _RR_MANIFEST, "reference": {"0": 0.5, "1": 0.5},
+        "input": {"0": 0.1, "1": 0.9}}
+_AUDIT = {"mechanism": _RR_MANIFEST, "stream_a": [1], "stream_b": [0], "eps_grid": [1.0]}
+
+
 @pytest.mark.parametrize("kind, params, key", [
     ("selection_sweep", {"dims": 8}, "dims"),
     ("selection_sweep", {"dims": [8, 16, "x", 64]}, "dims"),
@@ -271,18 +306,52 @@ def test_cli_sweep_prints_a_worker_error_in_one_line(tmp_path, monkeypatch, caps
     ("selection_sweep", {"dims": [8, 16, 32, 64], "epsilon": [1.0]}, "epsilon"),
     ("norm", {"d": "three", "k": 1, "alpha": 0.2}, "d"),
     ("norm", {"d": 3, "k": 1, "alpha": "x"}, "alpha"),
+    ("norm", {"d": 3.7, "k": 1, "alpha": 0.2}, "d"),
+    ("norm", {"d": np.int64(3), "k": 1, "alpha": 0.2}, "d"),
+    ("distinguish", {"d": "x", "alpha": 0.2, "epsilon": 1.0}, "d"),
+    ("distinguish", {"d": 4, "alpha": 0.2, "epsilon": 1.0, "planted_subset": 2},
+     "planted_subset"),
+    ("distinguish", {"d": 4, "alpha": 0.2, "epsilon": 1.0, "learner": "plug-in"}, "learner"),
+    ("mean_error", _MEAN | {"d": "four"}, "d"),
+    ("wrapper_gap", _GAP | {"n": "six"}, "n"),
+    ("wrapper_gap", _GAP | {"reference": [0.5, 0.5]}, "reference"),
+    ("audit", _AUDIT | {"eps_grid": 0.5}, "eps_grid"),
 ], ids=["dims-int", "dims-string-element", "pilot-string", "epsilon-list", "norm-d",
-        "norm-alpha"])
+        "norm-alpha", "norm-d-fraction", "norm-d-numpy", "distinguish-d", "distinguish-subset-int",
+        "distinguish-learner", "mean-error-d", "wrapper-n", "wrapper-reference-list",
+        "audit-eps-scalar"])
 def test_run_spec_names_a_mistyped_kind_param(kind, params, key, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a search or a worker process started")
 
     monkeypatch.setattr(harness, "find_selection_threshold", refuse)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # 16 trials: mean_error would pool
     out = tmp_path / "out"
     with pytest.raises(ValueError) as info:
-        run_spec(ExperimentSpec(kind, "mistyped", params), out)
-    assert str(info.value).startswith(f"{kind} spec 'mistyped': param '{key}' must be")
+        run_spec(ExperimentSpec(kind, "mistyped", params, trials=16, workers=2), out)
+    assert str(info.value).startswith(f"{kind} spec 'mistyped': '{key}' must be ")
+    assert str(info.value).endswith(f", got {params[key]!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("trials", 0, "'trials' must be at least 1, got 0"),
+    ("trials", "8", "'trials' must be an integer, got '8'"),
+    ("workers", "2", "'workers' must be an integer, got '2'"),
+    ("master_seed", "7", "'master_seed' must be an integer, got '7'"),
+])
+def test_run_spec_checks_the_spec_fields_before_the_kind(field, value, named, tmp_path,
+                                                          monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kind started")
+
+    monkeypatch.setattr(harness, "ProblemInstance", refuse)
+    spec = dataclasses.replace(ExperimentSpec("mean_error", "fields", _MEAN), **{field: value})
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as info:
+        run_spec(spec, out)
+    assert str(info.value) == f"mean_error spec 'fields': {named}"
     assert not out.exists()
 
 
@@ -294,9 +363,6 @@ def test_cli_sweep_names_a_bad_dims_list_in_one_line(capsys):
     assert err == "error: --dims must be comma-separated integers, got '8,x'\n"
 
 
-_RR_MANIFEST = {"type": "binary_rr", "flip_p": 0.2}
-
-
 @pytest.mark.parametrize("kind, params, key", [
     ("mean_error", {"model": "central", "d": 3, "alpha": 0.2, "n": 40, "epsilon": 1.0}, "truth"),
     ("audit", {"mechanism": _RR_MANIFEST, "stream_a": [1], "stream_b": [0]}, "eps_grid"),
@@ -305,6 +371,13 @@ _RR_MANIFEST = {"type": "binary_rr", "flip_p": 0.2}
     ("wrapper_gap", {"n": 6, "randomizer": _RR_MANIFEST, "reference": {"0": 0.5, "1": 0.5}},
      "input"),
     ("selection_sweep", {"model": "pan"}, "dims"),
+    # one unknown key per kind
+    ("mean_error", _MEAN | {"trails": 8}, "trails"),
+    ("audit", _AUDIT | {"eps": [1.0]}, "eps"),
+    ("norm", {"d": 3, "k": 1, "alpha": 0.2, "famly": "labeled"}, "famly"),
+    ("distinguish", {"d": 4, "alpha": 0.2, "epsilon": 1.0, "lerner": "plugin"}, "lerner"),
+    ("wrapper_gap", _GAP | {"cutof": 2}, "cutof"),
+    ("selection_sweep", {"dims": [8, 16, 32, 64], "pilot_trails": 50}, "pilot_trails"),
 ])
 def test_run_spec_names_a_missing_kind_param(kind, params, key, tmp_path):
     out = tmp_path / "out"
@@ -312,6 +385,52 @@ def test_run_spec_names_a_missing_kind_param(kind, params, key, tmp_path):
         run_spec(ExperimentSpec(kind, "missing", params), out)
     missing = str(info.value).split(";")[0]
     assert missing.startswith(f"{kind} spec") and f"'{key}'" in missing, missing
+    assert not out.exists()
+
+
+# a value of each wanted type, for objects that pass the reader
+_VALID = {int: 1, float: 0.5, str: "s", dict: {}, list: [], list[int]: [1], list[float]: [0.5],
+          list[float | str]: [0, "a"], dict[int, float]: {"0": 1.0}}
+
+
+def _every_table(out: Path):
+    """(site, keys table, fixed keys, the entry point that reads through the table)."""
+    for kind, (_, keys) in harness.EXPERIMENT_KINDS.items():
+        yield (f"{kind} spec 'walk'", keys, {},
+               lambda obj, kind=kind: run_spec(ExperimentSpec(kind, "walk", obj), out))
+    for kind, (_, keys) in mechanisms._MANIFESTS.items():
+        yield f"{kind} manifest", keys, {"type": kind}, mechanism_from_manifest
+    # "family": "uniform" and a present "ell" pick the descriptor's table, so they stay put
+    for shape, keys in distributions._DESCRIPTORS.items():
+        fixed = {"uniform": {"family": "uniform"}, "family": {}, "member": {"ell": [1]}}[shape]
+        yield "descriptor", keys, fixed, from_descriptor
+
+
+def test_every_table_names_a_missing_a_mistyped_and_an_unknown_key(tmp_path):
+    out = tmp_path / "out"
+    for site, keys, fixed, read in _every_table(out):
+        def raised(obj) -> str:
+            with pytest.raises(ValueError) as info:
+                read(obj)
+            return str(info.value)
+
+        wanted = {key: want for key, (want, default) in keys.items()
+                  if default is ... and key not in fixed}
+        base = fixed | {key: want[0] if isinstance(want, tuple) else _VALID[want]
+                        for key, want in wanted.items()}
+        for key in wanted:
+            message = raised({k: v for k, v in base.items() if k != key})
+            assert message.startswith(f"{site}: missing keys ["), message
+            assert repr(key) in message.split(";")[0], message
+        for key, (want, _) in keys.items():
+            if key in fixed:
+                continue
+            wrong = 3 if want is str else "x"
+            message = raised(base | {key: wrong})
+            assert message.startswith(f"{site}: {key!r} must be "), message
+            assert message.endswith(f", got {wrong!r}"), message
+        message = raised(base | {"bogus": 1})
+        assert message.startswith(f"{site}: unknown keys ['bogus']; accepted keys: ")
     assert not out.exists()
 
 
@@ -448,7 +567,7 @@ def test_cli_audit_rejects_a_bad_manifest_in_one_line(capsys):
 
 @pytest.mark.parametrize("mechanism, neighbors, named", [
     ('{"type": "binary_rr", "flip_p": null}', '{"a": [1], "b": [0]}',
-     ["binary_rr", "'flip_p'", "a number", "None"]),
+     ["binary_rr manifest: missing keys ['flip_p']"]),
     ('{"type": "echo", "alphabet": 3}', '{"a": [1], "b": [0]}',
      ["echo", "'alphabet'", "a list", "got 3"]),
     ('{"type": "saturating_counter", "cap": "x"}', '{"a": [1], "b": [0]}',
@@ -504,7 +623,8 @@ def test_cli_descriptor_without_a_key_exits_one_in_one_line(argv, key, capsys):
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: descriptor lacks the key {key}") and err.count("\n") == 1
+    assert err.startswith("error: descriptor: missing keys [") and err.count("\n") == 1
+    assert key in err.split(";")[0], err
 
 
 @pytest.mark.parametrize("desc, named", [
@@ -516,7 +636,7 @@ def test_cli_descriptor_with_a_mistyped_key_exits_one_in_one_line(desc, named, c
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err.startswith("error: descriptor key") and err.count("\n") == 1
+    assert err.startswith("error: descriptor: '") and err.count("\n") == 1
     assert all(part in err for part in named), err
 
 
@@ -525,10 +645,21 @@ def test_cli_descriptor_with_a_mistyped_key_exits_one_in_one_line(desc, named, c
     (["sweep", "--dims", "8,16,32,64", "--model", "shuffle", "--trials", "100"],
      ["n=64", "too small"]),
     (["fit", "--csv", "short.csv"], [">= 4", "got 3"]),
-], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows"])
+    (["fit", "--csv", "ragged.csv"], ["ragged.csv line 3:", "got '16'"]),
+    (["fit", "--csv", "long.csv"], ["long.csv line 4:", "got '32,400,7'"]),
+    (["fit", "--csv", "text.csv"], ["text.csv line 2:", "got '8,many'"]),
+    (["audit", "--mechanism", _RR, "--neighbors", '{"a": [1], "b": [0]}', "--eps", "0.5,-1"],
+     ["eps_grid must hold finite non-negative epsilons, got [-1.0]"]),
+    (["audit", "--mechanism", _RR, "--neighbors", '{"a": [1], "b": [0]}', "--eps", "0.5,x"],
+     ["--eps must be comma-separated numbers, got '0.5,x'"]),
+], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows", "fit-short-row",
+        "fit-long-row", "fit-text-row", "audit-negative-eps", "audit-eps-text"])
 def test_cli_guard_errors_exit_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.csv").write_text("d,n_star\n8,100\n16,200\n32,400\n")
+    (tmp_path / "ragged.csv").write_text("d,n_star\n8,100\n16\n32,400\n64,800\n")
+    (tmp_path / "long.csv").write_text("d,n_star\n8,100\n16,200\n32,400,7\n64,800\n")
+    (tmp_path / "text.csv").write_text("d,n_star\n8,many\n16,200\n32,400\n64,800\n")
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1
@@ -537,23 +668,24 @@ def test_cli_guard_errors_exit_one_in_one_line(argv, named, tmp_path, monkeypatc
     assert all(part in err for part in named), err
 
 
-@pytest.mark.parametrize("neighbors, key", [
-    ('{"a": 1, "b": [0]}', "stream_a"),
-    ('{"a": [1], "b": "0"}', "stream_b"),
+@pytest.mark.parametrize("neighbors, key, value", [
+    ('{"a": 1, "b": [0]}', "stream_a", "1"),
+    ('{"a": [1], "b": "0"}', "stream_b", "'0'"),
 ], ids=["a-number", "b-string"])
-def test_cli_audit_rejects_a_stream_that_is_not_a_list(neighbors, key, capsys):
+def test_cli_audit_rejects_a_stream_that_is_not_a_list(neighbors, key, value, capsys):
     code = main(["audit", "--mechanism", _RR, "--neighbors", neighbors])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: {key} must be a list") and err.count("\n") == 1
+    assert err == f"error: audit spec 'audit': '{key}' must be a list, got {value}\n"
 
 
 def test_audit_kind_names_a_stream_that_is_not_a_list(tmp_path):
     spec = ExperimentSpec(kind="audit", experiment_id="bad-stream", params={
         "mechanism": json.loads(_RR), "stream_a": [1], "stream_b": 0, "eps_grid": [1.0],
     })
-    with pytest.raises(ValueError, match="stream_b must be a list"):
+    named = r"^audit spec 'bad-stream': 'stream_b' must be a list, got 0$"
+    with pytest.raises(ValueError, match=named):
         run_spec(spec, tmp_path)
 
 

@@ -261,7 +261,7 @@ def test_mechanism_from_manifest_roundtrips():
     ({"type": "binary_rr", "flip": 0.2}, "missing keys ['flip_p'], unknown keys ['flip']"),
     ({"type": "noisy_parity", "flip_p": 0.1, "seed": 3}, "unknown keys ['seed']"),
     ({"type": "qlap_counter", "eps_update": 1.0}, "missing keys ['eps_output']"),
-    ({"flip_p": 0.2}, "'type' is one of"),
+    ({"flip_p": 0.2}, "mechanism manifest: 'type' must be one of"),
     ([{"type": "binary_rr"}], "JSON object"),
 ], ids=["missing-and-unknown", "unknown", "missing", "no-type", "not-an-object"])
 def test_mechanism_from_manifest_names_bad_keys(manifest, named):
