@@ -9,8 +9,9 @@ concentrates at T(1/2 + alpha), under uniform at T/2, so one threshold on
 the reported scalar separates the worlds with constant advantage.
 """
 
+import math
+
 import numpy as np
-from scipy import stats
 
 from panshuffle import (
     LearnerDistinguisher,
@@ -20,15 +21,46 @@ from panshuffle import (
     run_pan,
     threshold_distinguisher,
 )
-from panshuffle.rng import laplace, make_generator
+from panshuffle.rng import make_generator
 
 d, alpha, epsilon = 10, 0.2, 1.0
 planted = ParityIndex((1,), 1)
 
+
+def score_cdf(z: np.ndarray, test_len: int, q: float, b: float) -> np.ndarray:
+    """Exact CDF of Bin(T, q) + Lap(b) + Lap(b) at each point of ``z``.
+
+    Two iid Laplace(b) draws sum to a law with CDF 1 - (2 + y/b) e^(-y/b) / 4
+    for y >= 0 and (2 - y/b) e^(y/b) / 4 below 0; mix it over the T + 1
+    binomial terms.
+    """
+    cdf = np.zeros_like(z)
+    for j in range(test_len + 1):
+        y = (z - j) / b
+        tail = (2.0 + np.abs(y)) * np.exp(-np.abs(y)) / 4.0
+        cdf += math.comb(test_len, j) * q**j * (1 - q) ** (test_len - j) * np.where(
+            y >= 0, 1.0 - tail, tail)
+    return cdf
+
+
+def ks_one_sample(z: np.ndarray, cdf) -> tuple[float, float]:
+    """KS distance of the sample ``z`` to ``cdf``, and its asymptotic p-value.
+
+    The p-value is the Kolmogorov series P[K > x] = 2 sum_k (-1)^(k-1)
+    e^(-2 k^2 x^2) at x = sqrt(n) D.
+    """
+    n = len(z)
+    f = cdf(np.sort(z))
+    ranks = np.arange(1, n + 1)
+    dist = float(max((ranks / n - f).max(), (f - (ranks - 1) / n).max()))
+    k = np.arange(1, 101)
+    series = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * math.sqrt(n) * dist) ** 2))
+    return dist, float(min(1.0, max(0.0, series)))
+
 # --- the reported scalar follows a pinned-down law -------------------------
 # With an oracle learner and no learning phase the score is a Binomial count
-# plus two independent Laplace(1/eps) draws. Check that against synthetic
-# draws at a short test length.
+# plus two independent Laplace(1/eps) draws. Check that against its exact CDF
+# at a short test length.
 dist = LearnerDistinguisher(
     learner=PlantedLearner(index=planted), d=d, alpha=alpha, epsilon=epsilon,
     n_learn=0, test_phase_scale=4.0,
@@ -37,14 +69,9 @@ T = dist.test_len
 print(f"scale 4.0 gives test length T = {T}")
 rng = make_generator(21, "law-check")
 z = dist.run_batch(planted, 30_000, rng)
-ref = (
-    rng.binomial(T, 0.5 + alpha, size=30_000)
-    + laplace(rng, 1 / epsilon, size=30_000)
-    + laplace(rng, 1 / epsilon, size=30_000)
-)
-ks = stats.ks_2samp(z, ref)
-print(f"planted world vs Binomial(T, 1/2 + a) + 2 Lap(1/eps): "
-      f"KS p = {ks.pvalue:.3f}")
+ks, pvalue = ks_one_sample(z, lambda x: score_cdf(x, T, 0.5 + alpha, 1 / epsilon))
+print(f"planted world vs exact Binomial(T, 1/2 + a) + 2 Lap(1/eps): "
+      f"KS D = {ks:.4f}, p = {pvalue:.3f}")
 print(f"empirical means: planted {np.mean(z):.2f} "
       f"(theory {T * (0.5 + alpha):.1f}), uniform "
       f"{np.mean(dist.run_batch(None, 30_000, rng)):.2f} (theory {T / 2:.1f})")

@@ -3,7 +3,7 @@
 Subcommands wrap the library's main capabilities so single checks run without
 writing a script. Exit codes: 0 on success, 2 when a requested check fails
 (the command ran fine but the asserted property did not hold), 1 on usage
-errors.
+errors, each printed as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ def _cmd_sample(args) -> int:
     desc = _load_json_arg(args.dist)
     dist = from_descriptor(desc)
     if isinstance(dist, list):
-        print("descriptor names a whole family; pass one member (set 'ell')", file=sys.stderr)
-        return 1
+        raise ValueError("descriptor names a whole family; pass one member (set 'ell')")
     rng = make_generator(args.seed, "cli-sample")
     points = draw_from(dist, args.n, rng)
     if args.out:
@@ -102,8 +101,7 @@ def _cmd_tv(args) -> int:
     a = from_descriptor(_load_json_arg(args.dist_a))
     b = from_descriptor(_load_json_arg(args.dist_b))
     if isinstance(a, list) or isinstance(b, list):
-        print("tv compares two members, not families", file=sys.stderr)
-        return 1
+        raise ValueError("tv compares two members, not families")
     value = tv_distance(densify(a).probs, densify(b).probs)
     print(f"tv = {value!r}")
     if args.expect is not None:
@@ -155,11 +153,10 @@ def _cmd_audit(args) -> int:
 def _cmd_reduce_check(args) -> int:
     n = args.n
     if n % 3 != 0:
-        print(f"n must be divisible by 3, got {n}", file=sys.stderr)
-        return 1
+        raise ValueError(f"n must be divisible by 3, got {n}")
     gap = wrapper_gap(
         n=n, randomizer={"type": "binary_rr", "flip_p": args.flip_p}, cutoff=n // 3,
-        epsilon=1.0, delta=0.0, reference={0: 1.0 - args.ref_one, 1: args.ref_one},
+        reference={0: 1.0 - args.ref_one, 1: args.ref_one},
         input={0: 1.0 - args.input_one, 1: args.input_one},
     )
     tv_null, tv_real, bound = gap["tv_null"], gap["tv_real"], gap["escape_bound"]
@@ -211,17 +208,13 @@ def _cmd_fit(args) -> int:
     try:
         rows = Path(args.csv).read_text().rstrip().splitlines()
     except OSError as exc:
-        print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read CSV file {args.csv!r}: {exc.strerror}") from None
     if not rows:
-        print(f"{args.csv} is empty", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.csv} is empty")
     header = rows[0].split(",")
-    try:
-        xi, yi = header.index(args.x), header.index(args.y)
-    except ValueError:
-        print(f"columns {args.x!r}/{args.y!r} not in {header}", file=sys.stderr)
-        return 1
+    if args.x not in header or args.y not in header:
+        raise ValueError(f"columns {args.x!r}/{args.y!r} not in {header}")
+    xi, yi = header.index(args.x), header.index(args.y)
     xs, ys = [], []
     for number, line in enumerate(rows[1:], start=2):
         parts = line.split(",")

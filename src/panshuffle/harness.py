@@ -65,7 +65,6 @@ from .baselines import (
 from .distributions import ParityIndex, densify, family_enumerate
 from .errors import GuardError, _read_keys
 from .mechanisms import (
-    PrivacyBudget,
     ShuffleProtocol,
     histogram_analyzer,
     mechanism_from_manifest,
@@ -223,18 +222,18 @@ def learner_advantage(
     return dist, threshold_distinguisher(z_p, z_u, min_samples=min(trials, 10_000))
 
 
-def wrapper_gap(*, n: int, randomizer: dict, cutoff: int | None, epsilon: float, delta: float,
+def wrapper_gap(*, n: int, randomizer: dict, cutoff: int | None,
                 reference: dict[int, float], input: dict[int, float]) -> dict:
     """Output-law gaps of the shuffle-to-pan wrapper around an n-user protocol.
 
     ``tv_null`` compares the wrapper and the protocol on the ``reference`` law
     (exactly 0 in theory); ``tv_real`` compares the wrapper on ``input`` with
     the protocol on the (2/9)-diluted mixture, which ``escape_bound`` bounds.
+    The protocol declares no privacy budget: no gap depends on one.
     """
     protocol = ShuffleProtocol(
         randomizer=mechanism_from_manifest(randomizer),
         analyzer=histogram_analyzer() if cutoff is None else threshold_analyzer(cutoff), n=n,
-        budget=PrivacyBudget(epsilon=epsilon, delta=delta, gamma=1.0 / 3.0),
     )
     wrapper = ShuffleToPanWrapper(protocol=protocol, reference=reference)
     null_law = wrapper.exact_output_distribution(reference)
@@ -258,13 +257,15 @@ _KindResult = tuple[list[str], list[tuple], dict, int]
 _TRIAL_BLOCK = 8  # mean_error trials per pool task: one trial a task doubles the pool's cost
 
 
-def _mean_error_block(spec: ExperimentSpec, inst: ProblemInstance, trials: range) -> list[tuple]:
+def _mean_error_block(spec: ExperimentSpec, inst: ProblemInstance, truth: np.ndarray,
+                      trials: range) -> list[tuple]:
+    """One row per trial: the largest error of the private means against ``truth``."""
     rows = []
     for trial in trials:
         rng = _trial_rng(spec, trial)
         features = feature_matrix(inst, inst.sample_data(rng))  # checks the signs once
         means = _private_means(features, inst.model, inst.epsilon, inst.delta, rng)
-        rows.append((trial, float(np.abs(means - true_means(inst)).max())))
+        rows.append((trial, float(np.abs(means - truth).max())))
     return rows
 
 
@@ -275,7 +276,7 @@ def _run_mean_error(spec: ExperimentSpec, **fields) -> _KindResult:
     blocks = [range(i, min(i + _TRIAL_BLOCK, spec.trials))
               for i in range(0, spec.trials, _TRIAL_BLOCK)]
     processes = min(max(1, spec.workers), len(blocks), _usable_cpus())
-    found = _pmap(partial(_mean_error_block, spec, inst), blocks, processes)
+    found = _pmap(partial(_mean_error_block, spec, inst, true_means(inst)), blocks, processes)
     rows = [row for block in found for row in block]
     errs = np.array([r[1] for r in rows])
     summary = {
@@ -366,8 +367,7 @@ EXPERIMENT_KINDS = {
     }),
     "wrapper_gap": (_run_wrapper_gap, {
         "n": (int, ...), "randomizer": (dict, ...), "cutoff": (int, None),
-        "epsilon": (float, 1.0), "delta": (float, 0.0), "reference": (dict[int, float], ...),
-        "input": (dict[int, float], ...),
+        "reference": (dict[int, float], ...), "input": (dict[int, float], ...),
     }),
     "selection_sweep": (_run_selection_sweep, {
         "dims": (list[int], ...), "model": (MODELS, "pan"), "epsilon": (float, 1.0),

@@ -32,7 +32,7 @@ from .distributions import ParametricHardDistribution, ParityIndex
 from .distributions import sample as draw_from
 from .errors import GuardError
 from .mechanisms import PanPrivateAlgorithm, ShuffleProtocol, run_pan
-from .rng import as_generator, laplace
+from .rng import as_generator, draw_words, laplace, laplace_from_words
 from . import exact as ex
 
 __all__ = [
@@ -318,29 +318,34 @@ class LearnerDistinguisher:
     def run_batch(self, planted: ParityIndex | None, trials: int, rng) -> np.ndarray:
         """Sample the scalar's law directly under a fixed world.
 
-        ``planted=None`` is the uniform world. The learner runs on fresh
-        phase-one data each trial; the test-phase agreement count is drawn
-        from its exact conditional binomial given the guess, which matches the
-        element-by-element run distributionally. A fixed-guess learner skips
-        the per-trial fit, so large batches vectorize.
+        ``planted=None`` is the uniform world. Each trial draws fresh phase-one
+        rows, then the test-phase agreement count from its exact conditional
+        binomial given the guess, which matches the element-by-element run
+        distributionally, then the two 64-bit words of its Laplace noise. The
+        planted world fits the learner once per trial; in the uniform world
+        every guess matches with probability 1/2, so there is no fit and the
+        rows are drawn only to keep the stream's position. The noise words are
+        transformed once per batch, after the loop, into the values drawing
+        them one trial at a time gives. A fixed-guess learner needs no rows,
+        so its batch is one binomial draw and one noise draw.
         """
         rng = as_generator(rng)
-        t = self.test_len
+        t, scale = self.test_len, 1.0 / self.epsilon
         if isinstance(self.learner, PlantedLearner):
             p_match = self._match_prob(planted, self.learner.index)
             counts = rng.binomial(t, p_match, size=trials)
-            noise = laplace(rng, 1.0 / self.epsilon, size=(trials, 2)).sum(axis=1)
+            noise = laplace(rng, scale, size=(trials, 2)).sum(axis=1)
             return counts + noise
         member = self._member(planted)
-        out = np.empty(trials, dtype=np.float64)
+        counts = np.empty(trials, dtype=np.int64)
+        # a zero scale draws no word, as in laplace
+        words = np.empty((trials, 2 if scale else 0), dtype=np.uint64)
         for j in range(trials):
             rows = self._draw_rows(member, self.n_learn, rng)
-            guess = self.learner.fit(rows)
-            p_match = self._match_prob(planted, guess)
-            count = rng.binomial(t, p_match)
-            noise = laplace(rng, 1.0 / self.epsilon, size=2)
-            out[j] = count + float(noise.sum())
-        return out
+            p_match = 0.5 if member is None else self._match_prob(planted, self.learner.fit(rows))
+            counts[j] = rng.binomial(t, p_match)
+            words[j] = draw_words(rng, words.shape[1])
+        return counts + laplace_from_words(words, scale).sum(axis=1)
 
     def _member(self, planted: ParityIndex | None) -> ParametricHardDistribution | None:
         """The labeled member planting ``planted``; None for the uniform world."""

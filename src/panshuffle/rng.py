@@ -65,6 +65,36 @@ def as_generator(rng: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def draw_words(rng: np.random.Generator, size=None) -> np.ndarray:
+    """The generator's next 64-bit words, one per :func:`laplace` or :func:`gaussian` draw.
+
+    These are ``rng.integers(0, 2**64, dtype=np.uint64)``'s words. A PCG64
+    generator's raw output is that word, so it is read directly, skipping the
+    bounds handling that is most of a small ``integers`` call's cost.
+    """
+    if type(rng.bit_generator) is np.random.PCG64:
+        words = rng.bit_generator.random_raw(size)
+        return np.uint64(words) if size is None else words
+    return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """u = (k + 0.5) / 2**64 for each word k: strictly inside (0, 1)."""
+    return (words.astype(np.float64) + 0.5) * 2.0**-64
+
+
+def laplace_from_words(words: np.ndarray, scale: float) -> np.ndarray:
+    """Laplace(0, scale) values of 64-bit ``words`` by the inverse CDF of :func:`laplace`.
+
+    Elementwise, so transforming a batch of words gives the values that
+    drawing them one call at a time through :func:`laplace` gives.
+    """
+    if scale < 0:
+        raise ValueError("scale must be nonnegative")
+    centered = _unit(words) - 0.5
+    return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+
+
 def laplace(rng: np.random.Generator, scale: float, size=None) -> np.ndarray | float:
     """Laplace(0, scale) draws via inverse CDF applied to a 64-bit uniform.
 
@@ -73,16 +103,11 @@ def laplace(rng: np.random.Generator, scale: float, size=None) -> np.ndarray | f
     x = -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|) never overflows.
     This route (rather than a library sampler) keeps the draw a pure
     function of the generator's next 64-bit word, which pins down the
-    byte-level reproducibility of archived runs.
+    byte-level reproducibility of archived runs. A zero scale draws no word.
     """
     if scale == 0.0:
         return 0.0 if size is None else np.zeros(size)
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    k = rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
-    u = (k.astype(np.float64) + 0.5) * 2.0**-64
-    centered = u - 0.5
-    return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    return laplace_from_words(draw_words(rng, size), scale)
 
 
 def gaussian(rng: np.random.Generator, scale: float, size=None) -> np.ndarray | float:
@@ -97,6 +122,4 @@ def gaussian(rng: np.random.Generator, scale: float, size=None) -> np.ndarray | 
         return 0.0 if size is None else np.zeros(size)
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    k = rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
-    u = (k.astype(np.float64) + 0.5) * 2.0**-64
-    return scale * ndtri(u)
+    return scale * ndtri(_unit(draw_words(rng, size)))

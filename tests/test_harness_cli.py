@@ -131,6 +131,14 @@ def test_mean_error_checks_signs_once_per_trial(tmp_path, monkeypatch):
     assert len(calls) == spec.trials
 
 
+def test_mean_error_computes_true_means_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    exact = harness.true_means
+    monkeypatch.setattr(harness, "true_means", lambda inst: calls.append(1) or exact(inst))
+    run_spec(_mean_error_spec(1), tmp_path)
+    assert len(calls) == 1
+
+
 def test_audit_kind_matches_closed_form(tmp_path):
     flip_p = 0.2
     grid = [0.0, 0.5, math.log((1 - flip_p) / flip_p)]
@@ -378,6 +386,8 @@ def test_cli_sweep_names_a_bad_dims_list_in_one_line(capsys):
     ("distinguish", {"d": 4, "alpha": 0.2, "epsilon": 1.0, "lerner": "plugin"}, "lerner"),
     ("wrapper_gap", _GAP | {"cutof": 2}, "cutof"),
     ("selection_sweep", {"dims": [8, 16, 32, 64], "pilot_trails": 50}, "pilot_trails"),
+    # no wrapper gap depends on a privacy budget, so the kind takes none
+    ("wrapper_gap", _GAP | {"epsilon": 1.0, "delta": 0.0}, "epsilon"),
 ])
 def test_run_spec_names_a_missing_kind_param(kind, params, key, tmp_path):
     out = tmp_path / "out"
@@ -530,6 +540,30 @@ def test_cli_sweep_then_fit_roundtrip(tmp_path):
 
 def test_cli_fit_handles_missing_file(tmp_path):
     assert main(["fit", "--csv", str(tmp_path / "absent.csv")]) == 1
+
+
+_FAMILY = '{"family": "plain", "d": 2, "k": 1, "alpha": 0.1}'
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["fit", "--csv", "absent.csv"], ["cannot read CSV file 'absent.csv'", "No such file"]),
+    (["fit", "--csv", "empty.csv"], ["empty.csv is empty"]),
+    (["fit", "--csv", "rows.csv", "--y", "n"], ["columns 'd'/'n' not in ['d', 'n_star']"]),
+    (["sample", "--dist", _FAMILY], ["whole family"]),
+    (["tv", "--dist-a", _FAMILY, "--dist-b", _FAMILY], ["two members, not families"]),
+    (["reduce-check", "--n", "8"], ["n must be divisible by 3, got 8"]),
+], ids=["fit-missing-file", "fit-empty-file", "fit-unknown-column", "sample-family",
+        "tv-family", "reduce-check-not-divisible"])
+def test_cli_usage_error_exits_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "rows.csv").write_text("d,n_star\n4,10\n")
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(part in err for part in named), err
 
 
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from panshuffle.reductions import (
 )
 from panshuffle.rng import laplace, make_generator
 
+from oracles.distinguisher_oracle import run_batch_loop
 from oracles.wrapper_oracle import FROZEN_ESCAPE
 
 REF = {1: 0.3, 0: 0.7}
@@ -306,6 +308,49 @@ def test_run_batch_planted_world_shifts_by_alpha():
     z = dist.run_batch(idx, 40_000, make_generator(57, "planted-world"))
     expected = dist.test_len * (0.5 + dist.alpha)
     assert float(z.mean()) == pytest.approx(expected, abs=0.5)
+
+
+@pytest.mark.parametrize("d, k, alpha, epsilon, n_learn, trials", [
+    (3, 1, 0.2, 1.0, 40, 1),
+    (4, 2, 0.3, 0.5, 25, 7),
+    (5, 1, 0.2, 2.0, 0, 12),
+    (6, 2, 0.45, 1.0, 120, 33),
+    (3, 1, 0.2, math.inf, 10, 5),  # Lap(0): no noise word is drawn
+])
+def test_run_batch_matches_the_per_trial_loop(d, k, alpha, epsilon, n_learn, trials):
+    """Bit for bit, in both worlds, and the generator ends at the same word."""
+    dist = LearnerDistinguisher(
+        learner=PlugInParityLearner(d=d, k=k), d=d, alpha=alpha, epsilon=epsilon,
+        n_learn=n_learn, test_phase_scale=6.0,
+    )
+    tag = ("batch-vs-loop", d, k, n_learn, trials)
+    for planted in (ParityIndex((1,), 1), ParityIndex((2,) if k == 1 else (1, 2), -1), None):
+        batch_rng, loop_rng = make_generator(62, *tag), make_generator(62, *tag)
+        batched = dist.run_batch(planted, trials, batch_rng)
+        looped = run_batch_loop(dist, planted, trials, loop_rng)
+        assert batched.dtype == looped.dtype and batched.tobytes() == looped.tobytes()
+        assert (batch_rng.integers(0, 2**64, dtype=np.uint64)
+                == loop_rng.integers(0, 2**64, dtype=np.uint64))
+
+
+@dataclass
+class _CountingLearner:
+    inner: PlugInParityLearner
+    fits: int = 0
+
+    def fit(self, samples: np.ndarray) -> ParityIndex:
+        self.fits += 1
+        return self.inner.fit(samples)
+
+
+def test_run_batch_fits_only_in_the_planted_world():
+    learner = _CountingLearner(PlugInParityLearner(d=3, k=1))
+    dist = _distinguisher(learner, scale=4.0)
+    rng = make_generator(63, "fit-count")
+    dist.run_batch(ParityIndex((2,), 1), 9, rng)
+    assert learner.fits == 9
+    dist.run_batch(None, 9, rng)
+    assert learner.fits == 9
 
 
 def test_online_form_matches_direct_run_in_law():
