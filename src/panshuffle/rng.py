@@ -66,15 +66,7 @@ def as_generator(rng: int | np.random.Generator | None) -> np.random.Generator:
 
 
 def draw_words(rng: np.random.Generator, size=None) -> np.ndarray:
-    """The generator's next 64-bit words, one per :func:`laplace` or :func:`gaussian` draw.
-
-    These are ``rng.integers(0, 2**64, dtype=np.uint64)``'s words. A PCG64
-    generator's raw output is that word, so it is read directly, skipping the
-    bounds handling that is most of a small ``integers`` call's cost.
-    """
-    if type(rng.bit_generator) is np.random.PCG64:
-        words = rng.bit_generator.random_raw(size)
-        return np.uint64(words) if size is None else words
+    """The generator's next 64-bit words, one per :func:`laplace` or :func:`gaussian` draw."""
     return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
 
 

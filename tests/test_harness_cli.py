@@ -542,30 +542,6 @@ def test_cli_fit_handles_missing_file(tmp_path):
     assert main(["fit", "--csv", str(tmp_path / "absent.csv")]) == 1
 
 
-_FAMILY = '{"family": "plain", "d": 2, "k": 1, "alpha": 0.1}'
-
-
-@pytest.mark.parametrize("argv, named", [
-    (["fit", "--csv", "absent.csv"], ["cannot read CSV file 'absent.csv'", "No such file"]),
-    (["fit", "--csv", "empty.csv"], ["empty.csv is empty"]),
-    (["fit", "--csv", "rows.csv", "--y", "n"], ["columns 'd'/'n' not in ['d', 'n_star']"]),
-    (["sample", "--dist", _FAMILY], ["whole family"]),
-    (["tv", "--dist-a", _FAMILY, "--dist-b", _FAMILY], ["two members, not families"]),
-    (["reduce-check", "--n", "8"], ["n must be divisible by 3, got 8"]),
-], ids=["fit-missing-file", "fit-empty-file", "fit-unknown-column", "sample-family",
-        "tv-family", "reduce-check-not-divisible"])
-def test_cli_usage_error_exits_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "empty.csv").write_text("")
-    (tmp_path / "rows.csv").write_text("d,n_star\n4,10\n")
-    code = main(argv)
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert all(part in err for part in named), err
-
-
 _GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
@@ -674,6 +650,9 @@ def test_cli_descriptor_with_a_mistyped_key_exits_one_in_one_line(desc, named, c
     assert all(part in err for part in named), err
 
 
+_FAMILY = '{"family": "plain", "d": 2, "k": 1, "alpha": 0.1}'
+
+
 @pytest.mark.parametrize("argv, named", [
     (["sweep", "--dims", "8,16", "--trials", "100"], ["selection_sweep", "dims", "[8, 16]"]),
     (["sweep", "--dims", "8,16,32,64", "--model", "shuffle", "--trials", "100"],
@@ -686,14 +665,23 @@ def test_cli_descriptor_with_a_mistyped_key_exits_one_in_one_line(desc, named, c
      ["eps_grid must hold finite non-negative epsilons, got [-1.0]"]),
     (["audit", "--mechanism", _RR, "--neighbors", '{"a": [1], "b": [0]}', "--eps", "0.5,x"],
      ["--eps must be comma-separated numbers, got '0.5,x'"]),
+    (["fit", "--csv", "absent.csv"], ["cannot read CSV file 'absent.csv'", "No such file"]),
+    (["fit", "--csv", "empty.csv"], ["empty.csv is empty"]),
+    (["fit", "--csv", "text.csv", "--y", "n"], ["columns 'd'/'n' not in ['d', 'n_star']"]),
+    (["sample", "--dist", _FAMILY], ["whole family"]),
+    (["tv", "--dist-a", _FAMILY, "--dist-b", _FAMILY], ["two members, not families"]),
+    (["reduce-check", "--n", "8"], ["n must be divisible by 3, got 8"]),
 ], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows", "fit-short-row",
-        "fit-long-row", "fit-text-row", "audit-negative-eps", "audit-eps-text"])
+        "fit-long-row", "fit-text-row", "audit-negative-eps", "audit-eps-text",
+        "fit-missing-file", "fit-empty-file", "fit-unknown-column", "sample-family",
+        "tv-family", "reduce-check-not-divisible"])
 def test_cli_guard_errors_exit_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.csv").write_text("d,n_star\n8,100\n16,200\n32,400\n")
     (tmp_path / "ragged.csv").write_text("d,n_star\n8,100\n16\n32,400\n64,800\n")
     (tmp_path / "long.csv").write_text("d,n_star\n8,100\n16,200\n32,400,7\n64,800\n")
     (tmp_path / "text.csv").write_text("d,n_star\n8,many\n16,200\n32,400\n64,800\n")
+    (tmp_path / "empty.csv").write_text("")
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1

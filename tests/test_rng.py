@@ -9,7 +9,6 @@ from scipy import stats
 from panshuffle.rng import (
     as_generator,
     derive_seed,
-    draw_words,
     fnv1a64,
     gaussian,
     laplace,
@@ -108,19 +107,3 @@ def test_noise_is_pure_function_of_stream():
     g.integers(0, 1 << 64, dtype=np.uint64)
     shifted = laplace(g, 1.0, size=7)
     assert np.array_equal(shifted, a[1:])
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
-@pytest.mark.parametrize("size", [None, 0, 2, (3, 2)])
-def test_draw_words_are_the_integers_words(bit_generator, size):
-    """The words ``integers(0, 2**64)`` draws, and the generator ends where it does."""
-    fast, slow = (np.random.Generator(bit_generator(17)) for _ in range(2))
-    for gen in (fast, slow):
-        gen.integers(0, 2, size=3, dtype=np.int32)  # leaves a buffered 32-bit half-word
-    words = draw_words(fast, size)
-    want = slow.integers(0, 1 << 64, size=size, dtype=np.uint64)
-    assert type(words) is type(want) and np.shape(words) == np.shape(want)
-    assert np.array_equal(words, want)
-    assert np.array_equal(fast.integers(0, 2, size=9, dtype=np.int32),
-                          slow.integers(0, 2, size=9, dtype=np.int32))
-    assert fast.integers(0, 1 << 62) == slow.integers(0, 1 << 62)
