@@ -211,6 +211,8 @@ def learner_advantage(
 
     Both worlds draw from ``rng``, the planted world first.
     """
+    if trials < 1:
+        raise ValueError(f"'trials' must be at least 1, got {trials!r}")
     planted = ParityIndex(tuple(planted_subset), planted_sign)
     dist = LearnerDistinguisher(
         learner=PlugInParityLearner(d=d, k=k) if learner == "plugin"

@@ -76,22 +76,28 @@ class Randomizer:
     A user's messages are kept only as the count vector they add, aligned with
     ``alphabet``, since the shuffle reveals no more than the multiset.
     ``kernel_fn(x)`` is the exact law of that vector, ``{counts_tuple: prob}``.
-    ``batch_fn(xs, rng)`` draws it for each input of the sequence ``xs`` and
-    returns a ``(len(xs), len(alphabet))`` count matrix. Both raise
-    ``ValueError`` on an input outside the randomizer's domain, and the sampler
-    agrees in law with the kernel (tests enforce this for the built-ins).
+    The sampler is a pure function of its uniforms: each input consumes
+    ``uniforms`` draws of U[0, 1), and ``batch_fn(xs, u)`` maps the sequence
+    ``xs`` and a ``(len(xs), uniforms)`` array ``u`` to a ``(len(xs),
+    len(alphabet))`` count matrix whose row i reads only ``xs[i]`` and
+    ``u[i]``. :meth:`emit_batch` draws ``u`` as ``rng.random((len(xs),
+    uniforms))``, so a batch consumes the generator as its one-input calls do
+    in turn. Kernel and sampler raise ``ValueError`` on an input outside the
+    randomizer's domain, and the sampler agrees in law with the kernel (tests
+    enforce this for the built-ins).
     """
 
     alphabet: tuple
     kernel_fn: Callable[[Any], dict]
-    batch_fn: Callable[[Sequence, np.random.Generator], np.ndarray]
+    batch_fn: Callable[[Sequence, np.ndarray], np.ndarray]
+    uniforms: int
     name: str = "randomizer"
 
     def kernel(self, x) -> dict:
         return self.kernel_fn(x)
 
     def emit_batch(self, xs: Sequence, rng) -> np.ndarray:
-        return self.batch_fn(xs, as_generator(rng))
+        return self.batch_fn(xs, as_generator(rng).random((len(xs), self.uniforms)))
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,10 @@ class PanPrivateAlgorithm:
 
     Exact mode requires ``init_kernel`` ({state: prob}), ``update_kernel(i, x,
     state) -> {state: prob}`` (i is the 1-based step), and ``output_kernel
-    (state) -> {output: prob}``. Sampling mode uses the ``*_sample`` callables
-    and falls back to drawing from the kernels when absent.
+    (state) -> {output: prob}``. Sampling mode uses ``view_sample(stream, t,
+    rng) -> (state after element t, output)`` when it is set, which samples a
+    whole view at once; otherwise it steps through the ``*_sample`` callables,
+    falling back to drawing from the kernels where one is absent.
     """
 
     name: str
@@ -159,6 +167,7 @@ class PanPrivateAlgorithm:
     init_sample: Callable[[np.random.Generator], Hashable] | None = None
     update_sample: Callable[[int, Any, Hashable, np.random.Generator], Hashable] | None = None
     output_sample: Callable[[Hashable, np.random.Generator], Hashable] | None = None
+    view_sample: Callable[[Sequence, int, np.random.Generator], tuple] | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -204,11 +213,17 @@ def run_pan(alg: PanPrivateAlgorithm, stream: Sequence, t: int, rng=None) -> Adv
     """Run the online algorithm, recording the state after element t.
 
     ``t`` is 1-based and must satisfy 1 <= t <= len(stream); the view pairs the
-    recorded state with the final output of the same execution.
+    recorded state with the final output of the same execution. An algorithm
+    with a ``view_sample`` draws the whole view in that one call; any other
+    steps through ``sample_init``, one ``sample_update`` per element and
+    ``sample_output``.
     """
     if not 1 <= t <= len(stream):
         raise ValueError(f"intrusion time {t} outside [1, {len(stream)}]")
     gen = as_generator(rng)
+    if alg.view_sample is not None:
+        seen, output = alg.view_sample(stream, t, gen)
+        return AdversaryView(t=t, state=seen, output=output)
     state = alg.sample_init(gen)
     seen = None
     for i, x in enumerate(stream, start=1):
@@ -250,12 +265,12 @@ def binary_randomized_response(flip_p: float) -> Randomizer:
             return {stay: 1.0}
         return {stay: 1.0 - flip_p, move: flip_p}
 
-    def batch(xs, rng):
+    def batch(xs, u):
         bits = np.array([_bit(x) for x in xs], dtype=np.int64)
-        return _one_hot(bits ^ (rng.random(len(bits)) < flip_p), 2)
+        return _one_hot(bits ^ (u[:, 0] < flip_p), 2)
 
     return Randomizer(
-        alphabet=(0, 1), kernel_fn=kernel, batch_fn=batch, name=f"rr(flip={flip_p})",
+        alphabet=(0, 1), kernel_fn=kernel, batch_fn=batch, uniforms=1, name=f"rr(flip={flip_p})",
     )
 
 
@@ -274,12 +289,12 @@ def asymmetric_binary_randomizer(p_one_given_one: float, p_one_given_zero: float
             out[(0, 1)] = p
         return out
 
-    def batch(xs, rng):
+    def batch(xs, u):
         p = np.array([p_one_given_one if _bit(x) else p_one_given_zero for x in xs])
-        return _one_hot((rng.random(len(p)) < p).astype(np.int64), 2)
+        return _one_hot((u[:, 0] < p).astype(np.int64), 2)
 
     return Randomizer(
-        alphabet=(0, 1), kernel_fn=kernel, batch_fn=batch,
+        alphabet=(0, 1), kernel_fn=kernel, batch_fn=batch, uniforms=1,
         name=f"channel({p_one_given_zero},{p_one_given_one})",
     )
 
@@ -299,10 +314,10 @@ def echo_randomizer(alphabet: Sequence) -> Randomizer:
         vec[index(x)] = 1
         return {tuple(vec): 1.0}
 
-    def batch(xs, rng):
+    def batch(xs, u):
         return _one_hot(np.array([index(x) for x in xs], dtype=np.int64), len(alphabet))
 
-    return Randomizer(alphabet=alphabet, kernel_fn=kernel, batch_fn=batch, name="echo")
+    return Randomizer(alphabet=alphabet, kernel_fn=kernel, batch_fn=batch, uniforms=0, name="echo")
 
 
 def threshold_analyzer(cutoff: int) -> Analyzer:

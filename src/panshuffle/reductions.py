@@ -65,6 +65,9 @@ class ShuffleToPanWrapper:
     reference draw afterwards. The output pads with ``n/3`` more reference
     draws, reaching ``n`` messages, and applies the analyzer.
 
+    Sampling draws a whole view in two generator calls (:meth:`sample_view`),
+    consuming the generator as a run that draws each message in turn does.
+
     On a stream of ``n/3`` iid reference draws the output law equals the
     protocol's on ``n`` reference users exactly. On a stream of ``n/3`` iid
     draws from any other law P, the output law is within
@@ -170,31 +173,38 @@ class ShuffleToPanWrapper:
         cdf = (probs / probs.sum()).cumsum()
         return keys, cdf / cdf[-1]
 
-    def _emit_reference(self, size: int, rng) -> np.ndarray:
-        """Count matrix of ``size`` users drawn from the reference law."""
-        keys, cdf = self._reference_draw
-        picks = cdf.searchsorted(rng.random(size), side="right")
-        return self.protocol.randomizer.emit_batch([keys[i] for i in picks], rng)
-
     def sample_budget(self, rng) -> int:
         return int(min(rng.binomial(self.n, 2.0 / 9.0), self.stream_len))
 
-    def init_sample(self, rng):
+    def sample_view(self, stream: Sequence, t: int, rng) -> tuple:
+        """One execution on ``stream``: the state after element t, and the output.
+
+        It draws the budget, then one ``rng.random`` call holding, with
+        ``k = randomizer.uniforms``, every uniform in the order in which a
+        message-by-message execution consumes them: the preload's n/3
+        reference picks, then its n/3 x k message uniforms; k for each element
+        within the budget; one pick and k for each later element; then the
+        pad's n/3 picks and n/3 x k uniforms. The picks are one inverse-CDF
+        lookup, and every message goes through one ``batch_fn`` call.
+        """
+        rz, cap = self.protocol.randomizer, self.stream_len
+        k = rz.uniforms
         budget = self.sample_budget(rng)
-        return (budget, tuple(self._emit_reference(self.stream_len, rng).sum(axis=0).tolist()))
-
-    def update_sample(self, i: int, x, state, rng):
-        budget, counts = state
-        if i <= budget:
-            inc = self.protocol.randomizer.emit_batch([x], rng)[0]
-        else:
-            inc = self._emit_reference(1, rng)[0]
-        return (budget, tuple(a + int(b) for a, b in zip(counts, inc)))
-
-    def output_sample(self, state, rng):
-        _, counts = state
-        pad = self._emit_reference(self.stream_len, rng).sum(axis=0)
-        return self.protocol.analyzer(np.asarray(counts) + pad)
+        real = min(budget, len(stream))
+        late = len(stream) - real
+        block = cap * (1 + k)
+        u = rng.random(2 * block + real * k + late * (1 + k))
+        pre, steps, pad = u[:block], u[block:len(u) - block], u[len(u) - block:]
+        late_u = steps[real * k:].reshape(late, 1 + k)
+        keys, cdf = self._reference_draw
+        picks = cdf.searchsorted(np.concatenate([pre[:cap], late_u[:, 0], pad[:cap]]),
+                                 side="right")
+        drawn = [keys[i] for i in picks]
+        xs = drawn[:cap] + list(stream[:real]) + drawn[cap:]
+        msg_u = np.concatenate([pre[cap:], steps[:real * k], late_u[:, 1:].ravel(), pad[cap:]])
+        counts = rz.batch_fn(xs, msg_u.reshape(len(xs), k))
+        state = (budget, tuple(counts[:cap + t].sum(axis=0).tolist()))
+        return state, self.protocol.analyzer(counts.sum(axis=0))
 
     def as_pan_algorithm(self) -> PanPrivateAlgorithm:
         return PanPrivateAlgorithm(
@@ -202,9 +212,7 @@ class ShuffleToPanWrapper:
             init_kernel=self.init_kernel(),
             update_kernel=self.update_kernel,
             output_kernel=self.output_kernel,
-            init_sample=self.init_sample,
-            update_sample=self.update_sample,
-            output_sample=self.output_sample,
+            view_sample=self.sample_view,
             meta={"n": self.n, "stream_len": self.stream_len},
         )
 
@@ -298,6 +306,16 @@ class LearnerDistinguisher:
     epsilon: float
     n_learn: int
     test_phase_scale: float = 24.0
+
+    def __post_init__(self) -> None:
+        # checked before any draw: out of range, these fail inside one without naming the key
+        if not 0.0 < self.alpha <= 0.5:
+            raise ValueError(f"'alpha' must be in (0, 1/2], got {self.alpha!r}")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"'epsilon' must be positive, got {self.epsilon!r}")
+        for key in ("n_learn", "test_phase_scale"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"'{key}' must be non-negative, got {getattr(self, key)!r}")
 
     @property
     def test_len(self) -> int:

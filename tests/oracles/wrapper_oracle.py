@@ -12,9 +12,18 @@ channel P(1|1) = p11, P(1|0) = p10, the shuffled one-count is
 Bin(n, w * p11 + (1 - w) * p10): the per-user marginals are iid Bernoulli and
 the count is their sum. Tests use this to check the exact propagation engine
 against scipy rather than against the engine itself.
+
+:func:`step_loop_algorithm` samples the wrapper one message at a time: the
+preload at initialization, one message per stream element, the pad at the
+output, each batch drawing its reference picks before its message uniforms.
+Tests require ``ShuffleToPanWrapper.sample_view`` to give the same views and
+leave the generator at the same word.
 """
 
+import numpy as np
 from scipy.stats import binom
+
+from panshuffle.mechanisms import PanPrivateAlgorithm
 
 
 def escape_tail(n: int) -> float:
@@ -36,3 +45,37 @@ FROZEN_ESCAPE = {
     120: 0.001831820729272615,
     240: 2.834602687982507e-05,
 }
+
+
+def _emit_reference(wrapper, size: int, rng) -> np.ndarray:
+    """Count matrix of ``size`` users drawn from the reference law."""
+    keys, cdf = wrapper._reference_draw
+    picks = cdf.searchsorted(rng.random(size), side="right")
+    return wrapper.protocol.randomizer.emit_batch([keys[i] for i in picks], rng)
+
+
+def step_loop_algorithm(wrapper) -> PanPrivateAlgorithm:
+    """The ``wrapper`` as per-step samplers, for ``run_pan``'s step loop."""
+
+    def init_sample(rng):
+        budget = wrapper.sample_budget(rng)
+        preload = _emit_reference(wrapper, wrapper.stream_len, rng)
+        return (budget, tuple(preload.sum(axis=0).tolist()))
+
+    def update_sample(i: int, x, state, rng):
+        budget, counts = state
+        if i <= budget:
+            inc = wrapper.protocol.randomizer.emit_batch([x], rng)[0]
+        else:
+            inc = _emit_reference(wrapper, 1, rng)[0]
+        return (budget, tuple(a + int(b) for a, b in zip(counts, inc)))
+
+    def output_sample(state, rng):
+        _, counts = state
+        pad = _emit_reference(wrapper, wrapper.stream_len, rng).sum(axis=0)
+        return wrapper.protocol.analyzer(np.asarray(counts) + pad)
+
+    return PanPrivateAlgorithm(
+        name="shuffle-to-pan-steps", init_sample=init_sample, update_sample=update_sample,
+        output_sample=output_sample,
+    )

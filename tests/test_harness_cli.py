@@ -28,6 +28,7 @@ from panshuffle.harness import (
     run_spec,
     write_rows_csv,
 )
+from panshuffle.reductions import LearnerDistinguisher
 
 
 def _digest(path) -> str:
@@ -343,6 +344,38 @@ def test_run_spec_names_a_mistyped_kind_param(kind, params, key, tmp_path, monke
     assert not out.exists()
 
 
+_DIST = {"d": 4, "alpha": 0.2, "epsilon": 1.0}
+
+
+@pytest.mark.parametrize("params, named", [
+    (_DIST | {"alpha": 0.0}, "'alpha' must be in (0, 1/2], got 0.0"),
+    (_DIST | {"alpha": 0.7}, "'alpha' must be in (0, 1/2], got 0.7"),
+    (_DIST | {"alpha": math.nan}, "'alpha' must be in (0, 1/2], got nan"),
+    (_DIST | {"epsilon": 0}, "'epsilon' must be positive, got 0.0"),
+    (_DIST | {"epsilon": -1.0}, "'epsilon' must be positive, got -1.0"),
+    (_DIST | {"n_learn": -1, "learner": "plugin"}, "'n_learn' must be non-negative, got -1"),
+    (_DIST | {"test_phase_scale": -2.0}, "'test_phase_scale' must be non-negative, got -2.0"),
+], ids=["alpha-zero", "alpha-above-half", "alpha-nan", "epsilon-zero", "epsilon-negative",
+        "n-learn-negative", "scale-negative"])
+def test_run_spec_rejects_an_out_of_range_distinguish_param(params, named, tmp_path,
+                                                             monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(LearnerDistinguisher, "run_batch", refuse)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as info:
+        run_spec(ExperimentSpec("distinguish", "range", params, trials=200), out)
+    assert str(info.value) == named
+    assert not out.exists()
+
+
+def test_distinguish_kind_runs_at_an_infinite_epsilon(tmp_path):
+    result = run_spec(ExperimentSpec("distinguish", "inf", _DIST | {"epsilon": math.inf},
+                                     trials=200), tmp_path)
+    assert result.summary["test_len"] == 0
+
+
 @pytest.mark.parametrize("field, value, named", [
     ("trials", 0, "'trials' must be at least 1, got 0"),
     ("trials", "8", "'trials' must be an integer, got '8'"),
@@ -651,6 +684,7 @@ def test_cli_descriptor_with_a_mistyped_key_exits_one_in_one_line(desc, named, c
 
 
 _FAMILY = '{"family": "plain", "d": 2, "k": 1, "alpha": 0.1}'
+_DISTINGUISH = ["distinguish", "--d", "4", "--trials", "200"]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -671,10 +705,19 @@ _FAMILY = '{"family": "plain", "d": 2, "k": 1, "alpha": 0.1}'
     (["sample", "--dist", _FAMILY], ["whole family"]),
     (["tv", "--dist-a", _FAMILY, "--dist-b", _FAMILY], ["two members, not families"]),
     (["reduce-check", "--n", "8"], ["n must be divisible by 3, got 8"]),
+    (_DISTINGUISH + ["--alpha", "0"], ["'alpha' must be in (0, 1/2], got 0.0"]),
+    (_DISTINGUISH + ["--alpha", "0.7"], ["'alpha' must be in (0, 1/2], got 0.7"]),
+    (_DISTINGUISH + ["--epsilon", "0"], ["'epsilon' must be positive, got 0.0"]),
+    (_DISTINGUISH + ["--epsilon", "-1"], ["'epsilon' must be positive, got -1.0"]),
+    (_DISTINGUISH + ["--epsilon", "nan"], ["'epsilon' must be positive, got nan"]),
+    (_DISTINGUISH + ["--scale", "-1"], ["'test_phase_scale' must be non-negative, got -1.0"]),
+    (_DISTINGUISH + ["--trials", "0"], ["'trials' must be at least 1, got 0"]),
 ], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows", "fit-short-row",
         "fit-long-row", "fit-text-row", "audit-negative-eps", "audit-eps-text",
         "fit-missing-file", "fit-empty-file", "fit-unknown-column", "sample-family",
-        "tv-family", "reduce-check-not-divisible"])
+        "tv-family", "reduce-check-not-divisible", "distinguish-alpha-zero",
+        "distinguish-alpha-above-half", "distinguish-epsilon-zero", "distinguish-epsilon-negative",
+        "distinguish-epsilon-nan", "distinguish-scale-negative", "distinguish-no-trials"])
 def test_cli_guard_errors_exit_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.csv").write_text("d,n_star\n8,100\n16,200\n32,400\n")

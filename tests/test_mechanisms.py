@@ -96,6 +96,29 @@ def test_emit_batch_matches_law():
                 assert seen.get(vec, 0.0) == pytest.approx(p, abs=0.01)
 
 
+@pytest.mark.parametrize("rz, domain, uniforms", [
+    (binary_randomized_response(0.3), (0, 1), 1),
+    (asymmetric_binary_randomizer(0.8, 0.25), (0, 1), 1),
+    (echo_randomizer(("a", (1, 2), 3)), ("a", (1, 2), 3), 0),
+], ids=["rr", "channel", "echo"])
+def test_sampler_is_a_function_of_its_uniforms(rz, domain, uniforms):
+    """A batch is its one-input calls in turn, and ``batch_fn`` reads only its uniforms.
+
+    Each input consumes ``uniforms`` words of the generator, so echo leaves
+    the generator where it was.
+    """
+    assert rz.uniforms == uniforms
+    xs = [domain[i] for i in make_generator(1, "contract-xs").integers(0, len(domain), size=40)]
+    batch_gen, step_gen, u_gen, moved = (make_generator(2, "contract", rz.name) for _ in range(4))
+    batch = rz.emit_batch(xs, batch_gen)
+    assert np.array_equal(batch, np.concatenate([rz.emit_batch([x], step_gen) for x in xs]))
+    u = u_gen.random((len(xs), uniforms))
+    assert np.array_equal(rz.batch_fn(xs, u), batch)
+    assert np.array_equal(rz.batch_fn(xs[::-1], u[::-1]), batch[::-1])
+    moved.bit_generator.random_raw(len(xs) * uniforms)
+    assert len({g.bit_generator.random_raw() for g in (batch_gen, step_gen, moved)}) == 1
+
+
 # ---------------------------------------------------------------------------
 # analyzers and the shuffle runner
 
@@ -216,7 +239,8 @@ def test_kernel_sampling_fallback_agrees_with_kernels():
         update_kernel=lambda i, x, s: {s + int(x): 0.5, s: 0.5},
         output_kernel=lambda s: {s: 1.0},
     )
-    assert not alg.has_sample_fns if hasattr(alg, "has_sample_fns") else True
+    samplers = (alg.init_sample, alg.update_sample, alg.output_sample, alg.view_sample)
+    assert samplers == (None, None, None, None)
     rng = make_generator(9, "fb")
     outs = np.array([run_pan(alg, [1, 1], t=1, rng=rng).output for _ in range(20_000)])
     # after two update steps the count is Bin(2, 1/2)

@@ -44,7 +44,7 @@ from panshuffle.reductions import (
 from panshuffle.rng import laplace, make_generator
 
 from oracles.distinguisher_oracle import run_batch_loop
-from oracles.wrapper_oracle import FROZEN_ESCAPE
+from oracles.wrapper_oracle import FROZEN_ESCAPE, step_loop_algorithm
 
 REF = {1: 0.3, 0: 0.7}
 
@@ -187,6 +187,33 @@ def test_wrapper_sampling_matches_recorded_draws():
             views.append([view.t, view.state[0], list(view.state[1]), list(view.output)])
         assert views == golden[name]
     assert int(gen.integers(0, 2**62)) == golden["probe"]
+
+
+@pytest.mark.parametrize("rz, ref", [
+    (binary_randomized_response(0.3), {1: 0.6, 0: 0.4}),
+    (asymmetric_binary_randomizer(0.8, 0.25), {0: 0.6, 1: 0.4}),
+    (echo_randomizer((0, 1, 2)), {0: 0.5, 2: 0.2, 1: 0.3}),
+], ids=["rr", "channel", "echo3"])
+def test_wrapper_view_matches_the_step_loop(rz, ref):
+    """One view's two generator calls give the message-by-message loop's view and position.
+
+    Streams run short of, at and past n/3, and every intrusion time is looked
+    at, so budgets fall both inside and beyond each stream. The RR reference
+    puts 0.6 on its first key: at 0.3, the flip rate, a message would be the
+    same function of its pick and its flip uniform swapped.
+    """
+    proto = ShuffleProtocol(randomizer=rz, analyzer=histogram_analyzer(), n=24)
+    wrapper = ShuffleToPanWrapper(protocol=proto, reference=ref)
+    alg, oracle = wrapper.as_pan_algorithm(), step_loop_algorithm(wrapper)
+    streams = make_generator(3, "view-streams", rz.name)
+    for m in (wrapper.stream_len - 2, wrapper.stream_len, wrapper.stream_len + 3):
+        for t in range(1, m + 1):
+            for rep in range(4):
+                stream = streams.integers(0, len(rz.alphabet), size=m).tolist()
+                gen, want_gen = (make_generator(11, rz.name, m, t, rep) for _ in range(2))
+                view, want = run_pan(alg, stream, t, gen), run_pan(oracle, stream, t, want_gen)
+                assert view == want, (m, t, rep)
+                assert gen.bit_generator.random_raw() == want_gen.bit_generator.random_raw()
 
 
 def test_shuffle_to_pan_factory_sets_metadata():
