@@ -138,6 +138,13 @@ class ParityIndex:
     def width(self) -> int:
         return len(self.subset)
 
+    def check_within(self, d: int) -> None:
+        """Refuse a dimension ``d`` below 1 or a coordinate above it."""
+        if d < 1:
+            raise ValueError("d must be positive")
+        if self.subset and self.subset[-1] > d:
+            raise ValueError(f"subset {self.subset} has coordinates outside [1, {d}]")
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:
@@ -191,12 +198,7 @@ class ParametricHardDistribution:
     def __post_init__(self):
         if self.family not in ("plain", "labeled"):
             raise ValueError(f"family must be 'plain' or 'labeled', got {self.family!r}")
-        if self.d < 1:
-            raise ValueError("d must be positive")
-        if self.index.subset and self.index.subset[-1] > self.d:
-            raise ValueError(
-                f"subset {self.index.subset} has coordinates outside [1, {self.d}]"
-            )
+        self.index.check_within(self.d)
         if self.family == "plain" and not self.index.subset:
             raise ValueError("plain-family members need a nonempty subset")
         if not 0.0 < self.alpha < 0.5:

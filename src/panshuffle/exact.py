@@ -13,8 +13,9 @@ Online algorithms run on an indexed array engine. At each time t the reachable
 states get integer indices in first-seen order, shared by every stream
 propagated together (two neighbors, or a reference and the family members), so
 arrays line up without depending on hash order. Step t's kernel is enumerated
-once from ``update_kernel`` into COO arrays (rows at t-1, cols at t, weights);
-the output kernel becomes a matrix O. Forward laws come from ``np.bincount``;
+once from ``update_kernel`` into COO arrays (rows at t-1, cols at t, weights),
+all keys indexed in one pass and all weights scaled in one numpy product; the
+output kernel becomes a matrix O. Forward laws come from ``np.bincount``;
 backward products ``B_n = O``, ``B_{t-1} = T_t B_t`` give the output law given
 the time-t state, so the one-intrusion view at every t is ``law_t[:, None] *
 B_t``: one forward and one backward pass cover all intrusion times. The public
@@ -270,20 +271,23 @@ class _Kernel:
         """Backward: ``T @ table`` on ``size`` source indices.
 
         Entries are applied in layers, the j-th entry of every row at once, so
-        each scatter hits distinct rows and each row sums in enumeration order.
+        each scatter hits distinct rows and each row sums in enumeration order:
+        the first layer is written, and the later ones are added in order.
         """
         out = np.zeros((size, table.shape[1]))
         n = len(self.rows)
         starts = np.flatnonzero(np.r_[True, self.rows[1:] != self.rows[:-1]])
         rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
-        layers = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
-        for j in layers:
+        first, *later = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+        out[self.rows[first]] = self.weights[first, None] * table[self.cols[first]]
+        for j in later:
             out[self.rows[j]] += self.weights[j, None] * table[self.cols[j]]
         return out
 
     def dense(self, shape: tuple[int, int]) -> np.ndarray:
+        """The kernel as a matrix; its (row, col) pairs must be distinct, as in an output kernel."""
         out = np.zeros(shape)
-        np.add.at(out, (self.rows, self.cols), self.weights)
+        out[self.rows, self.cols] = self.weights
         return out
 
 
@@ -294,39 +298,46 @@ def _guard(alg: PanPrivateAlgorithm, size: int, what: str) -> None:
         _check_paths(size, f"{alg.name}: {what}", f"; {knob}")
 
 
-def _enumerate(alg: PanPrivateAlgorithm, sources: Iterable, index: dict, what: str) -> _Kernel:
+def _enumerate(alg: PanPrivateAlgorithm, sources: Iterable, index: dict, what: str,
+               scales=None) -> _Kernel:
     """COO arrays of ``(row, {target: weight})`` pairs; unseen targets join ``index``.
 
-    A target's index is its first-seen position, so the order follows the
-    enumeration and never the hash order.
+    Sources are drawn lazily, guarded after each, so none past the one that
+    crosses ``MAX_PATHS`` is built. Targets then join in one pass at their
+    first-seen position, zero weight or not, so the order follows the
+    enumeration and never the hash order. ``scales[s]``, if given, multiplies
+    source s's weights; entries of zero weight are then dropped.
     """
     rows: list = []
-    cols: list = []
-    weights: list = []
+    kerns: list = []
+    total = 0
     for r, kern in sources:
-        fresh = [k for k in kern if k not in index]
-        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-        rows.extend([r] * len(kern))
-        cols.extend(map(index.__getitem__, kern))
-        weights.extend(kern.values())
-        _guard(alg, len(weights), what)
-    w = np.array(weights, dtype=np.float64)
+        rows.append(r)
+        kerns.append(kern)
+        total += len(kern)
+        _guard(alg, total, what)
+    fresh = [k for k in dict.fromkeys(chain.from_iterable(kerns)) if k not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    sizes = np.fromiter(map(len, kerns), dtype=np.intp, count=len(kerns))
+    cols = np.fromiter(map(index.__getitem__, chain.from_iterable(kerns)), np.intp, count=total)
+    w = np.fromiter(chain.from_iterable(k.values() for k in kerns), np.float64, count=total)
+    if scales is not None:
+        w *= np.repeat(scales, sizes)
     keep = w > 0.0
-    return _Kernel(
-        np.array(rows, dtype=np.intp)[keep], np.array(cols, dtype=np.intp)[keep], w[keep]
-    )
+    return _Kernel(np.repeat(np.array(rows, dtype=np.intp), sizes)[keep], cols[keep], w[keep])
 
 
 def _step(alg: PanPrivateAlgorithm, i: int, x, states: list, rows, index: dict) -> _Kernel:
-    """Step i's kernel from ``states[r]``, r in ``rows``; ``x`` is an element or {element: prob}."""
+    """Step i's kernel from ``states[r]``, r in ``rows``; ``x`` is an element or {element: prob}.
+
+    Update kernels pass through unscaled; ``_enumerate`` multiplies each weight
+    by its input's probability (1.0 for a fixed element), one product each.
+    """
     inputs = x if isinstance(x, dict) else {x: 1.0}
     _guard(alg, len(rows) * len(inputs), f"step {i} ({len(rows)} states x {len(inputs)} inputs)")
-    sources = (
-        (r, {s2: px * pt for s2, pt in alg.update_kernel(i, xv, states[r]).items()})
-        for r in rows
-        for xv, px in inputs.items()
-    )
-    return _enumerate(alg, sources, index, f"step {i} transitions")
+    sources = ((r, alg.update_kernel(i, xv, states[r])) for r in rows for xv in inputs)
+    px = np.fromiter(inputs.values(), dtype=np.float64, count=len(inputs))
+    return _enumerate(alg, sources, index, f"step {i} transitions", np.tile(px, len(rows)))
 
 
 def _propagate(alg: PanPrivateAlgorithm, streams: Sequence, tails: Sequence = ()):

@@ -214,6 +214,7 @@ def learner_advantage(
     if trials < 1:
         raise ValueError(f"'trials' must be at least 1, got {trials!r}")
     planted = ParityIndex(tuple(planted_subset), planted_sign)
+    planted.check_within(d)
     dist = LearnerDistinguisher(
         learner=PlugInParityLearner(d=d, k=k) if learner == "plugin"
         else PlantedLearner(index=planted),

@@ -132,6 +132,18 @@ class AdversaryView:
     output: Hashable
 
 
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The table ``rng.choice(len(probs), p=probs / probs.sum())`` searches, checked as it checks.
+
+    ``cdf.searchsorted(rng.random(), side="right")`` then picks what that call picks.
+    """
+    total = probs.sum()
+    if not 0.0 < total < math.inf or probs.min() < 0.0:
+        raise ValueError(f"probabilities must be non-negative with a positive finite sum: {probs}")
+    cdf = (probs / total).cumsum()
+    return cdf / cdf[-1]
+
+
 def run_shuffle(
     protocol: ShuffleProtocol,
     dataset: Sequence,
@@ -179,10 +191,9 @@ class PanPrivateAlgorithm:
         )
 
     def _draw(self, dist: dict, rng: np.random.Generator):
-        outcomes = list(dist.keys())
-        probs = np.fromiter(dist.values(), dtype=np.float64, count=len(outcomes))
-        idx = rng.choice(len(outcomes), p=probs / probs.sum())
-        return outcomes[idx]
+        outcomes = list(dist)
+        cdf = _choice_cdf(np.fromiter(dist.values(), dtype=np.float64, count=len(outcomes)))
+        return outcomes[cdf.searchsorted(rng.random(), side="right")]
 
     def sample_init(self, rng) -> Hashable:
         gen = as_generator(rng)

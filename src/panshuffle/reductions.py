@@ -31,7 +31,7 @@ from .baselines import ProblemInstance, _binomial_rows, plug_in_solve, wilson_in
 from .distributions import ParametricHardDistribution, ParityIndex
 from .distributions import sample as draw_from
 from .errors import GuardError
-from .mechanisms import PanPrivateAlgorithm, ShuffleProtocol, run_pan
+from .mechanisms import PanPrivateAlgorithm, ShuffleProtocol, _choice_cdf, run_pan
 from .rng import as_generator, draw_words, laplace, laplace_from_words
 from . import exact as ex
 
@@ -169,9 +169,7 @@ class ShuffleToPanWrapper:
         re-checking ``p`` on every call.
         """
         keys = list(self.reference)
-        probs = np.array([self.reference[k] for k in keys], dtype=np.float64)
-        cdf = (probs / probs.sum()).cumsum()
-        return keys, cdf / cdf[-1]
+        return keys, _choice_cdf(np.array([self.reference[k] for k in keys], dtype=np.float64))
 
     def sample_budget(self, rng) -> int:
         return int(min(rng.binomial(self.n, 2.0 / 9.0), self.stream_len))
@@ -347,6 +345,8 @@ class LearnerDistinguisher:
         them one trial at a time gives. A fixed-guess learner needs no rows,
         so its batch is one binomial draw and one noise draw.
         """
+        if planted is not None:
+            planted.check_within(self.d)  # before any draw, for either learner
         rng = as_generator(rng)
         t, scale = self.test_len, 1.0 / self.epsilon
         if isinstance(self.learner, PlantedLearner):

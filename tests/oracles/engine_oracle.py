@@ -1,0 +1,68 @@
+"""The online engine's kernel builders as they were before they went to bulk numpy.
+
+``enumerate_kernel`` extends Python lists one entry at a time, ``step`` scales
+every update kernel by the input probability in a dict comprehension,
+``pull`` adds every layer into zeros and ``dense`` scatters with
+``np.add.at``. The engine in ``panshuffle.exact`` builds the same arrays in
+bulk; tests install these in its place and require every index order, kernel
+array, law, backward table and audit value to be bit-identical.
+"""
+
+import numpy as np
+
+from panshuffle import exact
+
+
+def enumerate_kernel(alg, sources, index: dict, what: str):
+    rows: list = []
+    cols: list = []
+    weights: list = []
+    for r, kern in sources:
+        fresh = [k for k in kern if k not in index]
+        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+        rows.extend([r] * len(kern))
+        cols.extend(map(index.__getitem__, kern))
+        weights.extend(kern.values())
+        exact._guard(alg, len(weights), what)
+    w = np.array(weights, dtype=np.float64)
+    keep = w > 0.0
+    return exact._Kernel(
+        np.array(rows, dtype=np.intp)[keep], np.array(cols, dtype=np.intp)[keep], w[keep]
+    )
+
+
+def step(alg, i: int, x, states: list, rows, index: dict):
+    inputs = x if isinstance(x, dict) else {x: 1.0}
+    exact._guard(alg, len(rows) * len(inputs),
+                 f"step {i} ({len(rows)} states x {len(inputs)} inputs)")
+    sources = (
+        (r, {s2: px * pt for s2, pt in alg.update_kernel(i, xv, states[r]).items()})
+        for r in rows
+        for xv, px in inputs.items()
+    )
+    return enumerate_kernel(alg, sources, index, f"step {i} transitions")
+
+
+def pull(kernel, table: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros((size, table.shape[1]))
+    n = len(kernel.rows)
+    starts = np.flatnonzero(np.r_[True, kernel.rows[1:] != kernel.rows[:-1]])
+    rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    layers = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+    for j in layers:
+        out[kernel.rows[j]] += kernel.weights[j, None] * table[kernel.cols[j]]
+    return out
+
+
+def dense(kernel, shape: tuple[int, int]) -> np.ndarray:
+    out = np.zeros(shape)
+    np.add.at(out, (kernel.rows, kernel.cols), kernel.weights)
+    return out
+
+
+def install(monkeypatch) -> None:
+    """Put these builders in place of the engine's for the rest of a test."""
+    monkeypatch.setattr(exact, "_enumerate", enumerate_kernel)
+    monkeypatch.setattr(exact, "_step", step)
+    monkeypatch.setattr(exact._Kernel, "pull", pull)
+    monkeypatch.setattr(exact._Kernel, "dense", dense)

@@ -355,8 +355,13 @@ _DIST = {"d": 4, "alpha": 0.2, "epsilon": 1.0}
     (_DIST | {"epsilon": -1.0}, "'epsilon' must be positive, got -1.0"),
     (_DIST | {"n_learn": -1, "learner": "plugin"}, "'n_learn' must be non-negative, got -1"),
     (_DIST | {"test_phase_scale": -2.0}, "'test_phase_scale' must be non-negative, got -2.0"),
+    (_DIST | {"planted_subset": [9]}, "subset (9,) has coordinates outside [1, 4]"),
+    (_DIST | {"planted_subset": [9], "learner": "plugin"},
+     "subset (9,) has coordinates outside [1, 4]"),
+    (_DIST | {"d": 0}, "d must be positive"),
 ], ids=["alpha-zero", "alpha-above-half", "alpha-nan", "epsilon-zero", "epsilon-negative",
-        "n-learn-negative", "scale-negative"])
+        "n-learn-negative", "scale-negative", "subset-outside-d", "plugin-subset-outside-d",
+        "d-zero"])
 def test_run_spec_rejects_an_out_of_range_distinguish_param(params, named, tmp_path,
                                                              monkeypatch):
     def refuse(*args, **kwargs):
@@ -712,12 +717,15 @@ _DISTINGUISH = ["distinguish", "--d", "4", "--trials", "200"]
     (_DISTINGUISH + ["--epsilon", "nan"], ["'epsilon' must be positive, got nan"]),
     (_DISTINGUISH + ["--scale", "-1"], ["'test_phase_scale' must be non-negative, got -1.0"]),
     (_DISTINGUISH + ["--trials", "0"], ["'trials' must be at least 1, got 0"]),
+    (_DISTINGUISH + ["--planted", "9"], ["subset (9,) has coordinates outside [1, 4]"]),
+    (["distinguish", "--d", "0", "--trials", "200"], ["d must be positive"]),
 ], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows", "fit-short-row",
         "fit-long-row", "fit-text-row", "audit-negative-eps", "audit-eps-text",
         "fit-missing-file", "fit-empty-file", "fit-unknown-column", "sample-family",
         "tv-family", "reduce-check-not-divisible", "distinguish-alpha-zero",
         "distinguish-alpha-above-half", "distinguish-epsilon-zero", "distinguish-epsilon-negative",
-        "distinguish-epsilon-nan", "distinguish-scale-negative", "distinguish-no-trials"])
+        "distinguish-epsilon-nan", "distinguish-scale-negative", "distinguish-no-trials",
+        "distinguish-subset-outside-d", "distinguish-d-zero"])
 def test_cli_guard_errors_exit_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.csv").write_text("d,n_star\n8,100\n16,200\n32,400\n")

@@ -248,6 +248,32 @@ def test_kernel_sampling_fallback_agrees_with_kernels():
     assert float(np.mean(outs == 1)) == pytest.approx(0.5, abs=0.02)
 
 
+def test_kernel_sampling_fallback_picks_what_rng_choice_picks():
+    # random laws with zeros, unnormalized and scaled from 1e-300 to 1e290: five
+    # draws pick what rng.choice picks on the same seed, and the next word agrees
+    laws = make_generator(3, "fallback-laws")
+    for trial in range(500):
+        size = int(laws.integers(1, 13))
+        probs = laws.random(size) * (laws.random(size) < 0.8) * 10.0 ** laws.integers(-300, 290)
+        probs[laws.integers(size)] += 1e-300
+        alg = PanPrivateAlgorithm(name="kernel-only", init_kernel=dict(enumerate(probs.tolist())))
+        ours, ref = make_generator(trial, "fallback"), make_generator(trial, "fallback")
+        picks = [alg.sample_init(ours) for _ in range(5)]
+        assert picks == [ref.choice(size, p=probs / probs.sum()) for _ in range(5)]
+        assert ours.integers(1 << 63) == ref.integers(1 << 63)
+
+
+@pytest.mark.parametrize("law", [{0: -0.5, 1: 1.5}, {0: math.nan, 1: 1.0}, {0: 0.0, 1: 0.0},
+                                 {0: math.inf, 1: 1.0}, {}],
+                         ids=["negative", "nan", "all-zero", "infinite", "empty"])
+def test_kernel_sampling_fallback_rejects_a_bad_law_before_any_draw(law):
+    rng = make_generator(4, "fallback-bad")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="non-negative with a positive finite sum"):
+        PanPrivateAlgorithm(name="kernel-only", init_kernel=law).sample_init(rng)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # budgets and manifests
 

@@ -21,14 +21,16 @@ from panshuffle.exact import (
     exact_pan_output,
     exact_pan_states,
     exact_pan_view,
+    hybrid_tv_certificate,
 )
 from panshuffle.mechanisms import (
+    PanPrivateAlgorithm,
     noisy_parity_chain,
     quantized_laplace_counter,
     saturating_counter,
 )
 
-from oracles import pan_oracle
+from oracles import engine_oracle, pan_oracle
 from oracles.toy_mechanisms import last_element_echo
 
 GRID = [0.0, 0.25, 0.5, 1.0, 2.0]
@@ -46,6 +48,11 @@ CASES = {
     "dict-elements": (
         noisy_parity_chain(0.2),
         ([1, {1: 0.3, 0: 0.7}, {1: 0.6, 0: 0.4}], [0, {1: 0.3, 0: 0.7}, {1: 0.5, 0: 0.5}]),
+        None,
+    ),
+    "zero-weight-inputs": (
+        noisy_parity_chain(0.15),
+        ([{0: 0.0, 1: 1.0}, 1, {1: 0.0, 0: 1.0}], [{0: 0.0, 1: 1.0}, 0, {1: 0.0, 0: 1.0}]),
         None,
     ),
     "explicit-times": (
@@ -79,6 +86,66 @@ def test_audit_matches_dict_walk_oracle(case):
     fwd, bwd = pan_oracle.audit_curve(alg, pair, GRID, intrusion_times=times)
     np.testing.assert_allclose(curve.delta_forward, fwd, rtol=0, atol=1e-12)
     np.testing.assert_allclose(curve.delta_backward, bwd, rtol=0, atol=1e-12)
+
+
+def _engine_bytes(alg, streams, tails=()) -> list:
+    """Every index order and array the engine builds for these streams, as bytes or reprs."""
+    states, laws, kernels = exact_mod._propagate(alg, streams, tails)
+    outputs, out_kernel = exact_mod._outputs(alg, states[-1])
+    parts = [repr(states), repr(outputs)]
+    parts += [law.tobytes() for stream_laws in laws for law in stream_laws]
+    for kern in [out_kernel, *(k for kerns in kernels for k in kerns)]:
+        parts += [kern.rows.tobytes(), kern.cols.tobytes(), kern.weights.tobytes()]
+    for _, _, tables in exact_mod._backward(alg, states, kernels, 0, "tables"):
+        parts += [table.tobytes() for table in tables]
+    return parts
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_engine_is_bit_identical_to_the_entry_by_entry_builders(case, monkeypatch):
+    alg, pair, times = CASES[case]
+
+    def run():
+        curve = audit_privacy(alg, pair, GRID, intrusion_times=times)
+        curves = curve.delta_forward.tobytes(), curve.delta_backward.tobytes()
+        return _engine_bytes(alg, pair), curves
+
+    got = run()
+    engine_oracle.install(monkeypatch)
+    assert got == run()
+
+
+def test_hybrid_engine_is_bit_identical_to_the_entry_by_entry_builders(monkeypatch):
+    alg = noisy_parity_chain(0.1)
+    family = [{1: 0.7, 0: 0.3}, {0: 1.0, 1: 0.0}, {1: 0.45, 0: 0.55}]
+    ref = {x: sum(mem[x] for mem in family) / 3 for x in (1, 0)}
+
+    def run():
+        # the certificate, and a reference prefix with member tails as it propagates them
+        report = hybrid_tv_certificate(alg, family, 4)
+        return _engine_bytes(alg, [[ref] * 4], [[mem] * 4 for mem in family]), report
+
+    got = run()
+    engine_oracle.install(monkeypatch)
+    assert got == run()
+
+
+def test_step_guard_stops_at_the_update_kernel_that_crosses(monkeypatch):
+    # ten states pass the preflight (10 sources) of a 10-path guard; three
+    # targets per update kernel cross it at the fourth kernel, and no later
+    # kernel is built
+    calls = []
+
+    def update_kernel(i, x, s):
+        calls.append(s)
+        return {s: 0.5, s + 1: 0.25, s + 2: 0.25}
+
+    alg = PanPrivateAlgorithm(name="widening", init_kernel=dict.fromkeys(range(10), 0.1),
+                              update_kernel=update_kernel, output_kernel=lambda s: {s: 1.0})
+    monkeypatch.setattr(exact_mod, "MAX_PATHS", 10)
+    with pytest.raises(GuardError, match=r"widening: step 1 transitions: 12 paths exceed"):
+        exact_pan_states(alg, [1])
+    assert calls == [0, 1, 2, 3]
 
 
 def test_criterion07_counter_preflight_raises_before_any_step(monkeypatch):

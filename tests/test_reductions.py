@@ -337,6 +337,18 @@ def test_run_batch_planted_world_shifts_by_alpha():
     assert float(z.mean()) == pytest.approx(expected, abs=0.5)
 
 
+@pytest.mark.parametrize("learner", ["planted", "plugin"])
+def test_run_batch_rejects_a_planted_subset_outside_d_before_any_draw(learner):
+    idx = ParityIndex(subset=(9,), sign=1)
+    dist = _distinguisher(PlantedLearner(index=idx) if learner == "planted"
+                          else PlugInParityLearner(d=3, k=1))
+    rng = make_generator(58, "outside-d")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^subset \(9,\) has coordinates outside \[1, 3\]$"):
+        dist.run_batch(idx, 10, rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("d, k, alpha, epsilon, n_learn, trials", [
     (3, 1, 0.2, 1.0, 40, 1),
     (4, 2, 0.3, 0.5, 25, 7),
