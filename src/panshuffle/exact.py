@@ -15,11 +15,12 @@ propagated together (two neighbors, or a reference and the family members), so
 arrays line up without depending on hash order. Step t's kernel is enumerated
 once from ``update_kernel`` into COO arrays (rows at t-1, cols at t, weights),
 all keys indexed in one pass and all weights scaled in one numpy product; the
-output kernel becomes a matrix O. Forward laws come from ``np.bincount``;
-backward products ``B_n = O``, ``B_{t-1} = T_t B_t`` give the output law given
-the time-t state, so the one-intrusion view at every t is ``law_t[:, None] *
-B_t``: one forward and one backward pass cover all intrusion times. The public
-functions still return dictionaries.
+output kernel becomes a matrix O, built with array operations alone when the
+algorithm declares its output as state plus ``output_noise``. Forward laws come
+from ``np.bincount``; backward products ``B_n = O``, ``B_{t-1} = T_t B_t`` give
+the output law given the time-t state, so the one-intrusion view at every t is
+``law_t[:, None] * B_t``: one forward and one backward pass cover all intrusion
+times. The public functions still return dictionaries.
 
 Every enumeration is checked against ``MAX_PATHS`` before it starts (support
 x kernel size before a count convolution, states x input support before a
@@ -375,14 +376,32 @@ def _outputs(alg: PanPrivateAlgorithm, states: list) -> tuple[list, _Kernel]:
 
     The first state's kernel sizes the whole table, which is guarded before the
     rest are built; ``_enumerate``'s running guard backs up that estimate.
+
+    With ``output_noise`` no kernel dict is built: the codes ``state + offset``
+    are ranked by first position through a table over the code range, not a sort.
     """
-    first = alg.output_kernel(states[0])
+    noise = alg.output_noise
+    first = alg.output_kernel(states[0]) if noise is None else noise
     _guard(alg, len(states) * len(first),
            f"output kernel ({len(states)} states x {len(first)} outputs)")
-    index: dict = {}
-    rest = ((r, alg.output_kernel(states[r])) for r in range(1, len(states)))
-    kernel = _enumerate(alg, chain([(0, first)], rest), index, "output kernel")
-    return list(index), kernel
+    if noise is None:
+        index: dict = {}
+        rest = ((r, alg.output_kernel(states[r])) for r in range(1, len(states)))
+        kernel = _enumerate(alg, chain([(0, first)], rest), index, "output kernel")
+        return list(index), kernel
+    lo = min(states) + min(noise)
+    size = max(states) + max(noise) - lo + 1
+    _guard(alg, size, f"output code range ({size} codes)")
+    offsets = np.fromiter(noise, dtype=np.int64, count=len(noise))
+    codes = (np.array(states, dtype=np.int64)[:, None] + offsets).ravel() - lo
+    position = np.arange(len(codes))
+    slot = np.full(size, len(codes))
+    np.minimum.at(slot, codes, position)  # each code's first position
+    fresh = codes[slot[codes] == position]
+    slot[fresh] = np.arange(len(fresh))  # each code's rank in first-seen order
+    w = np.tile(np.fromiter(noise.values(), dtype=np.float64, count=len(noise)), len(states))
+    keep = w > 0.0  # zero-weight outputs stay indexed, as in ``_enumerate``
+    return (fresh + lo).tolist(), _Kernel(position[keep] // len(noise), slot[codes[keep]], w[keep])
 
 
 def _as_dict(keys: list, probs: np.ndarray) -> dict:

@@ -170,17 +170,34 @@ class PanPrivateAlgorithm:
     rng) -> (state after element t, output)`` when it is set, which samples a
     whole view at once; otherwise it steps through the ``*_sample`` callables,
     falling back to drawing from the kernels where one is absent.
+
+    ``output_noise`` ({integer offset: prob}) declares the output as the integer
+    state plus independent noise; ``output_kernel`` is then derived as ``{state +
+    offset: prob}`` in the noise's order (setting both is refused), and the
+    exact engine builds the output table from the noise with array operations.
     """
 
     name: str
     init_kernel: dict | None = None
     update_kernel: Callable[[int, Any, Hashable], dict] | None = None
     output_kernel: Callable[[Hashable], dict] | None = None
+    output_noise: dict | None = None
     init_sample: Callable[[np.random.Generator], Hashable] | None = None
     update_sample: Callable[[int, Any, Hashable, np.random.Generator], Hashable] | None = None
     output_sample: Callable[[Hashable, np.random.Generator], Hashable] | None = None
     view_sample: Callable[[Sequence, int, np.random.Generator], tuple] | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # ``dataclasses.replace`` passes back the kernel derived for the original
+        derived = getattr(self.output_kernel, "__func__", None) is PanPrivateAlgorithm._shift
+        if self.output_noise is not None:
+            if self.output_kernel is not None and not derived:
+                raise ValueError(f"{self.name}: set output_kernel or output_noise, not both")
+            object.__setattr__(self, "output_kernel", self._shift)
+
+    def _shift(self, state) -> dict:
+        return {state + j: p for j, p in self.output_noise.items()}
 
     @property
     def has_exact(self) -> bool:
@@ -405,8 +422,14 @@ def quantized_laplace_counter(
     ``meta['tail_mass']`` records the total folded tail for slack accounting.
 
     The default span is ``64 * sensitivity / min(eps_update, eps_output)``,
-    keeping the folded tails below exp(-64).
+    keeping the folded tails below exp(-64). The release noise is the
+    algorithm's ``output_noise``. A parameter that is not positive and finite
+    raises ``ValueError`` naming it, before any arithmetic.
     """
+    for key, value in [("eps_update", eps_update), ("eps_output", eps_output), ("step", step),
+                       ("span", span), ("sensitivity", sensitivity)]:
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"qlap_counter: {key} must be positive and finite, got {value}")
     if 1.0 / step != round(1.0 / step):
         raise ValueError("step must divide 1 so integer increments stay on the grid")
     if span is None:
@@ -418,9 +441,6 @@ def quantized_laplace_counter(
     def update_kernel(i, x, s):
         return {s + _ones(x) * per_unit: 1.0}
 
-    def output_kernel(s):
-        return {s + j: p for j, p in out_pmf.items()}
-
     def update_sample(i, x, s, rng):
         return s + _ones(x) * per_unit
 
@@ -428,7 +448,7 @@ def quantized_laplace_counter(
         name="qlap-counter",
         init_kernel=dict(init_pmf),
         update_kernel=update_kernel,
-        output_kernel=output_kernel,
+        output_noise=out_pmf,
         update_sample=update_sample,
         meta={
             "step": step,

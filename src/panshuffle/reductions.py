@@ -307,8 +307,8 @@ class LearnerDistinguisher:
 
     def __post_init__(self) -> None:
         # checked before any draw: out of range, these fail inside one without naming the key
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError(f"'alpha' must be in (0, 1/2], got {self.alpha!r}")
+        if not 0.0 < self.alpha < 0.5:
+            raise ValueError(f"'alpha' must be in (0, 1/2), got {self.alpha!r}")
         if not self.epsilon > 0.0:
             raise ValueError(f"'epsilon' must be positive, got {self.epsilon!r}")
         for key in ("n_learn", "test_phase_scale"):

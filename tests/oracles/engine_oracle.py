@@ -2,11 +2,15 @@
 
 ``enumerate_kernel`` extends Python lists one entry at a time, ``step`` scales
 every update kernel by the input probability in a dict comprehension,
-``pull`` adds every layer into zeros and ``dense`` scatters with
-``np.add.at``. The engine in ``panshuffle.exact`` builds the same arrays in
-bulk; tests install these in its place and require every index order, kernel
-array, law, backward table and audit value to be bit-identical.
+``outputs`` enumerates every state's ``output_kernel`` dict (also for an
+algorithm with ``output_noise``), ``pull`` adds every layer into zeros and
+``dense`` scatters with ``np.add.at``. The engine in ``panshuffle.exact``
+builds the same arrays in bulk; tests install these in its place and require
+every index order, kernel array, law, backward table and audit value to be
+bit-identical.
 """
+
+from itertools import chain
 
 import numpy as np
 
@@ -43,6 +47,16 @@ def step(alg, i: int, x, states: list, rows, index: dict):
     return enumerate_kernel(alg, sources, index, f"step {i} transitions")
 
 
+def outputs(alg, states: list):
+    first = alg.output_kernel(states[0])
+    exact._guard(alg, len(states) * len(first),
+                 f"output kernel ({len(states)} states x {len(first)} outputs)")
+    index: dict = {}
+    rest = ((r, alg.output_kernel(states[r])) for r in range(1, len(states)))
+    kernel = enumerate_kernel(alg, chain([(0, first)], rest), index, "output kernel")
+    return list(index), kernel
+
+
 def pull(kernel, table: np.ndarray, size: int) -> np.ndarray:
     out = np.zeros((size, table.shape[1]))
     n = len(kernel.rows)
@@ -64,5 +78,6 @@ def install(monkeypatch) -> None:
     """Put these builders in place of the engine's for the rest of a test."""
     monkeypatch.setattr(exact, "_enumerate", enumerate_kernel)
     monkeypatch.setattr(exact, "_step", step)
+    monkeypatch.setattr(exact, "_outputs", outputs)
     monkeypatch.setattr(exact._Kernel, "pull", pull)
     monkeypatch.setattr(exact._Kernel, "dense", dense)

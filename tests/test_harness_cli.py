@@ -348,9 +348,11 @@ _DIST = {"d": 4, "alpha": 0.2, "epsilon": 1.0}
 
 
 @pytest.mark.parametrize("params, named", [
-    (_DIST | {"alpha": 0.0}, "'alpha' must be in (0, 1/2], got 0.0"),
-    (_DIST | {"alpha": 0.7}, "'alpha' must be in (0, 1/2], got 0.7"),
-    (_DIST | {"alpha": math.nan}, "'alpha' must be in (0, 1/2], got nan"),
+    (_DIST | {"alpha": 0.0}, "'alpha' must be in (0, 1/2), got 0.0"),
+    (_DIST | {"alpha": 0.7}, "'alpha' must be in (0, 1/2), got 0.7"),
+    (_DIST | {"alpha": math.nan}, "'alpha' must be in (0, 1/2), got nan"),
+    (_DIST | {"alpha": 0.5}, "'alpha' must be in (0, 1/2), got 0.5"),
+    (_DIST | {"alpha": 0.5, "learner": "plugin"}, "'alpha' must be in (0, 1/2), got 0.5"),
     (_DIST | {"epsilon": 0}, "'epsilon' must be positive, got 0.0"),
     (_DIST | {"epsilon": -1.0}, "'epsilon' must be positive, got -1.0"),
     (_DIST | {"n_learn": -1, "learner": "plugin"}, "'n_learn' must be non-negative, got -1"),
@@ -359,9 +361,9 @@ _DIST = {"d": 4, "alpha": 0.2, "epsilon": 1.0}
     (_DIST | {"planted_subset": [9], "learner": "plugin"},
      "subset (9,) has coordinates outside [1, 4]"),
     (_DIST | {"d": 0}, "d must be positive"),
-], ids=["alpha-zero", "alpha-above-half", "alpha-nan", "epsilon-zero", "epsilon-negative",
-        "n-learn-negative", "scale-negative", "subset-outside-d", "plugin-subset-outside-d",
-        "d-zero"])
+], ids=["alpha-zero", "alpha-above-half", "alpha-nan", "alpha-half", "plugin-alpha-half",
+        "epsilon-zero", "epsilon-negative", "n-learn-negative", "scale-negative",
+        "subset-outside-d", "plugin-subset-outside-d", "d-zero"])
 def test_run_spec_rejects_an_out_of_range_distinguish_param(params, named, tmp_path,
                                                              monkeypatch):
     def refuse(*args, **kwargs):
@@ -692,6 +694,13 @@ _FAMILY = '{"family": "plain", "d": 2, "k": 1, "alpha": 0.1}'
 _DISTINGUISH = ["distinguish", "--d", "4", "--trials", "200"]
 
 
+def _qlap(**keys) -> list[str]:
+    """Audit argv for a counter manifest with ``keys`` over its defaults."""
+    manifest = {"type": "qlap_counter", "eps_update": 1, "eps_output": 1} | keys
+    return ["audit", "--mechanism", json.dumps(manifest), "--neighbors", '{"a": [1], "b": [0]}']
+
+
+
 @pytest.mark.parametrize("argv, named", [
     (["sweep", "--dims", "8,16", "--trials", "100"], ["selection_sweep", "dims", "[8, 16]"]),
     (["sweep", "--dims", "8,16,32,64", "--model", "shuffle", "--trials", "100"],
@@ -710,8 +719,11 @@ _DISTINGUISH = ["distinguish", "--d", "4", "--trials", "200"]
     (["sample", "--dist", _FAMILY], ["whole family"]),
     (["tv", "--dist-a", _FAMILY, "--dist-b", _FAMILY], ["two members, not families"]),
     (["reduce-check", "--n", "8"], ["n must be divisible by 3, got 8"]),
-    (_DISTINGUISH + ["--alpha", "0"], ["'alpha' must be in (0, 1/2], got 0.0"]),
-    (_DISTINGUISH + ["--alpha", "0.7"], ["'alpha' must be in (0, 1/2], got 0.7"]),
+    (_DISTINGUISH + ["--alpha", "0"], ["'alpha' must be in (0, 1/2), got 0.0"]),
+    (_DISTINGUISH + ["--alpha", "0.7"], ["'alpha' must be in (0, 1/2), got 0.7"]),
+    (_DISTINGUISH + ["--alpha", "0.5"], ["'alpha' must be in (0, 1/2), got 0.5"]),
+    (_DISTINGUISH + ["--alpha", "0.5", "--learner", "plugin"],
+     ["'alpha' must be in (0, 1/2), got 0.5"]),
     (_DISTINGUISH + ["--epsilon", "0"], ["'epsilon' must be positive, got 0.0"]),
     (_DISTINGUISH + ["--epsilon", "-1"], ["'epsilon' must be positive, got -1.0"]),
     (_DISTINGUISH + ["--epsilon", "nan"], ["'epsilon' must be positive, got nan"]),
@@ -719,13 +731,18 @@ _DISTINGUISH = ["distinguish", "--d", "4", "--trials", "200"]
     (_DISTINGUISH + ["--trials", "0"], ["'trials' must be at least 1, got 0"]),
     (_DISTINGUISH + ["--planted", "9"], ["subset (9,) has coordinates outside [1, 4]"]),
     (["distinguish", "--d", "0", "--trials", "200"], ["d must be positive"]),
+    (_qlap(step=0), ["qlap_counter: step must be positive and finite, got 0.0"]),
+    (_qlap(eps_update=0), ["qlap_counter: eps_update must be positive and finite, got 0.0"]),
+    (_qlap(sensitivity=0), ["qlap_counter: sensitivity must be positive and finite, got 0.0"]),
 ], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows", "fit-short-row",
         "fit-long-row", "fit-text-row", "audit-negative-eps", "audit-eps-text",
         "fit-missing-file", "fit-empty-file", "fit-unknown-column", "sample-family",
         "tv-family", "reduce-check-not-divisible", "distinguish-alpha-zero",
-        "distinguish-alpha-above-half", "distinguish-epsilon-zero", "distinguish-epsilon-negative",
+        "distinguish-alpha-above-half", "distinguish-alpha-half", "distinguish-plugin-alpha-half",
+        "distinguish-epsilon-zero", "distinguish-epsilon-negative",
         "distinguish-epsilon-nan", "distinguish-scale-negative", "distinguish-no-trials",
-        "distinguish-subset-outside-d", "distinguish-d-zero"])
+        "distinguish-subset-outside-d", "distinguish-d-zero", "audit-qlap-step-zero",
+        "audit-qlap-eps-update-zero", "audit-qlap-sensitivity-zero"])
 def test_cli_guard_errors_exit_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.csv").write_text("d,n_star\n8,100\n16,200\n32,400\n")

@@ -1,5 +1,6 @@
 """Randomizers, analyzers, pan-private algorithms, and their manifests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,20 @@ def test_kernel_sampling_fallback_picks_what_rng_choice_picks():
         assert ours.integers(1 << 63) == ref.integers(1 << 63)
 
 
+def test_output_noise_derives_the_output_kernel_and_refuses_a_second_source():
+    noise = {2: 0.25, -1: 0.5, 0: 0.0, 1: 0.25}
+    alg = PanPrivateAlgorithm(name="noisy", init_kernel={0: 1.0},
+                              update_kernel=lambda i, x, s: {s + int(x): 1.0}, output_noise=noise)
+    assert alg.has_exact
+    assert list(alg.output_kernel(5).items()) == [(7, 0.25), (4, 0.5), (5, 0.0), (6, 0.25)]
+    # a replaced copy derives its kernel from its own noise
+    moved = dataclasses.replace(alg, output_noise={3: 1.0})
+    assert moved.output_kernel(5) == {8: 1.0}
+    assert run_pan(moved, [1, 0], t=1, rng=make_generator(1)).output == 4
+    with pytest.raises(ValueError, match="noisy: set output_kernel or output_noise, not both"):
+        dataclasses.replace(alg, output_kernel=lambda s: {s: 1.0})
+
+
 @pytest.mark.parametrize("law", [{0: -0.5, 1: 1.5}, {0: math.nan, 1: 1.0}, {0: 0.0, 1: 0.0},
                                  {0: math.inf, 1: 1.0}, {}],
                          ids=["negative", "nan", "all-zero", "infinite", "empty"])
@@ -318,3 +333,17 @@ def test_mechanism_from_manifest_names_bad_keys(manifest, named):
     with pytest.raises(ValueError, match="accepted keys|one of|JSON object") as err:
         mechanism_from_manifest(manifest)
     assert named in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eps_update", 0.0), ("eps_update", -1.0), ("eps_update", math.inf),
+    ("eps_output", 0.0), ("eps_output", math.nan),
+    ("sensitivity", 0.0), ("sensitivity", -2.0), ("sensitivity", math.inf),
+    ("step", 0.0), ("step", -0.25), ("step", math.nan),
+    ("span", 0.0), ("span", -6.0),
+])
+def test_qlap_counter_manifest_names_a_bad_value(key, value):
+    manifest = {"type": "qlap_counter", "eps_update": 1.0, "eps_output": 1.0, key: value}
+    with pytest.raises(ValueError) as err:
+        mechanism_from_manifest(manifest)
+    assert str(err.value) == f"qlap_counter: {key} must be positive and finite, got {value}"

@@ -164,9 +164,13 @@ def test_criterion07_counter_preflight_raises_before_any_step(monkeypatch):
     assert calls == []
 
 
+WIDE_TABLE = ("qlap-counter: output kernel (6201 states x 6201 outputs): 38452401 paths "
+              "exceed the 10000000 guard; lower span or raise step")
+
+
 def test_output_kernel_guard_fires_after_one_kernel():
-    # 6,201 states x 6,201 outputs is above 10^7 paths: the first state's
-    # kernel sizes the table, and no other kernel is built
+    # the dict path: 6,201 states x 6,201 outputs is above 10^7 paths, the first
+    # state's kernel sizes the table, and no other kernel is built
     calls = []
     ctr = quantized_laplace_counter(1.0, 1.0, step=1.0 / 64, span=64.0)
     kernel = ctr.output_kernel
@@ -175,11 +179,39 @@ def test_output_kernel_guard_fires_after_one_kernel():
         calls.append(s)
         return kernel(s)
 
-    ctr = dataclasses.replace(ctr, output_kernel=counted)
+    ctr = dataclasses.replace(ctr, output_noise=None, output_kernel=counted)
     assert len(ctr.init_kernel) * len(kernel(0)) > exact_mod.MAX_PATHS
-    with pytest.raises(GuardError, match="output kernel.*lower span or raise step"):
+    with pytest.raises(GuardError) as err:
         exact_pan_output(ctr, [1])
+    assert str(err.value) == WIDE_TABLE
     assert len(calls) == 1
+
+
+def test_output_noise_guard_fires_before_any_output_kernel(monkeypatch):
+    # the array path refuses the same table with the same message, sized from
+    # the noise alone, and never calls the derived output kernel
+    calls = []
+    shift = PanPrivateAlgorithm._shift
+
+    def counted(self, s):
+        calls.append(s)
+        return shift(self, s)
+
+    monkeypatch.setattr(PanPrivateAlgorithm, "_shift", counted)
+    ctr = quantized_laplace_counter(1.0, 1.0, step=1.0 / 64, span=64.0)
+    assert ctr.output_noise is not None
+    with pytest.raises(GuardError) as err:
+        exact_pan_output(ctr, [1])
+    assert str(err.value) == WIDE_TABLE
+    assert calls == []
+
+
+def test_output_noise_guard_refuses_a_sparse_code_range():
+    # two states x one offset is a tiny table, but its codes span 10^8 + 1 values
+    alg = PanPrivateAlgorithm(name="sparse", init_kernel={0: 0.5, 10**8: 0.5},
+                              update_kernel=lambda i, x, s: {s: 1.0}, output_noise={0: 1.0})
+    with pytest.raises(GuardError, match=r"sparse: output code range \(100000001 codes\)"):
+        exact_pan_output(alg, [1])
 
 
 def test_view_preflight_names_the_stream_length(monkeypatch):
