@@ -1,13 +1,14 @@
 """Exact distribution propagation, privacy audits, and the hybrid certificate.
 
-A law through a shuffle is a :class:`CountLaw`: an ``(m, w)`` int64 matrix of
-distinct count vectors (one column per message of the alphabet) and a float64
-probability vector. Users are convolved in one at a time; each convolution
-codes the pairwise sums as mixed-radix int64 numbers and merges equal codes
-with ``np.unique`` and ``np.bincount``, so the result has a deterministic
-order and no hash dependence. The same representation serves every alphabet
-width and multi-message randomizer. ``convolve_counts`` and
-``exact_shuffle_counts`` return ``{counts_tuple: prob}`` dicts built from it.
+A law through a shuffle is a :class:`CountLaw`: distinct count vectors (one
+column per message of the alphabet) as mixed-radix int64 codes, and a float64
+probability vector. A chain of convolutions (a cohort, an audit's two
+cohorts, a power, the wrapper law) fixes one stride vector from its result's
+range before the first product; then each user's step adds codes and merges
+equal ones with one stable sort and ``np.bincount``, in a deterministic order
+with no hash dependence. Count vectors are decoded once, on demand.
+``convolve_counts`` and ``exact_shuffle_counts`` return ``{counts_tuple:
+prob}`` dicts built from it.
 
 Online algorithms run on an indexed array engine. At each time t the reachable
 states get integer indices in first-seen order, shared by every stream
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
@@ -49,7 +51,6 @@ from .mechanisms import Analyzer, PanPrivateAlgorithm, Randomizer, ShuffleProtoc
 from .metrics import _hockey, hockey_stick, mutual_information, tv_distance
 
 MAX_PATHS = 10**7
-_CODE_MAX = int(np.iinfo(np.int64).max)
 
 __all__ = [
     "convolve_counts",
@@ -79,98 +80,115 @@ def _check_paths(size: int, label: str, remedy: str = "") -> None:
 # count laws: arrays of count vectors
 
 
-def _strides(span: np.ndarray, label: str) -> np.ndarray:
-    """Mixed-radix place values for digit vectors below ``span``, refusing codes past int64."""
+def _places(span: np.ndarray, label: str) -> np.ndarray:
+    """Column strides, then the number of codes, for digits below ``span``; refuses past int64."""
     places = list(accumulate(span.tolist(), operator.mul, initial=1))
-    if places[-1] > _CODE_MAX:
+    if places[-1] > np.iinfo(np.int64).max:
         raise GuardError(
             f"{label}: {places[-1]} count-vector codes overflow int64; "
             f"reduce the alphabet width ({len(span)}) or the cohort size n"
         )
-    return np.array(places[:-1], dtype=np.int64)
+    return np.array(places, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class CountLaw:
-    """A law over count vectors: row ``counts[i]`` (int64) has probability ``probs[i]``.
+    """A law over count vectors: ``lo + digits(codes[i])`` has probability ``probs[i]``.
 
-    Columns follow the randomizer's alphabet and rows are distinct. Every
-    merge codes each row as a mixed-radix int64 number and groups equal codes
-    with ``np.unique`` and ``np.bincount``, so rows come out in code order and
-    sums run in input order, never in hash order. One representation serves
-    every alphabet width and multi-message randomizer.
+    ``lo`` is the rows' coordinatewise minimum and ``places`` the mixed-radix
+    space of the codes. A chain of convolutions fixes one space for its result
+    before its first product, so a sum's code is the sum of the codes, and
+    merges equal codes with one stable sort and ``np.bincount``: rows come out
+    in code order and sums run in pair order, never in hash order. Counts are
+    decoded once, when read. One representation serves every alphabet width.
     """
 
-    counts: np.ndarray
+    codes: np.ndarray
     probs: np.ndarray
+    lo: np.ndarray
+    places: np.ndarray
 
     @classmethod
     def of(cls, dist: dict, width: int) -> CountLaw:
-        counts = np.array(list(dist), dtype=np.int64).reshape(len(dist), width)
-        return cls(counts, np.fromiter(dist.values(), dtype=np.float64, count=len(dist)))
+        """A ``{counts tuple: prob}`` law, coded in a space of its own."""
+        if not dist:
+            raise ValueError("count law: the law is empty")
+        widths = {len(key) for key in dist}
+        if widths != {width}:
+            raise ValueError(f"count law: count tuples of width {sorted(widths)}, expected {width}")
+        counts = np.array(list(dist), dtype=np.int64)
+        lo, places = counts.min(axis=0), _places(np.ptp(counts, axis=0) + 1, "count law")
+        return cls((counts - lo) @ places[:-1], np.fromiter(dist.values(), float), lo, places)
 
     @classmethod
-    def zero(cls, width: int) -> CountLaw:
+    def zero(cls, places: np.ndarray) -> CountLaw:
         """The empty cohort: the zero vector with probability one."""
-        return cls(np.zeros((1, width), dtype=np.int64), np.ones(1))
+        return cls(np.zeros(1, np.int64), np.ones(1), np.zeros(len(places) - 1, np.int64), places)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The ``(m, w)`` int64 count vectors, decoded from the codes."""
+        strides = self.places[:-1]
+        return self.codes[:, None] // strides % (self.places[1:] // strides) + self.lo
+
+    def within(self, places: np.ndarray) -> CountLaw:
+        """This law, coded in the space of ``places``."""
+        return CountLaw((self.counts - self.lo) @ places[:-1], self.probs, self.lo, places)
 
     def __len__(self) -> int:
         return len(self.probs)
 
     def scaled(self, weight: float) -> CountLaw:
-        return CountLaw(self.counts, weight * self.probs)
+        return CountLaw(self.codes, weight * self.probs, self.lo, self.places)
 
     def convolve(self, other: CountLaw, label: str = "count convolution") -> CountLaw:
-        """Law of the sum of independent draws from both laws.
+        """Law of the sum of independent draws from two laws of a space that holds the sum.
 
-        Support x kernel size is checked against ``MAX_PATHS``, and the code
-        box against int64, before any pair is formed. A sum's code is the sum
-        of the codes (digits never carry), so pairs are coded without
-        materializing their count vectors.
+        Support x kernel size is checked against ``MAX_PATHS`` before any pair is formed.
         """
         _check_paths(len(self) * len(other), label, "; reduce the cohort size n")
-        lo_a, lo_b = self.counts.min(axis=0), other.counts.min(axis=0)
-        span = self.counts.max(axis=0) - lo_a + other.counts.max(axis=0) - lo_b + 1
-        strides = _strides(span, label)
-        codes = np.add.outer((self.counts - lo_a) @ strides, (other.counts - lo_b) @ strides)
-        uniq, first, inv = np.unique(codes.ravel(), return_index=True, return_inverse=True)
-        probs = np.bincount(
-            inv, weights=np.multiply.outer(self.probs, other.probs).ravel(), minlength=len(uniq)
+        codes, probs = _merge(
+            np.add.outer(self.codes, other.codes).ravel(),
+            np.multiply.outer(self.probs, other.probs).ravel(),
         )
-        rows, cols = np.divmod(first, len(other))
-        return CountLaw(self.counts[rows] + other.counts[cols], probs)
+        return CountLaw(codes, probs, self.lo + other.lo, self.places)
 
     def power(self, times: int) -> CountLaw:
         """``times``-fold convolution with itself, one factor at a time."""
-        out = CountLaw.zero(self.counts.shape[1])
+        factor = self.within(_places(times * np.ptp(self.counts, axis=0) + 1, "count convolution"))
+        out = CountLaw.zero(factor.places)
         for _ in range(times):
-            out = out.convolve(self)
+            out = out.convolve(factor)
         return out
 
     def __add__(self, other: CountLaw) -> CountLaw:
-        """Mixture sum: both laws' mass on the union of their supports."""
-        counts, pa, pb = _union(self, other)
-        return CountLaw(counts, pa + pb)
+        """Mixture sum of two laws of one space: both laws' mass on the union of their supports."""
+        lo, codes, pa, pb = _union(self, other)
+        return CountLaw(codes, pa + pb, lo, self.places)
 
     def as_dict(self) -> dict:
         return dict(zip(map(tuple, self.counts.tolist()), self.probs.tolist()))
 
-    def push(self, analyzer: Analyzer) -> dict:
-        """Analyzer-output law; the analyzer runs once per count vector."""
-        return _push(zip(self.counts, self.probs.tolist()), analyzer)
+    def push(self, analyzer: Analyzer, offset: np.ndarray | int = 0) -> dict:
+        """Analyzer-output law of the counts plus ``offset``; the analyzer runs once per row."""
+        return _push(zip(self.counts + offset, self.probs.tolist()), analyzer)
 
 
-def _union(a: CountLaw, b: CountLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The union of two supports in code order, and each law's probabilities on it."""
-    counts = np.concatenate([a.counts, b.counts])
-    lo = counts.min(axis=0)
-    codes = (counts - lo) @ _strides(counts.max(axis=0) - lo + 1, "count union")
-    uniq, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-    return (
-        counts[first],
-        np.bincount(inv[: len(a)], weights=a.probs, minlength=len(uniq)),
-        np.bincount(inv[len(a):], weights=b.probs, minlength=len(uniq)),
-    )
+def _merge(codes: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct codes in order; each weight vector summed over equal codes, in input order."""
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    new = np.concatenate(([True], codes[1:] != codes[:-1]))
+    return codes[new], *(np.bincount(new.cumsum() - 1, weights=w[order]) for w in weights)
+
+
+def _union(a: CountLaw, b: CountLaw) -> tuple[np.ndarray, ...]:
+    """Two laws' union of supports: its minimum, its codes in order, each law's mass on it."""
+    lo = np.minimum(a.lo, b.lo)
+    strides = a.places[:-1]
+    codes = np.concatenate([a.codes + (a.lo - lo) @ strides, b.codes + (b.lo - lo) @ strides])
+    za, zb = np.zeros(len(a)), np.zeros(len(b))
+    return lo, *_merge(codes, np.concatenate([a.probs, zb]), np.concatenate([za, b.probs]))
 
 
 def _push(pairs: Iterable, analyzer: Analyzer) -> dict:
@@ -183,8 +201,9 @@ def _push(pairs: Iterable, analyzer: Analyzer) -> dict:
 
 def convolve_counts(d1: dict, d2: dict) -> dict:
     """Convolution of two distributions over count tuples (componentwise sums)."""
-    width = len(next(iter(d1)))
-    return CountLaw.of(d1, width).convolve(CountLaw.of(d2, width)).as_dict()
+    a, b = (CountLaw.of(d, len(next(iter(d1), ()))) for d in (d1, d2))
+    places = _places(np.ptp(a.counts, axis=0) + np.ptp(b.counts, axis=0) + 1, "count convolution")
+    return a.within(places).convolve(b.within(places)).as_dict()
 
 
 def outcome_dict(dist: dict | FiniteDistribution) -> dict:
@@ -204,21 +223,27 @@ def randomizer_kernel_for(randomizer: Randomizer, input_dist: dict) -> dict:
     return out
 
 
-def _shuffle_law(randomizer: Randomizer, users: Sequence) -> CountLaw:
-    """Exact count-vector law of a cohort, one user convolved in at a time.
+def _shuffle_law(randomizer: Randomizer, *cohorts: Sequence) -> list[CountLaw]:
+    """Exact count-vector laws of cohorts of one size, one user convolved in at a time.
 
-    Each user entry is either a fixed input or a ``{input: prob}`` dict.
+    Each user entry is either a fixed input or a ``{input: prob}`` dict, whose kernel is built
+    once. One code space, spanning every cohort's result, is fixed before the first product.
     """
-    width = len(randomizer.alphabet)
-    law = CountLaw.zero(width)
-    for i, user in enumerate(users, start=1):
-        kernel = (
-            randomizer_kernel_for(randomizer, user)
-            if isinstance(user, dict)
-            else randomizer.kernel(user)
-        )
-        law = law.convolve(CountLaw.of(kernel, width), f"cohort of n={len(users)}, user {i}")
-    return law
+    n, width = len(cohorts[0]), len(randomizer.alphabet)
+    users = {id(u): u for u in chain.from_iterable(cohorts)}
+    own = {k: CountLaw.of(randomizer_kernel_for(randomizer, u) if isinstance(u, dict)
+                          else randomizer.kernel(u), width) for k, u in users.items()}
+    bounds = {k: np.array([law.lo, law.counts.max(axis=0)]) for k, law in own.items()}
+    ends = np.array([sum((bounds[id(u)] for u in c), np.zeros((2, width), int)) for c in cohorts])
+    places = _places(ends[:, 1].max(axis=0) - ends[:, 0].min(axis=0) + 1, f"cohort of n={n}")
+    kernels = {k: law.within(places) for k, law in own.items()}
+    laws = []
+    for users in cohorts:
+        law = CountLaw.zero(places)
+        for i, user in enumerate(users, start=1):
+            law = law.convolve(kernels[id(user)], f"cohort of n={len(users)}, user {i}")
+        laws.append(law)
+    return laws
 
 
 def exact_shuffle_counts(randomizer: Randomizer, users: Sequence) -> dict:
@@ -226,7 +251,7 @@ def exact_shuffle_counts(randomizer: Randomizer, users: Sequence) -> dict:
 
     Each user entry is either a fixed input or a ``{input: prob}`` dict.
     """
-    return _shuffle_law(randomizer, users).as_dict()
+    return _shuffle_law(randomizer, users)[0].as_dict()
 
 
 def push_through_analyzer(counts_dist: dict, analyzer: Analyzer) -> dict:
@@ -243,7 +268,7 @@ def exact_output_distribution(mechanism, data: Sequence) -> dict:
     is the final-output law.
     """
     if isinstance(mechanism, ShuffleProtocol):
-        return _shuffle_law(mechanism.randomizer, data).push(mechanism.analyzer)
+        return _shuffle_law(mechanism.randomizer, data)[0].push(mechanism.analyzer)
     if isinstance(mechanism, PanPrivateAlgorithm):
         return exact_pan_output(mechanism, data)
     raise TypeError(f"cannot propagate through {type(mechanism).__name__}")
@@ -550,9 +575,9 @@ def audit_privacy(
         raise ValueError(f"eps_grid must hold finite non-negative epsilons, got {bad}")
     if isinstance(mechanism, (ShuffleProtocol, Randomizer)):
         randomizer = mechanism.randomizer if isinstance(mechanism, ShuffleProtocol) else mechanism
-        la, lb = _shuffle_law(randomizer, data_a), _shuffle_law(randomizer, data_b)
+        la, lb = _shuffle_law(randomizer, data_a, data_b)
         if view != "output":
-            return _curve([_union(la, lb)[1:]], eps_grid)
+            return _curve([_union(la, lb)[2:]], eps_grid)
         if not isinstance(mechanism, ShuffleProtocol):
             raise ValueError("output view needs a full protocol")
         analyzer = mechanism.analyzer

@@ -382,10 +382,11 @@ def quantized_laplace_pmf(scale: float, step: float, span: float) -> tuple[dict,
     [-K, K] with K = round(span/step). Each interior cell gets the Laplace mass
     of [k*step - step/2, k*step + step/2); the two end cells absorb their
     tails. Returns (pmf dict, folded tail mass) so callers can account for the
-    truncation when quoting audit slack.
+    truncation when quoting audit slack. A parameter not positive and finite raises ValueError.
     """
-    if scale <= 0 or step <= 0 or span <= 0:
-        raise ValueError("scale, step, span must be positive")
+    for k, v in [("scale", scale), ("step", step), ("span", span)]:
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"quantized_laplace_pmf: {k} must be positive and finite, got {v}")
     K = int(round(span / step))
     ks = np.arange(-K, K + 1)
     upper = (ks + 0.5) * step

@@ -155,8 +155,7 @@ class ShuffleToPanWrapper:
 
     def output_kernel(self, state) -> dict:
         _, counts = state
-        pad = self._pad_law
-        return ex.CountLaw(pad.counts + np.asarray(counts), pad.probs).push(self.protocol.analyzer)
+        return self._pad_law.push(self.protocol.analyzer, np.asarray(counts))
 
     # -- sampling ----------------------------------------------------------
 
@@ -222,19 +221,24 @@ class ShuffleToPanWrapper:
         ``sum_b p_b real^b ref^(n-b)``. It is built on count arrays in Horner
         form, ``G_0 = p_0``, ``G_j = G_{j-1} * ref + p_j real^j``, then
         ``G_cap * ref^(n-cap)``, and the analyzer runs once per distinct count
-        vector of the result.
+        vector of the result. All its laws share one code space, fixed first
+        from the hull of ``real^b ref^(n-b)`` over b, whose ends are b = 0 and cap.
         """
-        width = len(self.protocol.randomizer.alphabet)
+        width, n, cap = len(self.protocol.randomizer.alphabet), self.n, self.stream_len
         real = ex.CountLaw.of(ex.randomizer_kernel_for(self.protocol.randomizer, input_dist), width)
         ref = ex.CountLaw.of(self._reference_kernel, width)
-        label = f"wrapper law (n={self.n})"
+        dlo, dhi = real.lo - ref.lo, real.counts.max(axis=0) - ref.counts.max(axis=0)
+        span = n * np.ptp(ref.counts, axis=0) + cap * (np.maximum(dhi, 0) - np.minimum(dlo, 0)) + 1
+        label = f"wrapper law (n={n})"
+        places = ex._places(span, label)
+        real, ref = real.within(places), ref.within(places)
         budget_law = self.budget_distribution
-        real_power = ex.CountLaw.zero(width)
+        real_power = ex.CountLaw.zero(places)
         mixed = real_power.scaled(budget_law[0])
-        for b in range(1, self.stream_len + 1):
+        for b in range(1, cap + 1):
             real_power = real_power.convolve(real, label)
             mixed = mixed.convolve(ref, label) + real_power.scaled(budget_law[b])
-        for _ in range(self.n - self.stream_len):
+        for _ in range(n - cap):
             mixed = mixed.convolve(ref, label)
         return mixed.push(self.protocol.analyzer)
 

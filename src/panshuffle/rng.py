@@ -71,8 +71,8 @@ def draw_words(rng: np.random.Generator, size=None) -> np.ndarray:
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
-    """u = (k + 0.5) / 2**64 for each word k: strictly inside (0, 1)."""
-    return (words.astype(np.float64) + 0.5) * 2.0**-64
+    """u = (k + 0.5) / 2**64 for word k, capped at word 2**64 - 1025's 1 - 2**-53: inside (0, 1)."""
+    return np.minimum((words.astype(np.float64) + 0.5) * 2.0**-64, 1.0 - 2.0**-53)
 
 
 def laplace_from_words(words: np.ndarray, scale: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from panshuffle.mechanisms import (
 )
 from panshuffle.reductions import ShuffleToPanWrapper
 
-from oracles import cohort_oracle
+from oracles import cohort_oracle, count_oracle
 from oracles.toy_mechanisms import one_count_analyzer
 
 ECHO3 = echo_randomizer((0, 1, 2))
@@ -154,18 +154,105 @@ def test_wrapper_kernels_match_oracle():
 
 
 # ---------------------------------------------------------------------------
+# bit identity with the per-step convolution (one stride vector per product)
+
+RR = binary_randomized_response(0.23)
+CHANNEL = asymmetric_binary_randomizer(0.8, 0.3)
+ECHO_USER = {0: 0.2, 1: 0.5, 2: 0.3}
+
+# (randomizer, cohort, analyzer)
+CODE_COHORTS = {
+    "rr-fixed-60": (RR, [1, 0, 0, 1, 1, 0] * 10, threshold_analyzer(20)),
+    "rr-fixed-240": (RR, [1, 1, 0] * 80, threshold_analyzer(100)),
+    "rr-empty": (RR, [], threshold_analyzer(0)),
+    "echo-dict-users": (ECHO3, [ECHO_USER] * 40, histogram_analyzer()),
+    "echo-mixed-dict-users": (ECHO3, COHORTS["echo3-dict-users"][1] * 2, histogram_analyzer()),
+    "channel": (CHANNEL, [1, 0, {1: 0.3, 0: 0.7}, 1] * 6, one_count_analyzer()),
+}
+
+
+def _same_bits(got, want) -> None:
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.probs.tobytes() == want.probs.tobytes()
+
+
+def _same_dict(got: dict, want: dict) -> None:
+    # keys, their order and every probability's bits
+    assert [(k, v.hex()) for k, v in got.items()] == [(k, v.hex()) for k, v in want.items()]
+
+
+@pytest.mark.parametrize("case", sorted(CODE_COHORTS))
+def test_cohort_laws_are_bit_identical_to_per_step_strides(case):
+    randomizer, users, analyzer = CODE_COHORTS[case]
+    [law] = exact_mod._shuffle_law(randomizer, users)
+    want = count_oracle.shuffle_law(randomizer, users)
+    _same_bits(law, want)
+    _same_dict(law.push(analyzer), want.push(analyzer))
+    _same_dict(exact_shuffle_counts(randomizer, users), want.as_dict())
+
+
+def test_powers_and_pair_convolutions_are_bit_identical_to_per_step_strides():
+    a = {(2, 0, 1): 0.25, (0, 3, 0): 0.5, (1, 1, 1): 0.25}
+    b = {(1, 0, 0): 0.1, (0, 0, 1): 0.9}
+    rr = {(1, 0): 0.77, (0, 1): 0.23}
+    for dist, width, times in [(rr, 2, 240), (a, 3, 7), (b, 3, 0)]:
+        _same_bits(CountLaw.of(dist, width).power(times),
+                   count_oracle.CountLaw.of(dist, width).power(times))
+    want = count_oracle.CountLaw.of(a, 3).convolve(count_oracle.CountLaw.of(b, 3))
+    _same_dict(convolve_counts(a, b), want.as_dict())
+
+
+@pytest.mark.parametrize("n", [6, 30, 60])
+@pytest.mark.parametrize("rz, reference, inputs", [
+    (RR, {0: 0.6, 1: 0.4}, [{0: 0.6, 1: 0.4}, {0: 0.1, 1: 0.9}]),
+    (ECHO3, {0: 0.5, 1: 0.3, 2: 0.2}, [{1: 1.0}, {0: 0.1, 1: 0.2, 2: 0.7}]),
+], ids=["rr", "echo3"])
+def test_wrapper_laws_are_bit_identical_to_per_step_strides(n, rz, reference, inputs):
+    # the histogram analyzer pushes the count law to itself, row by row
+    for analyzer in (histogram_analyzer(), one_count_analyzer()):
+        wrapper = ShuffleToPanWrapper(
+            protocol=ShuffleProtocol(randomizer=rz, analyzer=analyzer, n=n), reference=reference
+        )
+        for input_dist in inputs:
+            want = count_oracle.wrapper_law(wrapper, input_dist)
+            _same_dict(wrapper.exact_output_distribution(input_dist), want.push(analyzer))
+        _same_bits(wrapper._pad_law, count_oracle.pad_law(wrapper))
+        state = (n // 6, (n // 3,) + (0,) * (len(rz.alphabet) - 1))
+        _same_dict(wrapper.output_kernel(state), count_oracle.wrapper_output_kernel(wrapper, state))
+
+
+@pytest.mark.parametrize("rz, a, b", [
+    (CHANNEL, [1, 0, 1, 1, 0], [1, 0, 0, 1, 0]),
+    (RR, [1] * 30 + [0] * 10, [1] * 29 + [0] * 11),
+    (ECHO3, [0, 1, 2, ECHO_USER, ECHO_USER], [1, 1, 2, ECHO_USER, ECHO_USER]),
+    (ECHO3, [], []),
+], ids=["channel", "rr", "echo3", "empty"])
+def test_multiset_audits_are_bit_identical_to_per_step_strides(rz, a, b):
+    grid = [0.0, 0.3, 1.0, 2.0]
+    _, _, pa, pb = exact_mod._union(*exact_mod._shuffle_law(rz, a, b))
+    _, want_a, want_b = count_oracle.union(
+        count_oracle.shuffle_law(rz, a), count_oracle.shuffle_law(rz, b)
+    )
+    assert (pa.tobytes(), pb.tobytes()) == (want_a.tobytes(), want_b.tobytes())
+    got, want = audit_privacy(rz, (a, b), grid), exact_mod._curve([(want_a, want_b)], grid)
+    assert got.delta_forward.tobytes() == want.delta_forward.tobytes()
+    assert got.delta_backward.tobytes() == want.delta_backward.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # guards
 
 
 def test_cohort_guard_raises_before_an_oversized_product(monkeypatch):
     sizes: list = []
-    unique = np.unique
+    argsort = np.argsort
 
+    # every product is merged by one stable sort of its pairwise code sums
     def spy(codes, *args, **kwargs):
         sizes.append(len(codes))
-        return unique(codes, *args, **kwargs)
+        return argsort(codes, *args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", spy)
+    monkeypatch.setattr(np, "argsort", spy)
     users = [{0: 0.2, 1: 0.5, 2: 0.3}] * 10
     # supports 1, 3, 6, 10 times a 3-entry kernel: the fourth product (30 pairs) trips
     monkeypatch.setattr(exact_mod, "MAX_PATHS", 20)
@@ -186,6 +273,37 @@ def test_count_codes_refuse_int64_overflow():
     user = {x: 1.0 / 70 for x in range(70)}
     with pytest.raises(GuardError, match=r"alphabet width \(70\)"):
         exact_shuffle_counts(wide, [user])
+
+
+def test_int64_guard_fires_before_the_first_product(monkeypatch):
+    sizes: list = []
+    argsort = np.argsort
+
+    def spy(codes, *args, **kwargs):
+        sizes.append(len(codes))
+        return argsort(codes, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    # 30 columns of digits 0..3 fit in int64 (4**30 codes); the fourth user's 5**30 do not
+    wide = echo_randomizer(tuple(range(30)))
+    user = {x: 1.0 / 30 for x in range(30)}
+    assert len(exact_shuffle_counts(wide, [user] * 3)) == math.comb(32, 3)
+    sizes.clear()
+    with pytest.raises(GuardError, match=r"cohort of n=4: .*alphabet width \(30\) or the cohort"):
+        exact_shuffle_counts(wide, [user] * 4)
+    assert sizes == []
+
+
+def test_count_laws_name_an_empty_law_or_a_width_mismatch():
+    for d1, d2 in [({}, {(1, 0): 1.0}), ({(1, 0): 1.0}, {})]:
+        with pytest.raises(ValueError, match="count law: the law is empty"):
+            convolve_counts(d1, d2)
+    with pytest.raises(ValueError, match=r"count tuples of width \[3\], expected 2"):
+        convolve_counts({(1, 0): 1.0}, {(1, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="count law: the law is empty"):
+        CountLaw.of({}, 2)
+    with pytest.raises(ValueError, match=r"count tuples of width \[1, 2\], expected 2"):
+        CountLaw.of({(1, 0): 0.5, (1,): 0.5}, 2)
 
 
 def test_rr_audit_guard_raises_before_the_binomial_rows(monkeypatch):

@@ -175,6 +175,16 @@ def test_quantized_laplace_pmf_normalizes_and_reports_tail():
     assert 0.0 < tail < 0.05
 
 
+@pytest.mark.parametrize("key", ["scale", "step", "span"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_quantized_laplace_pmf_names_a_bad_parameter(key, value):
+    params = {"scale": 2.0, "step": 0.25, "span": 8.0, key: value}
+    with pytest.raises(ValueError) as err:
+        quantized_laplace_pmf(**params)
+    want = f"quantized_laplace_pmf: {key} must be positive and finite, got {value}"
+    assert str(err.value) == want
+
+
 def test_quantized_laplace_counter_meta_and_run():
     ctr = quantized_laplace_counter(eps_update=0.5, eps_output=0.5,
                                     step=1.0 / 8, span=12.0)

@@ -12,6 +12,7 @@ from panshuffle.rng import (
     fnv1a64,
     gaussian,
     laplace,
+    laplace_from_words,
     make_generator,
     splitmix64,
 )
@@ -95,6 +96,26 @@ def test_gaussian_zero_scale_and_negative():
     assert gaussian(gen, 0.0) == 0.0
     with pytest.raises(ValueError):
         gaussian(gen, -0.5)
+
+
+TOP_WORDS = np.array([(1 << 64) - 1, (1 << 64) - 1024, (1 << 64) - 1025], dtype=np.uint64)
+
+
+class _TopWords:
+    """A generator stub whose every word is one of the top words."""
+
+    def integers(self, low, high, size=None, dtype=None):
+        return TOP_WORDS.copy()
+
+
+def test_top_words_draw_finite_noise():
+    lap = laplace_from_words(TOP_WORDS, 1.0)
+    gau = gaussian(_TopWords(), 1.0, size=3)
+    assert np.all(np.isfinite(lap)) and np.all(np.isfinite(gau))
+    # the words past 2**64 - 1025 take its u = 1 - 2**-53, whose draw does not move
+    u = 1.0 - 2.0**-53
+    assert np.all(lap == -np.log1p(-2.0 * (u - 0.5)))
+    assert np.all(gau == gau[2]) and gau[2] > 8.0
 
 
 def test_noise_is_pure_function_of_stream():
