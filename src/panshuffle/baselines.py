@@ -97,21 +97,23 @@ def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
     1-count; the differing user adds a 1 with probability p (input 0) or
     1 - p (input 1), so ``P_k = (1-p) R_k + p shift(R_k)`` and ``Q_k = p R_k +
     (1-p) shift(R_k)``. Every k is audited; rows are processed in blocks of
-    ``_AUDIT_ROWS`` to bound the temporaries, and ``MAX_PATHS`` is checked
-    against the n x n binomial table before it is built.
+    ``_AUDIT_ROWS`` to bound the temporaries, each ``R_k`` written into one
+    preallocated pair of blocks at column offsets 0 and 1, and ``MAX_PATHS`` is
+    checked against the n x n binomial table before it is built.
     """
     if epsilon < 0:
         raise ValueError("eps must be nonnegative")
     _check_paths(n * n, f"randomized-response audit (n={n})", "; reduce the cohort size n")
     rows = _binomial_rows(n - 1, flip_p)
+    # R_k and shift(R_k); their last and first columns stay zero
+    same, shifted = np.zeros((2, min(n, _AUDIT_ROWS), n + 1))
     worst = 0.0
     for lo in range(0, n, _AUDIT_ROWS):
         ks = range(lo, min(n, lo + _AUDIT_ROWS))
-        base = np.array([np.convolve(rows[k, k::-1], rows[n - 1 - k, : n - k]) for k in ks])
-        same = np.pad(base, ((0, 0), (0, 1)))
-        shifted = np.pad(base, ((0, 0), (1, 0)))
-        p_law = (1.0 - flip_p) * same + flip_p * shifted
-        q_law = flip_p * same + (1.0 - flip_p) * shifted
+        for j, k in enumerate(ks):
+            same[j, :n] = shifted[j, 1:] = np.convolve(rows[k, k::-1], rows[n - 1 - k, : n - k])
+        p_law = (1.0 - flip_p) * same[: len(ks)] + flip_p * shifted[: len(ks)]
+        q_law = flip_p * same[: len(ks)] + (1.0 - flip_p) * shifted[: len(ks)]
         for a, b in ((p_law, q_law), (q_law, p_law)):
             worst = max(worst, float(_hockey(a, b, [epsilon]).max()))
     return worst

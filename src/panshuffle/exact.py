@@ -13,15 +13,16 @@ prob}`` dicts built from it.
 Online algorithms run on an indexed array engine. At each time t the reachable
 states get integer indices in first-seen order, shared by every stream
 propagated together (two neighbors, or a reference and the family members), so
-arrays line up without depending on hash order. Step t's kernel is enumerated
-once from ``update_kernel`` into COO arrays (rows at t-1, cols at t, weights),
-all keys indexed in one pass and all weights scaled in one numpy product; the
-output kernel becomes a matrix O, built with array operations alone when the
-algorithm declares its output as state plus ``output_noise``. Forward laws come
-from ``np.bincount``; backward products ``B_n = O``, ``B_{t-1} = T_t B_t`` give
-the output law given the time-t state, so the one-intrusion view at every t is
-``law_t[:, None] * B_t``: one forward and one backward pass cover all intrusion
-times. The public functions still return dictionaries.
+arrays line up without depending on hash order. Step t's kernel is COO arrays
+(rows at t-1, cols at t, weights): one array sum for an update declared as
+state plus ``update_offset``, else enumerated from ``update_kernel``; the output
+kernel becomes a matrix O, from arrays alone for an output declared as state
+plus ``output_noise``. Forward laws come from ``np.bincount``; backward products
+``B_n = O``, ``B_{t-1} = T_t B_t`` give the output law given the time-t state,
+and the one-intrusion view at every t is ``law_t[:, None] * B_t``, built in row
+blocks. A step that is a partial map (a fixed element through a deterministic
+update) makes ``B_{t-1}`` a row gather of ``B_t``, kept as a row index. The
+public functions still return dictionaries.
 
 Every enumeration is checked against ``MAX_PATHS`` before it starts (support
 x kernel size before a count convolution, states x input support before a
@@ -51,6 +52,7 @@ from .mechanisms import Analyzer, PanPrivateAlgorithm, Randomizer, ShuffleProtoc
 from .metrics import _hockey, hockey_stick, mutual_information, tv_distance
 
 MAX_PATHS = 10**7
+_VIEW_BLOCK = 1 << 16  # elements per row block of an audit's views: 512 kB, kept in cache
 
 __all__ = [
     "convolve_counts",
@@ -282,12 +284,17 @@ def exact_output_distribution(mechanism, data: Sequence) -> dict:
 class _Kernel:
     """One step as COO arrays: ``weights[j]`` moves mass from ``rows[j]`` to ``cols[j]``.
 
-    Sources are enumerated in index order, so ``rows`` is nondecreasing.
+    Sources are enumerated in index order, so ``rows`` is nondecreasing. In a
+    partial map ``rows`` strictly increases and every weight is exactly 1.0.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
+
+    @property
+    def is_map(self) -> bool:
+        return bool(np.all(self.rows[1:] > self.rows[:-1]) and np.all(self.weights == 1.0))
 
     def push(self, law: np.ndarray, size: int) -> np.ndarray:
         """Forward: the law after the step, on ``size`` target indices."""
@@ -324,6 +331,12 @@ def _guard(alg: PanPrivateAlgorithm, size: int, what: str) -> None:
         _check_paths(size, f"{alg.name}: {what}", f"; {knob}")
 
 
+def _join(index: dict, keys: Iterable) -> None:
+    """Unseen keys join ``index`` at the next indices, in first-seen order."""
+    fresh = [k for k in dict.fromkeys(keys) if k not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+
+
 def _enumerate(alg: PanPrivateAlgorithm, sources: Iterable, index: dict, what: str,
                scales=None) -> _Kernel:
     """COO arrays of ``(row, {target: weight})`` pairs; unseen targets join ``index``.
@@ -342,8 +355,7 @@ def _enumerate(alg: PanPrivateAlgorithm, sources: Iterable, index: dict, what: s
         kerns.append(kern)
         total += len(kern)
         _guard(alg, total, what)
-    fresh = [k for k in dict.fromkeys(chain.from_iterable(kerns)) if k not in index]
-    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    _join(index, chain.from_iterable(kerns))
     sizes = np.fromiter(map(len, kerns), dtype=np.intp, count=len(kerns))
     cols = np.fromiter(map(index.__getitem__, chain.from_iterable(kerns)), np.intp, count=total)
     w = np.fromiter(chain.from_iterable(k.values() for k in kerns), np.float64, count=total)
@@ -358,12 +370,23 @@ def _step(alg: PanPrivateAlgorithm, i: int, x, states: list, rows, index: dict) 
 
     Update kernels pass through unscaled; ``_enumerate`` multiplies each weight
     by its input's probability (1.0 for a fixed element), one product each.
+    With ``update_offset`` no kernel is built: the targets ``states[r] + offset``,
+    in (row, input) order, join ``index`` as ``_enumerate``'s do.
     """
     inputs = x if isinstance(x, dict) else {x: 1.0}
     _guard(alg, len(rows) * len(inputs), f"step {i} ({len(rows)} states x {len(inputs)} inputs)")
-    sources = ((r, alg.update_kernel(i, xv, states[r])) for r in rows for xv in inputs)
     px = np.fromiter(inputs.values(), dtype=np.float64, count=len(inputs))
-    return _enumerate(alg, sources, index, f"step {i} transitions", np.tile(px, len(rows)))
+    if alg.update_offset is None:
+        sources = ((r, alg.update_kernel(i, xv, states[r])) for r in rows for xv in inputs)
+        return _enumerate(alg, sources, index, f"step {i} transitions", np.tile(px, len(rows)))
+    offsets = np.fromiter((alg.update_offset(i, xv) for xv in inputs), np.int64, len(inputs))
+    rows = np.asarray(rows, dtype=np.intp)
+    targets = (np.array(states, dtype=np.int64)[rows, None] + offsets).ravel().tolist()
+    _join(index, targets)
+    cols = np.fromiter(map(index.__getitem__, targets), np.intp, len(targets))
+    w = np.tile(px, len(rows))  # the derived kernel's weight 1.0 times px, bit for bit
+    keep = w > 0.0
+    return _Kernel(np.repeat(rows, len(inputs))[keep], cols[keep], w[keep])
 
 
 def _propagate(alg: PanPrivateAlgorithm, streams: Sequence, tails: Sequence = ()):
@@ -433,28 +456,54 @@ def _as_dict(keys: list, probs: np.ndarray) -> dict:
     return {k: p for k, p in zip(keys, probs.tolist()) if p > 0.0}
 
 
+@dataclass(frozen=True)
+class _Table:
+    """A backward table as rows of a dense one ending in a zero row: row r is ``base[index[r]]``."""
+
+    base: np.ndarray
+    index: np.ndarray
+
+    def pull(self, kernel: _Kernel, size: int) -> _Table:
+        """``T @ table`` on ``size`` source indices; through a partial map only the index moves.
+
+        A partial map's pull gathers rows times 1.0 and leaves unlisted rows
+        zero; any other kernel pulls the rows it reads into a new dense table.
+        """
+        if kernel.is_map:
+            index = np.full(size, len(self.base) - 1)
+            index[kernel.rows] = self.index[kernel.cols]
+            return _Table(self.base, index)
+        read = _Kernel(kernel.rows, self.index[kernel.cols], kernel.weights)
+        return _Table(read.pull(self.base, size + 1), np.arange(size))
+
+    def dense(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows ``lo`` to ``hi`` of the table as an array."""
+        return self.base[self.index[lo:hi]]
+
+
 def _backward(alg: PanPrivateAlgorithm, states: list, kernels: Sequence, first: int, what: str):
     """Yield ``(t, outputs, tables)`` for t from n down to ``first``, widest table guarded.
 
-    ``tables[k]`` is kernel list k's ``B_t``, the output law given the time-t
-    state: ``B_n = O`` and ``B_{t-1} = T_t B_t``.
+    ``tables[k]`` is kernel list k's ``B_t`` as a :class:`_Table`, the output
+    law given the time-t state: ``B_n = O`` and ``B_{t-1} = T_t B_t``.
     """
     n = len(states) - 1
     outputs, out_kernel = _outputs(alg, states[n])
     widest = max(len(s) for s in states[first:])
     _guard(alg, widest * len(outputs), f"{what} ({widest} states x {len(outputs)} outputs)")
-    tables = [out_kernel.dense((len(states[n]), len(outputs)))] * len(kernels)
+    size = len(states[n])
+    tables = [_Table(out_kernel.dense((size + 1, len(outputs))), np.arange(size))] * len(kernels)
     for t in range(n, first - 1, -1):
         yield t, outputs, tables
         if t > first:
-            tables = [kern[t - 1].pull(b, len(states[t - 1])) for kern, b in zip(kernels, tables)]
+            tables = [b.pull(kern[t - 1], len(states[t - 1])) for kern, b in zip(kernels, tables)]
 
 
 def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]):
-    """Yield ``(states_t, outputs, views)`` for each intrusion time t, latest first.
+    """Yield ``(states_t, outputs, laws_t, tables)`` for each intrusion time t, latest first.
 
-    ``views[k]`` is stream k's joint law of (state at t, final output) as a
-    states x outputs array ``law_t[:, None] * B_t``, with ``B_t`` from
+    Stream k's joint law of (state at t, final output) is the states x outputs
+    array ``laws_t[k][:, None] * B_t``, with ``B_t = tables[k]`` from
     :func:`_backward`: one backward pass serves every time.
     """
     n = len(streams[0])
@@ -467,7 +516,7 @@ def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]
     states, laws, kernels = _propagate(alg, streams)
     for t, outputs, tables in _backward(alg, states, kernels, min(wanted), "view"):
         if t in wanted:
-            yield states[t], outputs, [law[t][:, None] * b for law, b in zip(laws, tables)]
+            yield states[t], outputs, [law[t] for law in laws], tables
 
 
 def exact_pan_states(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
@@ -484,7 +533,8 @@ def exact_pan_output(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
 
 def exact_pan_view(alg: PanPrivateAlgorithm, stream: Sequence, t: int) -> dict:
     """Joint law of (state at time t, final output): {(state, output): prob}."""
-    states, outputs, (view,) = next(_pan_views(alg, [stream], [t]))
+    states, outputs, (law,), (table,) = next(_pan_views(alg, [stream], [t]))
+    view = law[:, None] * table.dense()
     rows, cols = np.nonzero(view)
     return {
         (states[r], outputs[c]): p
@@ -547,10 +597,20 @@ def _curve(pairs: Iterable[tuple[np.ndarray, np.ndarray]], eps_grid) -> AuditCur
     return AuditCurve(epsilons=eps, delta_forward=fwd, delta_backward=bwd)
 
 
-def _support(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two views on a shared index, restricted to where either has mass."""
-    keep = (va > 0.0) | (vb > 0.0)
-    return va[keep], vb[keep]
+def _view_pair(laws: Sequence[np.ndarray], tables: Sequence[_Table]):
+    """Two streams' views ``law[:, None] * B`` where either has mass, a block of rows at a time."""
+    width = tables[0].base.shape[1]
+    pair = np.empty((2, len(laws[0]) * width))
+    step = max(1, _VIEW_BLOCK // max(1, width))
+    end = 0
+    for lo in range(0, len(laws[0]), step):
+        va, vb = (law[lo:lo + step, None] * b.dense(lo, lo + step) for law, b in zip(laws, tables))
+        keep = (va > 0.0) | (vb > 0.0)
+        kept = np.count_nonzero(keep)
+        pair[0, end:end + kept] = va[keep]
+        pair[1, end:end + kept] = vb[keep]
+        end += kept
+    return pair[0, :end], pair[1, :end]
 
 
 def audit_privacy(
@@ -585,7 +645,7 @@ def audit_privacy(
     if isinstance(mechanism, PanPrivateAlgorithm):
         times = range(1, len(data_a) + 1) if intrusion_times is None else intrusion_times
         views = _pan_views(mechanism, [data_a, data_b], times)
-        return _curve((_support(va, vb) for _, _, (va, vb) in views), eps_grid)
+        return _curve((_view_pair(laws, tables) for _, _, laws, tables in views), eps_grid)
     raise TypeError(f"cannot audit {type(mechanism).__name__}")
 
 
@@ -649,7 +709,7 @@ def hybrid_tv_certificate(alg: PanPrivateAlgorithm, family: Sequence, n: int) ->
     for i, outputs, tables in _backward(alg, states, member_kernels, 0, "hybrid tables"):
         acc = np.zeros(len(outputs))
         for table in tables:
-            acc += (ref_laws[i][:, None] * table).sum(axis=0) / k
+            acc += (ref_laws[i][:, None] * table.dense()).sum(axis=0) / k
         hybrid.insert(0, acc)
     per_tv = [tv_distance(hybrid[i - 1], hybrid[i]) for i in range(1, n + 1)]
 

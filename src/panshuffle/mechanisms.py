@@ -175,6 +175,9 @@ class PanPrivateAlgorithm:
     state plus independent noise; ``output_kernel`` is then derived as ``{state +
     offset: prob}`` in the noise's order (setting both is refused), and the
     exact engine builds the output table from the noise with array operations.
+    ``update_offset(i, x) -> int`` likewise declares the update ``state + offset``:
+    ``update_kernel`` (``{state + offset: 1.0}``) and ``update_sample`` (no draw)
+    are derived from it, and setting either beside it is refused.
     """
 
     name: str
@@ -182,6 +185,7 @@ class PanPrivateAlgorithm:
     update_kernel: Callable[[int, Any, Hashable], dict] | None = None
     output_kernel: Callable[[Hashable], dict] | None = None
     output_noise: dict | None = None
+    update_offset: Callable[[int, Any], int] | None = None
     init_sample: Callable[[np.random.Generator], Hashable] | None = None
     update_sample: Callable[[int, Any, Hashable, np.random.Generator], Hashable] | None = None
     output_sample: Callable[[Hashable, np.random.Generator], Hashable] | None = None
@@ -189,15 +193,25 @@ class PanPrivateAlgorithm:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # ``dataclasses.replace`` passes back the kernel derived for the original
-        derived = getattr(self.output_kernel, "__func__", None) is PanPrivateAlgorithm._shift
-        if self.output_noise is not None:
-            if self.output_kernel is not None and not derived:
-                raise ValueError(f"{self.name}: set output_kernel or output_noise, not both")
-            object.__setattr__(self, "output_kernel", self._shift)
+        # ``dataclasses.replace`` passes back the callables derived for the original
+        for declared, name, derive in [("output_noise", "output_kernel", self._shift),
+                                       ("update_offset", "update_kernel", self._offset_kernel),
+                                       ("update_offset", "update_sample", self._offset_sample)]:
+            if getattr(self, declared) is None:
+                continue
+            own = getattr(self, name)
+            if own is not None and getattr(own, "__func__", None) is not derive.__func__:
+                raise ValueError(f"{self.name}: set {name} or {declared}, not both")
+            object.__setattr__(self, name, derive)
 
     def _shift(self, state) -> dict:
         return {state + j: p for j, p in self.output_noise.items()}
+
+    def _offset_kernel(self, i: int, x, state) -> dict:
+        return {state + self.update_offset(i, x): 1.0}
+
+    def _offset_sample(self, i: int, x, state, rng) -> Hashable:
+        return state + self.update_offset(i, x)
 
     @property
     def has_exact(self) -> bool:
@@ -423,9 +437,9 @@ def quantized_laplace_counter(
     ``meta['tail_mass']`` records the total folded tail for slack accounting.
 
     The default span is ``64 * sensitivity / min(eps_update, eps_output)``,
-    keeping the folded tails below exp(-64). The release noise is the
-    algorithm's ``output_noise``. A parameter that is not positive and finite
-    raises ``ValueError`` naming it, before any arithmetic.
+    keeping the folded tails below exp(-64). The shift is the algorithm's
+    ``update_offset`` and the release noise its ``output_noise``. A parameter
+    that is not positive and finite raises ``ValueError`` naming it, before any arithmetic.
     """
     for key, value in [("eps_update", eps_update), ("eps_output", eps_output), ("step", step),
                        ("span", span), ("sensitivity", sensitivity)]:
@@ -439,18 +453,11 @@ def quantized_laplace_counter(
     init_pmf, tail_init = quantized_laplace_pmf(sensitivity / eps_update, step, span)
     out_pmf, tail_out = quantized_laplace_pmf(sensitivity / eps_output, step, span)
 
-    def update_kernel(i, x, s):
-        return {s + _ones(x) * per_unit: 1.0}
-
-    def update_sample(i, x, s, rng):
-        return s + _ones(x) * per_unit
-
     return PanPrivateAlgorithm(
         name="qlap-counter",
         init_kernel=dict(init_pmf),
-        update_kernel=update_kernel,
+        update_offset=lambda i, x: _ones(x) * per_unit,
         output_noise=out_pmf,
-        update_sample=update_sample,
         meta={
             "step": step,
             "span": span,

@@ -1,13 +1,17 @@
 """The online engine's kernel builders as they were before they went to bulk numpy.
 
 ``enumerate_kernel`` extends Python lists one entry at a time, ``step`` scales
-every update kernel by the input probability in a dict comprehension,
-``outputs`` enumerates every state's ``output_kernel`` dict (also for an
-algorithm with ``output_noise``), ``pull`` adds every layer into zeros and
-``dense`` scatters with ``np.add.at``. The engine in ``panshuffle.exact``
-builds the same arrays in bulk; tests install these in its place and require
-every index order, kernel array, law, backward table and audit value to be
-bit-identical.
+every update kernel by the input probability in a dict comprehension (also for
+an algorithm with ``update_offset``, through its derived kernel), ``outputs``
+enumerates every state's ``output_kernel`` dict (also for an algorithm with
+``output_noise``), ``pull`` adds every layer into zeros and ``dense`` scatters
+with ``np.add.at``. The engine in ``panshuffle.exact`` builds the same arrays
+in bulk; tests install these in its place and require every index order,
+kernel array, law, backward table and audit value to be bit-identical.
+
+``audit_curve`` is the audit path as it was before backward tables were kept
+as row indices: every ``B_t`` a dense array pulled through every step, every
+view the dense ``law_t[:, None] * B_t``, masked by ``support``.
 """
 
 from itertools import chain
@@ -81,3 +85,31 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(exact, "_outputs", outputs)
     monkeypatch.setattr(exact._Kernel, "pull", pull)
     monkeypatch.setattr(exact._Kernel, "dense", dense)
+
+
+def backward_tables(alg, states: list, kernels, first: int):
+    """Yield ``(t, outputs, tables)`` as dense arrays: ``B_n = O``, ``B_{t-1} = T_t B_t``."""
+    n = len(states) - 1
+    outputs, out_kernel = exact._outputs(alg, states[n])
+    tables = [out_kernel.dense((len(states[n]), len(outputs)))] * len(kernels)
+    for t in range(n, first - 1, -1):
+        yield t, outputs, tables
+        if t > first:
+            tables = [kern[t - 1].pull(b, len(states[t - 1])) for kern, b in zip(kernels, tables)]
+
+
+def support(va: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    keep = (va > 0.0) | (vb > 0.0)
+    return va[keep], vb[keep]
+
+
+def audit_curve(alg, pair, eps_grid, intrusion_times=None):
+    """The online audit through dense views, at every time or at ``intrusion_times``."""
+    times = set(range(1, len(pair[0]) + 1) if intrusion_times is None else intrusion_times)
+    states, laws, kernels = exact._propagate(alg, list(pair))
+    views = (
+        support(*(law[t][:, None] * table for law, table in zip(laws, tables)))
+        for t, _, tables in backward_tables(alg, states, kernels, min(times))
+        if t in times
+    )
+    return exact._curve(views, eps_grid)

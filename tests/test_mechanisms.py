@@ -1,6 +1,8 @@
 """Randomizers, analyzers, pan-private algorithms, and their manifests."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from panshuffle.errors import GuardError
 from panshuffle.mechanisms import (
     PanPrivateAlgorithm,
+    _ones,
     PrivacyBudget,
     ShuffleProtocol,
     asymmetric_binary_randomizer,
@@ -286,6 +289,49 @@ def test_output_noise_derives_the_output_kernel_and_refuses_a_second_source():
     assert run_pan(moved, [1, 0], t=1, rng=make_generator(1)).output == 4
     with pytest.raises(ValueError, match="noisy: set output_kernel or output_noise, not both"):
         dataclasses.replace(alg, output_kernel=lambda s: {s: 1.0})
+
+
+def test_update_offset_derives_the_update_and_refuses_a_second_source():
+    alg = PanPrivateAlgorithm(name="shift", init_kernel={0: 1.0},
+                              update_offset=lambda i, x: i * int(x), output_noise={0: 1.0})
+    assert alg.has_exact
+    assert alg.update_kernel(3, 1, 5) == {8: 1.0}
+    state = make_generator(2).bit_generator.state
+    rng = make_generator(2)
+    assert alg.sample_update(3, 1, 5, rng) == 8
+    assert rng.bit_generator.state == state  # a declared shift draws nothing
+    # a replaced copy derives both callables from its own offset
+    moved = dataclasses.replace(alg, update_offset=lambda i, x: -1)
+    assert moved.update_kernel(3, 1, 5) == {4: 1.0}
+    view = run_pan(moved, [1, 0], t=1, rng=make_generator(1))
+    assert (view.state, view.output) == (-1, -2)
+    for field in ("update_kernel", "update_sample"):
+        with pytest.raises(ValueError, match=f"shift: set {field} or update_offset, not both"):
+            dataclasses.replace(alg, **{field: lambda *args: {0: 1.0}})
+
+
+def test_counter_update_offset_matches_the_shift_kernel_it_replaced():
+    # the counter's former update closure was {s + _ones(x) * per_unit: 1.0}
+    for step, per_unit in ((1.0, 1), (0.5, 2), (1.0 / 16, 16)):
+        ctr = quantized_laplace_counter(0.5, 0.5, step=step, span=6.0)
+        for x in (0, 1, (1, -1, 1), (-1, -1), True):
+            for s in (-7, 0, 3):
+                assert ctr.update_kernel(2, x, s) == {s + _ones(x) * per_unit: 1.0}
+
+
+def test_counter_views_and_next_word_match_the_recorded_ones():
+    # 200 views of the counter through run_pan, recorded before the update was
+    # declared as an offset: each view, and the generator word after them
+    ctr = quantized_laplace_counter(0.5, 0.5, step=0.5, span=6.0)
+    rng = make_generator(21, "offset-views")
+    views = []
+    for j in range(200):
+        view = run_pan(ctr, [(j >> k) & 1 for k in range(5)], t=1 + j % 5, rng=rng)
+        views.append([view.t, view.state, view.output])
+    assert views[:4] == [[1, -6, -6], [2, 1, 4], [3, 3, 6], [4, 7, 1]]
+    digest = hashlib.sha256(json.dumps(views).encode()).hexdigest()
+    assert digest == "c952e46cb777cb4e428e116b6f766cb12ffda69258389048951176cad0e0eefa"
+    assert int(rng.integers(1 << 63)) == 3632920399358091557
 
 
 @pytest.mark.parametrize("law", [{0: -0.5, 1: 1.5}, {0: math.nan, 1: 1.0}, {0: 0.0, 1: 0.0},

@@ -25,6 +25,7 @@ from panshuffle.exact import (
 )
 from panshuffle.mechanisms import (
     PanPrivateAlgorithm,
+    _ones,
     noisy_parity_chain,
     quantized_laplace_counter,
     saturating_counter,
@@ -53,6 +54,11 @@ CASES = {
     "zero-weight-inputs": (
         noisy_parity_chain(0.15),
         ([{0: 0.0, 1: 1.0}, 1, {1: 0.0, 0: 1.0}], [{0: 0.0, 1: 1.0}, 0, {1: 0.0, 0: 1.0}]),
+        None,
+    ),
+    "saturating-dict-elements": (
+        saturating_counter(cap=2),
+        ([1, {1: 0.3, 0: 0.7}, 0], [0, {1: 0.3, 0: 0.7}, 0]),
         None,
     ),
     "explicit-times": (
@@ -97,7 +103,7 @@ def _engine_bytes(alg, streams, tails=()) -> list:
     for kern in [out_kernel, *(k for kerns in kernels for k in kerns)]:
         parts += [kern.rows.tobytes(), kern.cols.tobytes(), kern.weights.tobytes()]
     for _, _, tables in exact_mod._backward(alg, states, kernels, 0, "tables"):
-        parts += [table.tobytes() for table in tables]
+        parts += [table.dense().tobytes() for table in tables]
     return parts
 
 
@@ -130,6 +136,46 @@ def test_hybrid_engine_is_bit_identical_to_the_entry_by_entry_builders(monkeypat
     assert got == run()
 
 
+# the criterion-07 counter and pair; two streams that reach different states,
+# so each stream's partial maps leave the other's states out
+DENSE_PATH = {
+    **CASES,
+    "criterion-07": (quantized_laplace_counter(0.5, 0.5, step=1.0 / 16, span=24.0),
+                     ([1, 0, 1, 0], [1, 0, 0, 0]), None),
+    "dead-rows": (quantized_laplace_counter(0.5, 0.5, step=0.5, span=6.0),
+                  ([1, 1, 1, 0], [0, 0, 0, 0]), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_PATH))
+def test_indexed_tables_and_blocked_views_match_the_dense_path(case):
+    alg, pair, times = DENSE_PATH[case]
+    curve = audit_privacy(alg, pair, GRID, intrusion_times=times)
+    want = engine_oracle.audit_curve(alg, pair, GRID, intrusion_times=times)
+    assert curve.delta_forward.tobytes() == want.delta_forward.tobytes()
+    assert curve.delta_backward.tobytes() == want.delta_backward.tobytes()
+    states, _, kernels = exact_mod._propagate(alg, list(pair))
+    walks = zip(exact_mod._backward(alg, states, kernels, 0, "tables"),
+                engine_oracle.backward_tables(alg, states, kernels, 0))
+    for (t, _, tables), (_, _, dense) in walks:
+        assert [b.dense().tobytes() for b in tables] == [b.tobytes() for b in dense], t
+    if case == "dead-rows":
+        kern = kernels[0][1]
+        assert kern.is_map and len(kern.rows) < len(states[1])
+
+
+def test_update_offset_engine_is_bit_identical_to_its_dict_kernel():
+    ctr = quantized_laplace_counter(0.5, 0.5, step=0.5, span=6.0)
+    as_dict = dataclasses.replace(ctr, update_offset=None,
+                                  update_kernel=lambda i, x, s: {s + _ones(x) * 2: 1.0})
+    assert as_dict.update_offset is None
+    family = [{1: 0.7, 0: 0.3}, {0: 1.0, 1: 0.0}]
+    ref = {1: 0.35, 0: 0.65}
+    for streams, tails in [(([1, 0, 1, 1], [1, 0, 0, 1]), ()),
+                           (([ref] * 3,), [[mem] * 3 for mem in family])]:
+        assert _engine_bytes(ctr, streams, tails) == _engine_bytes(as_dict, streams, tails)
+
+
 def test_step_guard_stops_at_the_update_kernel_that_crosses(monkeypatch):
     # ten states pass the preflight (10 sources) of a 10-path guard; three
     # targets per update kernel cross it at the fourth kernel, and no later
@@ -151,13 +197,13 @@ def test_step_guard_stops_at_the_update_kernel_that_crosses(monkeypatch):
 def test_criterion07_counter_preflight_raises_before_any_step(monkeypatch):
     calls = []
     ctr = quantized_laplace_counter(0.5, 0.5, step=1.0 / 16, span=24.0)
-    kernel = ctr.update_kernel
+    offset = ctr.update_offset
 
-    def counted(i, x, s):
+    def counted(i, x):
         calls.append(i)
-        return kernel(i, x, s)
+        return offset(i, x)
 
-    ctr = dataclasses.replace(ctr, update_kernel=counted)
+    ctr = dataclasses.replace(ctr, update_offset=counted)
     monkeypatch.setattr(exact_mod, "MAX_PATHS", 500)
     with pytest.raises(GuardError, match="span.*step"):
         audit_privacy(ctr, ([1, 0, 1, 0], [1, 0, 0, 0]), [1.0])
