@@ -148,8 +148,7 @@ def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
     With ``delta = 0`` privacy must come from the local report alone, so the
     answer is the pure local level ``1 / (1 + e^eps)`` at any cohort size.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_budget(epsilon, delta)
     if n < 1:
         raise ValueError("n must be positive")
     if delta == 0.0:
@@ -214,6 +213,7 @@ def private_means(samples, model: str, epsilon: float, delta: float = 0.0, rng=N
     :func:`empirical_means` under every model. Central, local and shuffle need
     at least one sample; pan divides by max(n, 1).
     """
+    _check_budget(epsilon, delta)
     return _private_means(_as_sign_matrix(samples), model, epsilon, delta, rng)
 
 
@@ -234,6 +234,23 @@ def _private_means(x: np.ndarray, model: str, epsilon: float, delta: float, rng)
 def _check_model(model: str) -> None:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+
+
+def _check_budget(epsilon: float, delta: float) -> None:
+    """Refuse an epsilon that is not positive (infinity passes) and a delta outside [0, 1)."""
+    if not epsilon > 0.0:
+        raise ValueError(f"'epsilon' must be positive, got {epsilon!r}")
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"'delta' must be in [0, 1), got {delta!r}")
+
+
+def _check_search(epsilon: float, delta: float, alpha: float, target: float) -> None:
+    """The range checks of :func:`find_selection_threshold`, made before its first trial."""
+    _check_budget(epsilon, delta)
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"'alpha' must be in (0, 1/2), got {alpha!r}")
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"'target' must be in (0, 1], got {target!r}")
 
 
 def _noisy_sums(sums: np.ndarray, model: str, epsilon: float, delta: float, gen) -> np.ndarray:
@@ -292,6 +309,7 @@ def pan_noise_parameters(epsilon: float, delta: float, d: int) -> tuple[str, flo
     (epsilon/2, delta/2), sigma = 2 sqrt(d) sqrt(2 ln(2.5/delta)) / (epsilon/2);
     with delta = 0 only Laplace serves, at scale 2 d / (epsilon/2).
     """
+    _check_budget(epsilon, delta)
     if delta > 0:
         sigma = 2.0 * math.sqrt(d) * math.sqrt(2.0 * math.log(1.25 / (delta / 2.0)))
         return "gaussian", sigma / (epsilon / 2.0)
@@ -348,6 +366,7 @@ class ProblemInstance:
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         _check_model(self.model)
+        _check_budget(self.epsilon, self.delta)
         if self.problem == "selection":
             member = self.member
             if member is None or member.index.width != 1 or member.index.sign != 1:
@@ -512,6 +531,7 @@ def selection_success_fast(
     materializing ``n x d`` sign matrices.
     """
     _check_model(model)
+    _check_budget(epsilon, delta)
     gen = as_generator(rng)
     mu = np.zeros(d)
     mu[0] = 2.0 * alpha
@@ -554,8 +574,10 @@ def find_selection_threshold(
     candidate is bumped by 25% (at most six times). The confirmed size over 8
     is then run once more as the corridor. All stages draw from
     streams derived via (master_seed, tag, model, d, stage, n), so the search
-    is reproducible regardless of call order.
+    is reproducible regardless of call order. A budget, ``alpha`` or
+    ``target`` out of range raises ``ValueError`` before the first trial.
     """
+    _check_search(epsilon, delta, alpha, target)
 
     def rate(n: int, trials: int, stage: str) -> float:
         gen = make_generator(master_seed, tag, model, d, stage, n)

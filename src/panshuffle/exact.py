@@ -509,10 +509,10 @@ def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]
     n = len(streams[0])
     wanted = set(times)
     for t in wanted:
-        if not 1 <= t <= n:
-            raise ValueError(f"intrusion time {t} outside [1, {n}]")
+        if not isinstance(t, (int, np.integer)) or not 1 <= t <= n:
+            raise ValueError(f"intrusion time {t!r} is not an integer in [1, {n}]")
     if not wanted:
-        return
+        raise ValueError("no intrusion time to audit; None audits every time")
     states, laws, kernels = _propagate(alg, streams)
     for t, outputs, tables in _backward(alg, states, kernels, min(wanted), "view"):
         if t in wanted:
@@ -626,13 +626,17 @@ def audit_privacy(
     (``view="multiset"``) or the analyzer output (``view="output"``); for
     online mechanisms it is the joint (state at t, final output), maximized
     over ``intrusion_times`` (default: every time). Epsilons must be finite and >= 0.
+    An empty grid or time list, a time that is not an integer and an unknown
+    ``view`` raise ``ValueError`` before any propagation: none of them audits anything.
     """
     data_a, data_b = neighbors
     if len(data_a) != len(data_b):
         raise ValueError("neighboring inputs must have equal length")
+    if view not in ("multiset", "output"):
+        raise ValueError(f"view must be 'multiset' or 'output', got {view!r}")
     bad = [float(e) for e in eps_grid if not 0.0 <= e < math.inf]
-    if bad:
-        raise ValueError(f"eps_grid must hold finite non-negative epsilons, got {bad}")
+    if bad or len(eps_grid) == 0:
+        raise ValueError(f"eps_grid must hold finite non-negative epsilons, got {bad or []}")
     if isinstance(mechanism, (ShuffleProtocol, Randomizer)):
         randomizer = mechanism.randomizer if isinstance(mechanism, ShuffleProtocol) else mechanism
         la, lb = _shuffle_law(randomizer, data_a, data_b)

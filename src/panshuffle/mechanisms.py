@@ -9,12 +9,12 @@ analyzer defined on counts is permutation-invariant by construction.
 An online algorithm consumes a stream through per-step state updates over a
 declared state space and ends with an output map. The adversary model grants
 one look at an internal state plus the final output (:func:`run_pan` returns
-exactly that view). Mechanisms that should support exact distribution
-propagation and audits expose probability kernels (dicts mapping outcome to
-probability); sampling falls back to the kernels when no sampler is given.
+exactly that view). An algorithm either declares probability kernels (dicts
+mapping outcome to probability), which the exact engine propagates and
+:func:`run_pan` samples step by step, or one sampler of the whole view.
 
-States, messages, and outputs must be hashable; exact kernels keep everything
-in rational-free float arithmetic over explicit dictionaries.
+States, messages, and outputs must be hashable; the exact engine indexes them
+and propagates their laws in float arrays.
 """
 
 from __future__ import annotations
@@ -162,22 +162,21 @@ def run_shuffle(
 
 @dataclass(frozen=True)
 class PanPrivateAlgorithm:
-    """Online algorithm as explicit kernels and/or samplers.
+    """Online algorithm as explicit kernels, or as one whole-view sampler.
 
     Exact mode requires ``init_kernel`` ({state: prob}), ``update_kernel(i, x,
     state) -> {state: prob}`` (i is the 1-based step), and ``output_kernel
-    (state) -> {output: prob}``. Sampling mode uses ``view_sample(stream, t,
-    rng) -> (state after element t, output)`` when it is set, which samples a
-    whole view at once; otherwise it steps through the ``*_sample`` callables,
-    falling back to drawing from the kernels where one is absent.
+    (state) -> {output: prob}``. :func:`run_pan` samples a view from
+    ``view_sample(stream, t, rng) -> (state after element t, output)`` when it
+    is set, and otherwise draws each step from these kernels.
 
     ``output_noise`` ({integer offset: prob}) declares the output as the integer
     state plus independent noise; ``output_kernel`` is then derived as ``{state +
     offset: prob}`` in the noise's order (setting both is refused), and the
     exact engine builds the output table from the noise with array operations.
     ``update_offset(i, x) -> int`` likewise declares the update ``state + offset``:
-    ``update_kernel`` (``{state + offset: 1.0}``) and ``update_sample`` (no draw)
-    are derived from it, and setting either beside it is refused.
+    ``update_kernel`` (``{state + offset: 1.0}``) is derived from it, setting
+    both is refused, and :func:`run_pan` steps such an update without a draw.
     """
 
     name: str
@@ -186,17 +185,13 @@ class PanPrivateAlgorithm:
     output_kernel: Callable[[Hashable], dict] | None = None
     output_noise: dict | None = None
     update_offset: Callable[[int, Any], int] | None = None
-    init_sample: Callable[[np.random.Generator], Hashable] | None = None
-    update_sample: Callable[[int, Any, Hashable, np.random.Generator], Hashable] | None = None
-    output_sample: Callable[[Hashable, np.random.Generator], Hashable] | None = None
     view_sample: Callable[[Sequence, int, np.random.Generator], tuple] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # ``dataclasses.replace`` passes back the callables derived for the original
         for declared, name, derive in [("output_noise", "output_kernel", self._shift),
-                                       ("update_offset", "update_kernel", self._offset_kernel),
-                                       ("update_offset", "update_sample", self._offset_sample)]:
+                                       ("update_offset", "update_kernel", self._offset_kernel)]:
             if getattr(self, declared) is None:
                 continue
             own = getattr(self, name)
@@ -210,45 +205,16 @@ class PanPrivateAlgorithm:
     def _offset_kernel(self, i: int, x, state) -> dict:
         return {state + self.update_offset(i, x): 1.0}
 
-    def _offset_sample(self, i: int, x, state, rng) -> Hashable:
-        return state + self.update_offset(i, x)
-
     @property
     def has_exact(self) -> bool:
-        return (
-            self.init_kernel is not None
-            and self.update_kernel is not None
-            and self.output_kernel is not None
-        )
+        return None not in (self.init_kernel, self.update_kernel, self.output_kernel)
 
-    def _draw(self, dist: dict, rng: np.random.Generator):
-        outcomes = list(dist)
-        cdf = _choice_cdf(np.fromiter(dist.values(), dtype=np.float64, count=len(outcomes)))
-        return outcomes[cdf.searchsorted(rng.random(), side="right")]
 
-    def sample_init(self, rng) -> Hashable:
-        gen = as_generator(rng)
-        if self.init_sample is not None:
-            return self.init_sample(gen)
-        if self.init_kernel is None:
-            raise ValueError(f"{self.name}: no initial state source")
-        return self._draw(self.init_kernel, gen)
-
-    def sample_update(self, i: int, x, state, rng) -> Hashable:
-        gen = as_generator(rng)
-        if self.update_sample is not None:
-            return self.update_sample(i, x, state, gen)
-        if self.update_kernel is None:
-            raise ValueError(f"{self.name}: no update source")
-        return self._draw(self.update_kernel(i, x, state), gen)
-
-    def sample_output(self, state, rng) -> Hashable:
-        gen = as_generator(rng)
-        if self.output_sample is not None:
-            return self.output_sample(state, gen)
-        if self.output_kernel is None:
-            raise ValueError(f"{self.name}: no output source")
-        return self._draw(self.output_kernel(state), gen)
+def _draw(dist: dict, rng: np.random.Generator):
+    """One outcome of the law ``dist``: the one ``rng.choice`` over its probabilities picks."""
+    outcomes = list(dist)
+    cdf = _choice_cdf(np.fromiter(dist.values(), dtype=np.float64, count=len(outcomes)))
+    return outcomes[cdf.searchsorted(rng.random(), side="right")]
 
 
 def run_pan(alg: PanPrivateAlgorithm, stream: Sequence, t: int, rng=None) -> AdversaryView:
@@ -257,8 +223,9 @@ def run_pan(alg: PanPrivateAlgorithm, stream: Sequence, t: int, rng=None) -> Adv
     ``t`` is 1-based and must satisfy 1 <= t <= len(stream); the view pairs the
     recorded state with the final output of the same execution. An algorithm
     with a ``view_sample`` draws the whole view in that one call; any other
-    steps through ``sample_init``, one ``sample_update`` per element and
-    ``sample_output``.
+    draws its initial state, one update per element (none for a declared
+    ``update_offset``) and its output from its kernels. An algorithm with
+    neither form is refused before any draw.
     """
     if not 1 <= t <= len(stream):
         raise ValueError(f"intrusion time {t} outside [1, {len(stream)}]")
@@ -266,13 +233,17 @@ def run_pan(alg: PanPrivateAlgorithm, stream: Sequence, t: int, rng=None) -> Adv
     if alg.view_sample is not None:
         seen, output = alg.view_sample(stream, t, gen)
         return AdversaryView(t=t, state=seen, output=output)
-    state = alg.sample_init(gen)
-    seen = None
+    if not alg.has_exact:
+        raise ValueError(f"{alg.name}: no view_sample and no kernels to sample from")
+    state, seen = _draw(alg.init_kernel, gen), None
     for i, x in enumerate(stream, start=1):
-        state = alg.sample_update(i, x, state, gen)
+        if alg.update_offset is not None:
+            state = state + alg.update_offset(i, x)
+        else:
+            state = _draw(alg.update_kernel(i, x, state), gen)
         if i == t:
             seen = state
-    return AdversaryView(t=t, state=seen, output=alg.sample_output(state, gen))
+    return AdversaryView(t=t, state=seen, output=_draw(alg.output_kernel(state), gen))
 
 
 # ---------------------------------------------------------------------------

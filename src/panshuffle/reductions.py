@@ -393,8 +393,10 @@ class LearnerDistinguisher:
     def as_pan_algorithm(self) -> PanPrivateAlgorithm:
         """Online form: phase-one buffer, then (guess, noised count) state.
 
-        Exact kernels are not provided (the state space is continuous); the
-        sampling path is enough for law comparisons and audits by simulation.
+        Its ``view_sample`` steps the state ``("learn", buffer)`` until the learner
+        fits on ``n_learn`` rows and a Laplace counter is drawn, then ``("test", guess,
+        count)``; the output adds a second Laplace draw, and a stream that ends before
+        the fit raises ``GuardError``. No exact kernels: the state space is continuous.
         """
         n_learn, d = self.n_learn, self.d
 
@@ -406,29 +408,24 @@ class LearnerDistinguisher:
             guess = self.learner.fit(rows)
             return ("test", guess, float(laplace(rng, 1.0 / self.epsilon)))
 
-        def init_sample(rng):
-            return learn((), rng)
-
-        def update_sample(i, x, state, rng):
-            if state[0] == "learn":
-                return learn(state[1] + (tuple(x),), rng)
-            _, guess, c = state
-            parity = math.prod(x[j - 1] for j in guess.subset)
-            return ("test", guess, c + int(guess.sign * parity * x[d] == 1))
-
-        def output_sample(state, rng):
+        def view_sample(stream, t, rng):
+            state, seen = learn((), rng), None
+            for i, x in enumerate(stream, start=1):
+                if state[0] == "learn":
+                    state = learn(state[1] + (tuple(x),), rng)
+                else:
+                    _, guess, c = state
+                    parity = math.prod(x[j - 1] for j in guess.subset)
+                    state = ("test", guess, c + int(guess.sign * parity * x[d] == 1))
+                if i == t:
+                    seen = state
             if state[0] != "test":
                 raise GuardError("stream ended before the learning phase finished")
-            return state[2] + float(laplace(rng, 1.0 / self.epsilon))
+            return seen, state[2] + float(laplace(rng, 1.0 / self.epsilon))
 
         return PanPrivateAlgorithm(
             name="learner-distinguisher",
-            init_kernel=None,
-            update_kernel=None,
-            output_kernel=None,
-            init_sample=init_sample,
-            update_sample=update_sample,
-            output_sample=output_sample,
+            view_sample=view_sample,
             meta={"n_learn": n_learn, "test_len": self.test_len, "d": d},
         )
 

@@ -55,7 +55,7 @@ def _emit_reference(wrapper, size: int, rng) -> np.ndarray:
 
 
 def step_loop_algorithm(wrapper) -> PanPrivateAlgorithm:
-    """The ``wrapper`` as per-step samplers, for ``run_pan``'s step loop."""
+    """The ``wrapper`` as a ``view_sample`` that steps through its messages one at a time."""
 
     def init_sample(rng):
         budget = wrapper.sample_budget(rng)
@@ -75,7 +75,12 @@ def step_loop_algorithm(wrapper) -> PanPrivateAlgorithm:
         pad = _emit_reference(wrapper, wrapper.stream_len, rng).sum(axis=0)
         return wrapper.protocol.analyzer(np.asarray(counts) + pad)
 
-    return PanPrivateAlgorithm(
-        name="shuffle-to-pan-steps", init_sample=init_sample, update_sample=update_sample,
-        output_sample=output_sample,
-    )
+    def view_sample(stream, t, rng):
+        state, seen = init_sample(rng), None
+        for i, x in enumerate(stream, start=1):
+            state = update_sample(i, x, state, rng)
+            if i == t:
+                seen = state
+        return seen, output_sample(state, rng)
+
+    return PanPrivateAlgorithm(name="shuffle-to-pan-steps", view_sample=view_sample)

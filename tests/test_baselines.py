@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import binom
 
 import panshuffle
+import panshuffle.baselines as baselines_mod
 from panshuffle.baselines import (
     EXACT_AUDIT_MAX_N,
     MODELS,
@@ -87,6 +88,67 @@ def test_calibrate_rr_rejects_bad_inputs():
         calibrate_rr(2.0, 1e-6, 100)
     with pytest.raises(InsufficientCohortError):
         calibrate_rr(1.0, 1e-6, EXACT_AUDIT_MAX_N + 2)
+
+
+@pytest.mark.parametrize("epsilon, delta, named", [
+    (math.nan, 1e-6, "'epsilon' must be positive, got nan"),
+    (0.0, 1e-6, "'epsilon' must be positive, got 0.0"),
+    (-1.0, 0.0, "'epsilon' must be positive, got -1.0"),
+    (0.5, 1.5, "'delta' must be in [0, 1), got 1.5"),
+    (1.0, 1.0, "'delta' must be in [0, 1), got 1.0"),
+    (1.0, -1.0, "'delta' must be in [0, 1), got -1.0"),
+    (1.0, math.nan, "'delta' must be in [0, 1), got nan"),
+], ids=["epsilon-nan", "epsilon-zero", "epsilon-negative", "delta-above-one", "delta-one",
+        "delta-negative", "delta-nan"])
+def test_every_budget_reader_refuses_an_out_of_range_budget_before_any_work(
+        epsilon, delta, named, monkeypatch):
+    # at the parent calibrate_rr(nan, 1e-6, 5) certified flip 4.3e-19 by "exact-audit",
+    # calibrate_rr(0.5, 1.5, 1000) gave 0.055 and pan_noise_parameters(1, -1, 4) Laplace noise
+    def refuse(*args, **kwargs):
+        raise AssertionError("an out-of-range budget was audited or tried")
+
+    monkeypatch.setattr(baselines_mod, "_rr_audit_delta", refuse)
+    monkeypatch.setattr(baselines_mod, "selection_success_fast", refuse)
+    instance = dict(problem="sparse-mean", model="central", d=3, k=1, alpha=0.2, n=50,
+                    truth={"family": "uniform", "d": 3})
+    calls = [
+        lambda: calibrate_rr(epsilon, delta, 5),
+        lambda: calibrate_rr(epsilon, delta, 1000),
+        lambda: pan_noise_parameters(epsilon, delta, 4),
+        lambda: ProblemInstance(epsilon=epsilon, delta=delta, **instance),
+        lambda: find_selection_threshold(3, "pan", epsilon, delta, 0.2),
+        lambda: private_means(np.ones((4, 3)), "local", epsilon, delta, rng=make_generator(1)),
+        lambda: selection_success_fast(3, 100, "local", epsilon, delta, 0.2, 10, make_generator(1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == named
+
+
+def test_an_infinite_epsilon_is_a_budget():
+    assert calibrate_rr(math.inf, 0.0, 5).flip_p == 0.0
+    assert pan_noise_parameters(math.inf, 1e-6, 4) == ("gaussian", 0.0)
+    ProblemInstance(problem="sparse-mean", model="pan", d=3, k=1, alpha=0.2, n=50,
+                    epsilon=math.inf, delta=0.0, truth={"family": "uniform", "d": 3})
+
+
+@pytest.mark.parametrize("alpha, target, named", [
+    (0.5, 0.9, "'alpha' must be in (0, 1/2), got 0.5"),
+    (0.7, 0.9, "'alpha' must be in (0, 1/2), got 0.7"),
+    (0.0, 0.9, "'alpha' must be in (0, 1/2), got 0.0"),
+    (0.2, 1.5, "'target' must be in (0, 1], got 1.5"),
+    (0.2, 0.0, "'target' must be in (0, 1], got 0.0"),
+], ids=["alpha-half", "alpha-above-half", "alpha-zero", "target-above-one", "target-zero"])
+def test_find_selection_threshold_refuses_an_unusable_search_before_any_trial(
+        alpha, target, named, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(baselines_mod, "selection_success_fast", refuse)
+    with pytest.raises(ValueError) as info:
+        find_selection_threshold(3, "central", 1.0, 1e-6, alpha, target=target)
+    assert str(info.value) == named
 
 
 def test_empirical_means_exact_and_deterministic():

@@ -234,6 +234,29 @@ def test_audit_rejects_a_negative_or_non_finite_epsilon_before_propagating(bad, 
         assert str(err.value).endswith(f"got [{bad!r}]")
 
 
+@pytest.mark.parametrize("params, named", [
+    ({"intrusion_times": []}, "no intrusion time to audit; None audits every time"),
+    ({"intrusion_times": [1, 1.5]}, r"intrusion time 1.5 is not an integer in \[1, 3\]"),
+    ({"view": "outptu"}, "view must be 'multiset' or 'output', got 'outptu'"),
+    ({"eps_grid": []}, r"eps_grid must hold finite non-negative epsilons, got \[\]"),
+], ids=["no-times", "fractional-time", "misspelt-view", "no-epsilons"])
+def test_audit_refuses_to_audit_nothing_before_propagating(params, named, monkeypatch):
+    # with no time audited the counter's curve read [0, 0]; over every time it is [0.215, 0.0004]
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law was propagated")
+
+    monkeypatch.setattr(exact_mod, "_shuffle_law", refuse)
+    monkeypatch.setattr(exact_mod, "_propagate", refuse)
+    counter = quantized_laplace_counter(1.0, 1.0, step=0.25, span=8.0)
+    mechs = [counter]
+    if "intrusion_times" not in params:
+        mechs.append(ShuffleProtocol(randomizer=binary_randomized_response(0.2),
+                                     analyzer=threshold_analyzer(1), n=3))
+    for mech in mechs:
+        with pytest.raises(ValueError, match=named):
+            audit_privacy(mech, ([1, 0, 1], [0, 0, 1]), **({"eps_grid": [0.5, 1.0]} | params))
+
+
 def test_audit_rejects_unequal_lengths():
     rz = binary_randomized_response(0.2)
     with pytest.raises(ValueError):

@@ -377,6 +377,39 @@ def test_run_spec_rejects_an_out_of_range_distinguish_param(params, named, tmp_p
     assert not out.exists()
 
 
+_SWEEP = {"dims": [8, 16, 32, 64], "model": "pan"}
+
+
+@pytest.mark.parametrize("kind, params, named", [
+    ("selection_sweep", _SWEEP | {"alpha": 0.5}, "'alpha' must be in (0, 1/2), got 0.5"),
+    ("selection_sweep", _SWEEP | {"alpha": 0.7}, "'alpha' must be in (0, 1/2), got 0.7"),
+    ("selection_sweep", _SWEEP | {"alpha": 0}, "'alpha' must be in (0, 1/2), got 0.0"),
+    ("selection_sweep", _SWEEP | {"target": 1.5}, "'target' must be in (0, 1], got 1.5"),
+    ("selection_sweep", _SWEEP | {"target": 0}, "'target' must be in (0, 1], got 0.0"),
+    ("selection_sweep", _SWEEP | {"epsilon": 0}, "'epsilon' must be positive, got 0.0"),
+    ("selection_sweep", _SWEEP | {"epsilon": 0, "model": "central"},
+     "'epsilon' must be positive, got 0.0"),
+    ("selection_sweep", _SWEEP | {"delta": 1}, "'delta' must be in [0, 1), got 1.0"),
+    ("mean_error", _MEAN | {"delta": 2.0}, "'delta' must be in [0, 1), got 2.0"),
+    ("mean_error", _MEAN | {"epsilon": -0.5}, "'epsilon' must be positive, got -0.5"),
+], ids=["sweep-alpha-half", "sweep-alpha-above-half", "sweep-alpha-zero",
+        "sweep-target-above-one", "sweep-target-zero", "sweep-epsilon-zero",
+        "sweep-central-epsilon-zero", "sweep-delta-one", "mean-error-delta-two",
+        "mean-error-epsilon-negative"])
+def test_run_spec_rejects_an_out_of_range_budget_or_search_before_any_worker(
+        kind, params, named, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search, a trial or a worker pool started")
+
+    for name in ("_pmap", "find_selection_threshold", "_mean_error_block"):
+        monkeypatch.setattr(harness, name, refuse)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as info:
+        run_spec(ExperimentSpec(kind, "range", params, trials=100), out)
+    assert str(info.value) == named
+    assert not out.exists()
+
+
 def test_distinguish_kind_runs_at_an_infinite_epsilon(tmp_path):
     result = run_spec(ExperimentSpec("distinguish", "inf", _DIST | {"epsilon": math.inf},
                                      trials=200), tmp_path)
@@ -734,6 +767,13 @@ def _qlap(**keys) -> list[str]:
     (_qlap(step=0), ["qlap_counter: step must be positive and finite, got 0.0"]),
     (_qlap(eps_update=0), ["qlap_counter: eps_update must be positive and finite, got 0.0"]),
     (_qlap(sensitivity=0), ["qlap_counter: sensitivity must be positive and finite, got 0.0"]),
+    (["sweep", "--alpha", "0.5"], ["'alpha' must be in (0, 1/2), got 0.5"]),
+    (["sweep", "--alpha", "0.7"], ["'alpha' must be in (0, 1/2), got 0.7"]),
+    (["sweep", "--alpha", "0"], ["'alpha' must be in (0, 1/2), got 0.0"]),
+    (["sweep", "--target", "1.5"], ["'target' must be in (0, 1], got 1.5"]),
+    (["sweep", "--epsilon", "0"], ["'epsilon' must be positive, got 0.0"]),
+    (["sweep", "--epsilon", "0", "--model", "central"], ["'epsilon' must be positive, got 0.0"]),
+    (["sweep", "--delta", "nan"], ["'delta' must be in [0, 1), got nan"]),
 ], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows", "fit-short-row",
         "fit-long-row", "fit-text-row", "audit-negative-eps", "audit-eps-text",
         "fit-missing-file", "fit-empty-file", "fit-unknown-column", "sample-family",
@@ -742,7 +782,9 @@ def _qlap(**keys) -> list[str]:
         "distinguish-epsilon-zero", "distinguish-epsilon-negative",
         "distinguish-epsilon-nan", "distinguish-scale-negative", "distinguish-no-trials",
         "distinguish-subset-outside-d", "distinguish-d-zero", "audit-qlap-step-zero",
-        "audit-qlap-eps-update-zero", "audit-qlap-sensitivity-zero"])
+        "audit-qlap-eps-update-zero", "audit-qlap-sensitivity-zero", "sweep-alpha-half",
+        "sweep-alpha-above-half", "sweep-alpha-zero", "sweep-target-above-one",
+        "sweep-epsilon-zero", "sweep-central-epsilon-zero", "sweep-delta-nan"])
 def test_cli_guard_errors_exit_one_in_one_line(argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "short.csv").write_text("d,n_star\n8,100\n16,200\n32,400\n")

@@ -11,6 +11,7 @@ import pytest
 from panshuffle.errors import GuardError
 from panshuffle.mechanisms import (
     PanPrivateAlgorithm,
+    _draw,
     _ones,
     PrivacyBudget,
     ShuffleProtocol,
@@ -246,15 +247,14 @@ def test_run_pan_intrusion_time_bounds():
 
 
 def test_kernel_sampling_fallback_agrees_with_kernels():
-    # an algorithm defined only by kernels still samples, via the fallback
+    # an algorithm defined only by kernels still samples, by drawing each step from them
     alg = PanPrivateAlgorithm(
         name="kernel-only",
         init_kernel={0: 1.0},
         update_kernel=lambda i, x, s: {s + int(x): 0.5, s: 0.5},
         output_kernel=lambda s: {s: 1.0},
     )
-    samplers = (alg.init_sample, alg.update_sample, alg.output_sample, alg.view_sample)
-    assert samplers == (None, None, None, None)
+    assert alg.view_sample is None
     rng = make_generator(9, "fb")
     outs = np.array([run_pan(alg, [1, 1], t=1, rng=rng).output for _ in range(20_000)])
     # after two update steps the count is Bin(2, 1/2)
@@ -270,9 +270,9 @@ def test_kernel_sampling_fallback_picks_what_rng_choice_picks():
         size = int(laws.integers(1, 13))
         probs = laws.random(size) * (laws.random(size) < 0.8) * 10.0 ** laws.integers(-300, 290)
         probs[laws.integers(size)] += 1e-300
-        alg = PanPrivateAlgorithm(name="kernel-only", init_kernel=dict(enumerate(probs.tolist())))
+        law = dict(enumerate(probs.tolist()))
         ours, ref = make_generator(trial, "fallback"), make_generator(trial, "fallback")
-        picks = [alg.sample_init(ours) for _ in range(5)]
+        picks = [_draw(law, ours) for _ in range(5)]
         assert picks == [ref.choice(size, p=probs / probs.sum()) for _ in range(5)]
         assert ours.integers(1 << 63) == ref.integers(1 << 63)
 
@@ -296,18 +296,18 @@ def test_update_offset_derives_the_update_and_refuses_a_second_source():
                               update_offset=lambda i, x: i * int(x), output_noise={0: 1.0})
     assert alg.has_exact
     assert alg.update_kernel(3, 1, 5) == {8: 1.0}
-    state = make_generator(2).bit_generator.state
-    rng = make_generator(2)
-    assert alg.sample_update(3, 1, 5, rng) == 8
-    assert rng.bit_generator.state == state  # a declared shift draws nothing
-    # a replaced copy derives both callables from its own offset
+    rng, ref = make_generator(2), make_generator(2)
+    view = run_pan(alg, [1, 0, 1], t=3, rng=rng)
+    assert (view.state, view.output) == (4, 4)
+    ref.random(2)  # the initial state and the output: a declared shift draws nothing
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # a replaced copy derives its kernel from its own offset
     moved = dataclasses.replace(alg, update_offset=lambda i, x: -1)
     assert moved.update_kernel(3, 1, 5) == {4: 1.0}
     view = run_pan(moved, [1, 0], t=1, rng=make_generator(1))
     assert (view.state, view.output) == (-1, -2)
-    for field in ("update_kernel", "update_sample"):
-        with pytest.raises(ValueError, match=f"shift: set {field} or update_offset, not both"):
-            dataclasses.replace(alg, **{field: lambda *args: {0: 1.0}})
+    with pytest.raises(ValueError, match="shift: set update_kernel or update_offset, not both"):
+        dataclasses.replace(alg, update_kernel=lambda *args: {0: 1.0})
 
 
 def test_counter_update_offset_matches_the_shift_kernel_it_replaced():
@@ -340,8 +340,22 @@ def test_counter_views_and_next_word_match_the_recorded_ones():
 def test_kernel_sampling_fallback_rejects_a_bad_law_before_any_draw(law):
     rng = make_generator(4, "fallback-bad")
     state = rng.bit_generator.state
+    alg = PanPrivateAlgorithm(name="kernel-only", init_kernel=law,
+                              update_kernel=lambda i, x, s: {s: 1.0},
+                              output_kernel=lambda s: {s: 1.0})
     with pytest.raises(ValueError, match="non-negative with a positive finite sum"):
-        PanPrivateAlgorithm(name="kernel-only", init_kernel=law).sample_init(rng)
+        run_pan(alg, [1], t=1, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kernels", [{}, {"init_kernel": {0: 1.0}},
+                                     {"init_kernel": {0: 1.0}, "update_offset": lambda i, x: 1}],
+                         ids=["none", "init-only", "no-output"])
+def test_run_pan_refuses_an_algorithm_with_no_sampling_form_before_any_draw(kernels):
+    rng = make_generator(4, "no-form")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="bare: no view_sample and no kernels to sample from"):
+        run_pan(PanPrivateAlgorithm(name="bare", **kernels), [1, 0], t=1, rng=rng)
     assert rng.bit_generator.state == state
 
 

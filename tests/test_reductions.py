@@ -465,3 +465,18 @@ def test_threshold_distinguisher_near_zero_for_identical_laws():
     zb = rng.normal(0.0, 1.0, size=30_000)
     report = threshold_distinguisher(za, zb)
     assert report.advantage < 0.03
+
+
+_DEMOS = Path(__file__).parents[1] / "demos"
+_DEMOS_GOLDEN = json.loads((Path(__file__).parent / "demos_golden.json").read_text())
+
+
+@pytest.mark.parametrize("demo", sorted(_DEMOS_GOLDEN))
+def test_online_demo_prints_the_recorded_bytes(demo):
+    """Demos 05 and 06 run the wrapper's and the distinguisher's online forms;
+    a change to either that moves a draw changes their stdout from the recorded text."""
+    src = str(Path(panshuffle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, str(_DEMOS / demo)], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == _DEMOS_GOLDEN[demo]
