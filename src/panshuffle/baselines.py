@@ -92,12 +92,16 @@ def rr_count_pmf(n_ones: int, n_zeros: int, flip_p: float) -> np.ndarray:
 def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
     """Worst hockey-stick gap over all one-user neighbor pairs, both directions.
 
-    The pair that differs in one user, with k ones among the other n - 1,
-    shares the law ``R_k = Bin(k, 1-p) * Bin(n-1-k, p)`` of those users'
+    The pair that differs in one user, with k ones among the other m = n - 1,
+    shares the law ``R_k = Bin(k, 1-p) * Bin(m-k, p)`` of those users'
     1-count; the differing user adds a 1 with probability p (input 0) or
     1 - p (input 1), so ``P_k = (1-p) R_k + p shift(R_k)`` and ``Q_k = p R_k +
-    (1-p) shift(R_k)``. Every k is audited; rows are processed in blocks of
-    ``_AUDIT_ROWS`` to bound the temporaries, each ``R_k`` written into one
+    (1-p) shift(R_k)``. Relabelling every report mirrors the count, so
+    ``R_{m-k}(c) = R_k(m-c)``, ``P_{m-k} = reverse(Q_k)`` and ``Q_{m-k} =
+    reverse(P_k)``: pair m - k's forward gap is pair k's backward gap and the
+    other way round. Both directions are taken at every k <= m // 2, which
+    covers the pairs above it through that mirror. Rows are processed in blocks
+    of ``_AUDIT_ROWS`` to bound the temporaries, each ``R_k`` written into one
     preallocated pair of blocks at column offsets 0 and 1, and ``MAX_PATHS`` is
     checked against the n x n binomial table before it is built.
     """
@@ -105,11 +109,12 @@ def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
         raise ValueError("eps must be nonnegative")
     _check_paths(n * n, f"randomized-response audit (n={n})", "; reduce the cohort size n")
     rows = _binomial_rows(n - 1, flip_p)
+    half = (n - 1) // 2 + 1  # k = 0..m // 2; pair m - k mirrors pair k
     # R_k and shift(R_k); their last and first columns stay zero
-    same, shifted = np.zeros((2, min(n, _AUDIT_ROWS), n + 1))
+    same, shifted = np.zeros((2, min(half, _AUDIT_ROWS), n + 1))
     worst = 0.0
-    for lo in range(0, n, _AUDIT_ROWS):
-        ks = range(lo, min(n, lo + _AUDIT_ROWS))
+    for lo in range(0, half, _AUDIT_ROWS):
+        ks = range(lo, min(half, lo + _AUDIT_ROWS))
         for j, k in enumerate(ks):
             same[j, :n] = shifted[j, 1:] = np.convolve(rows[k, k::-1], rows[n - 1 - k, : n - k])
         p_law = (1.0 - flip_p) * same[: len(ks)] + flip_p * shifted[: len(ks)]

@@ -65,7 +65,7 @@ class PrivacyBudget:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon < 0 or not 0.0 <= self.delta < 1.0 or not 0.0 < self.gamma <= 1.0:
+        if not self.epsilon >= 0 or not 0.0 <= self.delta < 1.0 or not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"invalid budget {self}")
 
 

@@ -20,7 +20,9 @@ from .errors import GuardError
 
 NORM_MAX_DOMAIN = 16
 _BLOCK = 1 << 21  # float64 elements in one hockey-stick temporary
-_NORM_CHUNK = 1 << 13  # test functions per block of the norm enumeration
+# float64 gaps (members x test functions) per block of the norm enumeration, which
+# sums each half-cube test's gaps by +-1 adds in point order, without BLAS
+_NORM_CHUNK = 1 << 16
 
 __all__ = [
     "tv_distance",
@@ -132,44 +134,58 @@ def infty_to_2_norm_bruteforce(
     """Exact sup over +-1-valued test functions by vertex enumeration.
 
     The objective ``E_v[(E_{P_v} f - E_ref f)^2]`` is a convex quadratic in f,
-    so its supremum over [-1,1]-valued functions is attained at a +-1 vertex;
-    all ``2^m`` vertices are enumerated (guarded at m <= 16). The reference
-    defaults to the family's equal-weight mixture. Enumeration is chunked with
-    a deterministic reduction: ties keep the lowest function index, except
-    that when the domain is a hypercube (m a power of two) and some parity
-    character co-attains the maximum, the witness is canonicalized to that
-    character with sign +1 (smallest subset first, then lexicographic, as
-    ``family_enumerate`` orders subsets). Maximizers are often non-unique and the characters are the
-    structurally meaningful representatives.
+    so its supremum over [-1,1]-valued functions is attained at a +-1 vertex
+    (guarded at 1 <= m <= 16). Function j maps point x to +1 iff bit x of j is
+    0. Since f and -f have the same squared gaps, only the ``2^(m-1)``
+    functions with bit m - 1 clear are scored, and the lowest-index maximizer
+    always lies among them. Each function's gap vector is summed without BLAS,
+    adding ``+-diff[:, x]`` for x = 0, 1, ..., m - 1 in that order: a sign
+    butterfly over a block's low bits, then one add per higher bit. Blocks of
+    about ``_NORM_CHUNK`` gaps are reduced deterministically, and ties keep the
+    lowest function index, except that when the domain is a hypercube (m a
+    power of two) and some parity character co-attains the maximum, the
+    witness is canonicalized to that character with sign +1 (smallest subset
+    first, then lexicographic, as ``family_enumerate`` orders subsets).
+    Maximizers are often non-unique and the characters are the structurally
+    meaningful representatives.
     """
     rows = [_vec(p) for p in family]
     if not rows:
         raise ValueError("family must be nonempty")
     pmat = np.stack(rows)
-    m = pmat.shape[1]
+    members, m = pmat.shape
     if m > NORM_MAX_DOMAIN:
         raise GuardError(f"domain size {m} exceeds brute-force guard {NORM_MAX_DOMAIN}")
+    if m < 1:
+        raise ValueError(f"domain size {m}: the norm needs at least one point")
     ref = pmat.mean(axis=0) if reference is None else _vec(reference)
     if ref.shape != (m,):
         raise ValueError("reference has wrong domain size")
     diff = pmat - ref[None, :]
 
+    # gaps of every sign pattern on the low bits, built by one butterfly
+    low = min(m - 1, max(0, (_NORM_CHUNK // members).bit_length() - 1))
+    partial = np.zeros((members, 1 << low))
+    for x in range(low):
+        w = 1 << x
+        partial[:, w:2 * w] = partial[:, :w] - diff[:, x, None]
+        partial[:, :w] += diff[:, x, None]
     best_val = -1.0
     best_idx = -1
-    total = 1 << m
-    positions = np.arange(m, dtype=np.int64)
-    for start in range(0, total, _NORM_CHUNK):
-        idx = np.arange(start, min(start + _NORM_CHUNK, total), dtype=np.int64)
-        # function j maps point x to +1 iff bit x of j is 0
-        bits = (idx[:, None] >> positions[None, :]) & 1
-        funcs = (1 - 2 * bits).astype(np.float64)
-        gaps = diff @ funcs.T
-        vals = np.mean(gaps * gaps, axis=0)
+    gaps = np.empty_like(partial)
+    for high in range(1 << (m - 1 - low)):
+        gaps[:] = partial
+        for x in range(low, m):
+            if (high >> (x - low)) & 1:
+                gaps -= diff[:, x, None]
+            else:
+                gaps += diff[:, x, None]
+        vals = np.mean(np.multiply(gaps, gaps, out=gaps), axis=0)
         pos = int(np.argmax(vals))
         if vals[pos] > best_val:
             best_val = float(vals[pos])
-            best_idx = start + pos
-    bits = (best_idx >> positions) & 1
+            best_idx = (high << low) + pos
+    bits = (best_idx >> np.arange(m, dtype=np.int64)) & 1
     witness = (1 - 2 * bits).astype(np.int8)
     char = _character_witness(diff, m, best_val)
     if char is not None:

@@ -23,9 +23,17 @@ stated bound for both families.
 The FROZEN tables below were computed from these formulas before the package's
 brute-force enumerator existed; tests assert the enumerator agrees with them
 rather than with itself.
+
+``matmul_norm`` is the enumeration the package used before its half-cube
+butterfly: every one of the 2^m +-1 functions scored by one matrix product per
+block of 2^13 functions. The package must match it bit for bit.
 """
 
 import math
+
+import numpy as np
+
+from panshuffle.metrics import _character_witness
 
 
 def subset_count(d: int, k: int) -> int:
@@ -64,3 +72,26 @@ FROZEN_LABELED = {
     (2, 1, 0.1): 0.013333333333333334,
     (3, 1, 0.1): 0.01,
 }
+
+
+def matmul_norm(family, reference=None):
+    """(value_sq, witness) of the full-cube matmul enumeration, lowest index on ties."""
+    pmat = np.stack([np.asarray(getattr(p, "probs", p), dtype=np.float64) for p in family])
+    m = pmat.shape[1]
+    ref = pmat.mean(axis=0) if reference is None else np.asarray(reference, dtype=np.float64)
+    diff = pmat - ref[None, :]
+    best_val, best_idx = -1.0, -1
+    positions = np.arange(m, dtype=np.int64)
+    chunk = 1 << 13
+    for start in range(0, 1 << m, chunk):
+        idx = np.arange(start, min(start + chunk, 1 << m), dtype=np.int64)
+        # function j maps point x to +1 iff bit x of j is 0
+        funcs = (1 - 2 * ((idx[:, None] >> positions[None, :]) & 1)).astype(np.float64)
+        gaps = diff @ funcs.T
+        vals = np.mean(gaps * gaps, axis=0)
+        pos = int(np.argmax(vals))
+        if vals[pos] > best_val:
+            best_val, best_idx = float(vals[pos]), start + pos
+    witness = (1 - 2 * ((best_idx >> positions) & 1)).astype(np.int8)
+    char = _character_witness(diff, m, best_val)
+    return best_val, witness if char is None else char

@@ -57,9 +57,14 @@ def pan_view(alg, stream, t: int) -> dict:
 
 
 def audit_curve(alg, neighbors, eps_grid, intrusion_times=None):
-    """(delta_forward, delta_backward) over the grid, worst case over intrusion times."""
+    """(delta_forward, delta_backward) over the grid, worst case over intrusion times.
+
+    ``None`` audits every time; an empty list audits nothing and is refused.
+    """
     data_a, data_b = neighbors
-    times = intrusion_times or range(1, len(data_a) + 1)
+    times = range(1, len(data_a) + 1) if intrusion_times is None else list(intrusion_times)
+    if not times:
+        raise ValueError("no intrusion time to audit; None audits every time")
     fwd = np.zeros(len(eps_grid))
     bwd = np.zeros(len(eps_grid))
     for t in times:

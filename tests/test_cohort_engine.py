@@ -1,6 +1,7 @@
 """The array cohort engine against the dict-walk oracle, its guards and its invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from panshuffle.mechanisms import (
     histogram_analyzer,
     threshold_analyzer,
 )
+from panshuffle.metrics import hockey_stick
 from panshuffle.reductions import ShuffleToPanWrapper
 
 from oracles import cohort_oracle, count_oracle
@@ -81,6 +83,42 @@ def test_zero_probability_keys_are_kept():
 def test_rr_audit_matches_oracle(n, flip, eps):
     got = _rr_audit_delta(n, flip, eps)
     assert abs(got - cohort_oracle.rr_audit_delta(n, flip, eps)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 13, 60, 61, 200])
+@pytest.mark.parametrize("flip", [0.0, 0.013, 0.27, 0.5])
+def test_half_range_rr_audit_matches_every_k_oracle(n, flip):
+    # the audit runs k <= (n - 1) // 2 only; the oracle audits every k, both directions
+    for eps in (0.0, 0.3, 1.0):
+        got = _rr_audit_delta(n, flip, eps)
+        assert abs(got - cohort_oracle.rr_audit_delta(n, flip, eps)) <= 1e-15
+
+
+def _exact_rr_count_pmf(n_ones: int, n_zeros: int, flip: Fraction) -> list:
+    """Bin(n_ones, 1 - flip) + Bin(n_zeros, flip) in rationals."""
+    law = [Fraction(1)]
+    for keep in [1 - flip] * n_ones + [flip] * n_zeros:
+        law = [a * (1 - keep) + b * keep for a, b in zip(law + [0], [0] + law)]
+    return law
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_mirrored_neighbor_pairs_swap_directions(n):
+    # P_k has k ones among the other m = n - 1 users and the differing user at 0,
+    # Q_k the same users with the differing user at 1; P_{m-k} = reverse(Q_k) exactly
+    m = n - 1
+    for flip in (Fraction(1, 10), Fraction(37, 100)):
+        pairs = [(_exact_rr_count_pmf(k, n - k, flip), _exact_rr_count_pmf(k + 1, m - k, flip))
+                 for k in range(n)]
+        for k, (p_law, q_law) in enumerate(pairs):
+            p_mirror, q_mirror = pairs[m - k]
+            assert p_mirror == q_law[::-1] and q_mirror == p_law[::-1]
+            p_law, q_law, p_mirror, q_mirror = (
+                np.array(law, dtype=np.float64) for law in (p_law, q_law, p_mirror, q_mirror)
+            )
+            for eps in (0.0, 0.5, 2.0):
+                fwd_mirror = hockey_stick(p_mirror, q_mirror, eps)
+                assert abs(fwd_mirror - hockey_stick(q_law, p_law, eps)) <= 1e-15
 
 
 @pytest.mark.parametrize("ones, zeros", [(0, 0), (4, 3), (0, 9), (11, 0), (25, 40)])

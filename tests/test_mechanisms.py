@@ -370,6 +370,9 @@ def test_privacy_budget_validation():
         PrivacyBudget(epsilon=1.0, delta=1.5, gamma=1.0)
     with pytest.raises(ValueError):
         PrivacyBudget(epsilon=1.0, delta=0.0, gamma=0.0)
+    with pytest.raises(ValueError):
+        PrivacyBudget(epsilon=math.nan)
+    assert PrivacyBudget(epsilon=math.inf).epsilon == math.inf
 
 
 def test_mechanism_from_manifest_roundtrips():

@@ -15,6 +15,7 @@ from oracles.norm_oracle import (
     FROZEN_PLAIN,
     envelope_sq,
     labeled_norm_sq,
+    matmul_norm,
 )
 from panshuffle.distributions import (
     ParametricHardDistribution,
@@ -197,6 +198,56 @@ def test_norm_witness_is_first_character_in_lexicographic_order():
     report = infty_to_2_norm_bruteforce(fam)
     assert report.value_sq == pytest.approx(0.08, abs=1e-15)
     assert np.array_equal(report.witness, parity_values((1, 4), 4))
+
+
+# every plain (2^d points) and labeled (2^(d+1) points) family with a domain of at most 16
+HARD_FAMILIES = [
+    (family, d, k)
+    for family, d_max in (("plain", 4), ("labeled", 3))
+    for d in range(1, d_max + 1)
+    for k in range(1, d + 1)
+]
+
+
+@pytest.mark.parametrize("family, d, k", HARD_FAMILIES)
+def test_norm_matches_the_matmul_enumeration_bit_for_bit(family, d, k):
+    for alpha in (0.05, 0.2, 0.3, 0.45):
+        fam = [densify(m) for m in family_enumerate(d, k, alpha, family)]
+        report = infty_to_2_norm_bruteforce(fam)
+        value_sq, witness = matmul_norm(fam)
+        assert report.value_sq.hex() == value_sq.hex()
+        assert np.array_equal(report.witness, witness)
+
+
+def test_norm_matches_the_matmul_enumeration_on_random_families():
+    rng = make_generator(20261019, "norm-butterfly")
+    for trial in range(60):
+        m, members = int(rng.integers(1, 17)), int(rng.integers(1, 41))
+        if trial % 2:
+            fam = rng.dirichlet(np.ones(m), size=members)
+        else:
+            # coarse grid: many test functions tie exactly
+            fam = np.round(rng.dirichlet(np.ones(m), size=members) * 8) / 8
+        report = infty_to_2_norm_bruteforce(list(fam))
+        value_sq, witness = matmul_norm(list(fam))
+        assert report.value_sq.hex() == value_sq.hex()
+        assert np.array_equal(report.witness, witness)
+
+
+def test_norm_witness_of_a_sign_only_tie_is_the_lower_index():
+    # on 5 points no character is tried, and only functions 9 and 22 = 31 - 9 tie: the
+    # witness is function 9, whose top point is +1, in the lower half of the cube
+    fam = [np.array([0.3, 0.1, 0.2, 0.25, 0.15]), np.array([0.1, 0.3, 0.25, 0.05, 0.3])]
+    report = infty_to_2_norm_bruteforce(fam)
+    value_sq, witness = matmul_norm(fam)
+    assert report.value_sq.hex() == value_sq.hex()
+    assert np.array_equal(report.witness, witness)
+    assert report.witness[-1] == 1
+
+
+def test_norm_refuses_a_zero_width_domain():
+    with pytest.raises(ValueError, match="domain size 0"):
+        infty_to_2_norm_bruteforce([np.zeros(0), np.zeros(0)])
 
 
 def test_norm_report_json_includes_witness_bits():

@@ -94,6 +94,14 @@ def test_audit_matches_dict_walk_oracle(case):
     np.testing.assert_allclose(curve.delta_backward, bwd, rtol=0, atol=1e-12)
 
 
+def test_empty_intrusion_times_are_refused_by_engine_and_oracle():
+    alg, pair, _ = CASES["noisy-parity"]
+    with pytest.raises(ValueError, match="no intrusion time"):
+        audit_privacy(alg, pair, GRID, intrusion_times=[])
+    with pytest.raises(ValueError, match="no intrusion time"):
+        pan_oracle.audit_curve(alg, pair, GRID, intrusion_times=[])
+
+
 def _engine_bytes(alg, streams, tails=()) -> list:
     """Every index order and array the engine builds for these streams, as bytes or reprs."""
     states, laws, kernels = exact_mod._propagate(alg, streams, tails)
