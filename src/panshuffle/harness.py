@@ -45,7 +45,6 @@ import math
 import os
 import time
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -82,7 +81,7 @@ from .reductions import (
     wrapper_escape_mass,
 )
 from . import exact as ex
-from .rng import make_generator
+from .rng import _ndtri, make_generator
 
 __all__ = [
     "ExperimentSpec",
@@ -173,6 +172,11 @@ def _pmap(fn, items: list, workers: int, order: list | None = None) -> list:
     """
     if workers <= 1:
         return [fn(i) for i in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Load scipy's ndtri before the pool forks its workers, so each inherits it
+    # instead of importing scipy on its first Gaussian draw.
+    _ndtri()
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         futures = {i: pool.submit(fn, i) for i in (items if order is None else order)}

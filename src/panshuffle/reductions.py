@@ -20,12 +20,12 @@ Two constructions live here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import bdtrc
 
 from .baselines import ProblemInstance, _binomial_rows, plug_in_solve, wilson_interval
 from .distributions import ParametricHardDistribution, ParityIndex
@@ -47,8 +47,23 @@ __all__ = [
 
 
 def wrapper_escape_mass(n: int) -> float:
-    """P[Bin(n, 2/9) > n/3]: the wrapper's worst-case output-law gap."""
-    return float(bdtrc(n // 3, n, 2.0 / 9.0))
+    """P[Bin(n, 2/9) > n/3]: the wrapper's worst-case output-law gap, correctly rounded.
+
+    The tail is sum_{k > n/3} C(n, k) 2^k 7^(n-k) / 9^n in integers, divided
+    once; each term follows from the last as t * 2(n-k) / (7(k+1)), which
+    divides exactly because both sides are the next term times 7(k+1).
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"escape mass needs a cohort size n >= 0, got n={n!r}")
+    n = int(n)
+    k = n // 3 + 1
+    term = math.comb(n, k) * 2**k * 7 ** max(n - k, 0)
+    total = 0
+    while term:
+        total += term
+        term = term * 2 * (n - k) // (7 * (k + 1))
+        k += 1
+    return total / 9**n
 
 
 @dataclass(frozen=True)

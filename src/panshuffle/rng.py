@@ -20,8 +20,10 @@ The result seeds a PCG64 generator.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-from scipy.special import ndtri
 
 _MASK = (1 << 64) - 1
 
@@ -75,14 +77,26 @@ def _unit(words: np.ndarray) -> np.ndarray:
     return np.minimum((words.astype(np.float64) + 0.5) * 2.0**-64, 1.0 - 2.0**-53)
 
 
+def _check_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
+
+
+@functools.cache
+def _ndtri():
+    """``scipy.special.ndtri``, imported on the first call: only Gaussian draws load scipy."""
+    from scipy.special import ndtri
+
+    return ndtri
+
+
 def laplace_from_words(words: np.ndarray, scale: float) -> np.ndarray:
     """Laplace(0, scale) values of 64-bit ``words`` by the inverse CDF of :func:`laplace`.
 
     Elementwise, so transforming a batch of words gives the values that
     drawing them one call at a time through :func:`laplace` gives.
     """
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
+    _check_scale(scale)
     centered = _unit(words) - 0.5
     return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
 
@@ -95,8 +109,10 @@ def laplace(rng: np.random.Generator, scale: float, size=None) -> np.ndarray | f
     x = -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|) never overflows.
     This route (rather than a library sampler) keeps the draw a pure
     function of the generator's next 64-bit word, which pins down the
-    byte-level reproducibility of archived runs. A zero scale draws no word.
+    byte-level reproducibility of archived runs. A zero scale draws no word;
+    a negative or non-finite one raises before any word is drawn.
     """
+    _check_scale(scale)
     if scale == 0.0:
         return 0.0 if size is None else np.zeros(size)
     return laplace_from_words(draw_words(rng, size), scale)
@@ -108,10 +124,11 @@ def gaussian(rng: np.random.Generator, scale: float, size=None) -> np.ndarray | 
     Same one-word-per-draw contract as :func:`laplace`: u = (k + 0.5) / 2**64
     pushed through ``scipy.special.ndtri``, so the draw is a pure function of
     the generator's next 64-bit word rather than of a library sampler's
-    internal rejection loop.
+    internal rejection loop. scipy is imported on the first draw of a nonzero
+    scale, not with the package; a zero scale draws no word, and a negative or
+    non-finite one raises before any word is drawn or scipy is loaded.
     """
+    _check_scale(scale)
     if scale == 0.0:
         return 0.0 if size is None else np.zeros(size)
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    return scale * ndtri(_unit(draw_words(rng, size)))
+    return scale * _ndtri()(_unit(draw_words(rng, size)))

@@ -1,5 +1,6 @@
 """Experiment harness (specs, CSV conventions, kinds) and the CLI entry point."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -111,7 +112,7 @@ def test_mean_error_runs_in_process_when_one_block_or_one_cpu(tmp_path, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("a worker process started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     res = run_spec(_mean_error_spec(8), tmp_path / "one-cpu")
     assert json.loads(res.manifest_path.read_text())["processes"] == 1
@@ -334,7 +335,7 @@ def test_run_spec_names_a_mistyped_kind_param(kind, params, key, tmp_path, monke
         raise AssertionError("a search or a worker process started")
 
     monkeypatch.setattr(harness, "find_selection_threshold", refuse)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # 16 trials: mean_error would pool
     out = tmp_path / "out"
     with pytest.raises(ValueError) as info:
@@ -624,9 +625,11 @@ def test_cli_output_matches_golden(case, tmp_path, monkeypatch, capsys):
 
     The golden text was recorded before the check subcommands called the
     harness check functions. The reduce-check cases were recorded with the
-    escape mass and budget law already taken from ``scipy.special`` and the
-    Bernoulli recurrence, which moved their printed bound and shifted-stream
-    tv by at most 6e-17 against ``scipy.stats.binom``.
+    budget law already taken from the Bernoulli recurrence, which moved their
+    shifted-stream tv by at most 6e-17 against ``scipy.stats.binom``, and
+    their printed bound is the correctly rounded escape mass, the exact
+    binomial tail in integers (``scipy.special.bdtrc`` had printed
+    0.1280443172431182 and 0.10579406759041321).
     """
     monkeypatch.chdir(tmp_path)
     code = main(case["argv"])

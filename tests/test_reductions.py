@@ -1,5 +1,6 @@
 """Reductions: shuffle-to-online wrapper, stream augmentation, learner harness."""
 
+import ast
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import pickle
 import subprocess
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,16 +63,84 @@ def _rr_protocol(n: int, cutoff: int, gamma: float = 1.0 / 3.0) -> ShuffleProtoc
 def test_wrapper_escape_mass_matches_frozen_oracle():
     for n, expected in sorted(FROZEN_ESCAPE.items()):
         assert wrapper_escape_mass(n) == pytest.approx(expected, rel=1e-12)
+    assert wrapper_escape_mass(6) == FROZEN_ESCAPE[6]
+    assert wrapper_escape_mass(240) == FROZEN_ESCAPE[240]
+
+
+def test_wrapper_escape_mass_is_the_correctly_rounded_tail():
+    p = Fraction(2, 9)
+    for n in range(301):
+        below = sum(math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n // 3 + 1))
+        assert wrapper_escape_mass(n) == float(1 - below), n
+
+
+def test_wrapper_escape_mass_agrees_with_scipy_binomial_tail():
+    # scipy is an independent oracle here, with rounding error of its own
+    for n in [*range(1, 1500, 7), 1500]:
+        assert wrapper_escape_mass(n) == pytest.approx(binom.sf(n // 3, n, 2.0 / 9.0), rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [-3, -1, 2.5, 6.0, "6", True, None])
+def test_wrapper_escape_mass_refuses_a_bad_cohort_size(n):
+    with pytest.raises(ValueError, match=f"n={n!r}"):
+        wrapper_escape_mass(n)
+
+
+def _run_on_src(args: list, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this checkout's ``src`` first on the path."""
+    src = str(Path(panshuffle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, **kwargs)
+
+
+# prints, as its last stdout line, the scipy modules loaded so far
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    src = str(Path(panshuffle.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, panshuffle; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    """No module of the scipy package is loaded by importing the package and its CLI."""
+    out = _run_on_src(["-c", f"import sys, panshuffle, panshuffle.cli; {_SCIPY_LOADED}"])
+    assert out.stdout.strip() == "[]"
+
+
+def test_audit_reduce_check_and_norm_load_no_scipy(tmp_path):
+    argvs = [
+        ["audit", "--mechanism", '{"type": "binary_rr", "flip_p": 0.2}',
+         "--neighbors", '{"a": [1], "b": [0]}', "--eps", "0.0,0.5,1.0", "--out", "curve.csv"],
+        ["reduce-check", "--n", "6"],
+        ["norm", "--d", "3", "--k", "1", "--alpha", "0.1"],
+    ]
+    probe = ("import json, sys\nfrom panshuffle.cli import main\n"
+             "print([main(a) for a in json.loads(sys.argv[1])])\n" + _SCIPY_LOADED)
+    out = _run_on_src(["-c", probe, json.dumps(argvs)], cwd=tmp_path)
+    codes, loaded = out.stdout.splitlines()[-2:]
+    assert (codes, loaded) == ("[0, 0, 0]", "[]")
+    assert (tmp_path / "curve.csv").exists()
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def _module_level_nodes(node: ast.AST):
+    """Nodes run when the module is imported: everything outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level_nodes(child)
+
+
+def test_no_package_module_imports_scipy_at_module_level():
+    modules = sorted(Path(panshuffle.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    found = [f"{path.name}:{node.lineno}"
+             for path in modules
+             for node in _module_level_nodes(ast.parse(path.read_text()))
+             if _imports_scipy(node)]
+    assert found == []
 
 
 def test_wrapper_rejects_bad_configurations():
@@ -474,9 +544,11 @@ _DEMOS_GOLDEN = json.loads((Path(__file__).parent / "demos_golden.json").read_te
 @pytest.mark.parametrize("demo", sorted(_DEMOS_GOLDEN))
 def test_online_demo_prints_the_recorded_bytes(demo):
     """Demos 05 and 06 run the wrapper's and the distinguisher's online forms;
-    a change to either that moves a draw changes their stdout from the recorded text."""
-    src = str(Path(panshuffle.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, str(_DEMOS / demo)], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout == _DEMOS_GOLDEN[demo]
+    a change to either that moves a draw changes their stdout from the recorded text.
+    Neither draws a Gaussian, so neither loads any scipy module."""
+    probe = ("import runpy, sys\nrunpy.run_path(sys.argv[1], run_name='__main__')\n"
+             + _SCIPY_LOADED)
+    out = _run_on_src(["-c", probe, str(_DEMOS / demo)])
+    *printed, loaded = out.stdout.splitlines(keepends=True)
+    assert "".join(printed) == _DEMOS_GOLDEN[demo]
+    assert loaded == "[]\n"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
+from panshuffle import rng
 from panshuffle.rng import (
     as_generator,
     derive_seed,
@@ -101,16 +103,19 @@ def test_gaussian_zero_scale_and_negative():
 TOP_WORDS = np.array([(1 << 64) - 1, (1 << 64) - 1024, (1 << 64) - 1025], dtype=np.uint64)
 
 
-class _TopWords:
-    """A generator stub whose every word is one of the top words."""
+class _Words:
+    """A generator stub that hands out the given words."""
+
+    def __init__(self, words):
+        self.words = words
 
     def integers(self, low, high, size=None, dtype=None):
-        return TOP_WORDS.copy()
+        return self.words.copy()
 
 
 def test_top_words_draw_finite_noise():
     lap = laplace_from_words(TOP_WORDS, 1.0)
-    gau = gaussian(_TopWords(), 1.0, size=3)
+    gau = gaussian(_Words(TOP_WORDS), 1.0, size=3)
     assert np.all(np.isfinite(lap)) and np.all(np.isfinite(gau))
     # the words past 2**64 - 1025 take its u = 1 - 2**-53, whose draw does not move
     u = 1.0 - 2.0**-53
@@ -128,3 +133,40 @@ def test_noise_is_pure_function_of_stream():
     g.integers(0, 1 << 64, dtype=np.uint64)
     shifted = laplace(g, 1.0, size=7)
     assert np.array_equal(shifted, a[1:])
+
+
+def test_gaussian_matches_scipy_ndtri_bit_for_bit():
+    words = np.concatenate([
+        make_generator(17, "ndtri").integers(0, 1 << 64, size=100_000, dtype=np.uint64),
+        np.array([0, (1 << 64) - 1], dtype=np.uint64),
+    ])
+    u = np.minimum((words.astype(np.float64) + 0.5) * 2.0**-64, 1.0 - 2.0**-53)
+    draws = gaussian(_Words(words), 1.7, size=words.size)
+    assert draws.tobytes() == (1.7 * ndtri(u)).tobytes()
+
+
+def _refuse_ndtri():
+    raise AssertionError("scipy's ndtri was asked for")
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_noise_refuses_a_bad_scale_before_any_draw(scale, monkeypatch):
+    monkeypatch.setattr(rng, "_ndtri", _refuse_ndtri)
+    gen = make_generator(3, "bad-scale")
+    before = gen.bit_generator.state
+    for draw in (laplace, gaussian):
+        for size in (None, 3):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                draw(gen, scale, size)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        laplace_from_words(np.arange(3, dtype=np.uint64), scale)
+    assert gen.bit_generator.state == before
+
+
+def test_zero_scale_draws_no_word_and_loads_no_scipy(monkeypatch):
+    monkeypatch.setattr(rng, "_ndtri", _refuse_ndtri)
+    gen = make_generator(3, "zero-scale")
+    before = gen.bit_generator.state
+    assert laplace(gen, 0.0) == gaussian(gen, 0.0) == 0.0
+    assert np.array_equal(gaussian(gen, 0.0, size=2), np.zeros(2))
+    assert gen.bit_generator.state == before
