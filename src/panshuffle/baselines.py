@@ -5,12 +5,11 @@ The estimators all reduce to means of +-1 feature values:
 * ``empirical_means`` is the noiseless path, computed from integer sums so two
   callers on the same samples produce bit-identical floats;
 * ``private_means`` estimates the same means under one of the four trust
-  models, which differ only in the noise they add. Each model's noise has one
-  home, shared with the selection sweeps of ``selection_success_fast``:
-  ``_noisy_sums`` adds central Laplace noise, or the pan accumulator's two
-  noisings, to the sign sums; ``_rr_flip`` gives the randomized-response flip
-  of a local user (a per-feature split of the budget) or of a shuffled cohort
-  (the rate :func:`calibrate_rr` certifies against the shuffled count law).
+  models, which differ only in the noise they add. The ``_NOISE`` table is the
+  one place each model's noise is set, for these means and for the selection
+  sweeps of ``selection_success_fast`` alike: Laplace or Gaussian draws on the
+  sign sums (central, pan), or a per-user randomized-response flip (local, and
+  shuffle at the rate :func:`calibrate_rr` certifies for the cohort).
 
 Problem instances (selection, sparse mean estimation, parity release, simple
 hypothesis testing, parity learning) share one pipeline: build the +-1 feature
@@ -153,9 +152,7 @@ def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
     With ``delta = 0`` privacy must come from the local report alone, so the
     answer is the pure local level ``1 / (1 + e^eps)`` at any cohort size.
     """
-    _check_budget(epsilon, delta)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_budget(epsilon, delta, n=n)
     if delta == 0.0:
         p = 1.0 / (1.0 + math.exp(epsilon))
         return CalibratedRR(flip_p=p, epsilon=epsilon, delta=0.0, n=n, method="closed-form")
@@ -202,19 +199,16 @@ def empirical_means(samples) -> np.ndarray:
 
 
 def _sign_means(x: np.ndarray) -> np.ndarray:
-    """:func:`empirical_means` of a matrix already checked to hold +-1 signs."""
-    n = x.shape[0]
-    if n == 0:
-        return np.zeros(x.shape[1])
-    return x.sum(axis=0) / n
+    """:func:`empirical_means` of a checked +-1 matrix; zeros when it has no rows."""
+    return x.sum(axis=0) / max(x.shape[0], 1)
 
 
 def private_means(samples, model: str, epsilon: float, delta: float = 0.0, rng=None) -> np.ndarray:
     """Per-feature means of +-1 samples under one trust model's noise.
 
-    ``central`` and ``pan`` add :func:`_noisy_sums` noise to the sign sums;
-    ``local`` and ``shuffle`` debias per-user randomized response at the
-    :func:`_rr_flip` probability. An infinite budget gives
+    The model's ``_NOISE`` entry sets the noise: ``central`` and ``pan`` noise
+    the sign sums, ``local`` and ``shuffle`` debias per-user randomized
+    response at its flip probability. An infinite budget gives
     :func:`empirical_means` under every model. Central, local and shuffle need
     at least one sample; pan divides by max(n, 1).
     """
@@ -224,65 +218,46 @@ def private_means(samples, model: str, epsilon: float, delta: float = 0.0, rng=N
 
 def _private_means(x: np.ndarray, model: str, epsilon: float, delta: float, rng) -> np.ndarray:
     """:func:`private_means` of a matrix already checked to hold +-1 signs."""
-    _check_model(model)
+    noise = _NOISE[model]
     if math.isinf(epsilon):
         return _sign_means(x)
     n, d = x.shape
     if n == 0 and model != "pan":
         raise ValueError("need at least one sample")
     gen = as_generator(rng)
-    if model in _RR_MODELS:
-        return _debiased_rr_means(x, _rr_flip(model, epsilon, delta, d, n), gen)
-    return _noisy_sums(x.sum(axis=0), model, epsilon, delta, gen) / max(n, 1)
+    kind, scale, draws = noise(epsilon, delta, d, n)
+    if kind == "rr":
+        return _debiased_rr_means(x, scale, gen)
+    return _noised(x.sum(axis=0), kind, scale, draws, gen) / max(n, 1)
 
 
-def _check_model(model: str) -> None:
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-
-
-def _check_budget(epsilon: float, delta: float) -> None:
-    """Refuse an epsilon that is not positive (infinity passes) and a delta outside [0, 1)."""
+def _check_budget(epsilon: float, delta: float, **counts: int) -> None:
+    """Refuse an epsilon that is not positive (infinity passes), a delta outside [0, 1)
+    and any of the named dimension or trial ``counts`` below 1."""
     if not epsilon > 0.0:
         raise ValueError(f"'epsilon' must be positive, got {epsilon!r}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"'delta' must be in [0, 1), got {delta!r}")
+    for key, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{key!r} must be at least 1, got {value!r}")
 
 
-def _check_search(epsilon: float, delta: float, alpha: float, target: float) -> None:
+def _check_search(epsilon: float, delta: float, alpha: float, target: float, **counts: int) -> None:
     """The range checks of :func:`find_selection_threshold`, made before its first trial."""
-    _check_budget(epsilon, delta)
+    _check_budget(epsilon, delta, **counts)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"'alpha' must be in (0, 1/2), got {alpha!r}")
     if not 0.0 < target <= 1.0:
         raise ValueError(f"'target' must be in (0, 1], got {target!r}")
 
 
-def _noisy_sums(sums: np.ndarray, model: str, epsilon: float, delta: float, gen) -> np.ndarray:
-    """Sign sums of shape (..., d) plus central or pan noise, one draw per noising.
-
-    ``central`` adds one Laplace draw at scale 2d/epsilon (pure, budget split
-    over features); ``pan`` adds two draws of :func:`pan_noise_parameters`
-    noise (state initialization, then release).
-    """
-    d = sums.shape[-1]
-    if model == "central":
-        return sums + laplace(gen, 2.0 * d / epsilon, size=sums.shape)
-    kind, scale = pan_noise_parameters(epsilon, delta, d)
+def _noised(sums: np.ndarray, kind: str, scale: float, draws: int, gen) -> np.ndarray:
+    """Sign sums of shape (..., d) plus ``draws`` Laplace or Gaussian draws at ``scale``."""
     draw = gaussian if kind == "gaussian" else laplace
-    return sums + draw(gen, scale, size=sums.shape) + draw(gen, scale, size=sums.shape)
-
-
-def _rr_flip(model: str, epsilon: float, delta: float, d: int, n: int) -> float:
-    """Per-feature randomized-response flip probability of a local or shuffle cohort.
-
-    ``local`` splits a pure budget over the d features, 1/(1 + e^(epsilon/d));
-    ``shuffle`` takes the :func:`calibrate_rr` flip for the n-user cohort at
-    the :func:`advanced_split` of (epsilon, delta).
-    """
-    if model == "local":
-        return 1.0 / (1.0 + math.exp(epsilon / d))
-    return calibrate_rr(*advanced_split(epsilon, delta, d), n).flip_p
+    for _ in range(draws):
+        sums = sums + draw(gen, scale, size=sums.shape)
+    return sums
 
 
 def _debiased_rr_means(x: np.ndarray, flip_p: float, gen) -> np.ndarray:
@@ -321,6 +296,25 @@ def pan_noise_parameters(epsilon: float, delta: float, d: int) -> tuple[str, flo
     return "laplace", 2.0 * d / (epsilon / 2.0)
 
 
+class _ModelTable(dict):
+    def __missing__(self, model):  # an unknown model is a ValueError, not a KeyError
+        raise ValueError(f"unknown model {model!r}; expected one of {tuple(self)}")
+
+
+# model -> (epsilon, delta, d, n) -> the noise it certifies for d features of n users:
+# ("rr", flip probability, 0), or (kind, scale, draws) Laplace or Gaussian noisings of the
+# sign sums. Central and local split a pure budget over the features; shuffle calibrates
+# the cohort at its advanced split; pan noises state initialization, then release.
+_NOISE = _ModelTable({
+    "central": lambda epsilon, delta, d, n: ("laplace", 2.0 * d / epsilon, 1),
+    "local": lambda epsilon, delta, d, n: ("rr", 1.0 / (1.0 + math.exp(epsilon / d)), 0),
+    "shuffle": lambda epsilon, delta, d, n: (
+        "rr", calibrate_rr(*advanced_split(epsilon, delta, d), n).flip_p, 0),
+    "pan": lambda epsilon, delta, d, n: (*pan_noise_parameters(epsilon, delta, d), 2),
+})
+MODELS = tuple(_NOISE)
+
+
 def wilson_interval(successes: float, n: int, z: float = 2.5758293035489004) -> tuple[float, float]:
     """Wilson score interval; default z is the two-sided 99% normal quantile."""
     if n == 0:
@@ -337,8 +331,6 @@ def wilson_interval(successes: float, n: int, z: float = 2.5758293035489004) -> 
 
 
 PROBLEMS = ("selection", "sparse-mean", "parity-release", "hypothesis-test", "parity-learning")
-MODELS = ("central", "local", "shuffle", "pan")
-_RR_MODELS = ("local", "shuffle")  # the models whose users send randomized response
 
 
 @dataclass(frozen=True)
@@ -370,7 +362,7 @@ class ProblemInstance:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        _check_model(self.model)
+        _NOISE[self.model]  # an unknown model raises here
         _check_budget(self.epsilon, self.delta)
         if self.problem == "selection":
             member = self.member
@@ -529,23 +521,24 @@ def selection_success_fast(
     """Monte Carlo success rate of selection via sufficient statistics.
 
     The planted coordinate is 1 with mean ``2 alpha``; the others are
-    unbiased. Per-coordinate 1-counts are drawn as binomials and noised through
-    the helpers :func:`private_means` uses: :func:`_noisy_sums` on the sign
-    sums, or binomial randomized-response counts at the :func:`_rr_flip`
-    probability. The argmax law thus matches the sample-level pipeline without
-    materializing ``n x d`` sign matrices.
+    unbiased. The model's ``_NOISE`` entry certifies its noise before the first
+    draw; then per-coordinate 1-counts are drawn as binomials and noised as in
+    :func:`private_means`: the entry's draws on the sign sums, or binomial
+    randomized-response counts at its flip probability. The argmax law thus
+    matches the sample-level pipeline without materializing ``n x d`` sign
+    matrices.
     """
-    _check_model(model)
-    _check_budget(epsilon, delta)
+    noise = _NOISE[model]
+    _check_budget(epsilon, delta, d=d, trials=trials)
+    kind, scale, draws = noise(epsilon, delta, d, n)
     gen = as_generator(rng)
     mu = np.zeros(d)
     mu[0] = 2.0 * alpha
     ones = gen.binomial(n, (1.0 + mu) / 2.0, size=(trials, d))
-    if model in _RR_MODELS:
-        p = _rr_flip(model, epsilon, delta, d, n)
-        scores = gen.binomial(ones, 1.0 - p) + gen.binomial(n - ones, p)
+    if kind == "rr":
+        scores = gen.binomial(ones, 1.0 - scale) + gen.binomial(n - ones, scale)
     else:
-        scores = _noisy_sums(2.0 * ones - n, model, epsilon, delta, gen)
+        scores = _noised(2.0 * ones - n, kind, scale, draws, gen)
     return float(np.mean(np.argmax(scores, axis=1) == 0))
 
 
@@ -580,9 +573,11 @@ def find_selection_threshold(
     is then run once more as the corridor. All stages draw from
     streams derived via (master_seed, tag, model, d, stage, n), so the search
     is reproducible regardless of call order. A budget, ``alpha`` or
-    ``target`` out of range raises ``ValueError`` before the first trial.
+    ``target`` out of range, or ``d`` or a trial count below 1, raises
+    ``ValueError`` before the first trial.
     """
-    _check_search(epsilon, delta, alpha, target)
+    _check_search(epsilon, delta, alpha, target, d=d, pilot_trials=pilot_trials,
+                  confirm_trials=confirm_trials)
 
     def rate(n: int, trials: int, stage: str) -> float:
         gen = make_generator(master_seed, tag, model, d, stage, n)

@@ -338,7 +338,8 @@ def _run_selection_sweep(spec: ExperimentSpec, dims: list[int], **search) -> _Ki
     """
     if len(dims) < 4:
         raise ValueError(f"selection_sweep needs at least 4 dims for its scaling fit, got {dims}")
-    _check_search(search["epsilon"], search["delta"], search["alpha"], search["target"])
+    _check_search(search["epsilon"], search["delta"], search["alpha"], search["target"],
+                  dims=min(dims), pilot_trials=search["pilot_trials"])
     search |= {"confirm_trials": spec.trials, "master_seed": spec.master_seed,
                "tag": spec.experiment_id}
     distinct = list(dict.fromkeys(dims))

@@ -133,22 +133,50 @@ def test_an_infinite_epsilon_is_a_budget():
                     epsilon=math.inf, delta=0.0, truth={"family": "uniform", "d": 3})
 
 
-@pytest.mark.parametrize("alpha, target, named", [
-    (0.5, 0.9, "'alpha' must be in (0, 1/2), got 0.5"),
-    (0.7, 0.9, "'alpha' must be in (0, 1/2), got 0.7"),
-    (0.0, 0.9, "'alpha' must be in (0, 1/2), got 0.0"),
-    (0.2, 1.5, "'target' must be in (0, 1], got 1.5"),
-    (0.2, 0.0, "'target' must be in (0, 1], got 0.0"),
-], ids=["alpha-half", "alpha-above-half", "alpha-zero", "target-above-one", "target-zero"])
+@pytest.mark.parametrize("search, named", [
+    ({"alpha": 0.5}, "'alpha' must be in (0, 1/2), got 0.5"),
+    ({"alpha": 0.7}, "'alpha' must be in (0, 1/2), got 0.7"),
+    ({"alpha": 0.0}, "'alpha' must be in (0, 1/2), got 0.0"),
+    ({"target": 1.5}, "'target' must be in (0, 1], got 1.5"),
+    ({"target": 0.0}, "'target' must be in (0, 1], got 0.0"),
+    # unchecked, d = 0 raised IndexError, pilot_trials = 0 doubled n 24 times to a
+    # GuardError, confirm_trials = 0 failed every confirmation, and a negative count
+    # reached numpy's "negative dimensions are not allowed"
+    ({"d": 0}, "'d' must be at least 1, got 0"),
+    ({"d": -2}, "'d' must be at least 1, got -2"),
+    ({"pilot_trials": 0}, "'pilot_trials' must be at least 1, got 0"),
+    ({"pilot_trials": -5}, "'pilot_trials' must be at least 1, got -5"),
+    ({"confirm_trials": 0}, "'confirm_trials' must be at least 1, got 0"),
+], ids=["alpha-half", "alpha-above-half", "alpha-zero", "target-above-one", "target-zero",
+        "d-zero", "d-negative", "pilot-trials-zero", "pilot-trials-negative",
+        "confirm-trials-zero"])
 def test_find_selection_threshold_refuses_an_unusable_search_before_any_trial(
-        alpha, target, named, monkeypatch):
+        search, named, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(baselines_mod, "selection_success_fast", refuse)
     with pytest.raises(ValueError) as info:
-        find_selection_threshold(3, "central", 1.0, 1e-6, alpha, target=target)
+        find_selection_threshold(**({"d": 3, "model": "central", "epsilon": 1.0, "delta": 1e-6,
+                                     "alpha": 0.2} | search))
     assert str(info.value) == named
+
+
+@pytest.mark.parametrize("d, model, trials, error, named", [
+    # 100 users cannot certify the shuffle flip of d = 8 at (1, 1e-6), so no 1-count
+    # may be drawn before the certificate is asked for
+    (8, "shuffle", 50, InsufficientCohortError, "n=100 too small"),
+    (0, "central", 50, ValueError, "'d' must be at least 1, got 0"),
+    (8, "central", 0, ValueError, "'trials' must be at least 1, got 0"),  # not a nan rate
+    (8, "pan", -1, ValueError, "'trials' must be at least 1, got -1"),
+], ids=["shuffle-cohort-too-small", "d-zero", "trials-zero", "trials-negative"])
+def test_selection_success_fast_refuses_before_its_first_draw(d, model, trials, error, named):
+    gen = make_generator(26, "refusal")
+    before = gen.bit_generator.state
+    with pytest.raises(error) as info:
+        selection_success_fast(d, 100, model, 1.0, 1e-6, 0.2, trials, gen)
+    assert str(info.value).startswith(named)
+    assert gen.bit_generator.state == before
 
 
 def test_empirical_means_exact_and_deterministic():

@@ -391,12 +391,19 @@ _SWEEP = {"dims": [8, 16, 32, 64], "model": "pan"}
     ("selection_sweep", _SWEEP | {"epsilon": 0, "model": "central"},
      "'epsilon' must be positive, got 0.0"),
     ("selection_sweep", _SWEEP | {"delta": 1}, "'delta' must be in [0, 1), got 1.0"),
+    ("selection_sweep", _SWEEP | {"dims": [0, 8, 16, 32]}, "'dims' must be at least 1, got 0"),
+    ("selection_sweep", _SWEEP | {"dims": [8, 16, -4, 32]},
+     "'dims' must be at least 1, got -4"),
+    ("selection_sweep", _SWEEP | {"pilot_trials": 0}, "'pilot_trials' must be at least 1, got 0"),
+    ("selection_sweep", _SWEEP | {"pilot_trials": -5},
+     "'pilot_trials' must be at least 1, got -5"),
     ("mean_error", _MEAN | {"delta": 2.0}, "'delta' must be in [0, 1), got 2.0"),
     ("mean_error", _MEAN | {"epsilon": -0.5}, "'epsilon' must be positive, got -0.5"),
 ], ids=["sweep-alpha-half", "sweep-alpha-above-half", "sweep-alpha-zero",
         "sweep-target-above-one", "sweep-target-zero", "sweep-epsilon-zero",
-        "sweep-central-epsilon-zero", "sweep-delta-one", "mean-error-delta-two",
-        "mean-error-epsilon-negative"])
+        "sweep-central-epsilon-zero", "sweep-delta-one", "sweep-dims-zero",
+        "sweep-dims-negative", "sweep-pilot-trials-zero", "sweep-pilot-trials-negative",
+        "mean-error-delta-two", "mean-error-epsilon-negative"])
 def test_run_spec_rejects_an_out_of_range_budget_or_search_before_any_worker(
         kind, params, named, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
@@ -443,6 +450,17 @@ def test_cli_sweep_names_a_bad_dims_list_in_one_line(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --dims must be comma-separated integers, got '8,x'\n"
+
+
+def test_cli_sweep_refuses_a_zero_dim_in_one_line(capsys, tmp_path, monkeypatch):
+    # unchecked, the sweep's worker raised IndexError, a traceback out of main
+    monkeypatch.chdir(tmp_path)
+    code = main(["sweep", "--dims", "0,8,16,32"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: 'dims' must be at least 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind, params, key", [
