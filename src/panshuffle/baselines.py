@@ -213,22 +213,27 @@ def private_means(samples, model: str, epsilon: float, delta: float = 0.0, rng=N
     at least one sample; pan divides by max(n, 1).
     """
     _check_budget(epsilon, delta)
-    return _private_means(_as_sign_matrix(samples), model, epsilon, delta, rng)
+    x = _as_sign_matrix(samples)
+    return _private_means(x, _certify(model, epsilon, delta, x.shape[1], x.shape[0]), rng)
 
 
-def _private_means(x: np.ndarray, model: str, epsilon: float, delta: float, rng) -> np.ndarray:
-    """:func:`private_means` of a matrix already checked to hold +-1 signs."""
+def _certify(model: str, epsilon: float, delta: float, d: int, n: int) -> tuple[str, float, int]:
+    """The ``_NOISE`` entry's (kind, scale, draws) for d features of n users; none at eps = inf."""
     noise = _NOISE[model]
     if math.isinf(epsilon):
-        return _sign_means(x)
-    n, d = x.shape
+        return "laplace", 0.0, 0
     if n == 0 and model != "pan":
         raise ValueError("need at least one sample")
+    return noise(epsilon, delta, d, n)
+
+
+def _private_means(x: np.ndarray, noise: tuple[str, float, int], rng) -> np.ndarray:
+    """:func:`private_means` of a checked +-1 matrix under the noise :func:`_certify` gave."""
+    kind, scale, draws = noise
     gen = as_generator(rng)
-    kind, scale, draws = noise(epsilon, delta, d, n)
     if kind == "rr":
         return _debiased_rr_means(x, scale, gen)
-    return _noised(x.sum(axis=0), kind, scale, draws, gen) / max(n, 1)
+    return _noised(x.sum(axis=0), kind, scale, draws, gen) / max(x.shape[0], 1)
 
 
 def _check_budget(epsilon: float, delta: float, **counts: int) -> None:
@@ -344,9 +349,9 @@ class ProblemInstance:
     width-1 member with sign +1 is rejected at construction.
 
     The parsed :attr:`truth_distribution`, the truth :attr:`member`, the
-    :attr:`candidates` and their gather table :attr:`columns` are computed
-    once per instance and cached on it; the fields alone still decide
-    equality and what ``dataclasses.replace`` keeps.
+    :attr:`candidates`, their gather table :attr:`columns` and the certified
+    :attr:`noise` are computed once per instance and cached on it; the fields
+    alone still decide equality and what ``dataclasses.replace`` keeps.
     """
 
     problem: str
@@ -421,6 +426,11 @@ class ProblemInstance:
         table = np.array(rows, dtype=np.intp).reshape(len(cands), span)
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def noise(self) -> tuple[str, float, int]:
+        """The noise :func:`_certify` gives the model for the candidates of n users."""
+        return _certify(self.model, self.epsilon, self.delta, len(self.candidates), self.n)
 
     def sample_data(self, rng) -> np.ndarray:
         return draw_from(self.truth_distribution, self.n, rng)
@@ -528,9 +538,8 @@ def selection_success_fast(
     matches the sample-level pipeline without materializing ``n x d`` sign
     matrices.
     """
-    noise = _NOISE[model]
     _check_budget(epsilon, delta, d=d, trials=trials)
-    kind, scale, draws = noise(epsilon, delta, d, n)
+    kind, scale, draws = _certify(model, epsilon, delta, d, n)
     gen = as_generator(rng)
     mu = np.zeros(d)
     mu[0] = 2.0 * alpha

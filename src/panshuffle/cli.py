@@ -21,11 +21,9 @@ from .errors import GuardError, InsufficientCohortError
 from .harness import (
     ExperimentSpec,
     _run_kind,
-    family_norm,
     fit_scaling,
     learner_advantage,
     run_spec,
-    wrapper_gap,
     write_rows_csv,
 )
 from .metrics import tv_distance
@@ -113,15 +111,17 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    report = family_norm(d=args.d, k=args.k, alpha=args.alpha, family=args.family)
-    bound = report.bound_sq
+    params = {key: vars(args)[key] for key in ("d", "k", "alpha", "family")}
+    _, [row], summary, _ = _run_kind(ExperimentSpec("norm", "norm", params))
+    value, bound, ratio = row[-3:]
     print(f"family={args.family} d={args.d} k={args.k} alpha={args.alpha}")
-    print(f"value_sq = {report.value_sq!r}")
-    print(f"bound_sq = {bound!r} (ratio {report.value_sq / bound:.6f})")
+    print(f"value_sq = {value!r}")
+    print(f"bound_sq = {bound!r} (ratio {ratio:.6f})")
     if args.json_out:
-        Path(args.json_out).write_text(report.to_json() + "\n")
+        report = {key: summary[key] for key in ("value_sq", "bound_sq", "witness_bits")}
+        Path(args.json_out).write_text(json.dumps(report) + "\n")
         print(f"wrote report to {args.json_out}")
-    if report.value_sq > bound + 1e-12:
+    if value > bound + 1e-12:
         print("FAIL: value exceeds the closed-form bound")
         return CHECK_FAILED
     return 0
@@ -154,12 +154,12 @@ def _cmd_reduce_check(args) -> int:
     n = args.n
     if n % 3 != 0:
         raise ValueError(f"n must be divisible by 3, got {n}")
-    gap = wrapper_gap(
-        n=n, randomizer={"type": "binary_rr", "flip_p": args.flip_p}, cutoff=n // 3,
-        reference={0: 1.0 - args.ref_one, 1: args.ref_one},
-        input={0: 1.0 - args.input_one, 1: args.input_one},
-    )
-    tv_null, tv_real, bound = gap["tv_null"], gap["tv_real"], gap["escape_bound"]
+    spec = ExperimentSpec("wrapper_gap", "reduce-check", {
+        "n": n, "randomizer": {"type": "binary_rr", "flip_p": args.flip_p}, "cutoff": n // 3,
+        "reference": {0: 1.0 - args.ref_one, 1: args.ref_one},
+        "input": {0: 1.0 - args.input_one, 1: args.input_one},
+    })
+    _, [(_, tv_null, tv_real, bound)], _, _ = _run_kind(spec)
     print(f"n={n}: tv on reference stream = {tv_null!r}")
     print(f"n={n}: tv on shifted stream   = {tv_real!r} (bound {bound!r})")
     ok = tv_null <= 1e-10 and tv_real <= bound + 1e-10
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, GuardError, InsufficientCohortError) as err:
+    except (ValueError, OSError, GuardError, InsufficientCohortError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

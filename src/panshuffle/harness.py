@@ -29,12 +29,12 @@ one process per usable CPU (``os.sched_getaffinity``), and in-process when
 only one CPU or one distinct dim is there.
 
 Registered kinds: ``mean_error``, ``audit``, ``norm``, ``distinguish``,
-``wrapper_gap``, ``selection_sweep``. The checks behind ``audit``, ``norm``,
-``distinguish`` and ``wrapper_gap`` are the functions :func:`audit_curve`,
-:func:`family_norm`, :func:`learner_advantage` and :func:`wrapper_gap`, which
-take the typed params as keywords; the CLI subcommands call them with their
-flags' values, and ``panshuffle audit`` runs the ``audit``
-kind itself. Every CSV, here and in the CLI, goes through :func:`write_rows_csv`.
+``wrapper_gap``, ``selection_sweep``; each kind's check is written once, in its
+runner. The CLI's ``audit``, ``norm``, ``reduce-check`` (``wrapper_gap``) and
+``sweep`` (``selection_sweep``) run their kinds. ``distinguish`` shares
+:func:`learner_advantage` with its kind instead, as recorded outputs pin both
+the CLI's ``"cli-distinguish"`` stream and the kind's trial-0 stream. Every
+CSV, here and in the CLI, goes through :func:`write_rows_csv`.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .mechanisms import (
     mechanism_from_manifest,
     threshold_analyzer,
 )
-from .metrics import NormReport, infty_to_2_norm_bruteforce, parity_family_norm_bound_sq
+from .metrics import infty_to_2_norm_bruteforce, parity_family_norm_bound_sq
 from .reductions import (
     LearnerDistinguisher,
     PlantedLearner,
@@ -91,10 +91,7 @@ __all__ = [
     "ScalingFit",
     "write_rows_csv",
     "EXPERIMENT_KINDS",
-    "audit_curve",
-    "family_norm",
     "learner_advantage",
-    "wrapper_gap",
 ]
 
 
@@ -186,25 +183,7 @@ def _pmap(fn, items: list, workers: int, order: list | None = None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# checks: one function per check, shared by the experiment kinds and the CLI
-
-
-def audit_curve(*, mechanism: dict, stream_a: list, stream_b: list, eps_grid: list[float],
-                intrusion_times: list[int] | None) -> ex.AuditCurve:
-    """Exact privacy curve of a mechanism manifest on one neighboring stream pair.
-
-    List elements of the streams become tuples; ``intrusion_times``, when not
-    empty, restricts the online views audited.
-    """
-    pair = tuple([tuple(x) if isinstance(x, list) else x for x in s] for s in (stream_a, stream_b))
-    return ex.audit_privacy(mechanism_from_manifest(mechanism), pair, eps_grid,
-                            intrusion_times=intrusion_times or None)
-
-
-def family_norm(*, d: int, k: int, alpha: float, family: str) -> NormReport:
-    """Brute-force norm of the (d, k, alpha) family, ``bound_sq`` set to the closed form."""
-    members = [densify(m) for m in family_enumerate(d, k, alpha, family)]
-    return infty_to_2_norm_bruteforce(members, bound_sq=parity_family_norm_bound_sq(d, k, alpha))
+# the distinguish check, shared by its kind and the CLI (see the module doc)
 
 
 def learner_advantage(
@@ -230,31 +209,6 @@ def learner_advantage(
     return dist, threshold_distinguisher(z_p, z_u, min_samples=min(trials, 10_000))
 
 
-def wrapper_gap(*, n: int, randomizer: dict, cutoff: int | None,
-                reference: dict[int, float], input: dict[int, float]) -> dict:
-    """Output-law gaps of the shuffle-to-pan wrapper around an n-user protocol.
-
-    ``tv_null`` compares the wrapper and the protocol on the ``reference`` law
-    (exactly 0 in theory); ``tv_real`` compares the wrapper on ``input`` with
-    the protocol on the (2/9)-diluted mixture, which ``escape_bound`` bounds.
-    The protocol declares no privacy budget: no gap depends on one.
-    """
-    protocol = ShuffleProtocol(
-        randomizer=mechanism_from_manifest(randomizer),
-        analyzer=histogram_analyzer() if cutoff is None else threshold_analyzer(cutoff), n=n,
-    )
-    wrapper = ShuffleToPanWrapper(protocol=protocol, reference=reference)
-    null_law = wrapper.exact_output_distribution(reference)
-    null_target = ex.exact_output_distribution(protocol, [reference] * n)
-    tv_null = ex.tv_dicts(null_law, null_target)
-    diluted = {k: 2.0 / 9.0 * input.get(k, 0.0) + 7.0 / 9.0 * reference.get(k, 0.0)
-               for k in set(input) | set(reference)}
-    real_law = wrapper.exact_output_distribution(input)
-    real_target = ex.exact_output_distribution(protocol, [diluted] * n)
-    tv_real = ex.tv_dicts(real_law, real_target)
-    return {"tv_null": tv_null, "tv_real": tv_real, "escape_bound": wrapper_escape_mass(n)}
-
-
 # ---------------------------------------------------------------------------
 # experiment kinds: each runs on its spec and its params, read through its table
 
@@ -272,7 +226,7 @@ def _mean_error_block(spec: ExperimentSpec, inst: ProblemInstance, truth: np.nda
     for trial in trials:
         rng = _trial_rng(spec, trial)
         features = feature_matrix(inst, inst.sample_data(rng))  # checks the signs once
-        means = _private_means(features, inst.model, inst.epsilon, inst.delta, rng)
+        means = _private_means(features, inst.noise, rng)
         rows.append((trial, float(np.abs(means - truth).max())))
     return rows
 
@@ -281,6 +235,7 @@ def _run_mean_error(spec: ExperimentSpec, **fields) -> _KindResult:
     """Trials in blocks of eight, over at most ``workers`` processes, one per block and CPU."""
     inst = ProblemInstance(**fields)
     inst.member  # reads the truth descriptor before any trial runs
+    inst.noise  # certifies the noise once, here, before any trial runs
     blocks = [range(i, min(i + _TRIAL_BLOCK, spec.trials))
               for i in range(0, spec.trials, _TRIAL_BLOCK)]
     processes = min(max(1, spec.workers), len(blocks), _usable_cpus())
@@ -295,8 +250,16 @@ def _run_mean_error(spec: ExperimentSpec, **fields) -> _KindResult:
     return ["trial", "err_linf"], rows, summary, processes
 
 
-def _run_audit(spec: ExperimentSpec, **params) -> _KindResult:
-    curve = audit_curve(**params)
+def _run_audit(spec: ExperimentSpec, mechanism: dict, stream_a: list, stream_b: list,
+               eps_grid: list[float], intrusion_times: list[int] | None) -> _KindResult:
+    """Exact privacy curve of a mechanism manifest on one neighboring stream pair.
+
+    List elements of the streams become tuples; ``intrusion_times``, when not
+    empty, restricts the online views audited.
+    """
+    pair = tuple([tuple(x) if isinstance(x, list) else x for x in s] for s in (stream_a, stream_b))
+    curve = ex.audit_privacy(mechanism_from_manifest(mechanism), pair, eps_grid,
+                             intrusion_times=intrusion_times or None)
     columns = (curve.epsilons, curve.delta_forward, curve.delta_backward, curve.delta_max)
     rows = list(zip(*(c.tolist() for c in columns)))
     summary = {"worst_delta": float(curve.delta_max.max())}
@@ -304,10 +267,12 @@ def _run_audit(spec: ExperimentSpec, **params) -> _KindResult:
 
 
 def _run_norm(spec: ExperimentSpec, d: int, k: int, alpha: float, family: str) -> _KindResult:
-    report = family_norm(d=d, k=k, alpha=alpha, family=family)
+    """Brute-force family norm against its closed form; the summary adds ``witness_bits``."""
+    members = [densify(m) for m in family_enumerate(d, k, alpha, family)]
+    report = infty_to_2_norm_bruteforce(members, bound_sq=parity_family_norm_bound_sq(d, k, alpha))
     value, bound = report.value_sq, report.bound_sq
     rows = [(d, k, alpha, family, value, bound, value / bound)]
-    summary = {"value_sq": value, "bound_sq": bound, "tight": bool(abs(value - bound) < 1e-9)}
+    summary = json.loads(report.to_json()) | {"tight": bool(abs(value - bound) < 1e-9)}
     return ["d", "k", "alpha", "family", "value_sq", "bound_sq", "ratio"], rows, summary, 1
 
 
@@ -318,10 +283,27 @@ def _run_distinguish(spec: ExperimentSpec, **params) -> _KindResult:
     return ["tau", "advantage", "ci_low", "ci_high"], rows, summary, 1
 
 
-def _run_wrapper_gap(spec: ExperimentSpec, **params) -> _KindResult:
-    gap = wrapper_gap(**params)
-    rows = [(params["n"], gap["tv_null"], gap["tv_real"], gap["escape_bound"])]
-    return ["n", "tv_null", "tv_real", "escape_bound"], rows, gap, 1
+def _run_wrapper_gap(spec: ExperimentSpec, n: int, randomizer: dict, cutoff: int | None,
+                     reference: dict[int, float], input: dict[int, float]) -> _KindResult:
+    """Output-law gaps of the shuffle-to-pan wrapper around an n-user protocol.
+
+    ``tv_null`` compares the wrapper and the protocol on the ``reference`` law
+    (exactly 0 in theory); ``tv_real`` compares the wrapper on ``input`` with
+    the protocol on the (2/9)-diluted mixture, which ``escape_bound`` bounds.
+    The protocol declares no privacy budget: no gap depends on one.
+    """
+    protocol = ShuffleProtocol(
+        randomizer=mechanism_from_manifest(randomizer),
+        analyzer=histogram_analyzer() if cutoff is None else threshold_analyzer(cutoff), n=n,
+    )
+    wrapper = ShuffleToPanWrapper(protocol=protocol, reference=reference)
+    diluted = {k: 2.0 / 9.0 * input.get(k, 0.0) + 7.0 / 9.0 * reference.get(k, 0.0)
+               for k in set(input) | set(reference)}
+    tv_null, tv_real = (ex.tv_dicts(wrapper.exact_output_distribution(law),
+                                    ex.exact_output_distribution(protocol, [target] * n))
+                        for law, target in ((reference, reference), (input, diluted)))
+    gap = {"tv_null": tv_null, "tv_real": tv_real, "escape_bound": wrapper_escape_mass(n)}
+    return ["n", "tv_null", "tv_real", "escape_bound"], [(n, *gap.values())], gap, 1
 
 
 def _threshold_row(search: dict, d: int) -> tuple:
@@ -449,14 +431,18 @@ class ScalingFit:
 def fit_scaling(xs, ys) -> ScalingFit:
     """Fit log2(y) = slope * log2(x) + intercept by least squares.
 
-    Needs at least four points; the slope's standard error comes from the
+    Needs at least four points, each positive and finite (the first that is
+    not raises ``ValueError``); the slope's standard error comes from the
     residual variance, so a clean power law reports a tight band.
     """
-    lx = np.log2(np.asarray(xs, dtype=np.float64))
-    ly = np.log2(np.asarray(ys, dtype=np.float64))
-    m = len(lx)
-    if m < 4 or len(ly) != m:
+    x, y = (np.asarray(v, dtype=np.float64) for v in (xs, ys))
+    m = len(x)
+    if m < 4 or len(y) != m:
         raise GuardError(f"need >= 4 matched points for a scaling fit, got {m}")
+    for point in zip(x.tolist(), y.tolist()):
+        if not all(0.0 < v < math.inf for v in point):
+            raise ValueError(f"a scaling fit needs positive finite points, got (x, y) = {point}")
+    lx, ly = np.log2(x), np.log2(y)
     a = np.vstack([lx, np.ones(m)]).T
     coef, residuals, _, _ = np.linalg.lstsq(a, ly, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])

@@ -13,4 +13,4 @@ from panshuffle.baselines import ProblemInstance, _private_means, decide, featur
 def solve(inst: ProblemInstance, samples: np.ndarray, rng=None):
     """Estimate candidate means under the instance's model, then decide."""
     features = feature_matrix(inst, samples)
-    return decide(inst, _private_means(features, inst.model, inst.epsilon, inst.delta, rng))
+    return decide(inst, _private_means(features, inst.noise, rng))

@@ -541,6 +541,16 @@ def test_selection_success_fast_runs_every_model(model):
     assert 0.0 <= rate <= 1.0
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_selection_success_fast_at_an_infinite_budget_adds_no_noise(model):
+    # shuffle at n = 5000 would otherwise take the closed form, which refuses epsilon > 1
+    rate = selection_success_fast(4, 5000, model, math.inf, 1e-6, 0.02, 300,
+                                  make_generator(48, "fast-inf"))
+    mu = np.array([0.04, 0.0, 0.0, 0.0])
+    ones = make_generator(48, "fast-inf").binomial(5000, (1.0 + mu) / 2.0, size=(300, 4))
+    assert rate == float(np.mean(np.argmax(ones, axis=1) == 0))
+
+
 def test_find_selection_threshold_reproducible_and_sane():
     kwargs = dict(
         d=4, model="central", epsilon=1.0, delta=1e-6, alpha=0.2,

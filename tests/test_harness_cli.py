@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import re
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,37 @@ def test_mean_error_computes_true_means_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "true_means", lambda inst: calls.append(1) or exact(inst))
     run_spec(_mean_error_spec(1), tmp_path)
     assert len(calls) == 1
+
+
+def _shuffle_mean_spec(delta: float, workers: int) -> ExperimentSpec:
+    return ExperimentSpec("mean_error", "shuffle-mean", {
+        "model": "shuffle", "d": 8, "alpha": 0.2, "n": 12, "epsilon": 4.0, "delta": delta,
+        "truth": {"family": "uniform", "d": 8},
+    }, trials=64, workers=workers)
+
+
+def test_mean_error_certifies_its_noise_once_per_run(tmp_path, monkeypatch):
+    import panshuffle.baselines as bl
+
+    calls = []
+    audit = bl._rr_audit_delta
+    monkeypatch.setattr(bl, "_rr_audit_delta", lambda *a: calls.append(1) or audit(*a))
+    bl.calibrate_rr(*bl.advanced_split(4.0, 1e-3, 8), 12)
+    one_calibration = len(calls)
+    calls.clear()
+    run_spec(_shuffle_mean_spec(1e-3, 1), tmp_path)
+    assert len(calls) == one_calibration == 61
+
+
+def test_mean_error_refuses_shuffle_at_delta_zero_before_any_worker(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker process started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match=r"^advanced composition needs delta in \(0, 1\)$"):
+        run_spec(_shuffle_mean_spec(0.0, 2), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_kind_matches_closed_form(tmp_path):
@@ -872,3 +904,50 @@ def test_cli_usage_errors_exit_one():
     with pytest.raises(SystemExit) as err:
         main(["norm", "--d", "3"])  # missing required arguments
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--dist", _MEMBER, "--out", "absent/x.csv"],
+    ["audit", "--mechanism", _RR, "--neighbors", '{"a": [1], "b": [0]}', "--out", "absent/x.csv"],
+    ["norm", "--d", "2", "--k", "1", "--alpha", "0.1", "--json-out", "absent/x.json"],
+    ["sweep", "--dims", "2,3,4,5", "--model", "central", "--trials", "50", "--out", "taken"],
+], ids=["sample-out", "audit-out", "norm-json-out", "sweep-out-is-a-file"])
+def test_cli_output_path_it_cannot_write_exits_one_in_one_line(argv, tmp_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    code = main(argv)
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert "absent/x." in err or "'taken'" in err, err
+
+
+@pytest.mark.parametrize("bad", [0.0, -8.0, math.nan, math.inf])
+def test_fit_scaling_names_the_first_point_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match=re.escape(f"got (x, y) = (16.0, {bad!r})")):
+        fit_scaling([8, 16, 32, 64], [100, bad, 400, -1])
+
+
+def test_cli_fit_refuses_a_zero_n_star_in_one_line(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    path.write_text("d,n_star\n8,100\n16,0\n32,400\n64,800\n")
+    code = main(["fit", "--csv", str(path), "--slope-min", "0.5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: a scaling fit needs positive finite points, got (x, y) = (16.0, 0.0)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--mechanism", _RR, "--neighbors", '{"a": [1], "b": [0]}'],
+    ["norm", "--d", "2", "--k", "1", "--alpha", "0.1"],
+    ["reduce-check", "--n", "6"],
+], ids=["audit", "norm", "reduce-check"])
+def test_cli_check_runs_its_kind_once(argv, monkeypatch):
+    import panshuffle.cli as cli
+
+    kinds = []
+    run = cli._run_kind
+    monkeypatch.setattr(cli, "_run_kind", lambda spec: kinds.append(spec.kind) or run(spec))
+    assert main(argv) == 0
+    assert kinds == [{"reduce-check": "wrapper_gap"}.get(argv[0], argv[0])]
