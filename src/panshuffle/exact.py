@@ -3,8 +3,8 @@
 A law through a shuffle is a :class:`CountLaw`: distinct count vectors (one
 column per message of the alphabet) as mixed-radix int64 codes, and a float64
 probability vector. A chain of convolutions (a cohort, an audit's two
-cohorts, a power, the wrapper law) fixes one stride vector from its result's
-range before the first product; then each user's step adds codes and merges
+cohorts, the wrapper law) fixes one stride vector from its result's range
+before the first product; then each user's step adds codes and merges
 equal ones with one stable sort and ``np.bincount``, in a deterministic order
 with no hash dependence. Count vectors are decoded once, on demand.
 ``convolve_counts`` and ``exact_shuffle_counts`` return ``{counts_tuple:
@@ -30,9 +30,9 @@ step, states x outputs before a view matrix), and the error names the
 parameter to reduce.
 
 Audits compare the exact views of a mechanism on two neighboring inputs
-through the hockey-stick divergence, in both orderings, on aligned arrays. For
-online mechanisms the view is the joint (state at intrusion time, final output)
-and the reported curve takes the worst case over intrusion times.
+through the hockey-stick divergence, in both orderings, on aligned arrays: a
+randomizer's cohort message multiset, or an online mechanism's joint (state at
+intrusion time, final output), worst case over intrusion times.
 """
 
 from __future__ import annotations
@@ -154,14 +154,6 @@ class CountLaw:
             np.multiply.outer(self.probs, other.probs).ravel(),
         )
         return CountLaw(codes, probs, self.lo + other.lo, self.places)
-
-    def power(self, times: int) -> CountLaw:
-        """``times``-fold convolution with itself, one factor at a time."""
-        factor = self.within(_places(times * np.ptp(self.counts, axis=0) + 1, "count convolution"))
-        out = CountLaw.zero(factor.places)
-        for _ in range(times):
-            out = out.convolve(factor)
-        return out
 
     def __add__(self, other: CountLaw) -> CountLaw:
         """Mixture sum of two laws of one space: both laws' mass on the union of their supports."""
@@ -618,39 +610,30 @@ def audit_privacy(
     neighbors: tuple[Sequence, Sequence],
     eps_grid,
     intrusion_times: Iterable[int] | None = None,
-    view: str = "multiset",
 ) -> AuditCurve:
     """Exact privacy curve of a mechanism on one neighboring input pair.
 
-    For shuffled mechanisms the audited view is the message multiset
-    (``view="multiset"``) or the analyzer output (``view="output"``); for
-    online mechanisms it is the joint (state at t, final output), maximized
-    over ``intrusion_times`` (default: every time). Epsilons must be finite and >= 0.
-    An empty grid or time list, a time that is not an integer and an unknown
-    ``view`` raise ``ValueError`` before any propagation: none of them audits anything.
+    A :class:`Randomizer` is audited on the cohort's message multiset, a
+    :class:`PanPrivateAlgorithm` on the joint (state at t, final output), maximized
+    over ``intrusion_times`` (default: every time); a :class:`ShuffleProtocol`
+    raises ``TypeError``: audit its ``.randomizer``. Epsilons must be finite and >= 0.
+    An empty grid or time list and a time that is not an integer raise
+    ``ValueError`` before any propagation: none of them audits anything.
     """
     data_a, data_b = neighbors
     if len(data_a) != len(data_b):
         raise ValueError("neighboring inputs must have equal length")
-    if view not in ("multiset", "output"):
-        raise ValueError(f"view must be 'multiset' or 'output', got {view!r}")
     bad = [float(e) for e in eps_grid if not 0.0 <= e < math.inf]
     if bad or len(eps_grid) == 0:
         raise ValueError(f"eps_grid must hold finite non-negative epsilons, got {bad or []}")
-    if isinstance(mechanism, (ShuffleProtocol, Randomizer)):
-        randomizer = mechanism.randomizer if isinstance(mechanism, ShuffleProtocol) else mechanism
-        la, lb = _shuffle_law(randomizer, data_a, data_b)
-        if view != "output":
-            return _curve([_union(la, lb)[2:]], eps_grid)
-        if not isinstance(mechanism, ShuffleProtocol):
-            raise ValueError("output view needs a full protocol")
-        analyzer = mechanism.analyzer
-        return _curve([_aligned(la.push(analyzer), lb.push(analyzer))], eps_grid)
+    if isinstance(mechanism, Randomizer):
+        return _curve([_union(*_shuffle_law(mechanism, data_a, data_b))[2:]], eps_grid)
     if isinstance(mechanism, PanPrivateAlgorithm):
         times = range(1, len(data_a) + 1) if intrusion_times is None else intrusion_times
         views = _pan_views(mechanism, [data_a, data_b], times)
         return _curve((_view_pair(laws, tables) for _, _, laws, tables in views), eps_grid)
-    raise TypeError(f"cannot audit {type(mechanism).__name__}")
+    hint = "; audit its .randomizer" if isinstance(mechanism, ShuffleProtocol) else ""
+    raise TypeError(f"cannot audit {type(mechanism).__name__}{hint}")
 
 
 # ---------------------------------------------------------------------------

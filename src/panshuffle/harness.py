@@ -14,8 +14,8 @@ files into the output directory:
   ``processes`` that ran the kind, and wall time. The manifest is bookkeeping,
   not data: it is excluded from byte-identity claims.
 
-Before a kind runs, its spec's ``trials`` (at least 1), ``master_seed`` and
-``workers`` must be integers, and its params are read through the kind's table
+Before a kind runs, its spec's ``trials`` and ``workers`` (each at least 1) and
+``master_seed`` must be integers, and its params are read through the kind's table
 in :data:`EXPERIMENT_KINDS`: an unknown key, a missing or null required key,
 or a value of the wrong JSON type raises ``ValueError`` naming the spec and
 the key, as mechanism manifests and descriptors do.
@@ -39,6 +39,7 @@ CSV, here and in the CLI, goes through :func:`write_rows_csv`.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -56,6 +57,7 @@ from .baselines import (
     MODELS,
     PROBLEMS,
     ProblemInstance,
+    _certify,
     _check_search,
     _private_means,
     feature_matrix,
@@ -238,7 +240,7 @@ def _run_mean_error(spec: ExperimentSpec, **fields) -> _KindResult:
     inst.noise  # certifies the noise once, here, before any trial runs
     blocks = [range(i, min(i + _TRIAL_BLOCK, spec.trials))
               for i in range(0, spec.trials, _TRIAL_BLOCK)]
-    processes = min(max(1, spec.workers), len(blocks), _usable_cpus())
+    processes = min(spec.workers, len(blocks), _usable_cpus())
     found = _pmap(partial(_mean_error_block, spec, inst, true_means(inst)), blocks, processes)
     rows = [row for block in found for row in block]
     errs = np.array([r[1] for r in rows])
@@ -322,6 +324,8 @@ def _run_selection_sweep(spec: ExperimentSpec, dims: list[int], **search) -> _Ki
         raise ValueError(f"selection_sweep needs at least 4 dims for its scaling fit, got {dims}")
     _check_search(search["epsilon"], search["delta"], search["alpha"], search["target"],
                   dims=min(dims), pilot_trials=search["pilot_trials"])
+    # the model certifies its noise once, here: a budget it refuses starts no pool
+    _certify(search["model"], search["epsilon"], search["delta"], min(dims), 1)
     search |= {"confirm_trials": spec.trials, "master_seed": spec.master_seed,
                "tag": spec.experiment_id}
     distinct = list(dict.fromkeys(dims))
@@ -378,17 +382,20 @@ def _run_kind(spec: ExperimentSpec) -> _KindResult:
                          f"known: {sorted(EXPERIMENT_KINDS)}")
     site = f"{spec.kind} spec {spec.experiment_id!r}"
     _read_keys(site, {name: getattr(spec, name) for name in _SPEC_FIELDS}, _SPEC_FIELDS)
-    if spec.trials < 1:
-        raise ValueError(f"{site}: 'trials' must be at least 1, got {spec.trials!r}")
+    for name in ("trials", "workers"):
+        if getattr(spec, name) < 1:
+            raise ValueError(f"{site}: {name!r} must be at least 1, got {getattr(spec, name)!r}")
     run, keys = EXPERIMENT_KINDS[spec.kind]
     return run(spec, **_read_keys(site, spec.params, keys))
 
 
 def run_spec(spec: ExperimentSpec, out_dir) -> RunResult:
+    out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
     started = time.time()
     header, rows, summary, processes = _run_kind(spec)
     wall = time.time() - started
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{spec.experiment_id}.csv"
     write_rows_csv(csv_path, header, rows)

@@ -137,9 +137,8 @@ class ShuffleToPanWrapper:
 
     @cached_property
     def _pad_law(self) -> ex.CountLaw:
-        """Count law of n/3 reference messages: the preload, and again the output pad."""
-        width = len(self.protocol.randomizer.alphabet)
-        return ex.CountLaw.of(self._reference_kernel, width).power(self.stream_len)
+        """Count law of a cohort of n/3 reference users: the preload, and again the output pad."""
+        return ex._shuffle_law(self.protocol.randomizer, [self.reference] * self.stream_len)[0]
 
     def init_kernel(self) -> dict:
         preload = self._pad_law.as_dict()

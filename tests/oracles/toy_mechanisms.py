@@ -1,6 +1,7 @@
-"""Toy mechanisms used as test fixtures: a counting analyzer and a leaky online echo."""
+"""Toy mechanisms used as test fixtures: a counting analyzer, a fixed-kernel randomizer and a
+leaky online echo."""
 
-from panshuffle.mechanisms import Analyzer, PanPrivateAlgorithm
+from panshuffle.mechanisms import Analyzer, PanPrivateAlgorithm, Randomizer
 
 
 def one_count_analyzer() -> Analyzer:
@@ -9,6 +10,15 @@ def one_count_analyzer() -> Analyzer:
         fn=lambda counts: int(counts[1]),
         name="one-count",
     )
+
+
+def kernel_randomizer(kernel: dict, width: int) -> Randomizer:
+    """Every input's messages add a count vector drawn from ``kernel``; for exact laws only."""
+    def batch(xs, u):
+        raise NotImplementedError("kernel_randomizer has no sampler")
+
+    return Randomizer(alphabet=tuple(range(width)), kernel_fn=lambda x: kernel, batch_fn=batch,
+                      uniforms=0, name="kernel")
 
 
 def last_element_echo(name: str = "last-echo") -> PanPrivateAlgorithm:

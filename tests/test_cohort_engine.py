@@ -25,7 +25,7 @@ from panshuffle.metrics import hockey_stick
 from panshuffle.reductions import ShuffleToPanWrapper
 
 from oracles import cohort_oracle, count_oracle
-from oracles.toy_mechanisms import one_count_analyzer
+from oracles.toy_mechanisms import kernel_randomizer, one_count_analyzer
 
 ECHO3 = echo_randomizer((0, 1, 2))
 
@@ -66,8 +66,10 @@ def test_convolve_and_repeat_match_oracle():
     a = {(2, 0, 1): 0.25, (0, 3, 0): 0.5, (1, 1, 1): 0.25}
     b = {(1, 0, 0): 0.1, (0, 0, 1): 0.9}
     _assert_same_law(convolve_counts(a, b), cohort_oracle.convolve_counts(a, b))
-    _assert_same_law(CountLaw.of(a, 3).power(5).as_dict(), cohort_oracle.repeat_convolve(a, 5, 3))
-    _assert_same_law(CountLaw.of(b, 3).power(0).as_dict(), {(0, 0, 0): 1.0})
+    # a cohort of one repeated user is the kernel's repeated convolution
+    _assert_same_law(exact_shuffle_counts(kernel_randomizer(a, 3), [0] * 5),
+                     cohort_oracle.repeat_convolve(a, 5, 3))
+    _assert_same_law(exact_shuffle_counts(kernel_randomizer(b, 3), []), {(0, 0, 0): 1.0})
 
 
 def test_zero_probability_keys_are_kept():
@@ -229,13 +231,13 @@ def test_cohort_laws_are_bit_identical_to_per_step_strides(case):
     _same_dict(exact_shuffle_counts(randomizer, users), want.as_dict())
 
 
-def test_powers_and_pair_convolutions_are_bit_identical_to_per_step_strides():
+def test_repeated_users_and_pair_convolutions_are_bit_identical_to_per_step_strides():
     a = {(2, 0, 1): 0.25, (0, 3, 0): 0.5, (1, 1, 1): 0.25}
     b = {(1, 0, 0): 0.1, (0, 0, 1): 0.9}
     rr = {(1, 0): 0.77, (0, 1): 0.23}
     for dist, width, times in [(rr, 2, 240), (a, 3, 7), (b, 3, 0)]:
-        _same_bits(CountLaw.of(dist, width).power(times),
-                   count_oracle.CountLaw.of(dist, width).power(times))
+        [law] = exact_mod._shuffle_law(kernel_randomizer(dist, width), [0] * times)
+        _same_bits(law, count_oracle.CountLaw.of(dist, width).power(times))
     want = count_oracle.CountLaw.of(a, 3).convolve(count_oracle.CountLaw.of(b, 3))
     _same_dict(convolve_counts(a, b), want.as_dict())
 

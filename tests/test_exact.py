@@ -9,7 +9,6 @@ import pytest
 import panshuffle.exact as exact_mod
 from panshuffle.errors import GuardError
 from panshuffle.exact import (
-    CountLaw,
     audit_privacy,
     convolve_counts,
     exact_output_distribution,
@@ -38,7 +37,7 @@ from panshuffle.mechanisms import (
 from panshuffle.distributions import FiniteDistribution
 from panshuffle.rng import make_generator
 
-from oracles.toy_mechanisms import last_element_echo
+from oracles.toy_mechanisms import kernel_randomizer, last_element_echo
 from oracles.wrapper_oracle import count_pmf
 
 
@@ -54,7 +53,7 @@ def test_convolve_counts_adds_tuples():
 
 def test_repeat_convolve_matches_binomial():
     kernel = {(1, 0): 0.7, (0, 1): 0.3}
-    out = CountLaw.of(kernel, 2).power(6).as_dict()
+    out = exact_shuffle_counts(kernel_randomizer(kernel, 2), [0] * 6)
     for counts, p in out.items():
         k = counts[1]
         assert p == pytest.approx(math.comb(6, k) * 0.3**k * 0.7 ** (6 - k))
@@ -200,13 +199,11 @@ def test_audit_worst_direction_is_symmetric_for_rr():
     assert np.allclose(curve.delta_forward, curve.delta_backward)
 
 
-def test_audit_output_view_never_exceeds_multiset_view():
-    rz = binary_randomized_response(0.3)
-    proto = ShuffleProtocol(randomizer=rz, analyzer=threshold_analyzer(2), n=3)
-    grid = [0.0, 0.25, 0.5, 1.0]
-    multiset = audit_privacy(proto, ([1, 1, 0], [1, 0, 0]), grid, view="multiset")
-    output = audit_privacy(proto, ([1, 1, 0], [1, 0, 0]), grid, view="output")
-    assert np.all(output.delta_max <= multiset.delta_max + 1e-12)
+def test_audit_refuses_a_protocol_and_names_its_randomizer():
+    proto = ShuffleProtocol(randomizer=binary_randomized_response(0.3),
+                            analyzer=threshold_analyzer(2), n=3)
+    with pytest.raises(TypeError, match=r"cannot audit ShuffleProtocol; audit its \.randomizer"):
+        audit_privacy(proto, ([1, 1, 0], [1, 0, 0]), [0.0, 0.5])
 
 
 def test_audit_pan_maximizes_over_intrusions():
@@ -237,9 +234,8 @@ def test_audit_rejects_a_negative_or_non_finite_epsilon_before_propagating(bad, 
 @pytest.mark.parametrize("params, named", [
     ({"intrusion_times": []}, "no intrusion time to audit; None audits every time"),
     ({"intrusion_times": [1, 1.5]}, r"intrusion time 1.5 is not an integer in \[1, 3\]"),
-    ({"view": "outptu"}, "view must be 'multiset' or 'output', got 'outptu'"),
     ({"eps_grid": []}, r"eps_grid must hold finite non-negative epsilons, got \[\]"),
-], ids=["no-times", "fractional-time", "misspelt-view", "no-epsilons"])
+], ids=["no-times", "fractional-time", "no-epsilons"])
 def test_audit_refuses_to_audit_nothing_before_propagating(params, named, monkeypatch):
     # with no time audited the counter's curve read [0, 0]; over every time it is [0.215, 0.0004]
     def refuse(*args, **kwargs):
@@ -250,8 +246,7 @@ def test_audit_refuses_to_audit_nothing_before_propagating(params, named, monkey
     counter = quantized_laplace_counter(1.0, 1.0, step=0.25, span=8.0)
     mechs = [counter]
     if "intrusion_times" not in params:
-        mechs.append(ShuffleProtocol(randomizer=binary_randomized_response(0.2),
-                                     analyzer=threshold_analyzer(1), n=3))
+        mechs.append(binary_randomized_response(0.2))
     for mech in mechs:
         with pytest.raises(ValueError, match=named):
             audit_privacy(mech, ([1, 0, 1], [0, 0, 1]), **({"eps_grid": [0.5, 1.0]} | params))

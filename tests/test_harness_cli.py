@@ -162,14 +162,19 @@ def test_mean_error_certifies_its_noise_once_per_run(tmp_path, monkeypatch):
     assert len(calls) == one_calibration == 61
 
 
-def test_mean_error_refuses_shuffle_at_delta_zero_before_any_worker(tmp_path, monkeypatch):
+@pytest.mark.parametrize("spec", [
+    _shuffle_mean_spec(0.0, 2),
+    ExperimentSpec("selection_sweep", "shuffle-sweep",
+                   {"dims": [4, 8, 16, 32], "model": "shuffle", "delta": 0.0}),
+], ids=["mean-error", "selection-sweep"])
+def test_shuffle_at_delta_zero_is_refused_before_any_worker(spec, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a worker process started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match=r"^advanced composition needs delta in \(0, 1\)$"):
-        run_spec(_shuffle_mean_spec(0.0, 2), tmp_path / "out")
+        run_spec(spec, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -458,6 +463,8 @@ def test_distinguish_kind_runs_at_an_infinite_epsilon(tmp_path):
 
 @pytest.mark.parametrize("field, value, named", [
     ("trials", 0, "'trials' must be at least 1, got 0"),
+    ("workers", 0, "'workers' must be at least 1, got 0"),
+    ("workers", -3, "'workers' must be at least 1, got -3"),
     ("trials", "8", "'trials' must be an integer, got '8'"),
     ("workers", "2", "'workers' must be an integer, got '2'"),
     ("master_seed", "7", "'master_seed' must be an integer, got '7'"),
@@ -914,11 +921,15 @@ def test_cli_usage_errors_exit_one():
 ], ids=["sample-out", "audit-out", "norm-json-out", "sweep-out-is-a-file"])
 def test_cli_output_path_it_cannot_write_exits_one_in_one_line(argv, tmp_path, monkeypatch,
                                                                capsys):
+    searches = []
+    monkeypatch.setattr(harness, "find_selection_threshold",
+                        lambda **kw: searches.append(kw) or find_selection_threshold(**kw))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # a search would run in this process
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")
     code = main(argv)
     _, err = capsys.readouterr()
-    assert code == 1
+    assert (code, searches) == (1, [])
     assert err.startswith("error: [Errno ") and err.count("\n") == 1
     assert "absent/x." in err or "'taken'" in err, err
 
