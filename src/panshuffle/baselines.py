@@ -118,8 +118,7 @@ def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
             same[j, :n] = shifted[j, 1:] = np.convolve(rows[k, k::-1], rows[n - 1 - k, : n - k])
         p_law = (1.0 - flip_p) * same[: len(ks)] + flip_p * shifted[: len(ks)]
         q_law = flip_p * same[: len(ks)] + (1.0 - flip_p) * shifted[: len(ks)]
-        for a, b in ((p_law, q_law), (q_law, p_law)):
-            worst = max(worst, float(_hockey(a, b, [epsilon]).max()))
+        worst = max(worst, float(_hockey(p_law, q_law, [epsilon]).max()))
     return worst
 
 

@@ -15,14 +15,19 @@ states get integer indices in first-seen order, shared by every stream
 propagated together (two neighbors, or a reference and the family members), so
 arrays line up without depending on hash order. Step t's kernel is COO arrays
 (rows at t-1, cols at t, weights): one array sum for an update declared as
-state plus ``update_offset``, else enumerated from ``update_kernel``; the output
-kernel becomes a matrix O, from arrays alone for an output declared as state
-plus ``output_noise``. Forward laws come from ``np.bincount``; backward products
-``B_n = O``, ``B_{t-1} = T_t B_t`` give the output law given the time-t state,
-and the one-intrusion view at every t is ``law_t[:, None] * B_t``, built in row
-blocks. A step that is a partial map (a fixed element through a deterministic
-update) makes ``B_{t-1}`` a row gather of ``B_t``, kept as a row index. The
-public functions still return dictionaries.
+state plus ``update_offset``, else enumerated from ``update_kernel``. The
+output law of each final state is one dense table O, built on every call with
+no cache; for an output declared as state plus ``output_noise`` it is written
+in row blocks straight from the noise, with no kernel. Forward laws come from
+``np.bincount``; backward products ``B_n = O``, ``B_{t-1} = T_t B_t`` give the
+output law given the time-t state. A step that is a partial map (a fixed
+element through a deterministic update) makes ``B_{t-1}`` a row gather of
+``B_t``, kept as a row index. The one-intrusion view at every t is
+``law_t[:, None] * B_t``: an audit gathers and scales it in place, a block of
+rows at a time, and writes each time's two views, where either has mass, into
+one buffer sized for the widest time. An audit's working memory is that table,
+that buffer and block-sized scratch. The public functions still return
+dictionaries.
 
 Every enumeration is checked against ``MAX_PATHS`` before it starts (support
 x kernel size before a count convolution, states x input support before a
@@ -49,7 +54,7 @@ import numpy as np
 from .distributions import FiniteDistribution, index_to_vectors
 from .errors import GuardError
 from .mechanisms import Analyzer, PanPrivateAlgorithm, Randomizer, ShuffleProtocol
-from .metrics import _hockey, hockey_stick, mutual_information, tv_distance
+from .metrics import _check_eps, _hockey, hockey_stick, mutual_information, tv_distance
 
 MAX_PATHS = 10**7
 _VIEW_BLOCK = 1 << 16  # elements per row block of an audit's views: 512 kB, kept in cache
@@ -309,12 +314,6 @@ class _Kernel:
             out[self.rows[j]] += self.weights[j, None] * table[self.cols[j]]
         return out
 
-    def dense(self, shape: tuple[int, int]) -> np.ndarray:
-        """The kernel as a matrix; its (row, col) pairs must be distinct, as in an output kernel."""
-        out = np.zeros(shape)
-        out[self.rows, self.cols] = self.weights
-        return out
-
 
 def _guard(alg: PanPrivateAlgorithm, size: int, what: str) -> None:
     """Refuse an online enumeration of ``size`` paths before it starts, naming the knob."""
@@ -411,37 +410,58 @@ def _propagate(alg: PanPrivateAlgorithm, streams: Sequence, tails: Sequence = ()
     return states, laws, kernels
 
 
-def _outputs(alg: PanPrivateAlgorithm, states: list) -> tuple[list, _Kernel]:
-    """The outputs in index order and the output kernel from every state of ``states``.
+def _outputs(alg: PanPrivateAlgorithm, states: list, widest: int, what: str):
+    """The outputs in index order and the output table: row r is ``states[r]``'s output law.
 
-    The first state's kernel sizes the whole table, which is guarded before the
-    rest are built; ``_enumerate``'s running guard backs up that estimate.
+    The table is one dense ``(len(states) + 1) x outputs`` array whose last row
+    is zero. The first state's kernel sizes the kernel, which is guarded before
+    the rest are built (``_enumerate``'s running guard backs up that estimate);
+    ``widest`` states x the outputs are guarded, as ``what``, before the table
+    is allocated.
 
-    With ``output_noise`` no kernel dict is built: the codes ``state + offset``
-    are ranked by first position through a table over the code range, not a sort.
+    With ``output_noise`` no kernel is built: each code ``state + offset``
+    records its first position in a table over the code range, the distinct
+    codes are ranked by it, and each block of about ``_VIEW_BLOCK`` codes is
+    made twice, once to record it and once to write its weights into the table.
     """
     noise = alg.output_noise
     first = alg.output_kernel(states[0]) if noise is None else noise
     _guard(alg, len(states) * len(first),
            f"output kernel ({len(states)} states x {len(first)} outputs)")
+
+    def table(width: int) -> np.ndarray:
+        _guard(alg, widest * width, f"{what} ({widest} states x {width} outputs)")
+        return np.zeros((len(states) + 1, width))
+
     if noise is None:
         index: dict = {}
         rest = ((r, alg.output_kernel(states[r])) for r in range(1, len(states)))
         kernel = _enumerate(alg, chain([(0, first)], rest), index, "output kernel")
-        return list(index), kernel
+        out = table(len(index))
+        out[kernel.rows, kernel.cols] = kernel.weights  # one entry per (state, output)
+        return list(index), out
     lo = min(states) + min(noise)
     size = max(states) + max(noise) - lo + 1
     _guard(alg, size, f"output code range ({size} codes)")
-    offsets = np.fromiter(noise, dtype=np.int64, count=len(noise))
-    codes = (np.array(states, dtype=np.int64)[:, None] + offsets).ravel() - lo
-    position = np.arange(len(codes))
-    slot = np.full(size, len(codes))
-    np.minimum.at(slot, codes, position)  # each code's first position
-    fresh = codes[slot[codes] == position]
-    slot[fresh] = np.arange(len(fresh))  # each code's rank in first-seen order
-    w = np.tile(np.fromiter(noise.values(), dtype=np.float64, count=len(noise)), len(states))
-    keep = w > 0.0  # zero-weight outputs stay indexed, as in ``_enumerate``
-    return (fresh + lo).tolist(), _Kernel(position[keep] // len(noise), slot[codes[keep]], w[keep])
+    offsets = np.fromiter(noise, dtype=np.int64, count=len(noise)) - lo
+    weights = np.fromiter(noise.values(), dtype=np.float64, count=len(noise))
+    base = np.array(states, dtype=np.int64)
+    step = max(1, _VIEW_BLOCK // len(noise))
+    blocks = [(r, base[r:r + step, None]) for r in range(0, len(states), step)]
+    end = len(states) * len(noise)
+    slot = np.full(size, end)
+    for r, block in blocks:
+        codes = (block + offsets).ravel()
+        np.minimum.at(slot, codes, np.arange(r * len(noise), r * len(noise) + len(codes)))
+    seen = np.flatnonzero(slot < end)
+    fresh = seen[np.argsort(slot[seen])]  # the codes in first-seen order
+    slot[fresh] = np.arange(len(fresh))  # each code's rank in that order
+    out = table(len(fresh))
+    keep = weights > 0.0  # zero-weight outputs stay indexed, as in ``_enumerate``
+    live, w = offsets[keep], weights[keep]
+    for r, block in blocks:
+        out[r:r + len(block)][np.arange(len(block))[:, None], slot[block + live]] = w
+    return (fresh + lo).tolist(), out
 
 
 def _as_dict(keys: list, probs: np.ndarray) -> dict:
@@ -480,11 +500,9 @@ def _backward(alg: PanPrivateAlgorithm, states: list, kernels: Sequence, first: 
     law given the time-t state: ``B_n = O`` and ``B_{t-1} = T_t B_t``.
     """
     n = len(states) - 1
-    outputs, out_kernel = _outputs(alg, states[n])
     widest = max(len(s) for s in states[first:])
-    _guard(alg, widest * len(outputs), f"{what} ({widest} states x {len(outputs)} outputs)")
-    size = len(states[n])
-    tables = [_Table(out_kernel.dense((size + 1, len(outputs))), np.arange(size))] * len(kernels)
+    outputs, table = _outputs(alg, states[n], widest, what)
+    tables = [_Table(table, np.arange(len(states[n])))] * len(kernels)
     for t in range(n, first - 1, -1):
         yield t, outputs, tables
         if t > first:
@@ -492,11 +510,12 @@ def _backward(alg: PanPrivateAlgorithm, states: list, kernels: Sequence, first: 
 
 
 def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]):
-    """Yield ``(states_t, outputs, laws_t, tables)`` for each intrusion time t, latest first.
+    """Yield ``(states_t, outputs, laws_t, tables, rows)`` for each intrusion time t, latest first.
 
     Stream k's joint law of (state at t, final output) is the states x outputs
     array ``laws_t[k][:, None] * B_t``, with ``B_t = tables[k]`` from
-    :func:`_backward`: one backward pass serves every time.
+    :func:`_backward`: one backward pass serves every time. ``rows`` is the
+    most states at any of the times, so ``rows`` x outputs holds every view.
     """
     n = len(streams[0])
     wanted = set(times)
@@ -506,9 +525,10 @@ def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]
     if not wanted:
         raise ValueError("no intrusion time to audit; None audits every time")
     states, laws, kernels = _propagate(alg, streams)
+    rows = max(len(states[t]) for t in wanted)
     for t, outputs, tables in _backward(alg, states, kernels, min(wanted), "view"):
         if t in wanted:
-            yield states[t], outputs, [law[t] for law in laws], tables
+            yield states[t], outputs, [law[t] for law in laws], tables, rows
 
 
 def exact_pan_states(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
@@ -518,14 +538,20 @@ def exact_pan_states(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
 
 
 def exact_pan_output(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
+    """Final-output law: the state law times the output table, summed down the rows.
+
+    A running sum, row by row, adds each output's mass in state order; a
+    one-output table's ``sum`` would add pairwise instead.
+    """
     states, laws, _ = _propagate(alg, [stream])
-    outputs, out_kernel = _outputs(alg, states[-1])
-    return _as_dict(outputs, out_kernel.push(laws[0][-1], len(outputs)))
+    outputs, table = _outputs(alg, states[-1], len(states[-1]), "output table")
+    mass = laws[0][-1][:, None] * table[:-1]
+    return _as_dict(outputs, np.add.accumulate(mass, axis=0, out=mass)[-1])
 
 
 def exact_pan_view(alg: PanPrivateAlgorithm, stream: Sequence, t: int) -> dict:
     """Joint law of (state at time t, final output): {(state, output): prob}."""
-    states, outputs, (law,), (table,) = next(_pan_views(alg, [stream], [t]))
+    states, outputs, (law,), (table,), _ = next(_pan_views(alg, [stream], [t]))
     view = law[:, None] * table.dense()
     rows, cols = np.nonzero(view)
     return {
@@ -581,28 +607,37 @@ class AuditCurve:
 def _curve(pairs: Iterable[tuple[np.ndarray, np.ndarray]], eps_grid) -> AuditCurve:
     """Worst hockey-stick divergence over aligned view pairs, in both orderings."""
     eps = np.asarray(eps_grid, dtype=np.float64)
-    fwd = np.zeros_like(eps)
-    bwd = np.zeros_like(eps)
+    worst = np.zeros((2, len(eps)))
     for a, b in pairs:
-        fwd = np.maximum(fwd, _hockey(a, b, eps))
-        bwd = np.maximum(bwd, _hockey(b, a, eps))
-    return AuditCurve(epsilons=eps, delta_forward=fwd, delta_backward=bwd)
+        np.maximum(worst, _hockey(a, b, eps), out=worst)
+    return AuditCurve(epsilons=eps, delta_forward=worst[0], delta_backward=worst[1])
 
 
-def _view_pair(laws: Sequence[np.ndarray], tables: Sequence[_Table]):
-    """Two streams' views ``law[:, None] * B`` where either has mass, a block of rows at a time."""
-    width = tables[0].base.shape[1]
-    pair = np.empty((2, len(laws[0]) * width))
-    step = max(1, _VIEW_BLOCK // max(1, width))
-    end = 0
-    for lo in range(0, len(laws[0]), step):
-        va, vb = (law[lo:lo + step, None] * b.dense(lo, lo + step) for law, b in zip(laws, tables))
-        keep = (va > 0.0) | (vb > 0.0)
-        kept = np.count_nonzero(keep)
-        pair[0, end:end + kept] = va[keep]
-        pair[1, end:end + kept] = vb[keep]
-        end += kept
-    return pair[0, :end], pair[1, :end]
+def _view_pairs(views: Iterable):
+    """Each time's two views ``law[:, None] * B`` where either has mass, in one reused buffer.
+
+    The buffer is sized by the first item's ``rows`` (see :func:`_pan_views`),
+    and each block of rows is gathered into one scratch pair and scaled there
+    in place, so a pair yielded is overwritten when the next one is drawn.
+    """
+    pair = scratch = None
+    for _, outputs, laws, tables, rows in views:
+        width = len(outputs)
+        step = max(1, _VIEW_BLOCK // max(1, width))
+        if pair is None:
+            pair, scratch = np.empty((2, rows * width)), np.empty((2, min(step, rows), width))
+        end = 0
+        for lo in range(0, len(laws[0]), step):
+            va, vb = scratch[:, :min(step, len(laws[0]) - lo)]
+            for view, law, table in zip((va, vb), laws, tables):
+                table.base.take(table.index[lo:lo + step], axis=0, out=view)
+                view *= law[lo:lo + step, None]
+            keep = (va > 0.0) | (vb > 0.0)
+            kept = np.count_nonzero(keep)
+            pair[0, end:end + kept] = va[keep]
+            pair[1, end:end + kept] = vb[keep]
+            end += kept
+        yield pair[0, :end], pair[1, :end]
 
 
 def audit_privacy(
@@ -616,7 +651,8 @@ def audit_privacy(
     A :class:`Randomizer` is audited on the cohort's message multiset, a
     :class:`PanPrivateAlgorithm` on the joint (state at t, final output), maximized
     over ``intrusion_times`` (default: every time); a :class:`ShuffleProtocol`
-    raises ``TypeError``: audit its ``.randomizer``. Epsilons must be finite and >= 0.
+    raises ``TypeError``: audit its ``.randomizer``. Epsilons must be finite and >= 0,
+    and at most ``log`` of the largest float64 (about 709.78), where e^eps overflows.
     An empty grid or time list and a time that is not an integer raise
     ``ValueError`` before any propagation: none of them audits anything.
     """
@@ -626,12 +662,12 @@ def audit_privacy(
     bad = [float(e) for e in eps_grid if not 0.0 <= e < math.inf]
     if bad or len(eps_grid) == 0:
         raise ValueError(f"eps_grid must hold finite non-negative epsilons, got {bad or []}")
+    _check_eps(eps_grid)
     if isinstance(mechanism, Randomizer):
         return _curve([_union(*_shuffle_law(mechanism, data_a, data_b))[2:]], eps_grid)
     if isinstance(mechanism, PanPrivateAlgorithm):
         times = range(1, len(data_a) + 1) if intrusion_times is None else intrusion_times
-        views = _pan_views(mechanism, [data_a, data_b], times)
-        return _curve((_view_pair(laws, tables) for _, _, laws, tables in views), eps_grid)
+        return _curve(_view_pairs(_pan_views(mechanism, [data_a, data_b], times)), eps_grid)
     hint = "; audit its .randomizer" if isinstance(mechanism, ShuffleProtocol) else ""
     raise TypeError(f"cannot audit {type(mechanism).__name__}{hint}")
 

@@ -173,9 +173,6 @@ def _pmap(fn, items: list, workers: int, order: list | None = None) -> list:
         return [fn(i) for i in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    # Load scipy's ndtri before the pool forks its workers, so each inherits it
-    # instead of importing scipy on its first Gaussian draw.
-    _ndtri()
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         futures = {i: pool.submit(fn, i) for i in (items if order is None else order)}
@@ -237,7 +234,8 @@ def _run_mean_error(spec: ExperimentSpec, **fields) -> _KindResult:
     """Trials in blocks of eight, over at most ``workers`` processes, one per block and CPU."""
     inst = ProblemInstance(**fields)
     inst.member  # reads the truth descriptor before any trial runs
-    inst.noise  # certifies the noise once, here, before any trial runs
+    if inst.noise[0] == "gaussian":  # certifies the noise once, here, before any trial runs
+        _ndtri()  # scipy's ndtri, loaded before a pool forks, so no worker imports it
     blocks = [range(i, min(i + _TRIAL_BLOCK, spec.trials))
               for i in range(0, spec.trials, _TRIAL_BLOCK)]
     processes = min(spec.workers, len(blocks), _usable_cpus())
@@ -325,7 +323,9 @@ def _run_selection_sweep(spec: ExperimentSpec, dims: list[int], **search) -> _Ki
     _check_search(search["epsilon"], search["delta"], search["alpha"], search["target"],
                   dims=min(dims), pilot_trials=search["pilot_trials"])
     # the model certifies its noise once, here: a budget it refuses starts no pool
-    _certify(search["model"], search["epsilon"], search["delta"], min(dims), 1)
+    kind, _, _ = _certify(search["model"], search["epsilon"], search["delta"], min(dims), 1)
+    if kind == "gaussian":
+        _ndtri()  # scipy's ndtri, loaded before a pool forks, so no worker imports it
     search |= {"confirm_trials": spec.trials, "master_seed": spec.master_seed,
                "tag": spec.experiment_id}
     distinct = list(dict.fromkeys(dims))
@@ -393,6 +393,9 @@ def run_spec(spec: ExperimentSpec, out_dir) -> RunResult:
     out = Path(out_dir)
     if out.exists() and not out.is_dir():
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+    above = next((p for p in out.parents if p.exists()), None)  # the nearest existing ancestor
+    if above is not None and not above.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
     started = time.time()
     header, rows, summary, processes = _run_kind(spec)
     wall = time.time() - started

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -19,7 +20,8 @@ from .distributions import FiniteDistribution, binom_sum, parity_values
 from .errors import GuardError
 
 NORM_MAX_DOMAIN = 16
-_BLOCK = 1 << 21  # float64 elements in one hockey-stick temporary
+_BLOCK = 1 << 21  # float64 elements in the one hockey-stick temporary, shared by both directions
+_EPS_MAX = math.log(sys.float_info.max)  # the largest epsilon whose e^eps is a finite float64
 # float64 gaps (members x test functions) per block of the norm enumeration, which
 # sums each half-cube test's gaps by +-1 adds in point order, without BLAS
 _NORM_CHUNK = 1 << 16
@@ -71,27 +73,46 @@ def mutual_information(joint) -> float:
 
 
 def hockey_stick(p, q, eps: float) -> float:
-    """The eps-divergence sum_x max(p(x) - e^eps q(x), 0); equals TV at eps=0."""
+    """The eps-divergence sum_x max(p(x) - e^eps q(x), 0); equals TV at eps=0.
+
+    An eps whose e^eps overflows float64 (above about 709.78) raises ``ValueError``.
+    """
     a, b = _vec(p), _vec(q)
     if a.shape != b.shape:
         raise ValueError(f"domain mismatch: {a.shape} vs {b.shape}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    return float(_hockey(a, b, [eps])[0])
+    return float(_hockey(a, b, [eps])[0, 0])
+
+
+def _check_eps(eps) -> None:
+    """Refuse an epsilon whose e^eps overflows float64, naming the largest one accepted."""
+    big = [float(e) for e in eps if e > _EPS_MAX]
+    if big:
+        raise ValueError(f"e^eps overflows float64 at eps = {big[0]!r}; "
+                         f"the largest eps accepted is {_EPS_MAX!r}")
 
 
 def _hockey(a: np.ndarray, b: np.ndarray, eps) -> np.ndarray:
-    """``sum(max(a - e^eps b, 0))`` over the last axis, one value per grid point.
+    """``sum(max(a - e^eps b, 0))`` and ``sum(max(b - e^eps a, 0))`` over the last axis.
 
-    ``a`` and ``b`` of shape ``(..., m)`` give shape ``(..., len(eps))``.
+    ``a`` and ``b`` of shape ``(..., m)`` give shape ``(2, ..., len(eps))``: the
+    forward values, then the backward ones. Grid points go in blocks of at most
+    ``_BLOCK`` gaps, each computed in place in one temporary that both
+    directions share.
     """
+    _check_eps(eps)
     scales = np.array([math.exp(e) for e in eps], dtype=np.float64)
     a, b = a[..., None, :], b[..., None, :]
-    out = np.empty(a.shape[:-2] + (len(scales),))
+    out = np.empty((2,) + a.shape[:-2] + (len(scales),))
     per = max(1, _BLOCK // max(1, a.size))
+    scratch = np.empty(a.size * min(per, len(scales)))
     for lo in range(0, len(scales), per):
-        gap = a - scales[lo:lo + per, None] * b
-        out[..., lo:lo + per] = np.clip(gap, 0.0, None).sum(axis=-1)
+        s = scales[lo:lo + per, None]
+        gap = scratch[:a.size * len(s)].reshape(a.shape[:-2] + (len(s), a.shape[-1]))
+        for direction, (x, y) in enumerate(((a, b), (b, a))):
+            np.subtract(x, np.multiply(s, y, out=gap), out=gap)
+            out[direction, ..., lo:lo + per] = np.clip(gap, 0.0, None, out=gap).sum(axis=-1)
     return out
 
 

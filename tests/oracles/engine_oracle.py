@@ -4,10 +4,11 @@
 every update kernel by the input probability in a dict comprehension (also for
 an algorithm with ``update_offset``, through its derived kernel), ``outputs``
 enumerates every state's ``output_kernel`` dict (also for an algorithm with
-``output_noise``), ``pull`` adds every layer into zeros and ``dense`` scatters
-with ``np.add.at``. The engine in ``panshuffle.exact`` builds the same arrays
-in bulk; tests install these in its place and require every index order,
-kernel array, law, backward table and audit value to be bit-identical.
+``output_noise``) and scatters them into its dense output table with
+``np.add.at``, and ``pull`` adds every layer into zeros. The engine in
+``panshuffle.exact`` builds the same arrays in bulk; tests install these in
+its place and require every index order, kernel array, output table, law,
+backward table and audit value to be bit-identical.
 
 ``audit_curve`` is the audit path as it was before backward tables were kept
 as row indices: every ``B_t`` a dense array pulled through every step, every
@@ -51,14 +52,26 @@ def step(alg, i: int, x, states: list, rows, index: dict):
     return enumerate_kernel(alg, sources, index, f"step {i} transitions")
 
 
-def outputs(alg, states: list):
+def outputs(alg, states: list, widest: int, what: str):
     first = alg.output_kernel(states[0])
     exact._guard(alg, len(states) * len(first),
                  f"output kernel ({len(states)} states x {len(first)} outputs)")
     index: dict = {}
     rest = ((r, alg.output_kernel(states[r])) for r in range(1, len(states)))
     kernel = enumerate_kernel(alg, chain([(0, first)], rest), index, "output kernel")
-    return list(index), kernel
+    exact._guard(alg, widest * len(index), f"{what} ({widest} states x {len(index)} outputs)")
+    table = np.zeros((len(states) + 1, len(index)))
+    np.add.at(table, (kernel.rows, kernel.cols), kernel.weights)
+    return list(index), table
+
+
+def output_law(alg, stream) -> dict:
+    """The final-output law as the push of the output kernel's entries, in entry order."""
+    states, laws, _ = exact._propagate(alg, [stream])
+    index: dict = {}
+    sources = ((r, alg.output_kernel(s)) for r, s in enumerate(states[-1]))
+    kernel = enumerate_kernel(alg, sources, index, "output kernel")
+    return exact._as_dict(list(index), kernel.push(laws[0][-1], len(index)))
 
 
 def pull(kernel, table: np.ndarray, size: int) -> np.ndarray:
@@ -72,26 +85,20 @@ def pull(kernel, table: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def dense(kernel, shape: tuple[int, int]) -> np.ndarray:
-    out = np.zeros(shape)
-    np.add.at(out, (kernel.rows, kernel.cols), kernel.weights)
-    return out
-
-
 def install(monkeypatch) -> None:
     """Put these builders in place of the engine's for the rest of a test."""
     monkeypatch.setattr(exact, "_enumerate", enumerate_kernel)
     monkeypatch.setattr(exact, "_step", step)
     monkeypatch.setattr(exact, "_outputs", outputs)
     monkeypatch.setattr(exact._Kernel, "pull", pull)
-    monkeypatch.setattr(exact._Kernel, "dense", dense)
 
 
 def backward_tables(alg, states: list, kernels, first: int):
     """Yield ``(t, outputs, tables)`` as dense arrays: ``B_n = O``, ``B_{t-1} = T_t B_t``."""
     n = len(states) - 1
-    outputs, out_kernel = exact._outputs(alg, states[n])
-    tables = [out_kernel.dense((len(states[n]), len(outputs)))] * len(kernels)
+    widest = max(len(s) for s in states[first:])
+    outputs, table = exact._outputs(alg, states[n], widest, "tables")
+    tables = [table[:-1]] * len(kernels)
     for t in range(n, first - 1, -1):
         yield t, outputs, tables
         if t > first:

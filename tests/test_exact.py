@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +230,27 @@ def test_audit_rejects_a_negative_or_non_finite_epsilon_before_propagating(bad, 
         with pytest.raises(ValueError, match="finite non-negative epsilons") as err:
             audit_privacy(mech, ([1], [0]), [0.5, bad])
         assert str(err.value).endswith(f"got [{bad!r}]")
+
+
+@pytest.mark.parametrize("big", [math.nextafter(math.log(sys.float_info.max), math.inf), 710.0])
+def test_audit_refuses_an_epsilon_whose_exponential_overflows_before_propagating(big,
+                                                                                 monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law was propagated")
+
+    largest = math.log(sys.float_info.max)
+    monkeypatch.setattr(exact_mod, "_shuffle_law", refuse)
+    monkeypatch.setattr(exact_mod, "_propagate", refuse)
+    for mech in (binary_randomized_response(0.2), noisy_parity_chain(0.2)):
+        with pytest.raises(ValueError, match=f"the largest eps accepted is {largest!r}$"):
+            audit_privacy(mech, ([1], [0]), [0.5, big])
+
+
+def test_audit_accepts_the_largest_epsilon_whose_exponential_is_finite():
+    largest = math.log(sys.float_info.max)
+    for mech in (binary_randomized_response(0.2), noisy_parity_chain(0.2)):
+        curve = audit_privacy(mech, ([1], [0]), [0.0, largest])
+        assert curve.delta_max[1] == 0.0 < curve.delta_max[0]
 
 
 @pytest.mark.parametrize("params, named", [

@@ -6,7 +6,10 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,14 +70,14 @@ def test_run_spec_rejects_unknown_kind(tmp_path):
         run_spec(ExperimentSpec(kind="nope", experiment_id="x"), tmp_path)
 
 
-def _mean_error_spec(workers: int) -> ExperimentSpec:
+def _mean_error_spec(workers: int, model: str = "central") -> ExperimentSpec:
     member = ParametricHardDistribution(d=3, index=ParityIndex((1,), 1), alpha=0.2)
     return ExperimentSpec(
         kind="mean_error",
         experiment_id="unit-mean-error",
         params={
             "problem": "sparse-mean",
-            "model": "central",
+            "model": model,
             "d": 3,
             "alpha": 0.2,
             "n": 40,
@@ -107,6 +110,56 @@ def test_mean_error_kind_and_worker_invariance(tmp_path, monkeypatch):
     pooled = json.loads(res8.manifest_path.read_text())
     assert (pooled["workers"], pooled["processes"]) == (8, 2)
     assert multiprocessing.active_children() == []
+
+
+# Runs a mean_error spec at two workers over a real two-process pool and prints,
+# as JSON, this process's pid, the pid of every process that imported
+# scipy.special (a forked worker inherits the finder that records them), the
+# scipy modules loaded in this process, and the CSV.
+_SCIPY_PROBE = """
+import json, os, sys
+from pathlib import Path
+
+log = []
+
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special":
+            with open(sys.argv[2], "a") as fh:
+                fh.write(f"{os.getpid()}\\n")
+
+
+sys.meta_path.insert(0, Spy())
+from panshuffle import harness
+
+harness._usable_cpus = lambda: 2
+spec = harness.ExperimentSpec(**json.loads(sys.argv[1]))
+csv = harness.run_spec(spec, Path(sys.argv[2]).parent / "out").csv_path.read_text()
+print(json.dumps({"pid": os.getpid(), "imports": Path(sys.argv[2]).read_text().split(),
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "csv": csv}))
+"""
+
+
+@pytest.mark.parametrize("model", ["central", "pan"])
+def test_pooled_mean_error_loads_scipy_only_for_gaussian_noise_and_only_in_the_parent(
+        model, tmp_path):
+    spec = dataclasses.replace(_mean_error_spec(2, model), trials=16)  # two blocks of eight
+    log = tmp_path / "imports.log"
+    log.write_text("")
+    src = str(Path(harness.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(dataclasses.asdict(spec)),
+                           str(log)], env=env, capture_output=True, text=True, check=True)
+    probe = json.loads(done.stdout)
+    if model == "central":  # Laplace noise: no process loads any scipy module
+        assert (probe["imports"], probe["loaded"]) == ([], [])
+    else:  # Gaussian noise: scipy.special once, in the parent, before the pool forks
+        assert probe["imports"] == [str(probe["pid"])]
+        assert "scipy.special" in probe["loaded"]
+    serial = run_spec(dataclasses.replace(spec, workers=1), tmp_path / "serial")
+    assert probe["csv"] == serial.csv_path.read_text()
 
 
 def test_mean_error_runs_in_process_when_one_block_or_one_cpu(tmp_path, monkeypatch):
@@ -726,6 +779,25 @@ def test_cli_audit_rejects_a_bad_value_in_one_line(mechanism, neighbors, named, 
     assert all(part in err for part in named), err
 
 
+@pytest.mark.parametrize("mechanism", ['{"type": "binary_rr", "flip_p": 0.2}',
+                                       '{"type": "noisy_parity", "flip_p": 0.2}'],
+                         ids=["randomizer", "online"])
+def test_cli_audit_refuses_an_overflowing_epsilon_in_one_line(mechanism, monkeypatch, capsys):
+    from panshuffle import exact
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law was propagated")
+
+    monkeypatch.setattr(exact, "_shuffle_law", refuse)
+    monkeypatch.setattr(exact, "_propagate", refuse)
+    code = main(["audit", "--mechanism", mechanism, "--neighbors", '{"a": [1], "b": [0]}',
+                 "--eps", "0.5,800"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("error: e^eps overflows float64 at eps = 800.0; "
+                   f"the largest eps accepted is {math.log(sys.float_info.max)!r}\n")
+
+
 _RR = '{"type": "binary_rr", "flip_p": 0.2}'
 _MEMBER = '{"family": "plain", "d": 3, "k": 1, "ell": [1], "b": 1, "alpha": 0.2}'
 
@@ -932,6 +1004,24 @@ def test_cli_output_path_it_cannot_write_exits_one_in_one_line(argv, tmp_path, m
     assert (code, searches) == (1, [])
     assert err.startswith("error: [Errno ") and err.count("\n") == 1
     assert "absent/x." in err or "'taken'" in err, err
+
+
+def test_run_spec_refuses_a_path_under_a_file_before_the_kind(tmp_path, monkeypatch):
+    calls = []
+    norm = harness.infty_to_2_norm_bruteforce
+    monkeypatch.setattr(harness, "infty_to_2_norm_bruteforce",
+                        lambda *a, **kw: calls.append(1) or norm(*a, **kw))
+    (tmp_path / "taken").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    spec = ExperimentSpec("norm", "under-a-file", {"d": 2, "k": 1, "alpha": 0.1})
+    for out in ("taken/sub", "taken/sub/deeper"):
+        with pytest.raises(NotADirectoryError) as err:
+            run_spec(spec, tmp_path / out)
+        assert str(err.value) == f"[Errno 20] Not a directory: '{tmp_path / out}'"
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+    run_spec(spec, tmp_path / "free" / "sub")  # a missing ancestor under a directory is made
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("bad", [0.0, -8.0, math.nan, math.inf])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from panshuffle.distributions import (
     fourier_spectrum,
     parity_values,
 )
+import panshuffle.metrics as metrics_mod
 from panshuffle.errors import GuardError
 from panshuffle.metrics import (
     _hockey,
@@ -86,17 +88,46 @@ def test_hockey_stick_binary():
     assert hockey_stick(p, q, 10.0) == 0.0
 
 
-def test_hockey_rows_match_one_row_at_a_time():
+# _BLOCK values: every grid point in one block, two then one (a short last
+# block), and one grid point a block
+@pytest.mark.parametrize("block", [1 << 21, 216, 1])
+def test_hockey_rows_match_one_row_at_a_time(block, monkeypatch):
+    monkeypatch.setattr(metrics_mod, "_BLOCK", block)
     rng = np.random.default_rng(5)
     a, b = rng.random((4, 3, 9)), rng.random((4, 3, 9))
     eps = [0.0, 0.25, 1.0]
-    rows = _hockey(a, b, eps)
-    assert rows.shape == (4, 3, 3)
+    fwd, bwd = _hockey(a, b, eps)
+    assert fwd.shape == bwd.shape == (4, 3, 3)
     for i in range(4):
         for j in range(3):
-            assert np.array_equal(rows[i, j], _hockey(a[i, j], b[i, j], eps))
-            want = [np.clip(a[i, j] - math.exp(e) * b[i, j], 0.0, None).sum() for e in eps]
-            assert np.array_equal(rows[i, j], want)
+            assert np.array_equal(np.stack([fwd[i, j], bwd[i, j]]),
+                                  _hockey(a[i, j], b[i, j], eps))
+            for got, x, y in ((fwd, a, b), (bwd, b, a)):
+                want = [np.clip(x[i, j] - math.exp(e) * y[i, j], 0.0, None).sum() for e in eps]
+                assert np.array_equal(got[i, j], want)
+
+
+def test_hockey_in_place_is_the_clipped_sum_on_a_long_pair():
+    # long enough that numpy's pairwise sum recurses: the in-place temporary
+    # must sum exactly as a fresh clipped array does, in both directions
+    rng = np.random.default_rng(11)
+    a, b = rng.random(300_007), rng.random(300_007)
+    a[::7] = 0.0
+    eps = [0.0, 0.1, 0.7, 3.0]
+    got = _hockey(a, b, eps)
+    for row, (x, y) in zip(got, ((a, b), (b, a))):
+        want = [np.clip(x - math.exp(e) * y, 0.0, None).sum() for e in eps]
+        assert row.tobytes() == np.array(want).tobytes()
+
+
+def test_hockey_refuses_an_epsilon_whose_exponential_overflows():
+    p, q = np.array([0.8, 0.2]), np.array([0.5, 0.5])
+    largest = math.log(sys.float_info.max)
+    assert math.isfinite(math.exp(largest))
+    assert hockey_stick(p, q, largest) == 0.0
+    for eps in (math.nextafter(largest, math.inf), 710.0, 800.0):
+        with pytest.raises(ValueError, match=f"the largest eps accepted is {largest!r}"):
+            hockey_stick(p, q, eps)
 
 
 @given(simplex, simplex)

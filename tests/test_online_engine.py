@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +106,10 @@ def test_empty_intrusion_times_are_refused_by_engine_and_oracle():
 def _engine_bytes(alg, streams, tails=()) -> list:
     """Every index order and array the engine builds for these streams, as bytes or reprs."""
     states, laws, kernels = exact_mod._propagate(alg, streams, tails)
-    outputs, out_kernel = exact_mod._outputs(alg, states[-1])
-    parts = [repr(states), repr(outputs)]
+    outputs, table = exact_mod._outputs(alg, states[-1], len(states[-1]), "tables")
+    parts = [repr(states), repr(outputs), table.tobytes()]
     parts += [law.tobytes() for stream_laws in laws for law in stream_laws]
-    for kern in [out_kernel, *(k for kerns in kernels for k in kerns)]:
+    for kern in (k for kerns in kernels for k in kerns):
         parts += [kern.rows.tobytes(), kern.cols.tobytes(), kern.weights.tobytes()]
     for _, _, tables in exact_mod._backward(alg, states, kernels, 0, "tables"):
         parts += [table.dense().tobytes() for table in tables]
@@ -170,6 +171,64 @@ def test_indexed_tables_and_blocked_views_match_the_dense_path(case):
     if case == "dead-rows":
         kern = kernels[0][1]
         assert kern.is_map and len(kern.rows) < len(states[1])
+
+
+def _width(alg, pair) -> int:
+    states, _, _ = exact_mod._propagate(alg, list(pair))
+    return len(exact_mod._outputs(alg, states[-1], len(states[-1]), "outputs")[0])
+
+
+@pytest.mark.parametrize("block", ["one", "width-1"])
+@pytest.mark.parametrize("case", sorted(DENSE_PATH))
+def test_view_and_table_blocks_of_any_size_match_the_dense_path(case, block, monkeypatch):
+    # one row a block, and blocks one element short of a row, both for the
+    # output table's codes and for the views; "last-echo" has more states at
+    # time 2 than at the latest time, which the one view buffer must hold
+    alg, pair, times = DENSE_PATH[case]
+    width = _width(alg, pair)
+    monkeypatch.setattr(exact_mod, "_VIEW_BLOCK", 1 if block == "one" else width - 1)
+    curve = audit_privacy(alg, pair, GRID, intrusion_times=times)
+    want = engine_oracle.audit_curve(alg, pair, GRID, intrusion_times=times)
+    assert curve.delta_forward.tobytes() == want.delta_forward.tobytes()
+    assert curve.delta_backward.tobytes() == want.delta_backward.tobytes()
+    states, _, _ = exact_mod._propagate(alg, list(pair))
+    got = exact_mod._outputs(alg, states[-1], len(states[-1]), "outputs")
+    oracle = engine_oracle.outputs(alg, states[-1], len(states[-1]), "outputs")
+    assert got[0] == oracle[0]
+    assert got[1].tobytes() == oracle[1].tobytes()
+    if case == "last-echo":
+        assert max(len(s) for s in states[1:]) > len(states[-1])
+
+
+ONE_OUTPUT = PanPrivateAlgorithm(
+    name="one-output", init_kernel={s: (s + 1) / 210.0 for s in range(20)},
+    update_kernel=lambda i, x, s: {(s + x) % 20: 0.7, (s + 3) % 20: 0.3},
+    output_kernel=lambda s: {"done": 1.0})
+
+
+@pytest.mark.parametrize("case", [*sorted(DENSE_PATH), "one-output"])
+def test_output_law_is_the_output_kernels_push_bit_for_bit(case):
+    # a one-column table summed pairwise would move the last bits of this law
+    alg, pair, _ = DENSE_PATH.get(case) or (ONE_OUTPUT, ([1, 0, 1, 1], [0, 1, 1, 0]), None)
+    for stream in pair:
+        got, want = exact_pan_output(alg, stream), engine_oracle.output_law(alg, stream)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+
+def test_criterion07_audit_holds_one_table_and_one_view_buffer():
+    # a 787 x 1,553 output table (9.8 MB) and a 2 x 786 x 1,553 view buffer
+    # (19.5 MB) at most, with block-sized scratch; a fresh view pair per time
+    # and three full-size hockey-stick temporaries peaked at 66 MB
+    alg, pair, _ = DENSE_PATH["criterion-07"]
+    tracemalloc.start()
+    try:
+        curve = audit_privacy(alg, pair, [1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curve.delta_max[0] > 0.0
+    assert peak <= 40e6, peak
 
 
 def test_update_offset_engine_is_bit_identical_to_its_dict_kernel():
