@@ -79,6 +79,19 @@ def _binomial_rows(m: int, q: float) -> np.ndarray:
     return rows
 
 
+def _binomial_row(m: int, q: float) -> np.ndarray:
+    """Row m of :func:`_binomial_rows`, the Bin(m, q) pmf, by its recurrence in one buffer.
+
+    Each step sums the same two products as the table, so every entry keeps its bits.
+    """
+    row = np.zeros(m + 1)
+    row[0] = 1.0
+    for j in range(m):
+        row[1 : j + 2] = q * row[: j + 1] + (1.0 - q) * row[1 : j + 2]
+        row[0] *= 1.0 - q
+    return row
+
+
 def rr_count_pmf(n_ones: int, n_zeros: int, flip_p: float) -> np.ndarray:
     """Law of the 1-count after per-user flips: Bin(n1, 1-p) + Bin(n0, p).
 

@@ -8,7 +8,12 @@ before the first product; then each user's step adds codes and merges
 equal ones with one stable sort and ``np.bincount``, in a deterministic order
 with no hash dependence. Count vectors are decoded once, on demand.
 ``convolve_counts`` and ``exact_shuffle_counts`` return ``{counts_tuple:
-prob}`` dicts built from it.
+prob}`` dicts built from it. A chain of two-symbol kernels whose count
+vectors all hold one message total (every one-message randomizer) runs
+instead on a :class:`_Line`, a dense array over the second symbol's count,
+where a user's step is one shifted add per kernel entry and no sort; the
+adds run in the merge's order, so every probability keeps its bits, and the
+line becomes a ``CountLaw`` at the chain's end. ``_chain`` makes that choice.
 
 Online algorithms run on an indexed array engine. At each time t the reachable
 states get integer indices in first-seen order, shared by every stream
@@ -107,7 +112,9 @@ class CountLaw:
     before its first product, so a sum's code is the sum of the codes, and
     merges equal codes with one stable sort and ``np.bincount``: rows come out
     in code order and sums run in pair order, never in hash order. Counts are
-    decoded once, when read. One representation serves every alphabet width.
+    decoded once, when read. One representation serves every alphabet width;
+    a two-symbol chain of one message total runs on a :class:`_Line` and
+    ends as this law, with the same codes, order and bytes.
     """
 
     codes: np.ndarray
@@ -168,9 +175,90 @@ class CountLaw:
     def as_dict(self) -> dict:
         return dict(zip(map(tuple, self.counts.tolist()), self.probs.tolist()))
 
+    def settled(self) -> CountLaw:
+        """This law: a chain on count codes ends as it runs."""
+        return self
+
     def push(self, analyzer: Analyzer, offset: np.ndarray | int = 0) -> dict:
         """Analyzer-output law of the counts plus ``offset``; the analyzer runs once per row."""
         return _push(zip(self.counts + offset, self.probs.tolist()), analyzer)
+
+
+@dataclass(frozen=True)
+class _Line:
+    """A two-symbol law whose count vectors all hold ``total`` messages, on one dense line.
+
+    ``probs[k]`` is the probability of ``(total - b, b)`` with ``b = offset + k``
+    and ``reach[k]`` says whether that vector is in the support, zero weight or
+    not, as ``_merge`` keeps it. A :class:`CountLaw`'s codes rise with b, so a
+    convolution that adds the kernel's largest shift first gives every cell its terms in
+    the merge's order, ascending in the lower law's index, from 0.0: every sum
+    keeps its bits. A mixture sum adds aligned arrays, as ``_union`` does.
+    """
+
+    probs: np.ndarray
+    reach: np.ndarray
+    offset: int
+    total: int
+    places: np.ndarray  # ``settled`` codes into it: a chain's space, from its empty law
+
+    @classmethod
+    def of(cls, law: CountLaw) -> _Line:
+        b = law.counts[:, 1]
+        k = b - b.min()
+        probs, reach = np.zeros(k.max() + 1), np.zeros(k.max() + 1, bool)
+        probs[k], reach[k] = law.probs, True
+        return cls(probs, reach, int(b.min()), int(law.counts[0].sum()), law.places)
+
+    @cached_property
+    def _shifts(self) -> list:
+        """The reached ``(k, prob)`` pairs, largest k first."""
+        ks = np.flatnonzero(self.reach)[::-1]
+        return list(zip(ks.tolist(), self.probs[ks].tolist()))
+
+    def scaled(self, weight: float) -> _Line:
+        return _Line(weight * self.probs, self.reach, self.offset, self.total, self.places)
+
+    def convolve(self, other: _Line, label: str = "count convolution") -> _Line:
+        paths = int(np.count_nonzero(self.reach)) * len(other._shifts)
+        _check_paths(paths, label, "; reduce the cohort size n")
+        n, size = len(self.probs), len(self.probs) + len(other.probs) - 1
+        probs, reach = np.zeros(size), np.zeros(size, bool)
+        for k, q in other._shifts:
+            probs[k:k + n] += self.probs * q
+            reach[k:k + n] |= self.reach
+        return _Line(probs, reach, self.offset + other.offset, self.total + other.total,
+                     self.places)
+
+    def __add__(self, other: _Line) -> _Line:
+        lo = min(self.offset, other.offset)
+        size = max(self.offset + len(self.probs), other.offset + len(other.probs)) - lo
+        probs, reach = np.zeros(size), np.zeros(size, bool)
+        for law in (self, other):
+            at = slice(law.offset - lo, law.offset - lo + len(law.probs))
+            probs[at] += law.probs
+            reach[at] |= law.reach
+        return _Line(probs, reach, lo, self.total, self.places)
+
+    def settled(self) -> CountLaw:
+        """The reached vectors as a :class:`CountLaw` of ``places``, in code order."""
+        b = self.offset + np.flatnonzero(self.reach)
+        counts = np.stack([self.total - b, b], axis=1)
+        lo = counts.min(axis=0)
+        return CountLaw((counts - lo) @ self.places[:-1], self.probs[self.reach], lo, self.places)
+
+
+def _chain(kernels: Sequence[CountLaw], places: np.ndarray) -> list:
+    """The empty law, then each kernel, in the form a chain of their convolutions runs on.
+
+    Two-symbol kernels whose count vectors all hold one message total (every
+    randomizer of one message) run on a :class:`_Line`; any other chain on
+    count codes in the space of ``places``, merged by ``_merge``.
+    """
+    zero = CountLaw.zero(places)
+    if len(places) == 3 and len({t for k in kernels for t in k.counts.sum(axis=1).tolist()}) == 1:
+        return [_Line.of(zero), *map(_Line.of, kernels)]
+    return [zero, *(k.within(places) for k in kernels)]
 
 
 def _merge(codes: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -226,7 +314,8 @@ def _shuffle_law(randomizer: Randomizer, *cohorts: Sequence) -> list[CountLaw]:
     """Exact count-vector laws of cohorts of one size, one user convolved in at a time.
 
     Each user entry is either a fixed input or a ``{input: prob}`` dict, whose kernel is built
-    once. One code space, spanning every cohort's result, is fixed before the first product.
+    once. One code space, spanning every cohort's result, is fixed before the first product;
+    a chain of two-symbol kernels of one message total runs on a line (see :func:`_chain`).
     """
     n, width = len(cohorts[0]), len(randomizer.alphabet)
     users = {id(u): u for u in chain.from_iterable(cohorts)}
@@ -235,13 +324,14 @@ def _shuffle_law(randomizer: Randomizer, *cohorts: Sequence) -> list[CountLaw]:
     bounds = {k: np.array([law.lo, law.counts.max(axis=0)]) for k, law in own.items()}
     ends = np.array([sum((bounds[id(u)] for u in c), np.zeros((2, width), int)) for c in cohorts])
     places = _places(ends[:, 1].max(axis=0) - ends[:, 0].min(axis=0) + 1, f"cohort of n={n}")
-    kernels = {k: law.within(places) for k, law in own.items()}
+    zero, *steps = _chain(list(own.values()), places)
+    kernels = dict(zip(own, steps))
     laws = []
     for users in cohorts:
-        law = CountLaw.zero(places)
+        law = zero
         for i, user in enumerate(users, start=1):
             law = law.convolve(kernels[id(user)], f"cohort of n={len(users)}, user {i}")
-        laws.append(law)
+        laws.append(law.settled())
     return laws
 
 
@@ -550,14 +640,20 @@ def exact_pan_output(alg: PanPrivateAlgorithm, stream: Sequence) -> dict:
 
 
 def exact_pan_view(alg: PanPrivateAlgorithm, stream: Sequence, t: int) -> dict:
-    """Joint law of (state at time t, final output): {(state, output): prob}."""
+    """Joint law of (state at time t, final output): {(state, output): prob}.
+
+    The view ``law[:, None] * B_t`` is built a block of about ``_VIEW_BLOCK``
+    entries at a time, its nonzero entries added in row-major order.
+    """
     states, outputs, (law,), (table,), _ = next(_pan_views(alg, [stream], [t]))
-    view = law[:, None] * table.dense()
-    rows, cols = np.nonzero(view)
-    return {
-        (states[r], outputs[c]): p
-        for r, c, p in zip(rows.tolist(), cols.tolist(), view[rows, cols].tolist())
-    }
+    step = max(1, _VIEW_BLOCK // max(1, len(outputs)))
+    out: dict = {}
+    for lo in range(0, len(law), step):
+        view = law[lo:lo + step, None] * table.dense(lo, lo + step)
+        rows, cols = np.nonzero(view)
+        out.update(((states[lo + r], outputs[c]), p)
+                   for r, c, p in zip(rows.tolist(), cols.tolist(), view[rows, cols].tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import ProblemInstance, _binomial_rows, plug_in_solve, wilson_interval
+from .baselines import ProblemInstance, _binomial_row, plug_in_solve, wilson_interval
 from .distributions import ParametricHardDistribution, ParityIndex
 from .distributions import sample as draw_from
 from .errors import GuardError
@@ -128,7 +128,7 @@ class ShuffleToPanWrapper:
     def budget_distribution(self) -> dict:
         """Law of min(Bin(n, 2/9), n/3) over {0, ..., n/3}; the tail past n/3 sits at n/3."""
         cap = self.stream_len
-        pmf = _binomial_rows(self.n, 2.0 / 9.0)[self.n]
+        pmf = _binomial_row(self.n, 2.0 / 9.0)
         out = {k: float(pmf[k]) for k in range(cap)}
         out[cap] = float(pmf[cap:].sum())
         return out
@@ -237,6 +237,8 @@ class ShuffleToPanWrapper:
         ``G_cap * ref^(n-cap)``, and the analyzer runs once per distinct count
         vector of the result. All its laws share one code space, fixed first
         from the hull of ``real^b ref^(n-b)`` over b, whose ends are b = 0 and cap.
+        Two-symbol kernels of one message total run the loop on a line (see
+        ``exact._chain``), where each product is a few shifted adds.
         """
         width, n, cap = len(self.protocol.randomizer.alphabet), self.n, self.stream_len
         real = ex.CountLaw.of(ex.randomizer_kernel_for(self.protocol.randomizer, input_dist), width)
@@ -245,16 +247,15 @@ class ShuffleToPanWrapper:
         span = n * np.ptp(ref.counts, axis=0) + cap * (np.maximum(dhi, 0) - np.minimum(dlo, 0)) + 1
         label = f"wrapper law (n={n})"
         places = ex._places(span, label)
-        real, ref = real.within(places), ref.within(places)
+        real_power, real, ref = ex._chain([real, ref], places)
         budget_law = self.budget_distribution
-        real_power = ex.CountLaw.zero(places)
         mixed = real_power.scaled(budget_law[0])
         for b in range(1, cap + 1):
             real_power = real_power.convolve(real, label)
             mixed = mixed.convolve(ref, label) + real_power.scaled(budget_law[b])
         for _ in range(n - cap):
             mixed = mixed.convolve(ref, label)
-        return mixed.push(self.protocol.analyzer)
+        return mixed.settled().push(self.protocol.analyzer)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The array cohort engine against the dict-walk oracle, its guards and its invariants."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -277,6 +278,122 @@ def test_multiset_audits_are_bit_identical_to_per_step_strides(rz, a, b):
     got, want = audit_privacy(rz, (a, b), grid), exact_mod._curve([(want_a, want_b)], grid)
     assert got.delta_forward.tobytes() == want.delta_forward.tobytes()
     assert got.delta_backward.tobytes() == want.delta_backward.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# two-symbol chains on one dense line
+
+TWO_MESSAGES = {(2, 0): 0.2, (1, 1): 0.5, (0, 2): 0.3}
+
+
+def _on_line(*kernels: dict) -> bool:
+    width = len(next(iter(kernels[0])))
+    places = exact_mod._places(np.full(width, 9), "test")
+    chain = exact_mod._chain([CountLaw.of(k, width) for k in kernels], places)
+    return type(chain[0]) is exact_mod._Line
+
+
+def _same_cohort_bits(randomizer, users) -> None:
+    [law] = exact_mod._shuffle_law(randomizer, users)
+    want = count_oracle.shuffle_law(randomizer, users)
+    _same_bits(law, want)
+    _same_dict(exact_shuffle_counts(randomizer, users), want.as_dict())
+
+
+def test_zero_weight_entries_stay_in_the_support_on_a_line():
+    assert _on_line({(1, 0): 1.0, (0, 1): 0.0})
+    _same_cohort_bits(kernel_randomizer({(1, 0): 1.0, (0, 1): 0.0}, 2), [0] * 4)
+    assert len(exact_shuffle_counts(kernel_randomizer({(1, 0): 1.0, (0, 1): 0.0}, 2), [0] * 4)) == 5
+    _same_cohort_bits(binary_randomized_response(0.0), [{1: 0.0, 0: 1.0}, 1, 0, {0: 0.0, 1: 1.0}])
+    # a reference input of zero probability keeps its codes in the pad and wrapper laws
+    wrapper = ShuffleToPanWrapper(
+        protocol=ShuffleProtocol(binary_randomized_response(0.0), histogram_analyzer(), 12),
+        reference={0: 1.0, 1: 0.0},
+    )
+    _same_bits(wrapper._pad_law, count_oracle.pad_law(wrapper))
+    assert len(wrapper._pad_law) == 5
+    for input_dist in ({0: 0.0, 1: 1.0}, {0: 0.5, 1: 0.5}):
+        want = count_oracle.wrapper_law(wrapper, input_dist).push(histogram_analyzer())
+        _same_dict(wrapper.exact_output_distribution(input_dist), want)
+
+
+@pytest.mark.parametrize("randomizer, users", [
+    (binary_randomized_response(0.0), [1, 0, 1, 1, 0]),
+    (binary_randomized_response(0.5), [1, 0] * 20),
+    (binary_randomized_response(0.2), []),
+    (kernel_randomizer({(0, 1): 1.0}, 2), [0] * 3),
+], ids=["single-entry", "flip-half", "empty", "one-vector"])
+def test_single_entry_half_flip_and_empty_cohorts_on_a_line(randomizer, users):
+    _same_cohort_bits(randomizer, users)
+
+
+@pytest.mark.parametrize("n", [3, 12, 40])
+def test_two_message_kernel_adds_its_largest_shift_first(n):
+    # a cell takes up to three terms; any other order moves the last bits of some
+    assert _on_line(TWO_MESSAGES)
+    randomizer = kernel_randomizer(TWO_MESSAGES, 2)
+    _same_cohort_bits(randomizer, [0] * n)
+    [law] = exact_mod._shuffle_law(randomizer, [0] * n)
+    _same_dict(law.push(one_count_analyzer()),
+               count_oracle.shuffle_law(randomizer, [0] * n).push(one_count_analyzer()))
+
+
+def test_unequal_message_totals_take_the_sorted_merge():
+    kernel = {(1, 0): 0.5, (1, 1): 0.5}
+    assert not _on_line(kernel)
+    assert not _on_line({(1, 0): 0.5, (0, 1): 0.5}, TWO_MESSAGES)
+    assert not _on_line({(1, 0, 0): 0.5, (0, 1, 0): 0.5})
+    _same_cohort_bits(kernel_randomizer(kernel, 2), [0] * 12)
+
+
+def test_line_guards_raise_at_the_same_step_with_the_same_message(monkeypatch):
+    sizes: list = []
+    check = exact_mod._check_paths
+
+    def spy(size, *args):
+        sizes.append(size)
+        check(size, *args)
+
+    monkeypatch.setattr(exact_mod, "_check_paths", spy)
+    monkeypatch.setattr(exact_mod, "MAX_PATHS", 9)
+    rr = binary_randomized_response(0.2)
+    with pytest.raises(GuardError) as err:
+        exact_shuffle_counts(rr, [1, 0] * 3 + [1])
+    assert str(err.value) == (
+        "cohort of n=7, user 5: 10 paths exceed the 9 guard; reduce the cohort size n")
+    assert sizes == [2, 4, 6, 8, 10]
+    sizes.clear()
+    wrapper = ShuffleToPanWrapper(ShuffleProtocol(rr, histogram_analyzer(), 6), {0: 0.6, 1: 0.4})
+    with pytest.raises(GuardError) as err:
+        wrapper.exact_output_distribution({0: 0.1, 1: 0.9})
+    assert str(err.value) == "wrapper law (n=6): 10 paths exceed the 9 guard; reduce the cohort size n"
+    # Horner: real^1, then G_0 * ref; real^2, then G_1 * ref; then three more refs
+    assert sizes == [2, 2, 4, 4, 6, 8, 10]
+
+
+@st.composite
+def binary_chains(draw):
+    total = draw(st.integers(1, 3))
+
+    def kernel():
+        shifts = draw(st.lists(st.integers(0, total), min_size=1, max_size=total + 1, unique=True))
+        weights = draw(st.lists(st.integers(0, 5), min_size=len(shifts), max_size=len(shifts)))
+        scale = sum(weights) or 1
+        return {(total - b, b): w / scale for b, w in zip(shifts, weights)}
+
+    kernels = [kernel() for _ in range(draw(st.integers(1, 3)))]
+    inputs = st.integers(0, len(kernels) - 1)
+    user = st.one_of(inputs, st.dictionaries(inputs, st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                              min_size=1))
+    randomizer = dataclasses.replace(kernel_randomizer(kernels[0], 2), kernel_fn=kernels.__getitem__)
+    return randomizer, draw(st.lists(user, max_size=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_chains())
+def test_binary_chains_equal_the_oracle_bit_for_bit(chain):
+    randomizer, users = chain
+    _same_cohort_bits(randomizer, users)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,42 @@ def test_criterion07_audit_holds_one_table_and_one_view_buffer():
     assert peak <= 40e6, peak
 
 
+def _dense_pan_view(alg, stream, t) -> dict:
+    """The view built whole: one states x outputs product and one ``np.nonzero``."""
+    states, outputs, (law,), (table,), _ = next(exact_mod._pan_views(alg, [stream], [t]))
+    view = law[:, None] * table.dense()
+    rows, cols = np.nonzero(view)
+    return {(states[r], outputs[c]): p
+            for r, c, p in zip(rows.tolist(), cols.tolist(), view[rows, cols].tolist())}
+
+
+@pytest.mark.parametrize("block", ["one", "default"])
+@pytest.mark.parametrize("case", sorted(DENSE_PATH))
+def test_pan_view_blocks_match_the_dense_build(case, block, monkeypatch):
+    alg, pair, times = DENSE_PATH[case]
+    if block == "one":
+        monkeypatch.setattr(exact_mod, "_VIEW_BLOCK", 1)
+    # the first stream at the first time, the second at the latest (or the listed times)
+    for stream, t in zip(pair, times or (1, len(pair[1]))):
+        got, want = exact_pan_view(alg, stream, t), _dense_pan_view(alg, stream, t)
+        # keys, their order and every probability's bits
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+
+def test_criterion07_view_is_built_a_block_at_a_time():
+    # the dict holds 591,361 entries (68 MB); a whole view and its nonzero lists peaked at 141 MB
+    alg, (stream, _), _ = DENSE_PATH["criterion-07"]
+    tracemalloc.start()
+    try:
+        view = exact_pan_view(alg, stream, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(view) == 591_361
+    assert peak <= 95e6, peak
+
+
 def test_update_offset_engine_is_bit_identical_to_its_dict_kernel():
     ctr = quantized_laplace_counter(0.5, 0.5, step=0.5, span=6.0)
     as_dict = dataclasses.replace(ctr, update_offset=None,

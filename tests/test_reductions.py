@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from scipy.stats import binom, ks_2samp
 
 import panshuffle
-from panshuffle.baselines import ProblemInstance, plug_in_solve
+from panshuffle.baselines import ProblemInstance, _binomial_rows, plug_in_solve
 from panshuffle.distributions import ParityIndex
 from panshuffle.errors import GuardError
 from panshuffle.exact import (
@@ -172,6 +173,29 @@ def test_budget_distribution_caps_binomial():
     assert law[2] == pytest.approx(
         float(binom.pmf(2, 6, 2 / 9) + binom.sf(2, 6, 2 / 9)), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [3, 6, 30, 300, 999])
+def test_budget_law_is_the_binomial_tables_last_row_bit_for_bit(n):
+    law = ShuffleToPanWrapper(protocol=_rr_protocol(n, 1), reference=REF).budget_distribution
+    pmf = _binomial_rows(n, 2.0 / 9.0)[n]
+    cap = n // 3
+    assert list(law) == list(range(cap + 1))
+    assert [law[k].hex() for k in range(cap)] == [float(p).hex() for p in pmf[:cap]]
+    assert law[cap].hex() == float(pmf[cap:].sum()).hex()
+
+
+def test_budget_law_builds_one_row_not_the_table():
+    # the (n + 1) x (n + 1) table is 72 MB at n = 3,000
+    wrapper = ShuffleToPanWrapper(protocol=_rr_protocol(3000, 1), reference=REF)
+    tracemalloc.start()
+    try:
+        law = wrapper.budget_distribution
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(law) == 1001 and abs(sum(law.values()) - 1.0) <= 1e-12
+    assert peak <= 1e6, peak
 
 
 def test_null_identity_is_exact():
