@@ -26,7 +26,7 @@ from panshuffle import (
     run_pan,
     wrapper_escape_mass,
 )
-from panshuffle.exact import exact_shuffle_counts, push_through_analyzer, tv_dicts
+from panshuffle.exact import exact_output_distribution, tv_dicts
 from panshuffle.mechanisms import echo_randomizer, threshold_analyzer
 from panshuffle.rng import make_generator
 
@@ -47,18 +47,14 @@ n = 6
 proto = rr_protocol(n)
 wrapper = ShuffleToPanWrapper(protocol=proto, reference=REF)
 wrapped = wrapper.exact_output_distribution(REF)
-honest = push_through_analyzer(
-    exact_shuffle_counts(proto.randomizer, [REF] * n), proto.analyzer
-)
+honest = exact_output_distribution(proto, [REF] * n)
 print(f"null identity at n={n}: tv = {tv_dicts(wrapped, honest):.2e}")
 
 # --- dilution gap vs the escape bound -------------------------------------
 planted = {1: 0.95, 0: 0.05}
 diluted = {x: (2 / 9) * planted.get(x, 0.0) + (7 / 9) * REF[x] for x in REF}
 wrapped = wrapper.exact_output_distribution(planted)
-honest = push_through_analyzer(
-    exact_shuffle_counts(proto.randomizer, [diluted] * n), proto.analyzer
-)
+honest = exact_output_distribution(proto, [diluted] * n)
 gap = tv_dicts(wrapped, honest)
 print(f"dilution gap at n={n}: {gap:.6f} <= escape mass "
       f"{wrapper_escape_mass(n):.6f}")
@@ -74,10 +70,7 @@ echo = ShuffleProtocol(
 )
 echo_wrap = ShuffleToPanWrapper(protocol=echo, reference={0: 1.0})
 wrapped = echo_wrap.exact_output_distribution({1: 1.0})
-honest = push_through_analyzer(
-    exact_shuffle_counts(echo.randomizer, [{1: 2 / 9, 0: 7 / 9}] * n),
-    echo.analyzer,
-)
+honest = exact_output_distribution(echo, [{1: 2 / 9, 0: 7 / 9}] * n)
 gap = tv_dicts(wrapped, honest)
 print(f"echo protocol gap: {gap:.12f} == escape mass "
       f"{wrapper_escape_mass(n):.12f}")

@@ -95,10 +95,10 @@ def _binomial_row(m: int, q: float) -> np.ndarray:
 def rr_count_pmf(n_ones: int, n_zeros: int, flip_p: float) -> np.ndarray:
     """Law of the 1-count after per-user flips: Bin(n1, 1-p) + Bin(n0, p).
 
-    Both binomials come from the Bernoulli recurrence of :func:`_binomial_rows`.
+    Each binomial is one row of :func:`_binomial_rows`, built alone by
+    :func:`_binomial_row` with the same bits, so no table is held.
     """
-    rows = _binomial_rows(max(n_ones, n_zeros), flip_p)
-    return np.convolve(rows[n_ones, n_ones::-1], rows[n_zeros, : n_zeros + 1])
+    return np.convolve(_binomial_row(n_ones, flip_p)[::-1], _binomial_row(n_zeros, flip_p))
 
 
 def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
@@ -154,12 +154,12 @@ def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
     """Smallest certifiable randomized-response flip probability for a cohort.
 
     For cohorts up to ``EXACT_AUDIT_MAX_N`` the flip probability is found by
-    bisection against the exact audit of the shuffled 1-count (the returned
-    value re-certifies, since the feasible endpoint is kept). Larger cohorts
-    use the closed-form amplification rate ``14 ln(4/delta) / (eps^2 (n-1))``,
-    which requires ``delta > 0`` and ``epsilon <= 1``; when the resulting rate
-    reaches 1/2 the cohort cannot support the target and
-    :class:`InsufficientCohortError` is raised.
+    bisection against the exact audit of the shuffled 1-count, from 1/2, where
+    it reads 0 (the returned value re-certifies, since the feasible endpoint
+    is kept). Larger cohorts use the closed-form amplification rate
+    ``14 ln(4/delta) / (eps^2 (n-1))``, which requires ``delta > 0`` and
+    ``epsilon <= 1``; when the resulting rate reaches 1/2 the cohort cannot
+    support the target and :class:`InsufficientCohortError` is raised.
 
     With ``delta = 0`` privacy must come from the local report alone, so the
     answer is the pure local level ``1 / (1 + e^eps)`` at any cohort size.
@@ -169,11 +169,7 @@ def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
         p = 1.0 / (1.0 + math.exp(epsilon))
         return CalibratedRR(flip_p=p, epsilon=epsilon, delta=0.0, n=n, method="closed-form")
     if n <= EXACT_AUDIT_MAX_N:
-        lo, hi = 0.0, 0.5
-        if _rr_audit_delta(n, hi, epsilon) > delta:
-            raise InsufficientCohortError(
-                f"n={n} cannot reach ({epsilon}, {delta}) even at flip probability 1/2"
-            )
+        lo, hi = 0.0, 0.5  # at 1/2 both neighbors' count laws are one array
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if _rr_audit_delta(n, mid, epsilon) <= delta:

@@ -2,18 +2,19 @@
 
 A law through a shuffle is a :class:`CountLaw`: distinct count vectors (one
 column per message of the alphabet) as mixed-radix int64 codes, and a float64
-probability vector. A chain of convolutions (a cohort, an audit's two
-cohorts, the wrapper law) fixes one stride vector from its result's range
-before the first product; then each user's step adds codes and merges
-equal ones with one stable sort and ``np.bincount``, in a deterministic order
-with no hash dependence. Count vectors are decoded once, on demand.
+probability vector. Every chain of convolutions (a cohort, an audit's two
+cohorts, the wrapper law) is set up by ``_chain``: it builds each distinct
+user's kernel once and fixes one stride vector from the sum of every cohort
+it is given, before the first product. Each user's step then adds codes and
+merges equal ones with one stable sort and ``np.bincount``, in a deterministic
+order with no hash dependence. Count vectors are decoded once, on demand.
 ``convolve_counts`` and ``exact_shuffle_counts`` return ``{counts_tuple:
 prob}`` dicts built from it. A chain of two-symbol kernels whose count
 vectors all hold one message total (every one-message randomizer) runs
 instead on a :class:`_Line`, a dense array over the second symbol's count,
 where a user's step is one shifted add per kernel entry and no sort; the
 adds run in the merge's order, so every probability keeps its bits, and the
-line becomes a ``CountLaw`` at the chain's end. ``_chain`` makes that choice.
+line becomes a ``CountLaw`` at the chain's end. ``_chain`` makes that choice too.
 
 Online algorithms run on an indexed array engine. At each time t the reachable
 states get integer indices in first-seen order, shared by every stream
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
@@ -248,17 +250,26 @@ class _Line:
         return CountLaw((counts - lo) @ self.places[:-1], self.probs[self.reach], lo, self.places)
 
 
-def _chain(kernels: Sequence[CountLaw], places: np.ndarray) -> list:
-    """The empty law, then each kernel, in the form a chain of their convolutions runs on.
+def _chain(randomizer: Randomizer, cohorts: Sequence[Sequence], label: str) -> tuple:
+    """The one setup of a count chain: its empty law and each user's kernel, keyed by ``id``.
 
-    Two-symbol kernels whose count vectors all hold one message total (every
-    randomizer of one message) run on a :class:`_Line`; any other chain on
-    count codes in the space of ``places``, merged by ``_merge``.
+    Each user entry is a fixed input or a ``{input: prob}`` dict, whose kernel
+    is built once. The code space spans the sum of every cohort; past int64 it
+    is refused under ``label``. Two-symbol kernels whose count vectors all hold
+    one message total (every randomizer of one message) run on a
+    :class:`_Line`; any other chain on count codes, merged by ``_merge``.
     """
-    zero = CountLaw.zero(places)
-    if len(places) == 3 and len({t for k in kernels for t in k.counts.sum(axis=1).tolist()}) == 1:
-        return [_Line.of(zero), *map(_Line.of, kernels)]
-    return [zero, *(k.within(places) for k in kernels)]
+    width = len(randomizer.alphabet)
+    users = {id(u): u for u in chain.from_iterable(cohorts)}
+    own = {k: CountLaw.of(randomizer_kernel_for(randomizer, u) if isinstance(u, dict)
+                          else randomizer.kernel(u), width) for k, u in users.items()}
+    bounds = {k: np.array([law.lo, law.counts.max(axis=0)]) for k, law in own.items()}
+    ends = np.array([sum((m * bounds[k] for k, m in Counter(map(id, c)).items()),
+                         np.zeros((2, width), int)) for c in cohorts])
+    zero = CountLaw.zero(_places(ends[:, 1].max(axis=0) - ends[:, 0].min(axis=0) + 1, label))
+    if width == 2 and len({t for k in own.values() for t in k.counts.sum(axis=1).tolist()}) == 1:
+        return _Line.of(zero), {k: _Line.of(law) for k, law in own.items()}
+    return zero, {k: law.within(zero.places) for k, law in own.items()}
 
 
 def _merge(codes: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -313,19 +324,10 @@ def randomizer_kernel_for(randomizer: Randomizer, input_dist: dict) -> dict:
 def _shuffle_law(randomizer: Randomizer, *cohorts: Sequence) -> list[CountLaw]:
     """Exact count-vector laws of cohorts of one size, one user convolved in at a time.
 
-    Each user entry is either a fixed input or a ``{input: prob}`` dict, whose kernel is built
-    once. One code space, spanning every cohort's result, is fixed before the first product;
-    a chain of two-symbol kernels of one message total runs on a line (see :func:`_chain`).
+    Every cohort runs on one chain set up by :func:`_chain`: one kernel per
+    distinct user, and one code space that spans every cohort's result.
     """
-    n, width = len(cohorts[0]), len(randomizer.alphabet)
-    users = {id(u): u for u in chain.from_iterable(cohorts)}
-    own = {k: CountLaw.of(randomizer_kernel_for(randomizer, u) if isinstance(u, dict)
-                          else randomizer.kernel(u), width) for k, u in users.items()}
-    bounds = {k: np.array([law.lo, law.counts.max(axis=0)]) for k, law in own.items()}
-    ends = np.array([sum((bounds[id(u)] for u in c), np.zeros((2, width), int)) for c in cohorts])
-    places = _places(ends[:, 1].max(axis=0) - ends[:, 0].min(axis=0) + 1, f"cohort of n={n}")
-    zero, *steps = _chain(list(own.values()), places)
-    kernels = dict(zip(own, steps))
+    zero, kernels = _chain(randomizer, cohorts, f"cohort of n={len(cohorts[0])}")
     laws = []
     for users in cohorts:
         law = zero

@@ -235,19 +235,17 @@ class ShuffleToPanWrapper:
         ``sum_b p_b real^b ref^(n-b)``. It is built on count arrays in Horner
         form, ``G_0 = p_0``, ``G_j = G_{j-1} * ref + p_j real^j``, then
         ``G_cap * ref^(n-cap)``, and the analyzer runs once per distinct count
-        vector of the result. All its laws share one code space, fixed first
-        from the hull of ``real^b ref^(n-b)`` over b, whose ends are b = 0 and cap.
-        Two-symbol kernels of one message total run the loop on a line (see
-        ``exact._chain``), where each product is a few shifted adds.
+        vector of the result. ``exact._chain`` sets the loop up from its two
+        extreme budgets, b = 0 and b = cap, as cohorts: each term's count range
+        is linear in b, so the code space that spans those two cohorts holds
+        every law of the loop. Two-symbol kernels of one message total run the
+        loop on a line, where each product is a few shifted adds.
         """
-        width, n, cap = len(self.protocol.randomizer.alphabet), self.n, self.stream_len
-        real = ex.CountLaw.of(ex.randomizer_kernel_for(self.protocol.randomizer, input_dist), width)
-        ref = ex.CountLaw.of(self._reference_kernel, width)
-        dlo, dhi = real.lo - ref.lo, real.counts.max(axis=0) - ref.counts.max(axis=0)
-        span = n * np.ptp(ref.counts, axis=0) + cap * (np.maximum(dhi, 0) - np.minimum(dlo, 0)) + 1
+        n, cap, ref = self.n, self.stream_len, self.reference
         label = f"wrapper law (n={n})"
-        places = ex._places(span, label)
-        real_power, real, ref = ex._chain([real, ref], places)
+        cohorts = [[ref] * n, [input_dist] * cap + [ref] * (n - cap)]
+        real_power, kernels = ex._chain(self.protocol.randomizer, cohorts, label)
+        real, ref = kernels[id(input_dist)], kernels[id(ref)]
         budget_law = self.budget_distribution
         mixed = real_power.scaled(budget_law[0])
         for b in range(1, cap + 1):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import panshuffle.baselines as baselines_mod
 from panshuffle.baselines import (
     EXACT_AUDIT_MAX_N,
     MODELS,
+    CalibratedRR,
     PROBLEMS,
     ProblemInstance,
     advanced_split,
@@ -50,6 +52,27 @@ def test_rr_count_pmf_is_binomial_convolution():
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     direct = np.convolve(binom.pmf(np.arange(5), 4, 1 - p), binom.pmf(np.arange(4), 3, p))
     assert np.allclose(pmf, direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("ones, zeros, flip", [
+    (4, 3, 0.3), (2000, 1000, 0.2), (0, 5, 0.1), (7, 0, 0.45), (0, 0, 0.2), (13, 400, 0.05),
+])
+def test_rr_count_pmf_keeps_the_bits_of_the_table_rows(ones, zeros, flip):
+    rows = baselines_mod._binomial_rows(max(ones, zeros), flip)
+    want = np.convolve(rows[ones, ones::-1], rows[zeros, : zeros + 1])
+    assert rr_count_pmf(ones, zeros, flip).tobytes() == want.tobytes()
+
+
+def test_rr_count_pmf_builds_two_rows_not_the_table():
+    # the (n + 1) x (n + 1) table is 32 MB at n = 2,000
+    tracemalloc.start()
+    try:
+        pmf = rr_count_pmf(2000, 1000, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pmf) == 3001 and abs(pmf.sum() - 1.0) <= 1e-12
+    assert peak <= 1e6, peak
 
 
 def test_calibrate_rr_pure_regime_is_local_level():
@@ -88,6 +111,29 @@ def test_calibrate_rr_rejects_bad_inputs():
         calibrate_rr(2.0, 1e-6, 100)
     with pytest.raises(InsufficientCohortError):
         calibrate_rr(1.0, 1e-6, EXACT_AUDIT_MAX_N + 2)
+
+
+_EPS_GRID = [0.0, 1e-300, 1e-9, 0.01, 0.5, 1.0, 2.0, 10.0, 100.0, 700.0,
+             math.log(np.finfo(np.float64).max)]
+
+
+@pytest.mark.parametrize("n", range(1, EXACT_AUDIT_MAX_N + 1))
+def test_the_rr_audit_at_flip_one_half_reads_zero(n):
+    # both neighbors' count laws are then one array, so every gap is x - fl(e^eps x) <= 0
+    assert [baselines_mod._rr_audit_delta(n, 0.5, eps) for eps in _EPS_GRID] == [0.0] * len(_EPS_GRID)
+
+
+@pytest.mark.parametrize("n", range(1, EXACT_AUDIT_MAX_N + 1))
+def test_calibrate_rr_meets_any_delta_on_a_small_cohort(n):
+    cal = calibrate_rr(1.0, 1e-300, n)
+    assert cal.method == "exact-audit" and cal.flip_p <= 0.5
+    assert cal.audit_delta() <= 1e-300
+
+
+def test_a_calibration_with_a_negative_epsilon_refuses_its_audit():
+    cal = CalibratedRR(flip_p=0.25, epsilon=-1.0, delta=0.1, n=4, method="exact-audit")
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        cal.audit_delta()
 
 
 @pytest.mark.parametrize("epsilon, delta, named", [

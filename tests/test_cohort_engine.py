@@ -288,9 +288,10 @@ TWO_MESSAGES = {(2, 0): 0.2, (1, 1): 0.5, (0, 2): 0.3}
 
 def _on_line(*kernels: dict) -> bool:
     width = len(next(iter(kernels[0])))
-    places = exact_mod._places(np.full(width, 9), "test")
-    chain = exact_mod._chain([CountLaw.of(k, width) for k in kernels], places)
-    return type(chain[0]) is exact_mod._Line
+    randomizer = dataclasses.replace(kernel_randomizer(kernels[0], width),
+                                     kernel_fn=kernels.__getitem__)
+    zero, _ = exact_mod._chain(randomizer, [range(len(kernels))], "test")
+    return type(zero) is exact_mod._Line
 
 
 def _same_cohort_bits(randomizer, users) -> None:

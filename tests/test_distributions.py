@@ -125,6 +125,15 @@ def test_pmf_eval_agrees_with_densify():
     np.testing.assert_allclose(pmf_eval(p, signs), densify(p).probs, atol=1e-15)
 
 
+def test_pmf_eval_of_a_dense_law_equals_its_member():
+    p = member(3, (1, 2), 1, 0.15)
+    signs = index_to_vectors(np.arange(8), 3)
+    dense = densify(p)
+    assert isinstance(dense, FiniteDistribution)
+    np.testing.assert_allclose(pmf_eval(dense, signs), pmf_eval(p, signs), atol=1e-15)
+    assert pmf_eval(dense, signs[5]) == pytest.approx(pmf_eval(p, signs[5]), abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # families
 

@@ -35,7 +35,8 @@ from panshuffle.mechanisms import (
     saturating_counter,
     threshold_analyzer,
 )
-from panshuffle.distributions import FiniteDistribution
+from panshuffle.distributions import FiniteDistribution, ParityIndex
+from panshuffle.reductions import LearnerDistinguisher, PlantedLearner
 from panshuffle.rng import make_generator
 
 from oracles.toy_mechanisms import kernel_randomizer, last_element_echo
@@ -198,6 +199,21 @@ def test_audit_worst_direction_is_symmetric_for_rr():
     rz = binary_randomized_response(0.25)
     curve = audit_privacy(rz, ([1], [0]), eps_grid=[0.0, 0.5, 1.0])
     assert np.allclose(curve.delta_forward, curve.delta_backward)
+
+
+def test_a_curve_reads_only_the_epsilons_it_audited():
+    curve = audit_privacy(binary_randomized_response(0.25), ([1], [0]), eps_grid=[0.0, 0.5, 1.0])
+    assert curve.delta_at(0.5) == curve.delta_max[1]
+    with pytest.raises(ValueError, match="epsilon 0.75 not on the audited grid"):
+        curve.delta_at(0.75)
+
+
+def test_audit_refuses_an_online_algorithm_that_only_samples():
+    alg = LearnerDistinguisher(learner=PlantedLearner(ParityIndex((1,), 1)), d=2, alpha=0.2,
+                               epsilon=1.0, n_learn=4).as_pan_algorithm()
+    assert not alg.has_exact and alg.view_sample is not None
+    with pytest.raises(ValueError, match="lacks exact kernels"):
+        audit_privacy(alg, ([0] * 3, [1] * 3), [0.0])
 
 
 def test_audit_refuses_a_protocol_and_names_its_randomizer():

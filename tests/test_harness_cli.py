@@ -212,7 +212,7 @@ def test_mean_error_certifies_its_noise_once_per_run(tmp_path, monkeypatch):
     one_calibration = len(calls)
     calls.clear()
     run_spec(_shuffle_mean_spec(1e-3, 1), tmp_path)
-    assert len(calls) == one_calibration == 61
+    assert len(calls) == one_calibration == 60  # the bisection's steps; 1/2 is never audited
 
 
 @pytest.mark.parametrize("spec", [
@@ -626,6 +626,15 @@ def test_every_table_names_a_missing_a_mistyped_and_an_unknown_key(tmp_path):
         message = raised(base | {"bogus": 1})
         assert message.startswith(f"{site}: unknown keys ['bogus']; accepted keys: ")
     assert not out.exists()
+
+
+def test_an_echo_manifest_keeps_an_alphabet_of_strings_and_numbers():
+    echo = mechanism_from_manifest({"type": "echo", "alphabet": ["a", 1, 2.5]})
+    assert echo.alphabet == ("a", 1, 2.5)
+    assert echo.kernel("a") == {(1, 0, 0): 1.0}
+    for symbol in (True, None, [1]):
+        with pytest.raises(ValueError, match="'alphabet' must be a list of numbers or strings"):
+            mechanism_from_manifest({"type": "echo", "alphabet": ["a", symbol]})
 
 
 def test_fit_scaling_recovers_power_law():

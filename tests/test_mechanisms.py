@@ -202,6 +202,12 @@ def test_quantized_laplace_counter_meta_and_run():
     assert slack == pytest.approx((1.0 + math.e) * ctr.meta["tail_mass"])
 
 
+def test_quantized_laplace_counter_default_span():
+    ctr = quantized_laplace_counter(eps_update=2.0, eps_output=0.5, step=1.0 / 4, sensitivity=0.5)
+    assert ctr.meta["span"] == 64.0 * 0.5 / 0.5
+    assert ctr.meta["tail_mass"] <= math.exp(-60)
+
+
 def test_counter_tracks_count_in_expectation():
     ctr = quantized_laplace_counter(eps_update=4.0, eps_output=4.0,
                                     step=1.0 / 8, span=16.0)
