@@ -195,10 +195,16 @@ def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
 
 
 def _as_sign_matrix(samples) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(samples, dtype=np.int64))
-    if not (np.abs(x) == 1).all():
+    """The samples as a 2-D matrix, refused unless every entry equals +1 or -1.
+
+    The values are checked before any cast, so 1.7 is refused, not truncated,
+    and an int8 -128 or a uint8 255 is refused, not wrapped. A signed-integer
+    matrix keeps its dtype; any other (+-1.0 floats, say) is cast to int64.
+    """
+    x = np.atleast_2d(np.asarray(samples))
+    if not ((x == 1) | (x == -1)).all():
         raise ValueError("samples must be +-1 signs")
-    return x
+    return x if x.dtype.kind == "i" else x.astype(np.int64)
 
 
 def empirical_means(samples) -> np.ndarray:
@@ -357,7 +363,8 @@ class ProblemInstance:
     width-1 member with sign +1 is rejected at construction.
 
     The parsed :attr:`truth_distribution`, the truth :attr:`member`, the
-    :attr:`candidates`, their gather table :attr:`columns` and the certified
+    :attr:`candidates`, their gather table :attr:`columns` (and the per-column
+    gathers :func:`feature_matrix` reads from it) and the certified
     :attr:`noise` are computed once per instance and cached on it; the fields
     alone still decide equality and what ``dataclasses.replace`` keeps.
     """
@@ -423,17 +430,33 @@ class ProblemInstance:
 
         Row i lists candidate i's coordinates, then the label column for parity
         learning. Shorter rows are padded with index ``width`` (the sample
-        width), which :func:`feature_matrix` points at an all-ones column. The
-        table is shared by every caller, so it is read-only.
+        width), which no sample column has. An instance without candidates
+        gets an (0, 1) table, so every table has a first column. The table is
+        shared by every caller, so it is read-only.
         """
         label = [self.d] if self.problem == "parity-learning" else []
         width = self.d + len(label)
         cands = self.candidates
-        span = max((len(s) for s in cands), default=0) + len(label)
+        span = max((len(s) for s in cands), default=1) + len(label)
         rows = [[j - 1 for j in s] + label + [width] * (span - len(s) - len(label)) for s in cands]
         table = np.array(rows, dtype=np.intp).reshape(len(cands), span)
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def _gathers(self) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+        """The first column of :attr:`columns`, then each later one as (first unpadded row,
+        the sample columns from that row on).
+
+        Every candidate has a first coordinate, and candidates are listed by
+        size, so the rows padded at a later column come first and the rest is
+        one unpadded suffix. A pad left in the first column or in a suffix
+        would index past the samples and raise ``IndexError``.
+        """
+        width = self.d + (1 if self.problem == "parity-learning" else 0)
+        first, *later = (np.ascontiguousarray(col) for col in self.columns.T)
+        starts = [int(np.count_nonzero(col == width)) for col in later]
+        return first, tuple((start, col[start:]) for start, col in zip(starts, later))
 
     @cached_property
     def noise(self) -> tuple[str, float, int]:
@@ -445,17 +468,24 @@ class ProblemInstance:
 
 
 def feature_matrix(inst: ProblemInstance, samples: np.ndarray) -> np.ndarray:
-    """The int64 n x m matrix of +-1 candidate-parity values: one gather of ``inst.columns``.
+    """The int64 n x m matrix of +-1 candidate-parity values, gathered by ``inst.columns``.
 
-    The samples (checked to be +-1 signs of the instance's width) get an
-    all-ones column appended, so padded entries multiply by 1.
+    The samples are checked to be +-1 signs of the instance's width in their
+    own integer dtype. The table's first column is one gather of m sample
+    columns; each later column is one gather for the candidates that reach
+    it, multiplied in place into theirs, so a padded entry is skipped rather
+    than multiplied by 1. The products stay +-1 in the samples' dtype and are
+    cast to int64 once.
     """
     x = _as_sign_matrix(samples)
     width = inst.d + (1 if inst.problem == "parity-learning" else 0)
     if x.shape[1] != width:
         raise ValueError(f"expected sample width {width}, got {x.shape[1]}")
-    ones = np.ones((x.shape[0], 1), dtype=np.int64)
-    return np.concatenate([x, ones], axis=1)[:, inst.columns].prod(axis=2)
+    first, later = inst._gathers
+    out = x[:, first]
+    for start, cols in later:
+        out[:, start:] *= x[:, cols]
+    return out.astype(np.int64, copy=False)
 
 
 def decide(inst: ProblemInstance, means: np.ndarray):

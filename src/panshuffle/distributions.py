@@ -259,21 +259,27 @@ def sample(dist: Distribution, n: int, rng) -> np.ndarray:
     """Draw ``n`` points as the rows of an int8 matrix of +-1 signs.
 
     Hard-family members are sampled without densifying: all coordinates are
-    drawn uniformly, a target parity sign is drawn with probability
-    ``1/2 + alpha`` of matching the member's sign, and the largest tilted
-    coordinate is overwritten to realize it. Cost O(n * dim) at any dimension.
+    drawn uniformly (one int8 ``integers`` call), a target parity sign is drawn
+    with probability ``1/2 + alpha`` of matching the member's sign (one
+    ``random`` call), and the largest tilted coordinate is overwritten to
+    realize it. The matrix is built in place in the drawn int8 array, and the
+    tilted coordinate is the int8 product of the target sign and the other
+    tilted coordinates, with no wider temporaries. Cost O(n * dim) at any
+    dimension.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     gen = as_generator(rng)
     if isinstance(dist, ParametricHardDistribution):
-        dim = dist.dim
-        x = (gen.integers(0, 2, size=(n, dim), dtype=np.int8) * 2 - 1).astype(np.int8)
-        s = np.where(gen.random(n) < 0.5 + dist.alpha, dist.index.sign, -dist.index.sign)
-        pivot = dist.tilted_subset[-1] - 1
-        rest = [j - 1 for j in dist.tilted_subset[:-1]]
-        partial = x[:, rest].prod(axis=1) if rest else np.ones(n, dtype=np.int8)
-        x[:, pivot] = (s * partial).astype(np.int8)
+        x = gen.integers(0, 2, size=(n, dist.dim), dtype=np.int8)
+        x *= 2
+        x -= 1
+        sign = np.int8(dist.index.sign)
+        s = np.where(gen.random(n) < 0.5 + dist.alpha, sign, -sign)
+        *rest, pivot = dist.tilted_subset
+        for j in rest:
+            s *= x[:, j - 1]
+        x[:, pivot - 1] = s
         return x
     if isinstance(dist, FiniteDistribution):
         return index_to_vectors(gen.choice(dist.size, size=n, p=dist.probs), dist.dim)

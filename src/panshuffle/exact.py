@@ -254,15 +254,17 @@ def _chain(randomizer: Randomizer, cohorts: Sequence[Sequence], label: str) -> t
     """The one setup of a count chain: its empty law and each user's kernel, keyed by ``id``.
 
     Each user entry is a fixed input or a ``{input: prob}`` dict, whose kernel
-    is built once. The code space spans the sum of every cohort; past int64 it
+    is built once, or a kernel already built as a :class:`CountLaw`, taken as
+    it is. The code space spans the sum of every cohort; past int64 it
     is refused under ``label``. Two-symbol kernels whose count vectors all hold
     one message total (every randomizer of one message) run on a
     :class:`_Line`; any other chain on count codes, merged by ``_merge``.
     """
     width = len(randomizer.alphabet)
     users = {id(u): u for u in chain.from_iterable(cohorts)}
-    own = {k: CountLaw.of(randomizer_kernel_for(randomizer, u) if isinstance(u, dict)
-                          else randomizer.kernel(u), width) for k, u in users.items()}
+    own = {k: u if isinstance(u, CountLaw)
+           else CountLaw.of(randomizer_kernel_for(randomizer, u) if isinstance(u, dict)
+                            else randomizer.kernel(u), width) for k, u in users.items()}
     bounds = {k: np.array([law.lo, law.counts.max(axis=0)]) for k, law in own.items()}
     ends = np.array([sum((m * bounds[k] for k, m in Counter(map(id, c)).items()),
                          np.zeros((2, width), int)) for c in cohorts])

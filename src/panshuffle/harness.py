@@ -45,7 +45,7 @@ import json
 import math
 import os
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -83,7 +83,7 @@ from .reductions import (
     wrapper_escape_mass,
 )
 from . import exact as ex
-from .rng import _ndtri, make_generator
+from .rng import _fold_seed, _ndtri, derive_seed
 
 __all__ = [
     "ExperimentSpec",
@@ -152,8 +152,15 @@ def write_rows_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None
             fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _trial_rng(spec: ExperimentSpec, trial: int) -> np.random.Generator:
-    return make_generator(spec.master_seed, spec.kind, spec.experiment_id, trial)
+def _trial_rng(spec: ExperimentSpec) -> Callable[[int], np.random.Generator]:
+    """Trial index -> its generator, ``make_generator(master_seed, kind, experiment_id, trial)``.
+
+    The run's (master_seed, kind, experiment_id) prefix is folded once, when
+    this is called; each trial then folds only its index, by the same SplitMix
+    arithmetic, so every trial gets the stream ``make_generator`` gives it.
+    """
+    prefix = derive_seed(spec.master_seed, spec.kind, spec.experiment_id)
+    return lambda trial: np.random.Generator(np.random.PCG64(_fold_seed(prefix, trial)))
 
 
 def _usable_cpus() -> int:
@@ -221,9 +228,9 @@ _TRIAL_BLOCK = 8  # mean_error trials per pool task: one trial a task doubles th
 def _mean_error_block(spec: ExperimentSpec, inst: ProblemInstance, truth: np.ndarray,
                       trials: range) -> list[tuple]:
     """One row per trial: the largest error of the private means against ``truth``."""
-    rows = []
+    rows, trial_rng = [], _trial_rng(spec)
     for trial in trials:
-        rng = _trial_rng(spec, trial)
+        rng = trial_rng(trial)
         features = feature_matrix(inst, inst.sample_data(rng))  # checks the signs once
         means = _private_means(features, inst.noise, rng)
         rows.append((trial, float(np.abs(means - truth).max())))
@@ -277,7 +284,7 @@ def _run_norm(spec: ExperimentSpec, d: int, k: int, alpha: float, family: str) -
 
 
 def _run_distinguish(spec: ExperimentSpec, **params) -> _KindResult:
-    dist, report = learner_advantage(spec.trials, _trial_rng(spec, 0), **params)
+    dist, report = learner_advantage(spec.trials, _trial_rng(spec)(0), **params)
     rows = [(report.tau, report.advantage, report.ci_low, report.ci_high)]
     summary = report.to_json() | {"test_len": dist.test_len}
     return ["tau", "advantage", "ci_low", "ci_high"], rows, summary, 1

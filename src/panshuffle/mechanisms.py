@@ -258,6 +258,11 @@ def _bit(x) -> int:
     return bit
 
 
+def _bits(xs: Sequence) -> np.ndarray:
+    """The inputs as an int64 array of bits, mapped in one pass; ValueError at the first non-bit."""
+    return np.fromiter(map(_bit, xs), dtype=np.int64, count=len(xs))
+
+
 def _one_hot(idx: np.ndarray, width: int) -> np.ndarray:
     """Count matrix with a single 1 per row, in column ``idx[row]``."""
     counts = np.zeros((len(idx), width), dtype=np.int64)
@@ -279,8 +284,7 @@ def binary_randomized_response(flip_p: float) -> Randomizer:
         return {stay: 1.0 - flip_p, move: flip_p}
 
     def batch(xs, u):
-        bits = np.array([_bit(x) for x in xs], dtype=np.int64)
-        return _one_hot(bits ^ (u[:, 0] < flip_p), 2)
+        return _one_hot(_bits(xs) ^ (u[:, 0] < flip_p), 2)
 
     return Randomizer(
         alphabet=(0, 1), kernel_fn=kernel, batch_fn=batch, uniforms=1, name=f"rr(flip={flip_p})",
@@ -303,7 +307,7 @@ def asymmetric_binary_randomizer(p_one_given_one: float, p_one_given_zero: float
         return out
 
     def batch(xs, u):
-        p = np.array([p_one_given_one if _bit(x) else p_one_given_zero for x in xs])
+        p = np.where(_bits(xs), p_one_given_one, p_one_given_zero)
         return _one_hot((u[:, 0] < p).astype(np.int64), 2)
 
     return Randomizer(
@@ -317,9 +321,12 @@ def echo_randomizer(alphabet: Sequence) -> Randomizer:
     alphabet = tuple(alphabet)
     lookup = {m: i for i, m in enumerate(alphabet)}
 
+    def outside(x) -> ValueError:
+        return ValueError(f"input {x!r} outside alphabet {alphabet}")
+
     def index(x) -> int:
         if x not in lookup:
-            raise ValueError(f"input {x!r} outside alphabet {alphabet}")
+            raise outside(x)
         return lookup[x]
 
     def kernel(x):
@@ -328,7 +335,11 @@ def echo_randomizer(alphabet: Sequence) -> Randomizer:
         return {tuple(vec): 1.0}
 
     def batch(xs, u):
-        return _one_hot(np.array([index(x) for x in xs], dtype=np.int64), len(alphabet))
+        try:
+            idx = np.fromiter(map(lookup.__getitem__, xs), dtype=np.int64, count=len(xs))
+        except KeyError as miss:
+            raise outside(miss.args[0]) from None
+        return _one_hot(idx, len(alphabet))
 
     return Randomizer(alphabet=alphabet, kernel_fn=kernel, batch_fn=batch, uniforms=0, name="echo")
 

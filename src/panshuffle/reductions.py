@@ -125,6 +125,11 @@ class ShuffleToPanWrapper:
         return ex.randomizer_kernel_for(self.protocol.randomizer, self.reference)
 
     @cached_property
+    def _reference_law(self) -> ex.CountLaw:
+        """:attr:`_reference_kernel` as a count law, the reference user of every wrapper law."""
+        return ex.CountLaw.of(self._reference_kernel, len(self.protocol.randomizer.alphabet))
+
+    @cached_property
     def budget_distribution(self) -> dict:
         """Law of min(Bin(n, 2/9), n/3) over {0, ..., n/3}; the tail past n/3 sits at n/3."""
         cap = self.stream_len
@@ -210,7 +215,7 @@ class ShuffleToPanWrapper:
         keys, cdf = self._reference_draw
         picks = cdf.searchsorted(np.concatenate([pre[:cap], late_u[:, 0], pad[:cap]]),
                                  side="right")
-        drawn = [keys[i] for i in picks]
+        drawn = [keys[i] for i in picks.tolist()]
         xs = drawn[:cap] + list(stream[:real]) + drawn[cap:]
         msg_u = np.concatenate([pre[cap:], steps[:real * k], late_u[:, 1:].ravel(), pad[cap:]])
         counts = rz.batch_fn(xs, msg_u.reshape(len(xs), k))
@@ -238,10 +243,12 @@ class ShuffleToPanWrapper:
         vector of the result. ``exact._chain`` sets the loop up from its two
         extreme budgets, b = 0 and b = cap, as cohorts: each term's count range
         is linear in b, so the code space that spans those two cohorts holds
-        every law of the loop. Two-symbol kernels of one message total run the
-        loop on a line, where each product is a few shifted adds.
+        every law of the loop. The reference user enters as its kernel law,
+        built once per wrapper; only the input's kernel is built per call.
+        Two-symbol kernels of one message total run the loop on a line, where
+        each product is a few shifted adds.
         """
-        n, cap, ref = self.n, self.stream_len, self.reference
+        n, cap, ref = self.n, self.stream_len, self._reference_law
         label = f"wrapper law (n={n})"
         cohorts = [[ref] * n, [input_dist] * cap + [ref] * (n - cap)]
         real_power, kernels = ex._chain(self.protocol.randomizer, cohorts, label)
@@ -391,10 +398,17 @@ class LearnerDistinguisher:
         )
 
     def _draw_rows(self, member: ParametricHardDistribution | None, m: int, rng) -> np.ndarray:
-        """``m`` rows from ``member``, or uniform signs of width d + 1 when it is None."""
+        """``m`` rows from ``member``, or uniform signs of width d + 1 when it is None.
+
+        The uniform rows are one int64 ``integers`` draw of bits, mapped to
+        signs in place in that array.
+        """
         if member is not None:
             return draw_from(member, m, rng)
-        return (rng.integers(0, 2, size=(m, self.d + 1)) * 2 - 1).astype(np.int64)
+        x = rng.integers(0, 2, size=(m, self.d + 1))
+        x *= 2
+        x -= 1
+        return x
 
     def _match_prob(self, planted: ParityIndex | None, guess: ParityIndex) -> float:
         if planted is None:

@@ -15,7 +15,15 @@ Seed derivation rule (fixed; changing it changes every archived result):
   ``state = splitmix64(state XOR component)`` starting from
   ``state = splitmix64(master)``.
 
-The result seeds a PCG64 generator.
+The result seeds a PCG64 generator. A string's hash is computed once per
+process, and a caller deriving many streams that share a prefix of components
+folds that prefix once (:func:`_fold_seed`), with the same arithmetic.
+
+Noise is drawn as 64-bit words (:func:`draw_words`): the words
+``integers(0, 2**64, dtype=uint64)`` returns, read straight from the bit
+generator's raw output for the generators whose raw output is that word
+(PCG64, PCG64DXSM, Philox, SFC64; every stream built here is one), and through
+``integers`` for any other.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@functools.lru_cache(maxsize=1024)
 def fnv1a64(text: str) -> int:
+    """FNV-1a (64-bit) of the UTF-8 bytes; each tag is hashed once per process."""
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & _MASK
@@ -45,12 +55,17 @@ def fnv1a64(text: str) -> int:
 
 def derive_seed(master: int, *components: int | str) -> int:
     """Mix a master seed with tag/index components into one 64-bit seed."""
-    state = splitmix64(int(master) & _MASK)
+    return _fold_seed(splitmix64(int(master) & _MASK), *components)
+
+
+def _fold_seed(state: int, *components: int | str) -> int:
+    """Fold more components into a derived seed, left to right.
+
+    ``_fold_seed(derive_seed(master, *a), *b) == derive_seed(master, *a, *b)``,
+    so streams sharing the prefix ``a`` fold it once.
+    """
     for comp in components:
-        if isinstance(comp, str):
-            value = fnv1a64(comp)
-        else:
-            value = int(comp) & _MASK
+        value = fnv1a64(comp) if isinstance(comp, str) else int(comp) & _MASK
         state = splitmix64(state ^ value)
     return state
 
@@ -67,9 +82,29 @@ def as_generator(rng: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+@functools.cache
+def _raw_words() -> frozenset:
+    """Bit generators whose raw output is the word ``integers(0, 2**64, dtype=uint64)`` returns.
+
+    MT19937's raw output is 32 bits, so it is not one of them. Built on the
+    first call, so importing the package does not load ``numpy.random``.
+    """
+    return frozenset({np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64})
+
+
 def draw_words(rng: np.random.Generator, size=None) -> np.ndarray:
-    """The generator's next 64-bit words, one per :func:`laplace` or :func:`gaussian` draw."""
-    return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+    """The generator's next 64-bit words, one per :func:`laplace` or :func:`gaussian` draw.
+
+    Value for value the words ``rng.integers(0, 2**64, size=size,
+    dtype=np.uint64)`` returns, leaving ``rng`` where that call leaves it. For
+    a bit generator in :func:`_raw_words` they are its raw output, read without
+    ``integers``' per-call work; any other generator is asked through
+    ``integers``.
+    """
+    bits = rng.bit_generator
+    if type(bits) not in _raw_words():
+        return rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+    return np.uint64(bits.random_raw()) if size is None else bits.random_raw(size)
 
 
 def _unit(words: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from panshuffle.errors import InsufficientCohortError
 from panshuffle.rng import make_generator
 
 from oracles.feature_oracle import feature_matrix_by_columns
+from oracles.sign_matrix_oracle import feature_matrix_by_gather
 from oracles.instances import random_instance
 from oracles.solve_oracle import solve
 
@@ -359,7 +360,8 @@ _FEATURE_SHAPES = {
 
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_feature_matrix_matches_the_column_loop_oracle(problem):
-    """Same values, int64 dtype and n x m shape as one column per candidate."""
+    """Same values, int64 dtype and n x m shape as one column per candidate, and the
+    same bytes as the one (n, m, span) gather, on int8, int64 and +-1.0 float samples."""
     rng = make_generator(17, "feature-oracle", problem)
     for d, k in _FEATURE_SHAPES[problem]:
         inst = _feature_instance(problem, d, k)
@@ -367,11 +369,49 @@ def test_feature_matrix_matches_the_column_loop_oracle(problem):
         cands = inst.candidates
         for n in (0, 1, 2, 199):
             rows = (rng.integers(0, 2, size=(n, width), dtype=np.int8) * 2 - 1).astype(np.int8)
-            got = feature_matrix(inst, rows)
-            want = feature_matrix_by_columns(problem, d, cands, rows)
-            assert got.dtype == want.dtype == np.int64
-            assert got.shape == want.shape == (n, len(cands))
-            assert np.array_equal(got, want), (d, k, n)
+            for samples in (rows, rows.astype(np.int64), rows.astype(np.float64)):
+                got = feature_matrix(inst, samples)
+                want = feature_matrix_by_columns(problem, d, cands, samples)
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape == (n, len(cands))
+                assert np.array_equal(got, want), (d, k, n, samples.dtype)
+                assert got.tobytes() == feature_matrix_by_gather(problem, d, cands, samples).tobytes()
+
+
+# each holds a value that is no sign, but that a cast to int64 turns into one (1.7 -> 1)
+# or that an int64 check refuses only after a wider cast (int8 -128, uint8 255)
+_NOT_SIGNS = [
+    [[1.7, -1.2], [1.0, -1.9]],
+    np.array([[1.5, -1.0]]),
+    np.array([[1.0, -0.5]]),
+    np.array([[1, -128]], dtype=np.int8),
+    np.array([[127, -1]], dtype=np.int8),
+    np.array([[255, 1]], dtype=np.uint8),
+    np.array([[1, 3], [-1, 1]], dtype=np.int64),
+    np.array([[0, 1]], dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("samples", _NOT_SIGNS, ids=lambda x: str(np.asarray(x).dtype))
+def test_sign_checks_look_at_the_values_before_any_cast(samples):
+    inst = _feature_instance("sparse-mean", 2, 1)
+    checks = [empirical_means, lambda x: private_means(x, "central", 1.0, 0.0, rng=1),
+              lambda x: private_means(x, "local", math.inf), lambda x: feature_matrix(inst, x),
+              lambda x: plug_in_solve(inst, x)]
+    for check in checks:
+        with pytest.raises(ValueError, match="samples must be"):
+            check(samples)
+
+
+def test_sign_checks_take_signs_in_any_numeric_dtype():
+    rows = np.array([[1, -1], [-1, -1], [1, 1]], dtype=np.int8)
+    inst = _feature_instance("sparse-mean", 2, 1)
+    want = np.array([1.0, -1.0]) / 3
+    for samples in (rows, rows.astype(np.int64), rows.astype(np.float64), rows.tolist()):
+        assert empirical_means(samples).tobytes() == want.tobytes()
+        assert private_means(samples, "pan", math.inf).tobytes() == want.tobytes()
+        assert feature_matrix(inst, samples).tobytes() == rows.astype(np.int64).tobytes()
+    assert empirical_means(np.ones((2, 3), dtype=np.uint8)).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_decide_selection_breaks_ties_low():

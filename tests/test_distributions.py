@@ -32,6 +32,8 @@ from panshuffle.distributions import (
 from panshuffle.errors import GuardError
 from panshuffle.rng import make_generator
 
+from oracles.sign_matrix_oracle import generator_probe, sample_by_expression
+
 
 def member(d, subset, sign, alpha, family="plain"):
     return ParametricHardDistribution(
@@ -215,6 +217,33 @@ def test_sample_matches_pmf_chi_square():
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     # 7 degrees of freedom; 1e-4 upper quantile is ~29.9
     assert chi2 < 29.9
+
+
+def _members_to_pin():
+    """Members of both families, d = 1..12, subset widths up to 3, both signs."""
+    pick = make_generator(23, "members-to-pin")
+    for family in ("plain", "labeled"):
+        for d in range(1, 13):
+            for width in range(0 if family == "labeled" else 1, min(3, d) + 1):
+                drawn = pick.choice(np.arange(1, d + 1), size=width, replace=False)
+                subsets = {tuple(range(1, width + 1)), tuple(range(d - width + 1, d + 1)),
+                           tuple(sorted(drawn.tolist()))}
+                alpha = float(pick.uniform(0.05, 0.45))
+                for subset in sorted(subsets):
+                    for sign in (1, -1):
+                        yield member(d, subset, sign, alpha, family)
+
+
+def test_sample_builds_the_expression_oracles_matrix():
+    """The in-place sampler: the bytes, dtype and shape of the out-of-place expression,
+    and the generator left where that expression leaves it."""
+    for i, m in enumerate(_members_to_pin()):
+        for n in (0, 1, 257):
+            ours, theirs = make_generator(29, "pin", i, n), make_generator(29, "pin", i, n)
+            got, want = sample(m, n, ours), sample_by_expression(m, n, theirs)
+            assert got.dtype == want.dtype == np.int8 and got.shape == want.shape == (n, m.dim)
+            assert got.tobytes() == want.tobytes(), (m, n)
+            assert generator_probe(ours) == generator_probe(theirs)
 
 
 def test_sample_from_uniform():

@@ -34,6 +34,7 @@ from panshuffle.harness import (
     write_rows_csv,
 )
 from panshuffle.reductions import LearnerDistinguisher
+from panshuffle.rng import make_generator
 
 
 def _digest(path) -> str:
@@ -185,6 +186,14 @@ def test_mean_error_checks_signs_once_per_trial(tmp_path, monkeypatch):
     spec = _mean_error_spec(1)
     run_spec(spec, tmp_path)
     assert len(calls) == spec.trials
+
+
+def test_trial_streams_are_the_derived_streams():
+    spec = _mean_error_spec(1)
+    trial_rng = harness._trial_rng(spec)
+    for trial in (0, 1, 7, 2**63 + 5):
+        want = make_generator(spec.master_seed, spec.kind, spec.experiment_id, trial)
+        assert trial_rng(trial).bit_generator.state == want.bit_generator.state
 
 
 def test_mean_error_computes_true_means_once_per_run(tmp_path, monkeypatch):

@@ -159,8 +159,9 @@ def test_run_shuffle_enforces_size_and_floor():
 ], ids=["rr-negative", "rr-two", "channel-negative", "channel-five", "echo-int", "echo-tuple"])
 def test_run_shuffle_rejects_inputs_outside_the_domain(rz, good, bad):
     proto = ShuffleProtocol(randomizer=rz, analyzer=histogram_analyzer(), n=4)
-    with pytest.raises(ValueError, match="bit|outside alphabet"):
+    with pytest.raises(ValueError, match="bit|outside alphabet") as refused:
         run_shuffle(proto, [good, bad, good, good], rng=make_generator(2, "domain"))
+    assert repr(bad) in str(refused.value)
     with pytest.raises(ValueError, match="bit|outside alphabet"):
         rz.kernel(bad)
 

@@ -47,6 +47,11 @@ from panshuffle.reductions import (
 from panshuffle.rng import laplace, make_generator
 
 from oracles.distinguisher_oracle import run_batch_loop
+from oracles.sign_matrix_oracle import (
+    generator_probe,
+    sample_by_expression,
+    uniform_rows_by_expression,
+)
 from oracles.wrapper_oracle import FROZEN_ESCAPE, step_loop_algorithm
 
 REF = {1: 0.3, 0: 0.7}
@@ -103,6 +108,12 @@ def test_package_import_leaves_scipy_stats_unloaded():
     """No module of the scipy package is loaded by importing the package and its CLI."""
     out = _run_on_src(["-c", f"import sys, panshuffle, panshuffle.cli; {_SCIPY_LOADED}"])
     assert out.stdout.strip() == "[]"
+
+
+def test_package_import_leaves_numpy_random_unloaded():
+    """Random streams load ``numpy.random`` on first use, not with the package."""
+    out = _run_on_src(["-c", "import sys, panshuffle; print('numpy.random' in sys.modules)"])
+    assert out.stdout.strip() == "False"
 
 
 def test_audit_reduce_check_and_norm_load_no_scipy(tmp_path):
@@ -247,6 +258,30 @@ def test_echo_protocol_attains_escape_mass_exactly():
     assert gap == pytest.approx(wrapper_escape_mass(6), abs=1e-12)
 
 
+@pytest.mark.parametrize("rz, ref, other", [
+    (binary_randomized_response(0.3), {1: 0.6, 0: 0.4}, {1: 0.9, 0: 0.1}),
+    (asymmetric_binary_randomizer(0.8, 0.25), {0: 0.6, 1: 0.4}, {1: 1.0}),
+    (echo_randomizer((0, 1, 2)), {0: 0.5, 2: 0.2, 1: 0.3}, {2: 0.7, 0: 0.3}),
+], ids=["rr", "channel", "echo3"])
+def test_wrapper_law_builds_its_reference_kernel_once(rz, ref, other, monkeypatch):
+    """Every wrapper law reads one reference kernel law, with the bytes a per-call build gives."""
+    import panshuffle.exact as ex
+
+    built = []
+    kernel_for = ex.randomizer_kernel_for
+    monkeypatch.setattr(ex, "randomizer_kernel_for",
+                        lambda r, dist: built.append(dist) or kernel_for(r, dist))
+    proto = ShuffleProtocol(randomizer=rz, analyzer=histogram_analyzer(), n=12)
+    wrapper = ShuffleToPanWrapper(protocol=proto, reference=ref)
+    laws = [wrapper.exact_output_distribution(law) for law in (other, other, ref)]
+    # the reference once for the wrapper, then each call's input
+    assert [id(dist) for dist in built] == [id(ref), id(other), id(other), id(ref)]
+    assert laws[0] == laws[1] and sum(laws[2].values()) == pytest.approx(1.0, abs=1e-12)
+    fresh = ex.CountLaw.of(kernel_for(rz, ref), len(rz.alphabet))
+    for field in ("codes", "probs", "lo", "places"):
+        assert getattr(wrapper._reference_law, field).tobytes() == getattr(fresh, field).tobytes()
+
+
 def test_wrapper_sampling_matches_exact_law():
     wrapper = ShuffleToPanWrapper(protocol=_rr_protocol(6, 3), reference=REF)
     alg = wrapper.as_pan_algorithm()
@@ -389,6 +424,24 @@ def _distinguisher(learner, scale: float = 24.0) -> LearnerDistinguisher:
         learner=learner, d=3, alpha=0.2, epsilon=1.0, n_learn=40,
         test_phase_scale=scale,
     )
+
+
+def test_distinguisher_rows_match_the_expression_oracles():
+    """Both worlds' rows: the bytes, dtype and shape of the out-of-place expressions, and
+    the generator left where they leave it."""
+    for d in range(1, 13):
+        planted = ParityIndex(tuple(range(1, min(d, 3) + 1)), -1)
+        dist = LearnerDistinguisher(learner=PlantedLearner(index=planted), d=d, alpha=0.2,
+                                    epsilon=1.0, n_learn=0)
+        member = dist._member(planted)
+        for m in (0, 1, 257):
+            for world, oracle in ((None, lambda g: uniform_rows_by_expression(d, m, g)),
+                                  (member, lambda g: sample_by_expression(member, m, g))):
+                ours, theirs = make_generator(31, "rows", d, m), make_generator(31, "rows", d, m)
+                got, want = dist._draw_rows(world, m, ours), oracle(theirs)
+                assert got.dtype == want.dtype and got.shape == want.shape == (m, d + 1)
+                assert got.tobytes() == want.tobytes(), (d, m, world)
+                assert generator_probe(ours) == generator_probe(theirs)
 
 
 def test_test_len_formula():

@@ -11,6 +11,7 @@ from panshuffle import rng
 from panshuffle.rng import (
     as_generator,
     derive_seed,
+    draw_words,
     fnv1a64,
     gaussian,
     laplace,
@@ -43,6 +44,15 @@ def test_fnv1a64_known_vector():
 def test_derive_seed_frozen(key, expected):
     master, components = key
     assert derive_seed(master, *components) == expected
+
+
+_COMPONENT = st.one_of(st.integers(min_value=-(2**70), max_value=2**70), st.text(max_size=12))
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.lists(_COMPONENT, max_size=4),
+       st.lists(_COMPONENT, max_size=4))
+def test_a_folded_prefix_derives_the_whole_seed(master, prefix, rest):
+    assert rng._fold_seed(derive_seed(master, *prefix), *rest) == derive_seed(master, *prefix, *rest)
 
 
 def test_derive_seed_component_order_matters():
@@ -104,7 +114,13 @@ TOP_WORDS = np.array([(1 << 64) - 1, (1 << 64) - 1024, (1 << 64) - 1025], dtype=
 
 
 class _Words:
-    """A generator stub that hands out the given words."""
+    """A generator stub that hands out the given words.
+
+    Its ``bit_generator`` is no numpy bit generator, so ``draw_words`` asks its
+    ``integers`` for the words.
+    """
+
+    bit_generator = None
 
     def __init__(self, words):
         self.words = words
@@ -121,6 +137,47 @@ def test_top_words_draw_finite_noise():
     u = 1.0 - 2.0**-53
     assert np.all(lap == -np.log1p(-2.0 * (u - 0.5)))
     assert np.all(gau == gau[2]) and gau[2] > 8.0
+
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                   np.random.MT19937]
+# draws made before the words: none, bounded small integers (buffered 32-bit halves on
+# some generators), bounded uint32, and doubles
+_DRAWS_BEFORE = {
+    "none": lambda g: None,
+    "int8": lambda g: g.integers(0, 2, size=5, dtype=np.int8),
+    "uint32": lambda g: g.integers(0, 1000, size=3, dtype=np.uint32),
+    "float": lambda g: g.random(3),
+}
+
+
+def _same_state(a, b) -> bool:
+    """Equal bit-generator states; some hold arrays, compared element by element."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("size", [None, 0, 1, (4000, 2)], ids=str)
+@pytest.mark.parametrize("before", list(_DRAWS_BEFORE))
+@pytest.mark.parametrize("bits", _BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_draw_words_are_the_integers_words_and_leave_the_generator_there(bits, before, size):
+    ours, theirs = (np.random.Generator(bits(20261020)) for _ in range(2))
+    for gen in (ours, theirs):
+        _DRAWS_BEFORE[before](gen)
+    got = draw_words(ours, size)
+    want = theirs.integers(0, 1 << 64, size=size, dtype=np.uint64)
+    assert type(got) is type(want) and got.dtype == want.dtype and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert _same_state(ours.bit_generator.state, theirs.bit_generator.state)
+    assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
+    assert ours.random() == theirs.random()
+
+
+def test_every_stream_built_here_reads_raw_words():
+    for gen in (make_generator(3, "words"), as_generator(3), as_generator(None)):
+        assert type(gen.bit_generator) in rng._raw_words()
+    assert np.random.MT19937 not in rng._raw_words()  # its raw output is 32 bits
 
 
 def test_noise_is_pure_function_of_stream():
