@@ -29,11 +29,13 @@ in row blocks straight from the noise, with no kernel. Forward laws come from
 output law given the time-t state. A step that is a partial map (a fixed
 element through a deterministic update) makes ``B_{t-1}`` a row gather of
 ``B_t``, kept as a row index. The one-intrusion view at every t is
-``law_t[:, None] * B_t``: an audit gathers and scales it in place, a block of
-rows at a time, and writes each time's two views, where either has mass, into
-one buffer sized for the widest time. An audit's working memory is that table,
-that buffer and block-sized scratch. The public functions still return
-dictionaries.
+``law_t[:, None] * B_t``. A step that leaves every state at its index on
+every stream (an identity map) repeats the earlier view bit for bit, so an
+audit of both times builds only the later one. An audit gathers and scales a
+view in place, a block of rows at a time, and writes each time's two views,
+where either has mass, into one buffer sized for the widest time. An audit's
+working memory is that table, that buffer and block-sized scratch. The public
+functions still return dictionaries.
 
 Every enumeration is checked against ``MAX_PATHS`` before it starts (support
 x kernel size before a count convolution, states x input support before a
@@ -387,6 +389,11 @@ class _Kernel:
     def is_map(self) -> bool:
         return bool(np.all(self.rows[1:] > self.rows[:-1]) and np.all(self.weights == 1.0))
 
+    @property
+    def is_identity(self) -> bool:
+        """A partial map that leaves every source at its index."""
+        return np.array_equal(self.cols, self.rows) and self.is_map
+
     def push(self, law: np.ndarray, size: int) -> np.ndarray:
         """Forward: the law after the step, on ``size`` target indices."""
         return np.bincount(self.cols, weights=law[self.rows] * self.weights, minlength=size)
@@ -608,8 +615,11 @@ def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]
 
     Stream k's joint law of (state at t, final output) is the states x outputs
     array ``laws_t[k][:, None] * B_t``, with ``B_t = tables[k]`` from
-    :func:`_backward`: one backward pass serves every time. ``rows`` is the
-    most states at any of the times, so ``rows`` x outputs holds every view.
+    :func:`_backward`: one backward pass serves every time. A time t whose
+    next step is the identity on the index for every stream, with t + 1 also
+    wanted, is skipped: each stream's law and ``B_t`` are those of t + 1 on
+    every live row, and zero elsewhere, so its views are t + 1's. ``rows`` is
+    the most states at any time yielded, so ``rows`` x outputs holds every view.
     """
     n = len(streams[0])
     wanted = set(times)
@@ -619,9 +629,11 @@ def _pan_views(alg: PanPrivateAlgorithm, streams: Sequence, times: Iterable[int]
     if not wanted:
         raise ValueError("no intrusion time to audit; None audits every time")
     states, laws, kernels = _propagate(alg, streams)
-    rows = max(len(states[t]) for t in wanted)
-    for t, outputs, tables in _backward(alg, states, kernels, min(wanted), "view"):
-        if t in wanted:
+    kept = {t for t in wanted
+            if t + 1 not in wanted or not all(kern[t].is_identity for kern in kernels)}
+    rows = max(len(states[t]) for t in kept)
+    for t, outputs, tables in _backward(alg, states, kernels, min(kept), "view"):
+        if t in kept:
             yield states[t], outputs, [law[t] for law in laws], tables, rows
 
 
@@ -750,7 +762,8 @@ def audit_privacy(
 
     A :class:`Randomizer` is audited on the cohort's message multiset, a
     :class:`PanPrivateAlgorithm` on the joint (state at t, final output), maximized
-    over ``intrusion_times`` (default: every time); a :class:`ShuffleProtocol`
+    over ``intrusion_times`` (default: every time), each distinct view audited once
+    (an identity step's earlier view is its later one); a :class:`ShuffleProtocol`
     raises ``TypeError``: audit its ``.randomizer``. Epsilons must be finite and >= 0,
     and at most ``log`` of the largest float64 (about 709.78), where e^eps overflows.
     An empty grid or time list and a time that is not an integer raise

@@ -251,11 +251,10 @@ def run_pan(alg: PanPrivateAlgorithm, stream: Sequence, t: int, rng=None) -> Adv
 
 
 def _bit(x) -> int:
-    """The input as the bit 0 or 1; ValueError on any other value."""
-    bit = int(x)
-    if bit not in (0, 1):
-        raise ValueError(f"input must be a bit, got {x!r}")
-    return bit
+    """The input as the bit 0 or 1; ValueError on any value not equal to one, 1.5 included."""
+    if x in (0, 1):
+        return int(x)
+    raise ValueError(f"input must be a bit, got {x!r}")
 
 
 def _bits(xs: Sequence) -> np.ndarray:
@@ -365,10 +364,15 @@ def histogram_analyzer() -> Analyzer:
 
 
 def _ones(x) -> int:
-    """Count of +1 entries of a sign-tuple element; 1 for a scalar 1 bit, else 0."""
+    """Count of +1 entries of a sign-tuple element; 1 for a scalar 1, 0 for any other whole number.
+
+    A scalar that is not a whole number (1.5, nan) raises ValueError.
+    """
     if isinstance(x, tuple):
         return sum(1 for v in x if v == 1)
-    return 1 if int(x) == 1 else 0
+    if x % 1 != 0:  # nan and inf too
+        raise ValueError(f"element must be a whole number or a sign tuple, got {x!r}")
+    return 1 if x == 1 else 0
 
 
 def quantized_laplace_pmf(scale: float, step: float, span: float) -> tuple[dict, float]:

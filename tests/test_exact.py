@@ -223,16 +223,25 @@ def test_audit_refuses_a_protocol_and_names_its_randomizer():
         audit_privacy(proto, ([1, 1, 0], [1, 0, 0]), [0.0, 0.5])
 
 
-def test_audit_pan_maximizes_over_intrusions():
-    alg = noisy_parity_chain(0.15)
+COUNTER = quantized_laplace_counter(0.5, 0.5, step=0.5, span=6.0)
+
+
+# the counter cases have steps that leave every state at its index on both
+# streams: zeros in both, the dead-rows pair, and a common prefix of ones
+@pytest.mark.parametrize("alg, pair", [
+    (noisy_parity_chain(0.15), ([1, 0, 1], [0, 0, 1])),
+    (COUNTER, ([0, 1, 0, 0, 1, 0], [0, 0, 0, 0, 1, 0])),
+    (COUNTER, ([1, 1, 1, 0], [0, 0, 0, 0])),
+    (COUNTER, ([1, 1, 1, 0, 1], [1, 1, 1, 1, 1])),
+], ids=["noisy-parity", "counter-zeros", "dead-rows", "equal-prefix"])
+def test_audit_pan_maximizes_over_intrusions(alg, pair):
     grid = [0.0, 0.5, 1.0]
-    full = audit_privacy(alg, ([1, 0, 1], [0, 0, 1]), grid)
-    singles = [
-        audit_privacy(alg, ([1, 0, 1], [0, 0, 1]), grid, intrusion_times=[t])
-        for t in (1, 2, 3)
-    ]
-    stacked = np.max([c.delta_max for c in singles], axis=0)
-    assert np.allclose(full.delta_max, stacked)
+    full = audit_privacy(alg, pair, grid)
+    singles = [audit_privacy(alg, pair, grid, intrusion_times=[t])
+               for t in range(1, len(pair[0]) + 1)]
+    for side in ("delta_forward", "delta_backward"):
+        stacked = np.max([getattr(c, side) for c in singles], axis=0)
+        assert getattr(full, side).tobytes() == stacked.tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from panshuffle.errors import GuardError
+from panshuffle.exact import exact_pan_states, exact_shuffle_counts
 from panshuffle.mechanisms import (
     PanPrivateAlgorithm,
     _draw,
@@ -164,6 +165,40 @@ def test_run_shuffle_rejects_inputs_outside_the_domain(rz, good, bad):
     assert repr(bad) in str(refused.value)
     with pytest.raises(ValueError, match="bit|outside alphabet"):
         rz.kernel(bad)
+
+
+@pytest.mark.parametrize("rz", [binary_randomized_response(0.2),
+                                asymmetric_binary_randomizer(0.8, 0.1)], ids=["rr", "channel"])
+def test_a_bit_is_a_value_equal_to_zero_or_one(rz):
+    # a value was truncated before the check: 1.5 ran as bit 1 and 0.2 as bit 0
+    u = np.full((2, 1), 0.5)
+    for bad in (1.5, 0.2, -0.5, math.nan, np.float64(1.7)):
+        for run in (lambda: rz.kernel(bad), lambda: rz.batch_fn([1, bad], u),
+                    lambda: rz.emit_batch([0, bad], make_generator(1, "bits"))):
+            with pytest.raises(ValueError, match="input must be a bit"):
+                run()
+    with pytest.raises(ValueError, match="input must be a bit, got 1.5"):
+        exact_shuffle_counts(rz, [1.5, 0.2])
+    ones, zeros = (True, np.int64(1), 1.0, np.float64(1.0)), (False, np.int64(0), 0.0, -0.0)
+    for one, zero in zip(ones, zeros):
+        assert (rz.kernel(one), rz.kernel(zero)) == (rz.kernel(1), rz.kernel(0))
+    u = make_generator(3, "bits").random((8, 1))
+    assert np.array_equal(rz.batch_fn([*ones, *zeros], u), rz.batch_fn([1] * 4 + [0] * 4, u))
+
+
+def test_a_counter_steps_only_whole_numbers_and_sign_tuples():
+    # a scalar was truncated before the check: a counter stepped 1.5 as a 1
+    ctr = quantized_laplace_counter(0.5, 0.5, step=0.5, span=6.0)
+    for alg in (ctr, saturating_counter(cap=2), noisy_parity_chain(0.1)):
+        for bad in (1.5, 0.5, -0.25, math.nan, math.inf):
+            with pytest.raises(ValueError, match="element must be a whole number"):
+                exact_pan_states(alg, [1, bad])
+    with pytest.raises(ValueError, match="element must be a whole number or a sign tuple, got 1.5"):
+        run_pan(ctr, [1, 1.5], t=1, rng=make_generator(1))
+    # the sign rule holds: 1 counts one, any other whole number counts zero
+    want = exact_pan_states(ctr, [1, 0, 0, 1, 0, (1, -1, 1)])
+    assert exact_pan_states(ctr, [1.0, -1, 3, np.int64(1), -2.0, (1, -1, 1)]) == want
+    assert [_ones(x) for x in (True, 1.0, np.float64(1.0), -1, 2, 0.0)] == [1, 1, 1, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

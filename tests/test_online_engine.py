@@ -27,6 +27,7 @@ from panshuffle.exact import (
 from panshuffle.mechanisms import (
     PanPrivateAlgorithm,
     _ones,
+    constant_mechanism,
     noisy_parity_chain,
     quantized_laplace_counter,
     saturating_counter,
@@ -444,3 +445,50 @@ def test_laws_normalize_and_curves_decrease(alg, pair, eps):
     curve = audit_privacy(alg, (stream_a, stream_b), grid)
     for deltas in (curve.delta_forward, curve.delta_backward):
         assert np.all(np.diff(deltas) <= 0.0)
+
+
+def _pairs_built(monkeypatch, alg, pair, times) -> int:
+    """The number of view pairs an audit builds, counted at ``_view_pairs``."""
+    built = []
+    view_pairs = exact_mod._view_pairs
+
+    def counted(views):
+        for a, b in view_pairs(views):
+            built.append(len(a))
+            yield a, b
+
+    monkeypatch.setattr(exact_mod, "_view_pairs", counted)
+    audit_privacy(alg, pair, GRID, intrusion_times=times)
+    return len(built)
+
+
+def test_an_identity_step_audits_its_earlier_view_once(monkeypatch):
+    # criterion-07's steps 2 and 4 leave every state at its index on both
+    # streams, so times 1 and 3 repeat times 2 and 4
+    assert _pairs_built(monkeypatch, *DENSE_PATH["criterion-07"]) == 2
+    assert _pairs_built(monkeypatch, *CASES["coarse-qlap"]) < 5
+    # no noisy-parity step is a map, and times 3 and 1 are not adjacent
+    assert _pairs_built(monkeypatch, *CASES["noisy-parity"]) == 4
+    assert _pairs_built(monkeypatch, *CASES["explicit-times"]) == 2
+
+
+PROPERTY_MECHANISMS = st.sampled_from([
+    quantized_laplace_counter(0.7, 0.4, step=0.5, span=4.0),
+    saturating_counter(cap=2),
+    noisy_parity_chain(0.2),
+    constant_mechanism(0),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(alg=PROPERTY_MECHANISMS, data=st.data())
+def test_an_audit_is_the_bytewise_max_of_its_one_time_audits(alg, data):
+    stream = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=7))
+    flip = data.draw(st.integers(0, len(stream) - 1))
+    other = [*stream[:flip], 1 - stream[flip], *stream[flip + 1:]]
+    times = data.draw(st.sets(st.integers(1, len(stream)), min_size=1))
+    full = audit_privacy(alg, (stream, other), GRID, intrusion_times=sorted(times))
+    singles = [audit_privacy(alg, (stream, other), GRID, intrusion_times=[t]) for t in times]
+    for side in ("delta_forward", "delta_backward"):
+        stacked = np.max([getattr(c, side) for c in singles], axis=0)
+        assert getattr(full, side).tobytes() == stacked.tobytes()
