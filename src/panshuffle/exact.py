@@ -9,12 +9,15 @@ it is given, before the first product. Each user's step then adds codes and
 merges equal ones with one stable sort and ``np.bincount``, in a deterministic
 order with no hash dependence. Count vectors are decoded once, on demand.
 ``convolve_counts`` and ``exact_shuffle_counts`` return ``{counts_tuple:
-prob}`` dicts built from it. A chain of two-symbol kernels whose count
-vectors all hold one message total (every one-message randomizer) runs
-instead on a :class:`_Line`, a dense array over the second symbol's count,
-where a user's step is one shifted add per kernel entry and no sort; the
-adds run in the merge's order, so every probability keeps its bits, and the
-line becomes a ``CountLaw`` at the chain's end. ``_chain`` makes that choice too.
+prob}`` dicts built from it. A chain of kernels of at most four symbols
+whose count vectors all hold one message total (every one-message
+randomizer) runs instead on a :class:`_Grid`, a dense array over the codes
+of every count but the first, where a user's step is one shifted add per
+kernel entry and no sort; the adds run in the merge's order, so every
+probability keeps its bits, and the grid becomes a ``CountLaw`` at the
+chain's end. ``_chain`` makes that choice too: the grid's box holds about
+(w - 1)! cells per vector of a w-symbol cohort, so from five symbols on
+the merge is the faster one.
 
 Online algorithms run on an indexed array engine. At each time t the reachable
 states get integer indices in first-seen order, shared by every stream
@@ -67,6 +70,8 @@ from .metrics import _check_eps, _hockey, hockey_stick, mutual_information, tv_d
 
 MAX_PATHS = 10**7
 _VIEW_BLOCK = 1 << 16  # elements per row block of an audit's views: 512 kB, kept in cache
+_GRID_WIDTH = 4  # the widest alphabet whose one-total chains run on a :class:`_Grid`
+_GRID_CELLS = 10**7  # the most cells a :class:`_Grid` chain's box may hold
 
 __all__ = [
     "convolve_counts",
@@ -117,8 +122,8 @@ class CountLaw:
     merges equal codes with one stable sort and ``np.bincount``: rows come out
     in code order and sums run in pair order, never in hash order. Counts are
     decoded once, when read. One representation serves every alphabet width;
-    a two-symbol chain of one message total runs on a :class:`_Line` and
-    ends as this law, with the same codes, order and bytes.
+    a chain of one message total and at most four symbols runs on a
+    :class:`_Grid` and ends as this law, with the same codes, order and bytes.
     """
 
     codes: np.ndarray
@@ -188,31 +193,45 @@ class CountLaw:
         return _push(zip(self.counts + offset, self.probs.tolist()), analyzer)
 
 
-@dataclass(frozen=True)
-class _Line:
-    """A two-symbol law whose count vectors all hold ``total`` messages, on one dense line.
+@dataclass  # never changed once built; a frozen dataclass takes 0.7 us longer to build, per step
+class _Grid:
+    """A law whose count vectors all hold ``total`` messages, dense over every count but the first.
 
-    ``probs[k]`` is the probability of ``(total - b, b)`` with ``b = offset + k``
-    and ``reach[k]`` says whether that vector is in the support, zero weight or
-    not, as ``_merge`` keeps it. A :class:`CountLaw`'s codes rise with b, so a
-    convolution that adds the kernel's largest shift first gives every cell its terms in
+    A vector's cell is the code of its later counts in the chain's strides,
+    ``c[1:] @ (places[1:-1] // places[1])``; the first count makes up ``total``.
+    ``probs[k]`` is the probability of the vector in cell ``offset + k``, and
+    ``reach[k]`` says whether it is in the support, zero weight or not, as
+    ``_merge`` keeps it. Cells add as vectors do, and within the chain's space
+    a :class:`CountLaw` code is ``places[1]`` times the cell plus a first digit
+    below ``places[1]``, so codes rise exactly as cells do. A convolution that
+    adds the kernel's largest shift first thus gives every cell its terms in
     the merge's order, ascending in the lower law's index, from 0.0: every sum
     keeps its bits. A mixture sum adds aligned arrays, as ``_union`` does.
+
+    A step costs a few passes over the law's cells. Of the box, the cells of
+    the chain's space, a cohort of n users of a w-symbol one-total kernel
+    reaches about 1/(w - 1)! (its support is C(n + w - 1, w - 1), the box
+    about (n + 1)^(w - 1)): 1/6 at four symbols, where a step is still
+    cheaper than the merge's sort of the same pairs, and 1/24 at five, where
+    it is not.
     """
 
     probs: np.ndarray
     reach: np.ndarray
     offset: int
     total: int
-    places: np.ndarray  # ``settled`` codes into it: a chain's space, from its empty law
+    places: np.ndarray  # the chain's space, from its empty law
+    base: np.ndarray  # the least corner of the chain's space: ``settled`` decodes from it
 
     @classmethod
-    def of(cls, law: CountLaw) -> _Line:
-        b = law.counts[:, 1]
-        k = b - b.min()
+    def of(cls, law: CountLaw, base: np.ndarray) -> _Grid:
+        """``law``, coded in a chain's space, on the cells its vectors reach."""
+        cells = law.codes // law.places[1]
+        k = cells - cells.min()
         probs, reach = np.zeros(k.max() + 1), np.zeros(k.max() + 1, bool)
         probs[k], reach[k] = law.probs, True
-        return cls(probs, reach, int(b.min()), int(law.counts[0].sum()), law.places)
+        offset = _cell(law.lo, law.places) + int(cells.min())
+        return cls(probs, reach, offset, int(law.counts[0].sum()), law.places, base)
 
     @cached_property
     def _shifts(self) -> list:
@@ -220,10 +239,11 @@ class _Line:
         ks = np.flatnonzero(self.reach)[::-1]
         return list(zip(ks.tolist(), self.probs[ks].tolist()))
 
-    def scaled(self, weight: float) -> _Line:
-        return _Line(weight * self.probs, self.reach, self.offset, self.total, self.places)
+    def scaled(self, weight: float) -> _Grid:
+        return _Grid(weight * self.probs, self.reach, self.offset, self.total, self.places,
+                     self.base)
 
-    def convolve(self, other: _Line, label: str = "count convolution") -> _Line:
+    def convolve(self, other: _Grid, label: str = "count convolution") -> _Grid:
         paths = int(np.count_nonzero(self.reach)) * len(other._shifts)
         _check_paths(paths, label, "; reduce the cohort size n")
         n, size = len(self.probs), len(self.probs) + len(other.probs) - 1
@@ -231,10 +251,10 @@ class _Line:
         for k, q in other._shifts:
             probs[k:k + n] += self.probs * q
             reach[k:k + n] |= self.reach
-        return _Line(probs, reach, self.offset + other.offset, self.total + other.total,
-                     self.places)
+        return _Grid(probs, reach, self.offset + other.offset, self.total + other.total,
+                     self.places, self.base)
 
-    def __add__(self, other: _Line) -> _Line:
+    def __add__(self, other: _Grid) -> _Grid:
         lo = min(self.offset, other.offset)
         size = max(self.offset + len(self.probs), other.offset + len(other.probs)) - lo
         probs, reach = np.zeros(size), np.zeros(size, bool)
@@ -242,14 +262,26 @@ class _Line:
             at = slice(law.offset - lo, law.offset - lo + len(law.probs))
             probs[at] += law.probs
             reach[at] |= law.reach
-        return _Line(probs, reach, lo, self.total, self.places)
+        return _Grid(probs, reach, lo, self.total, self.places, self.base)
 
     def settled(self) -> CountLaw:
-        """The reached vectors as a :class:`CountLaw` of ``places``, in code order."""
-        b = self.offset + np.flatnonzero(self.reach)
-        counts = np.stack([self.total - b, b], axis=1)
+        """The reached vectors as a :class:`CountLaw` of ``places``, in code order.
+
+        Cells are decoded from ``base``: a law that ends a chain lies in the
+        chain's space, between ``base`` and ``base`` plus the span of each count.
+        """
+        cells = self.offset - _cell(self.base, self.places) + np.flatnonzero(self.reach)
+        digits = cells[:, None] // (self.places[1:-1] // self.places[1])
+        later = self.base[1:] + digits % (self.places[2:] // self.places[1:-1])
+        counts = np.column_stack([self.total - later.sum(axis=1), later])
         lo = counts.min(axis=0)
         return CountLaw((counts - lo) @ self.places[:-1], self.probs[self.reach], lo, self.places)
+
+
+def _cell(counts: np.ndarray, places: np.ndarray) -> int:
+    """The cell of a count vector: the code of its later counts, in Python ints."""
+    places = places.tolist()
+    return sum(map(operator.mul, counts.tolist()[1:], places[1:-1])) // places[1]
 
 
 def _chain(randomizer: Randomizer, cohorts: Sequence[Sequence], label: str) -> tuple:
@@ -258,9 +290,13 @@ def _chain(randomizer: Randomizer, cohorts: Sequence[Sequence], label: str) -> t
     Each user entry is a fixed input or a ``{input: prob}`` dict, whose kernel
     is built once, or a kernel already built as a :class:`CountLaw`, taken as
     it is. The code space spans the sum of every cohort; past int64 it
-    is refused under ``label``. Two-symbol kernels whose count vectors all hold
-    one message total (every randomizer of one message) run on a
-    :class:`_Line`; any other chain on count codes, merged by ``_merge``.
+    is refused under ``label``. Kernels of at most four symbols whose count
+    vectors all hold one message total (every randomizer of one message) run
+    on a :class:`_Grid` while its box holds at most ``_GRID_CELLS`` cells;
+    any other chain on count codes, merged by ``_merge``. Both give the same
+    law, bit for bit. A w-symbol one-total cohort fills about 1/(w - 1)! of
+    the box, so up to four symbols the grid's shifted adds beat the merge's
+    sort, and from five on they do not.
     """
     width = len(randomizer.alphabet)
     users = {id(u): u for u in chain.from_iterable(cohorts)}
@@ -271,9 +307,13 @@ def _chain(randomizer: Randomizer, cohorts: Sequence[Sequence], label: str) -> t
     ends = np.array([sum((m * bounds[k] for k, m in Counter(map(id, c)).items()),
                          np.zeros((2, width), int)) for c in cohorts])
     zero = CountLaw.zero(_places(ends[:, 1].max(axis=0) - ends[:, 0].min(axis=0) + 1, label))
-    if width == 2 and len({t for k in own.values() for t in k.counts.sum(axis=1).tolist()}) == 1:
-        return _Line.of(zero), {k: _Line.of(law) for k, law in own.items()}
-    return zero, {k: law.within(zero.places) for k, law in own.items()}
+    kernels = {k: law.within(zero.places) for k, law in own.items()}
+    totals = {t for law in own.values() for t in law.counts.sum(axis=1).tolist()}
+    box = zero.places[-1] // zero.places[1]  # the cells of the later counts
+    if width <= _GRID_WIDTH and len(totals) == 1 and box <= _GRID_CELLS:
+        base = ends[:, 0].min(axis=0)
+        return _Grid.of(zero, base), {k: _Grid.of(law, base) for k, law in kernels.items()}
+    return zero, kernels
 
 
 def _merge(codes: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -463,8 +503,15 @@ def _step(alg: PanPrivateAlgorithm, i: int, x, states: list, rows, index: dict) 
     Update kernels pass through unscaled; ``_enumerate`` multiplies each weight
     by its input's probability (1.0 for a fixed element), one product each.
     With ``update_offset`` no kernel is built: the targets ``states[r] + offset``,
-    in (row, input) order, join ``index`` as ``_enumerate``'s do.
+    in (row, input) order, join ``index`` as ``_enumerate``'s do. An element
+    law with a negative or non-finite weight, or a mass more than 1e-9 from 1,
+    is refused before any state is stepped.
     """
+    # a nan weight fails the sign test, and an infinite one the mass test
+    if isinstance(x, dict) and not (all(p >= 0.0 for p in x.values())
+                                    and abs(sum(x.values()) - 1.0) <= 1e-9):
+        raise ValueError(f"step {i}: the element law {x!r} must hold finite "
+                         "non-negative weights summing to 1")
     inputs = x if isinstance(x, dict) else {x: 1.0}
     _guard(alg, len(rows) * len(inputs), f"step {i} ({len(rows)} states x {len(inputs)} inputs)")
     px = np.fromiter(inputs.values(), dtype=np.float64, count=len(inputs))

@@ -366,9 +366,12 @@ def histogram_analyzer() -> Analyzer:
 def _ones(x) -> int:
     """Count of +1 entries of a sign-tuple element; 1 for a scalar 1, 0 for any other whole number.
 
-    A scalar that is not a whole number (1.5, nan) raises ValueError.
+    A scalar that is not a whole number (1.5, nan) and a tuple entry other
+    than +-1 raise ValueError.
     """
     if isinstance(x, tuple):
+        if not all(v == 1 or v == -1 for v in x):
+            raise ValueError(f"a sign-tuple element holds only +-1 entries, got {x!r}")
         return sum(1 for v in x if v == 1)
     if x % 1 != 0:  # nan and inf too
         raise ValueError(f"element must be a whole number or a sign tuple, got {x!r}")

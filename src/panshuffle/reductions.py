@@ -217,7 +217,10 @@ class ShuffleToPanWrapper:
                                  side="right")
         drawn = [keys[i] for i in picks.tolist()]
         xs = drawn[:cap] + list(stream[:real]) + drawn[cap:]
-        msg_u = np.concatenate([pre[cap:], steps[:real * k], late_u[:, 1:].ravel(), pad[cap:]])
+        if k:
+            msg_u = np.concatenate([pre[cap:], steps[:real * k], late_u[:, 1:].ravel(), pad[cap:]])
+        else:  # every slice is empty
+            msg_u = u[:0]
         counts = rz.batch_fn(xs, msg_u.reshape(len(xs), k))
         state = (budget, tuple(counts[:cap + t].sum(axis=0).tolist()))
         return state, self.protocol.analyzer(counts.sum(axis=0))
@@ -245,8 +248,8 @@ class ShuffleToPanWrapper:
         is linear in b, so the code space that spans those two cohorts holds
         every law of the loop. The reference user enters as its kernel law,
         built once per wrapper; only the input's kernel is built per call.
-        Two-symbol kernels of one message total run the loop on a line, where
-        each product is a few shifted adds.
+        Kernels of one message total and at most four symbols run the loop on
+        a dense grid, where each product is a few shifted adds.
         """
         n, cap, ref = self.n, self.stream_len, self._reference_law
         label = f"wrapper law (n={n})"

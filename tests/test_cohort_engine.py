@@ -1,6 +1,7 @@
 """The array cohort engine against the dict-walk oracle, its guards and its invariants."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,6 +30,8 @@ from oracles import cohort_oracle, count_oracle
 from oracles.toy_mechanisms import kernel_randomizer, one_count_analyzer
 
 ECHO3 = echo_randomizer((0, 1, 2))
+ECHO4 = echo_randomizer((0, 1, 2, 3))
+ECHO5 = echo_randomizer((0, 1, 2, 3, 4))
 
 # (randomizer, cohort)
 COHORTS = {
@@ -200,6 +203,7 @@ def test_wrapper_kernels_match_oracle():
 RR = binary_randomized_response(0.23)
 CHANNEL = asymmetric_binary_randomizer(0.8, 0.3)
 ECHO_USER = {0: 0.2, 1: 0.5, 2: 0.3}
+ECHO4_USER = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}
 
 # (randomizer, cohort, analyzer)
 CODE_COHORTS = {
@@ -247,7 +251,8 @@ def test_repeated_users_and_pair_convolutions_are_bit_identical_to_per_step_stri
 @pytest.mark.parametrize("rz, reference, inputs", [
     (RR, {0: 0.6, 1: 0.4}, [{0: 0.6, 1: 0.4}, {0: 0.1, 1: 0.9}]),
     (ECHO3, {0: 0.5, 1: 0.3, 2: 0.2}, [{1: 1.0}, {0: 0.1, 1: 0.2, 2: 0.7}]),
-], ids=["rr", "echo3"])
+    (ECHO4, {0: 0.4, 1: 0.3, 2: 0.2, 3: 0.1}, [{3: 1.0}, {0: 0.1, 2: 0.2, 3: 0.7}]),
+], ids=["rr", "echo3", "echo4"])
 def test_wrapper_laws_are_bit_identical_to_per_step_strides(n, rz, reference, inputs):
     # the histogram analyzer pushes the count law to itself, row by row
     for analyzer in (histogram_analyzer(), one_count_analyzer()):
@@ -267,7 +272,9 @@ def test_wrapper_laws_are_bit_identical_to_per_step_strides(n, rz, reference, in
     (RR, [1] * 30 + [0] * 10, [1] * 29 + [0] * 11),
     (ECHO3, [0, 1, 2, ECHO_USER, ECHO_USER], [1, 1, 2, ECHO_USER, ECHO_USER]),
     (ECHO3, [], []),
-], ids=["channel", "rr", "echo3", "empty"])
+    (ECHO4, [0, 3, ECHO4_USER, ECHO4_USER] * 3, [1, 3, ECHO4_USER, ECHO4_USER] * 3),
+    (ECHO5, [0, 4, ECHO_USER] * 3, [1, 4, ECHO_USER] * 3),
+], ids=["channel", "rr", "echo3", "empty", "echo4", "echo5"])
 def test_multiset_audits_are_bit_identical_to_per_step_strides(rz, a, b):
     grid = [0.0, 0.3, 1.0, 2.0]
     _, _, pa, pb = exact_mod._union(*exact_mod._shuffle_law(rz, a, b))
@@ -281,17 +288,21 @@ def test_multiset_audits_are_bit_identical_to_per_step_strides(rz, a, b):
 
 
 # ---------------------------------------------------------------------------
-# two-symbol chains on one dense line
+# one-total chains on one dense grid
 
 TWO_MESSAGES = {(2, 0): 0.2, (1, 1): 0.5, (0, 2): 0.3}
 
 
-def _on_line(*kernels: dict) -> bool:
+def _on_grid(*kernels: dict) -> bool:
     width = len(next(iter(kernels[0])))
     randomizer = dataclasses.replace(kernel_randomizer(kernels[0], width),
                                      kernel_fn=kernels.__getitem__)
-    zero, _ = exact_mod._chain(randomizer, [range(len(kernels))], "test")
-    return type(zero) is exact_mod._Line
+    return _cohort_on_grid(randomizer, range(len(kernels)))
+
+
+def _cohort_on_grid(randomizer, users) -> bool:
+    zero, _ = exact_mod._chain(randomizer, [users], "test")
+    return type(zero) is exact_mod._Grid
 
 
 def _same_cohort_bits(randomizer, users) -> None:
@@ -302,7 +313,7 @@ def _same_cohort_bits(randomizer, users) -> None:
 
 
 def test_zero_weight_entries_stay_in_the_support_on_a_line():
-    assert _on_line({(1, 0): 1.0, (0, 1): 0.0})
+    assert _on_grid({(1, 0): 1.0, (0, 1): 0.0})
     _same_cohort_bits(kernel_randomizer({(1, 0): 1.0, (0, 1): 0.0}, 2), [0] * 4)
     assert len(exact_shuffle_counts(kernel_randomizer({(1, 0): 1.0, (0, 1): 0.0}, 2), [0] * 4)) == 5
     _same_cohort_bits(binary_randomized_response(0.0), [{1: 0.0, 0: 1.0}, 1, 0, {0: 0.0, 1: 1.0}])
@@ -331,7 +342,7 @@ def test_single_entry_half_flip_and_empty_cohorts_on_a_line(randomizer, users):
 @pytest.mark.parametrize("n", [3, 12, 40])
 def test_two_message_kernel_adds_its_largest_shift_first(n):
     # a cell takes up to three terms; any other order moves the last bits of some
-    assert _on_line(TWO_MESSAGES)
+    assert _on_grid(TWO_MESSAGES)
     randomizer = kernel_randomizer(TWO_MESSAGES, 2)
     _same_cohort_bits(randomizer, [0] * n)
     [law] = exact_mod._shuffle_law(randomizer, [0] * n)
@@ -341,10 +352,40 @@ def test_two_message_kernel_adds_its_largest_shift_first(n):
 
 def test_unequal_message_totals_take_the_sorted_merge():
     kernel = {(1, 0): 0.5, (1, 1): 0.5}
-    assert not _on_line(kernel)
-    assert not _on_line({(1, 0): 0.5, (0, 1): 0.5}, TWO_MESSAGES)
-    assert not _on_line({(1, 0, 0): 0.5, (0, 1, 0): 0.5})
+    assert not _on_grid(kernel)
+    assert not _on_grid({(1, 0): 0.5, (0, 1): 0.5}, TWO_MESSAGES)
+    assert not _on_grid({(1, 0, 0): 0.5, (1, 1, 0): 0.5})
     _same_cohort_bits(kernel_randomizer(kernel, 2), [0] * 12)
+
+
+def test_one_total_chains_of_at_most_four_symbols_run_on_the_grid(monkeypatch):
+    assert _on_grid({(1, 0, 0): 0.5, (0, 1, 0): 0.5})
+    assert _on_grid({(2, 0, 1): 0.5, (0, 3, 0): 0.5}, {(1, 1, 1): 1.0})
+    assert _on_grid({(0, 0, 0, 2): 0.25, (1, 0, 1, 0): 0.75})
+    assert _cohort_on_grid(ECHO3, [0, ECHO_USER, 2])
+    assert _cohort_on_grid(ECHO4, [ECHO4_USER] * 30)
+    # five symbols and more take the merge, as do unequal totals and an empty cohort
+    assert not _cohort_on_grid(ECHO5, [ECHO_USER] * 30)
+    assert not _cohort_on_grid(echo_randomizer(tuple(range(30))), [{0: 0.5, 29: 0.5}] * 3)
+    assert not _on_grid({(1, 0, 0, 0): 0.5, (1, 0, 0, 1): 0.5})
+    assert not _cohort_on_grid(ECHO3, [])
+    # a box of more cells than ``_GRID_CELLS`` takes the merge, with the same bits
+    assert _cohort_on_grid(ECHO4, [ECHO4_USER] * 12)  # 13**3 cells
+    monkeypatch.setattr(exact_mod, "_GRID_CELLS", 13**3 - 1)
+    assert not _cohort_on_grid(ECHO4, [ECHO4_USER] * 12)
+    _same_cohort_bits(ECHO4, [ECHO4_USER] * 12)
+
+
+@pytest.mark.parametrize("randomizer, users", [
+    (ECHO3, [ECHO_USER] * 90),
+    (ECHO3, [0, 1, 2, ECHO_USER, {2: 0.9, 0: 0.1}] * 6),
+    (ECHO4, [ECHO4_USER] * 24),
+    (ECHO4, [3, {0: 0.5, 3: 0.5}, ECHO4_USER, {1: 0.0, 2: 1.0}] * 5),
+    (kernel_randomizer({(0, 0, 0, 2): 0.25, (1, 0, 1, 0): 0.75, (0, 1, 0, 1): 0.0}, 4), [0] * 15),
+], ids=["echo3-90", "echo3-mixed", "echo4-24", "echo4-mixed", "two-messages-4"])
+def test_three_and_four_symbol_cohorts_on_the_grid_keep_their_bits(randomizer, users):
+    assert _cohort_on_grid(randomizer, users)
+    _same_cohort_bits(randomizer, users)
 
 
 def test_line_guards_raise_at_the_same_step_with_the_same_message(monkeypatch):
@@ -372,28 +413,50 @@ def test_line_guards_raise_at_the_same_step_with_the_same_message(monkeypatch):
     assert sizes == [2, 2, 4, 4, 6, 8, 10]
 
 
+def test_grid_mixture_sums_are_the_merges_in_either_order():
+    # two cohorts of one chain, as the wrapper's Horner loop adds them: either law may start lower
+    cohorts = [[0, ECHO_USER, 0], [2, ECHO_USER, 1]]
+    zero, kernels = exact_mod._chain(ECHO3, cohorts, "test")
+    assert type(zero) is exact_mod._Grid
+    laws = []
+    for users in cohorts:
+        law = zero
+        for user in users:
+            law = law.convolve(kernels[id(user)])
+        laws.append(law)
+    a, b = laws[0].scaled(0.25), laws[1].scaled(0.75)
+    want_a, want_b = (count_oracle.shuffle_law(ECHO3, users) for users in cohorts)
+    want = want_a.scaled(0.25) + want_b.scaled(0.75)
+    _same_bits((a + b).settled(), want)
+    _same_bits((b + a).settled(), want)
+
+
 @st.composite
-def binary_chains(draw):
-    total = draw(st.integers(1, 3))
+def one_total_chains(draw):
+    width, total = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    vectors = [v for v in itertools.product(range(total + 1), repeat=width) if sum(v) == total]
 
     def kernel():
-        shifts = draw(st.lists(st.integers(0, total), min_size=1, max_size=total + 1, unique=True))
-        weights = draw(st.lists(st.integers(0, 5), min_size=len(shifts), max_size=len(shifts)))
+        keys = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=len(vectors),
+                             unique=True))
+        weights = draw(st.lists(st.integers(0, 5), min_size=len(keys), max_size=len(keys)))
         scale = sum(weights) or 1
-        return {(total - b, b): w / scale for b, w in zip(shifts, weights)}
+        return {key: w / scale for key, w in zip(keys, weights)}
 
     kernels = [kernel() for _ in range(draw(st.integers(1, 3)))]
     inputs = st.integers(0, len(kernels) - 1)
     user = st.one_of(inputs, st.dictionaries(inputs, st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                                               min_size=1))
-    randomizer = dataclasses.replace(kernel_randomizer(kernels[0], 2), kernel_fn=kernels.__getitem__)
+    randomizer = dataclasses.replace(kernel_randomizer(kernels[0], width),
+                                     kernel_fn=kernels.__getitem__)
     return randomizer, draw(st.lists(user, max_size=12))
 
 
-@settings(max_examples=60, deadline=None)
-@given(binary_chains())
-def test_binary_chains_equal_the_oracle_bit_for_bit(chain):
+@settings(max_examples=80, deadline=None)
+@given(one_total_chains())
+def test_one_total_chains_equal_the_oracle_bit_for_bit(chain):
     randomizer, users = chain
+    assert _cohort_on_grid(randomizer, users) == bool(users)
     _same_cohort_bits(randomizer, users)
 
 
@@ -415,15 +478,58 @@ def test_cohort_guard_raises_before_an_oversized_product(monkeypatch):
     # supports 1, 3, 6, 10 times a 3-entry kernel: the fourth product (30 pairs) trips
     monkeypatch.setattr(exact_mod, "MAX_PATHS", 20)
     with pytest.raises(GuardError, match=r"cohort size n.*") as err:
-        exact_shuffle_counts(ECHO3, users)
+        exact_shuffle_counts(ECHO5, users)
     assert "n=10, user 4" in str(err.value)
     assert sizes == [3, 9, 18]
 
     sizes.clear()
     monkeypatch.setattr(exact_mod, "MAX_PATHS", 2)
     with pytest.raises(GuardError, match="cohort size n"):
-        exact_shuffle_counts(ECHO3, users)
+        exact_shuffle_counts(ECHO5, users)
     assert sizes == []
+
+
+def _guard_trace(monkeypatch, run) -> tuple:
+    """The sizes ``run`` checks against ``MAX_PATHS`` and the message it is refused with."""
+    sizes: list = []
+    check = exact_mod._check_paths
+
+    def spy(size, *args):
+        sizes.append(size)
+        check(size, *args)
+
+    with monkeypatch.context() as patch, pytest.raises(GuardError) as err:
+        patch.setattr(exact_mod, "_check_paths", spy)
+        run()
+    return sizes, str(err.value)
+
+
+def test_grid_guards_fire_at_the_merges_user_with_its_message(monkeypatch):
+    # ECHO3 runs on the grid and ECHO5 on the merge; their kernels have the same supports
+    monkeypatch.setattr(exact_mod, "MAX_PATHS", 20)
+    users = [{0: 0.2, 1: 0.5, 2: 0.3}] * 10
+    traces = [_guard_trace(monkeypatch, lambda rz=rz: exact_shuffle_counts(rz, users))
+              for rz in (ECHO3, ECHO5)]
+    assert traces[0] == traces[1] == ([3, 9, 18, 30], (
+        "cohort of n=10, user 4: 30 paths exceed the 20 guard; reduce the cohort size n"))
+    traces = []
+    for rz in (ECHO3, ECHO5):
+        wrapper = ShuffleToPanWrapper(ShuffleProtocol(rz, histogram_analyzer(), 6),
+                                      {0: 0.5, 1: 0.3, 2: 0.2})
+        traces.append(_guard_trace(monkeypatch,
+                                   lambda w=wrapper: w.exact_output_distribution({1: 0.4, 2: 0.6})))
+    assert traces[0] == traces[1]
+    assert traces[0][1] == (
+        "wrapper law (n=6): 30 paths exceed the 20 guard; reduce the cohort size n")
+    # past int64, a one-total 4-symbol chain (the grid's) and one of mixed totals (the
+    # merge's) with the same count bounds are refused before any product, alike
+    n = 55_108  # (n + 1)**4 codes overflow int64; n**4 do not
+    mixed = kernel_randomizer({(1, 0, 0, 0): 0.5, (0, 1, 0, 0): 0.25, (1, 1, 1, 1): 0.25}, 4)
+    traces = [_guard_trace(monkeypatch, lambda rz=rz, u=u: exact_shuffle_counts(rz, [u] * n))
+              for rz, u in ((ECHO4, ECHO4_USER), (mixed, 0))]
+    assert traces[0] == traces[1] == ([], (
+        f"cohort of n={n}: {(n + 1)**4} count-vector codes overflow int64; "
+        "reduce the alphabet width (4) or the cohort size n"))
 
 
 def test_count_codes_refuse_int64_overflow():

@@ -201,6 +201,19 @@ def test_a_counter_steps_only_whole_numbers_and_sign_tuples():
     assert [_ones(x) for x in (True, 1.0, np.float64(1.0), -1, 2, 0.0)] == [1, 1, 1, 0, 0, 0]
 
 
+def test_a_sign_tuple_holds_only_signs():
+    # ``(1.5, 7, 1)`` counted one and dropped its other two entries
+    ctr = quantized_laplace_counter(0.5, 0.5, step=0.5, span=6.0)
+    for bad in ((1.5, 7, 1), (1, 0, -1), (2,), (1, math.nan), (-1, -1.0, 0.5)):
+        with pytest.raises(ValueError, match=r"sign-tuple element holds only \+-1 entries"):
+            _ones(bad)
+        for alg in (ctr, saturating_counter(cap=2), noisy_parity_chain(0.1)):
+            with pytest.raises(ValueError, match="sign-tuple element"):
+                exact_pan_states(alg, [1, bad])
+    signs = [(1, -1, 1), (True, -1.0, np.int64(1)), (), (-1,)]
+    assert [_ones(x) for x in signs] == [2, 2, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # quantized-Laplace machinery
 

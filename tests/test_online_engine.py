@@ -492,3 +492,30 @@ def test_an_audit_is_the_bytewise_max_of_its_one_time_audits(alg, data):
     for side in ("delta_forward", "delta_backward"):
         stacked = np.max([getattr(c, side) for c in singles], axis=0)
         assert getattr(full, side).tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("law", [
+    {0: 1.0, -1: 1.0},
+    {0: -0.25, 1: 1.25},
+    {0: math.nan, 1: 1.0},
+    {0: math.inf, 1: 0.0},
+    {0: 0.5, 1: 0.5 - 1e-6},
+    {},
+], ids=["mass-2", "negative", "nan", "inf", "short", "empty"])
+def test_an_element_law_is_refused_unless_its_weights_are_a_probability_law(law):
+    # ``{0: 1.0, -1: 1.0}`` stepped a counter to ``{0: 2.0}``
+    for alg in (saturating_counter(cap=3), quantized_laplace_counter(0.5, 0.5, step=0.5, span=3.0)):
+        with pytest.raises(ValueError, match=r"^step 2: the element law .* summing to 1"):
+            exact_pan_states(alg, [1, law, 0])
+        with pytest.raises(ValueError, match=r"^step 1: the element law"):
+            audit_privacy(alg, ([law, 1], [0, 1]), [0.0])
+
+
+def test_element_laws_of_zero_weight_entries_and_mixtures_still_step():
+    ctr = saturating_counter(cap=3)
+    assert exact_pan_states(ctr, [{1: 1.0, 0: 0.0}, {0: 1.0, -1: 0.0}]) == {1: 1.0}
+    # a certificate steps its members and their equal-weight mixture
+    family = [{1: 0.7, 0: 0.3}, {0: 1.0, 1: 0.0}, {1: 0.45, 0: 0.55}]
+    assert hybrid_tv_certificate(noisy_parity_chain(0.1), family, 4).ok
+    assert exact_pan_states(ctr, [{1: 0.1, 0: 0.2, -1: 0.7 + 1e-12}]) == pytest.approx(
+        {1: 0.1, 0: 0.9 + 1e-12})

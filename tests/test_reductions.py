@@ -345,6 +345,25 @@ def test_wrapper_view_matches_the_step_loop(rz, ref):
                 assert gen.bit_generator.random_raw() == want_gen.bit_generator.random_raw()
 
 
+@pytest.mark.parametrize("rz", [binary_randomized_response(0.3), echo_randomizer((0, 1, 2))],
+                         ids=["rr", "echo3"])
+def test_a_view_joins_no_empty_message_uniforms(rz, monkeypatch):
+    """An echo message takes no uniform, so a view joins no four empty slices for them."""
+    wrapper = ShuffleToPanWrapper(ShuffleProtocol(rz, histogram_analyzer(), 24), {0: 0.5, 1: 0.5})
+    want = [wrapper.sample_view([1, 0, 1], t, make_generator(5, t)) for t in (1, 2, 3)]
+    empty_joins = []
+    concatenate = np.concatenate
+
+    def spy(parts, *args, **kwargs):
+        parts = list(parts)
+        empty_joins.append(all(len(p) == 0 for p in parts))
+        return concatenate(parts, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", spy)
+    assert [wrapper.sample_view([1, 0, 1], t, make_generator(5, t)) for t in (1, 2, 3)] == want
+    assert empty_joins and not any(empty_joins)
+
+
 def test_shuffle_to_pan_factory_sets_metadata():
     alg = ShuffleToPanWrapper(protocol=_rr_protocol(6, 3), reference=REF).as_pan_algorithm()
     assert alg.meta == {"n": 6, "stream_len": 2}
