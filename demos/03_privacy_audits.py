@@ -6,7 +6,7 @@ both directions. For randomized response the pure level has a closed form,
 so the audit must return delta = 0 exactly at eps* = ln((1-p)/p) and a
 positive delta just below it. Shuffled cohorts buy smaller flip
 probabilities for the same target; the calibrator certifies them either by
-exact audit (small cohorts) or by a conservative closed form (large ones).
+exact audit (small cohorts) or by the privacy-blanket bound (large ones).
 Online mechanisms are audited on the joint view (state at time t, output),
 maximized over the intrusion time.
 """
@@ -46,14 +46,6 @@ print(f"\ncohort n=8 at (1.0, 0.05): flip {cohort.flip_p:.6f}",
 print(f"  versus the single-user pure rate {cal.flip_p:.6f}:",
       "the shuffled count law hides part of each report, so less local noise",
       "certifies the same epsilon once delta > 0.")
-
-# --- large cohorts, closed-form calibration ------------------------------
-big = calibrate_rr(1.0, 1e-6, 50_000)
-formula = 14 * math.log(4 / 1e-6) / (1.0 * (50_000 - 1))
-print(f"\ncohort n=50000 at (1.0, 1e-6): flip {big.flip_p:.6f}",
-      f"method {big.method} (formula gives {formula:.6f})")
-print("  the conservative closed form needs large cohorts before the rate",
-      "drops usefully below 1/2; that cost shows up again in demo 07.")
 
 # --- an online counter under one intrusion -------------------------------
 # The counter keeps a Laplace-noised running count on a fixed grid and

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .errors import GuardError, InsufficientCohortError
+from .errors import GuardError
 from .rng import as_generator, derive_seed, gaussian, laplace, make_generator
 from .distributions import (
     FiniteDistribution,
@@ -81,7 +81,6 @@ from .harness import ExperimentSpec, RunResult, fit_scaling, run_spec
 __all__ = [
     "__version__",
     "GuardError",
-    "InsufficientCohortError",
     "as_generator",
     "derive_seed",
     "gaussian",

@@ -29,13 +29,15 @@ from itertools import combinations
 import numpy as np
 
 from .distributions import ParametricHardDistribution, from_descriptor, sample as draw_from
-from .errors import GuardError, InsufficientCohortError
+from .errors import GuardError
 from .exact import _check_paths
-from .metrics import _hockey
+from .metrics import _check_eps, _hockey
 from .rng import as_generator, gaussian, laplace, make_generator
 
 EXACT_AUDIT_MAX_N = 12
 _AUDIT_ROWS = 64  # neighbor pairs per block of the randomized-response audit
+_BLANKET_SD = 12  # standard deviations each window of the blanket bound spans
+_LOG_PMF_RTOL = 1e-8  # relative error of a _log_binomial pmf within 10 sd, up to m = 10^5
 
 __all__ = [
     "CalibratedRR",
@@ -135,6 +137,63 @@ def _rr_audit_delta(n: int, flip_p: float, epsilon: float) -> float:
     return worst
 
 
+def _log_binomial(m, q: float, lo, width: int) -> np.ndarray:
+    """Log pmf of Bin(m, q) at k = lo, ..., lo + width - 1, one row per pair of ``m`` and ``lo``.
+
+    Each row starts from ``math.lgamma`` at its ``lo`` and adds the cumulative
+    sums of the log ratios ``log((m - k) q / ((k + 1) (1 - q)))``; a k above m
+    reads -inf. Needs 0 <= lo <= m and 0 < q < 1.
+    """
+    m, lo = np.broadcast_arrays(np.asarray(m, dtype=np.int64), np.asarray(lo, dtype=np.int64))
+    first = np.reshape([math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+                        + b * math.log(q) + (a - b) * math.log1p(-q)
+                        for a, b in zip(m.ravel().tolist(), lo.ravel().tolist())], m.shape + (1,))
+    k = lo[..., None] + np.arange(width - 1)
+    with np.errstate(divide="ignore"):
+        ratios = np.log(np.maximum(m[..., None] - k, 0) * q / ((k + 1) * (1.0 - q)))
+    return first + np.concatenate([np.zeros_like(first), np.cumsum(ratios, axis=-1)], axis=-1)
+
+
+def _blanket_delta(n: int, flip_p: float, epsilon: float) -> float:
+    """The privacy-blanket bound on :func:`_rr_audit_delta`, at any cohort size.
+
+    Each report is a uniform bit with probability 2p, else the true bit (Balle,
+    Bell, Gascon and Nissim, "The Privacy Blanket of the Shuffle Model", CRYPTO
+    2019). Given which other users sent uniform bits, C ~ Bin(n - 1, 2p) of
+    them, every neighbor pair is one shift of ``Bin(C, 1/2) + Bern(1-p)``
+    against ``Bin(C, 1/2) + Bern(p)``, so by joint convexity its gap either way
+    is at most the mean over C of that pair's. The likelihood ratio climbs with
+    the count, so the gap at C sums ``a b(k-1) - c b(k)`` (b the Bin(C, 1/2)
+    pmf) over the counts k past a cut linear in C. C spans ``_BLANKET_SD`` sd
+    (plus as many counts) each side of its mean.
+    """
+    scale = math.exp(epsilon)
+    a, c = 1.0 - flip_p - scale * flip_p, scale * (1.0 - flip_p) - flip_p
+    if a <= 0.0:
+        return 0.0  # one report alone is eps-private
+    m, q = n - 1, 2.0 * flip_p
+    sd = math.sqrt(m * q * (1.0 - q))
+    half, step = math.ceil(_BLANKET_SD * (sd + 1.0)), max(1, int(sd / 4))
+    lo, hi = max(0, math.floor(m * q) - half), min(m, math.ceil(m * q) + half)
+    counts = np.arange(lo, hi + 1, step)
+    # a row starts 2 below its cut (so a cut one off by rounding loses no gap) and runs
+    # as many sd of Bin(C, 1/2) past C / 2, Hoeffding bounding the rest
+    start = np.maximum(np.floor(c / (a + c) * (counts + 1)).astype(np.int64) - 1, 0)
+    ends = np.ceil(counts / 2 + _BLANKET_SD * (np.sqrt(counts) / 2 + 1)).astype(np.int64)
+    width = int(max(2, (ends - start).max() + 2))
+    _check_paths(len(counts) * width, f"privacy-blanket bound (n={n})", "; reduce the cohort n")
+    b = np.exp(_log_binomial(counts, 0.5, start, width))
+    gaps = np.clip(a * b[:, :-1] - c * b[:, 1:], 0.0, None).sum(axis=1)
+    gaps += a * np.exp(-2.0 * (start + width - 1 - counts / 2) ** 2 / np.maximum(counts, 1))
+    # a shared uniform bit cannot widen the gap, so each quarter-sd step of C pays its first count's
+    weights = np.exp(_log_binomial(m, q, lo, hi - lo + 1))
+    mass = np.add.reduceat(weights, counts - lo)
+    # the mass past the window, at gap 1: each tail is under its edge's geometric series
+    below, above = lo * (1.0 - q) / ((m - lo + 1) * q), (m - hi) * q / ((hi + 1) * (1.0 - q))
+    outside = weights[0] * below / (1.0 - below) + weights[-1] * above / (1.0 - above)
+    return float((mass @ gaps + outside) * (1.0 + _LOG_PMF_RTOL))  # the pmfs' rounding
+
+
 @dataclass(frozen=True)
 class CalibratedRR:
     """Flip probability plus how it was certified."""
@@ -143,7 +202,7 @@ class CalibratedRR:
     epsilon: float
     delta: float
     n: int
-    method: str  # "exact-audit" or "closed-form"
+    method: str  # "exact-audit", "blanket", or "closed-form" (the pure local level at delta = 0)
 
     def audit_delta(self) -> float:
         """Re-audit the shuffled count law at the calibrated flip probability."""
@@ -153,13 +212,12 @@ class CalibratedRR:
 def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
     """Smallest certifiable randomized-response flip probability for a cohort.
 
-    For cohorts up to ``EXACT_AUDIT_MAX_N`` the flip probability is found by
-    bisection against the exact audit of the shuffled 1-count, from 1/2, where
-    it reads 0 (the returned value re-certifies, since the feasible endpoint
-    is kept). Larger cohorts use the closed-form amplification rate
-    ``14 ln(4/delta) / (eps^2 (n-1))``, which requires ``delta > 0`` and
-    ``epsilon <= 1``; when the resulting rate reaches 1/2 the cohort cannot
-    support the target and :class:`InsufficientCohortError` is raised.
+    Bisection from 1/2, where every bound reads 0, keeps the feasible endpoint,
+    so the result re-certifies. The bound is the exact audit of the shuffled
+    1-count up to ``EXACT_AUDIT_MAX_N`` users (``"exact-audit"``), and above
+    it the privacy-blanket bound (``"blanket"``), which is at least the exact
+    audit and meets any finite epsilon and delta in (0, 1). An epsilon whose
+    e^eps overflows is refused before either bound runs.
 
     With ``delta = 0`` privacy must come from the local report alone, so the
     answer is the pure local level ``1 / (1 + e^eps)`` at any cohort size.
@@ -168,26 +226,17 @@ def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
     if delta == 0.0:
         p = 1.0 / (1.0 + math.exp(epsilon))
         return CalibratedRR(flip_p=p, epsilon=epsilon, delta=0.0, n=n, method="closed-form")
-    if n <= EXACT_AUDIT_MAX_N:
-        lo, hi = 0.0, 0.5  # at 1/2 both neighbors' count laws are one array
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _rr_audit_delta(n, mid, epsilon) <= delta:
-                hi = mid
-            else:
-                lo = mid
-        return CalibratedRR(flip_p=hi, epsilon=epsilon, delta=delta, n=n, method="exact-audit")
-    if epsilon > 1.0:
-        raise ValueError(
-            "closed-form calibration is only valid for epsilon <= 1; "
-            f"got {epsilon} (split a larger budget before calibrating)"
-        )
-    p = 14.0 * math.log(4.0 / delta) / (epsilon * epsilon * (n - 1))
-    if p >= 0.5:
-        raise InsufficientCohortError(
-            f"n={n} too small for ({epsilon}, {delta}): required flip rate {p:.3f} >= 1/2"
-        )
-    return CalibratedRR(flip_p=p, epsilon=epsilon, delta=delta, n=n, method="closed-form")
+    _check_eps([epsilon])
+    bound, method = ((_rr_audit_delta, "exact-audit") if n <= EXACT_AUDIT_MAX_N
+                     else (_blanket_delta, "blanket"))
+    lo, hi = 0.0, 0.5  # at 1/2 both neighbors' count laws are one array
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if bound(n, mid, epsilon) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return CalibratedRR(flip_p=hi, epsilon=epsilon, delta=delta, n=n, method=method)
 
 
 # ---------------------------------------------------------------------------

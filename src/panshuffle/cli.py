@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import MODELS
 from .distributions import densify, from_descriptor, index_to_vectors, sample as draw_from
-from .errors import GuardError, InsufficientCohortError
+from .errors import GuardError
 from .harness import (
     ExperimentSpec,
     _run_kind,
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, GuardError, InsufficientCohortError) as err:
+    except (ValueError, OSError, GuardError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

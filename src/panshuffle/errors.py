@@ -10,10 +10,6 @@ class GuardError(RuntimeError):
     """An operation would exceed a declared resource guard (size, paths, dims)."""
 
 
-class InsufficientCohortError(RuntimeError):
-    """A calibration target cannot be met at the given cohort size."""
-
-
 def _must(ok: bool, value):
     if not ok:
         raise TypeError(value)

@@ -37,7 +37,7 @@ from panshuffle.baselines import (
     wilson_interval,
 )
 from panshuffle.distributions import ParametricHardDistribution, ParityIndex, member_descriptor
-from panshuffle.errors import InsufficientCohortError
+from panshuffle.errors import GuardError
 from panshuffle.rng import make_generator
 
 from oracles.feature_oracle import feature_matrix_by_columns
@@ -94,13 +94,46 @@ def test_calibrate_rr_exact_audit_regime():
     assert looser.audit_delta() > 0.05
 
 
-def test_calibrate_rr_closed_form_regime():
-    n, eps, delta = 4000, 0.8, 1e-6
+@pytest.mark.parametrize("n", list(range(2, 41)) + [60])
+def test_the_blanket_bound_is_at_least_the_exact_audit(n):
+    for flip in (0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45):
+        for eps in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0):
+            exact = baselines_mod._rr_audit_delta(n, flip, eps)
+            assert baselines_mod._blanket_delta(n, flip, eps) >= exact - 2.2e-16, (flip, eps)
+
+
+@pytest.mark.parametrize("n", [400, 1200])
+def test_the_blanket_bound_is_at_least_the_exact_audit_where_it_steps_over_c(n):
+    # here C's sd reaches 8, so each step of the sum covers 2 or more counts of C
+    for flip in (0.05, 0.2, 0.4):
+        for eps in (0.05, 0.3, 1.0):
+            exact = baselines_mod._rr_audit_delta(n, flip, eps)
+            assert baselines_mod._blanket_delta(n, flip, eps) >= exact - 2.2e-16, (flip, eps)
+
+
+_BLANKET_TARGETS = [(n, eps, delta) for n in (EXACT_AUDIT_MAX_N + 1, 40, 200)
+                    for eps, delta in ((0.1, 1e-2), (1.0, 1e-6), (4.0, 1e-3))]
+
+
+@pytest.mark.parametrize("n, eps, delta", _BLANKET_TARGETS)
+def test_a_blanket_flip_re_audits_within_its_delta(n, eps, delta):
     cal = calibrate_rr(eps, delta, n)
-    assert cal.method == "closed-form"
-    assert cal.flip_p == pytest.approx(
-        14.0 * math.log(4.0 / delta) / (eps * eps * (n - 1)), rel=1e-15
-    )
+    assert cal.method == "blanket" and 0.0 < cal.flip_p < 0.5
+    assert cal.audit_delta() <= delta
+
+
+@pytest.mark.parametrize("n, eps, delta", _BLANKET_TARGETS)
+def test_a_blanket_flip_two_percent_lower_breaks_the_bound(n, eps, delta):
+    cal = calibrate_rr(eps, delta, n)
+    assert baselines_mod._blanket_delta(n, 0.98 * cal.flip_p, eps) > delta
+
+
+@pytest.mark.parametrize("n, eps, delta, flip", [
+    # the flips the blanket bound certifies where the exact audit gives 0.0307, 0.0482, 0.244
+    (200, 1.0, 1e-2, 0.0366), (600, 1.0, 1e-6, 0.0559), (2000, 0.1, 1e-6, 0.273),
+])
+def test_blanket_flips_on_large_cohorts(n, eps, delta, flip):
+    assert calibrate_rr(eps, delta, n).flip_p == pytest.approx(flip, abs=5e-4)
 
 
 def test_calibrate_rr_rejects_bad_inputs():
@@ -108,10 +141,45 @@ def test_calibrate_rr_rejects_bad_inputs():
         calibrate_rr(0.0, 0.1, 10)
     with pytest.raises(ValueError):
         calibrate_rr(1.0, 0.1, 0)
-    with pytest.raises(ValueError, match="epsilon <= 1"):
-        calibrate_rr(2.0, 1e-6, 100)
-    with pytest.raises(InsufficientCohortError):
-        calibrate_rr(1.0, 1e-6, EXACT_AUDIT_MAX_N + 2)
+    # a per-feature budget above 1 is certified too
+    cal = calibrate_rr(2.0, 1e-6, 100)
+    assert cal.method == "blanket" and cal.audit_delta() <= 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 100])
+def test_calibrate_rr_refuses_an_overflowing_epsilon_before_any_bound(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound ran")
+
+    monkeypatch.setattr(baselines_mod, "_rr_audit_delta", refuse)
+    monkeypatch.setattr(baselines_mod, "_blanket_delta", refuse)
+    with pytest.raises(ValueError, match=r"^e\^eps overflows float64 at eps = 800\.0; "):
+        calibrate_rr(800.0, 1e-6, n)
+
+
+def test_the_blanket_bound_refuses_a_cohort_past_the_path_guard():
+    # at eps = 1e-4 the Bin(C, 1/2) rows of 10^10 users would span about 4e7 entries
+    with pytest.raises(GuardError, match=r"^privacy-blanket bound \(n=10000000000\): .*; reduce the cohort n$"):
+        calibrate_rr(1e-4, 1e-6, 10**10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12, 50, 100, 1000, 10_000, 100_000])
+@pytest.mark.parametrize("q", [1e-4, 0.1, 0.5, 0.9])
+def test_log_binomial_matches_scipy_within_ten_sd(m, q):
+    sd = math.sqrt(m * q * (1.0 - q))
+    lo, hi = max(0, math.floor(m * q - 10 * sd)), min(m, math.ceil(m * q + 10 * sd))
+    got = baselines_mod._log_binomial(m, q, lo, hi - lo + 1)
+    # a log-pmf gap is the pmf's relative error
+    gap = np.abs(got - binom.logpmf(np.arange(lo, hi + 1), m, q)).max()
+    assert gap <= (1e-12 if m <= 100 else baselines_mod._LOG_PMF_RTOL), gap
+
+
+def test_log_binomial_rows_are_their_own_calls_and_read_minus_inf_above_m():
+    rows = baselines_mod._log_binomial(np.array([7, 30, 31]), 0.5, np.array([3, 16, 0]), 6)
+    for row, m, lo in zip(rows, (7, 30, 31), (3, 16, 0)):
+        assert np.array_equal(row, baselines_mod._log_binomial(m, 0.5, lo, 6))
+    assert np.isneginf(rows[0, 5]) and np.isfinite(rows[0, :5]).all()
+    assert np.allclose(np.exp(rows[0, :5]), binom.pmf(np.arange(3, 8), 7, 0.5), rtol=1e-13)
 
 
 _EPS_GRID = [0.0, 1e-300, 1e-9, 0.01, 0.5, 1.0, 2.0, 10.0, 100.0, 700.0,
@@ -155,6 +223,7 @@ def test_every_budget_reader_refuses_an_out_of_range_budget_before_any_work(
         raise AssertionError("an out-of-range budget was audited or tried")
 
     monkeypatch.setattr(baselines_mod, "_rr_audit_delta", refuse)
+    monkeypatch.setattr(baselines_mod, "_blanket_delta", refuse)
     monkeypatch.setattr(baselines_mod, "selection_success_fast", refuse)
     instance = dict(problem="sparse-mean", model="central", d=3, k=1, alpha=0.2, n=50,
                     truth={"family": "uniform", "d": 3})
@@ -209,19 +278,19 @@ def test_find_selection_threshold_refuses_an_unusable_search_before_any_trial(
     assert str(info.value) == named
 
 
-@pytest.mark.parametrize("d, model, trials, error, named", [
-    # 100 users cannot certify the shuffle flip of d = 8 at (1, 1e-6), so no 1-count
-    # may be drawn before the certificate is asked for
-    (8, "shuffle", 50, InsufficientCohortError, "n=100 too small"),
-    (0, "central", 50, ValueError, "'d' must be at least 1, got 0"),
-    (8, "central", 0, ValueError, "'trials' must be at least 1, got 0"),  # not a nan rate
-    (8, "pan", -1, ValueError, "'trials' must be at least 1, got -1"),
-], ids=["shuffle-cohort-too-small", "d-zero", "trials-zero", "trials-negative"])
-def test_selection_success_fast_refuses_before_its_first_draw(d, model, trials, error, named):
+@pytest.mark.parametrize("d, model, delta, trials, named", [
+    # shuffle cannot split a pure budget over d = 8 features, so no 1-count may be
+    # drawn before the certificate is asked for
+    (8, "shuffle", 0.0, 50, "advanced composition needs delta in (0, 1)"),
+    (0, "central", 1e-6, 50, "'d' must be at least 1, got 0"),
+    (8, "central", 1e-6, 0, "'trials' must be at least 1, got 0"),  # not a nan rate
+    (8, "pan", 1e-6, -1, "'trials' must be at least 1, got -1"),
+], ids=["shuffle-delta-zero", "d-zero", "trials-zero", "trials-negative"])
+def test_selection_success_fast_refuses_before_its_first_draw(d, model, delta, trials, named):
     gen = make_generator(26, "refusal")
     before = gen.bit_generator.state
-    with pytest.raises(error) as info:
-        selection_success_fast(d, 100, model, 1.0, 1e-6, 0.2, trials, gen)
+    with pytest.raises(ValueError) as info:
+        selection_success_fast(d, 100, model, 1.0, delta, 0.2, trials, gen)
     assert str(info.value).startswith(named)
     assert gen.bit_generator.state == before
 
@@ -567,12 +636,6 @@ def test_solve_is_decide_of_private_means(model):
     rng = make_generator(42, "solve-pipeline", model)
     for trial in range(8):
         inst = random_instance(rng, model=model)
-        if model == "shuffle":
-            # the closed-form calibration needs a per-feature budget <= 1 and a large cohort
-            m = len(inst.candidates)
-            inst = dataclasses.replace(
-                inst, n=3000, delta=0.05, epsilon=0.9 * math.sqrt(8 * m * math.log(20.0))
-            )
         samples = inst.sample_data(make_generator(43, "solve-data", trial))
         got = solve(inst, samples, make_generator(44, "solve-noise", trial))
         means = private_means(
@@ -621,15 +684,12 @@ def test_selection_success_fast_limits():
 @pytest.mark.parametrize("model", ["central", "local", "shuffle", "pan"])
 def test_selection_success_fast_runs_every_model(model):
     rng = make_generator(41, "fast-models", model)
-    # the amplification closed form needs big cohorts before flips drop below 1/2
-    n = 400_000 if model == "shuffle" else 3000
-    rate = selection_success_fast(4, n, model, 1.0, 1e-6, 0.2, 300, rng)
+    rate = selection_success_fast(4, 3000, model, 1.0, 1e-6, 0.2, 300, rng)
     assert 0.0 <= rate <= 1.0
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_selection_success_fast_at_an_infinite_budget_adds_no_noise(model):
-    # shuffle at n = 5000 would otherwise take the closed form, which refuses epsilon > 1
     rate = selection_success_fast(4, 5000, model, math.inf, 1e-6, 0.02, 300,
                                   make_generator(48, "fast-inf"))
     mu = np.array([0.04, 0.0, 0.0, 0.0])
@@ -660,7 +720,7 @@ def _seeded_draws() -> dict:
     ``private_means`` runs on one 12 x 4 sign matrix at (4, 1e-3) under every
     model (shuffle at n = 12 is calibrated by the exact audit);
     ``selection_success_fast`` runs at d = 3 for n = 12 and n = 5000 (shuffle
-    at 5000 takes the closed-form flip).
+    at 5000 takes the blanket flip).
     """
     signs = make_generator(11, "draws-golden", "signs").choice([-1, 1], size=(12, 4))
     out: dict = {"private_means": {}, "selection_success_fast": {}}

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from panshuffle import distributions, harness, mechanisms
-from panshuffle.baselines import ThresholdSearchResult, find_selection_threshold
+from panshuffle.baselines import EXACT_AUDIT_MAX_N, ThresholdSearchResult, find_selection_threshold
 from panshuffle.cli import CHECK_FAILED, main
 from panshuffle.distributions import (
     ParametricHardDistribution,
@@ -330,6 +330,21 @@ def test_selection_sweep_kind(tmp_path):
     refit = fit_scaling(dims, stars)
     assert res.summary["slope"] == pytest.approx(refit.slope, abs=1e-12)
     assert res.summary["model"] == "central"
+
+
+def test_a_shuffle_selection_sweep_runs_end_to_end(tmp_path):
+    # each cohort the search visits is certified: by the exact audit up to 12 users, and
+    # by the privacy blanket above, at any per-feature budget
+    spec = ExperimentSpec("selection_sweep", "shuffle-sweep", {
+        "dims": [2, 3, 4, 6], "model": "shuffle", "epsilon": 4.0, "delta": 1e-3,
+        "pilot_trials": 100,
+    }, trials=200, master_seed=5)
+    res = run_spec(spec, tmp_path)
+    lines = res.csv_path.read_text().splitlines()
+    assert lines[0] == "d,n_star,success,corridor_n,corridor_success"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [2, 3, 4, 6]
+    assert all(int(line.split(",")[1]) > EXACT_AUDIT_MAX_N for line in lines[1:])
+    assert res.summary["model"] == "shuffle"
 
 
 def test_selection_sweep_kind_checks_its_dims_before_searching(tmp_path, monkeypatch):
@@ -886,8 +901,8 @@ def _qlap(**keys) -> list[str]:
 
 @pytest.mark.parametrize("argv, named", [
     (["sweep", "--dims", "8,16", "--trials", "100"], ["selection_sweep", "dims", "[8, 16]"]),
-    (["sweep", "--dims", "8,16,32,64", "--model", "shuffle", "--trials", "100"],
-     ["n=64", "too small"]),
+    (["sweep", "--dims", "8,16,32,64", "--model", "shuffle", "--delta", "0", "--trials", "100"],
+     ["advanced composition needs delta in (0, 1)"]),
     (["fit", "--csv", "short.csv"], [">= 4", "got 3"]),
     (["fit", "--csv", "ragged.csv"], ["ragged.csv line 3:", "got '16'"]),
     (["fit", "--csv", "long.csv"], ["long.csv line 4:", "got '32,400,7'"]),
@@ -924,7 +939,7 @@ def _qlap(**keys) -> list[str]:
     (["sweep", "--epsilon", "0"], ["'epsilon' must be positive, got 0.0"]),
     (["sweep", "--epsilon", "0", "--model", "central"], ["'epsilon' must be positive, got 0.0"]),
     (["sweep", "--delta", "nan"], ["'delta' must be in [0, 1), got nan"]),
-], ids=["sweep-two-dims", "sweep-shuffle-cohort", "fit-three-rows", "fit-short-row",
+], ids=["sweep-two-dims", "sweep-shuffle-delta-zero", "fit-three-rows", "fit-short-row",
         "fit-long-row", "fit-text-row", "audit-negative-eps", "audit-eps-text",
         "fit-missing-file", "fit-empty-file", "fit-unknown-column", "sample-family",
         "tv-family", "reduce-check-not-divisible", "distinguish-alpha-zero",
