@@ -14,8 +14,9 @@ accumulator adds Gaussian noise calibrated to the whole d-dimensional
 update, giving the sqrt(d) exponent; the central and local baselines here
 use per-coordinate Laplace and randomized-response splits, giving exponents
 near 1 and 2, and the shuffled estimator, its flip certified per cohort by
-the privacy blanket, near sqrt(d). A central mechanism with the same Gaussian
-accounting would match the accumulator; the sweep measures such exponents.
+the privacy blanket composed exactly over the d coordinates, near sqrt(d). A
+central mechanism with the same Gaussian accounting would match the
+accumulator; the sweep measures such exponents.
 """
 
 from panshuffle import find_selection_threshold, fit_scaling

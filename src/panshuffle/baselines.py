@@ -9,7 +9,8 @@ The estimators all reduce to means of +-1 feature values:
   one place each model's noise is set, for these means and for the selection
   sweeps of ``selection_success_fast`` alike: Laplace or Gaussian draws on the
   sign sums (central, pan), or a per-user randomized-response flip (local, and
-  shuffle at the rate :func:`calibrate_rr` certifies for the cohort).
+  shuffle at the rate :func:`calibrate_rr` certifies for the cohort's whole
+  release of d coordinates, by the privacy blanket composed over them).
 
 Problem instances (selection, sparse mean estimation, parity release, simple
 hypothesis testing, parity learning) share one pipeline: build the +-1 feature
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +39,10 @@ EXACT_AUDIT_MAX_N = 12
 _AUDIT_ROWS = 64  # neighbor pairs per block of the randomized-response audit
 _BLANKET_SD = 12  # standard deviations each window of the blanket bound spans
 _LOG_PMF_RTOL = 1e-8  # relative error of a _log_binomial pmf within 10 sd, up to m = 10^5
+_LOSS_STEP = 2e-4  # the grid each composed privacy loss is rounded up to
+_COMPOSED_SD = 20  # sd of the composed loss each side of its mean that its FFT spans
+_ULP = float(np.finfo(np.float64).eps)
+_BOUND_RTOL = 1e-6  # a bound's bisection stops once its bracket is this narrow, relative to its top
 
 __all__ = [
     "CalibratedRR",
@@ -57,7 +62,6 @@ __all__ = [
     "selection_success_fast",
     "ThresholdSearchResult",
     "find_selection_threshold",
-    "advanced_split",
     "true_means",
 ]
 
@@ -154,89 +158,223 @@ def _log_binomial(m, q: float, lo, width: int) -> np.ndarray:
     return first + np.concatenate([np.zeros_like(first), np.cumsum(ratios, axis=-1)], axis=-1)
 
 
-def _blanket_delta(n: int, flip_p: float, epsilon: float) -> float:
-    """The privacy-blanket bound on :func:`_rr_audit_delta`, at any cohort size.
+def _blanket_loss(n: int, flip_p: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The privacy-loss law of the blanket pair that dominates one shuffled 1-count.
 
     Each report is a uniform bit with probability 2p, else the true bit (Balle,
     Bell, Gascon and Nissim, "The Privacy Blanket of the Shuffle Model", CRYPTO
     2019). Given which other users sent uniform bits, C ~ Bin(n - 1, 2p) of
-    them, every neighbor pair is one shift of ``Bin(C, 1/2) + Bern(1-p)``
-    against ``Bin(C, 1/2) + Bern(p)``, so by joint convexity its gap either way
-    is at most the mean over C of that pair's. The likelihood ratio climbs with
-    the count, so the gap at C sums ``a b(k-1) - c b(k)`` (b the Bin(C, 1/2)
-    pmf) over the counts k past a cut linear in C. C spans ``_BLANKET_SD`` sd
-    (plus as many counts) each side of its mean.
+    them, every neighbor pair is one shift of P_C = ``Bin(C, 1/2) + Bern(1-p)``
+    against Q_C = ``Bin(C, 1/2) + Bern(p)``, so the pair that reveals C
+    dominates the shuffled count. Its loss at count c is ``log[((1-p) c + p (C
+    - c + 1)) / (p c + (1-p) (C - c + 1))]``, weighted by the mass of (C, c)
+    under P; the mirror c -> C + 1 - c swaps P and Q, so this one direction is
+    both. C spans ``_BLANKET_SD`` sd (plus as many counts) each side of its
+    mean, in steps of a quarter sd, each step's mass at its first count's pair:
+    a uniform bit shared by both laws is a post-processing, so the pair at C
+    dominates every larger C's. Each Bin(C, 1/2) row spans as many sd each side
+    of C / 2. Returns the losses, their weights and the truncated mass (the
+    windows' tails, by Hoeffding and geometric-series bounds), which any caller
+    charges at the largest loss, ``log((1-p) / p)``.
     """
-    scale = math.exp(epsilon)
-    a, c = 1.0 - flip_p - scale * flip_p, scale * (1.0 - flip_p) - flip_p
-    if a <= 0.0:
-        return 0.0  # one report alone is eps-private
     m, q = n - 1, 2.0 * flip_p
     sd = math.sqrt(m * q * (1.0 - q))
     half, step = math.ceil(_BLANKET_SD * (sd + 1.0)), max(1, int(sd / 4))
     lo, hi = max(0, math.floor(m * q) - half), min(m, math.ceil(m * q) + half)
     counts = np.arange(lo, hi + 1, step)
-    # a row starts 2 below its cut (so a cut one off by rounding loses no gap) and runs
-    # as many sd of Bin(C, 1/2) past C / 2, Hoeffding bounding the rest
-    start = np.maximum(np.floor(c / (a + c) * (counts + 1)).astype(np.int64) - 1, 0)
-    ends = np.ceil(counts / 2 + _BLANKET_SD * (np.sqrt(counts) / 2 + 1)).astype(np.int64)
-    width = int(max(2, (ends - start).max() + 2))
-    _check_paths(len(counts) * width, f"privacy-blanket bound (n={n})", "; reduce the cohort n")
-    b = np.exp(_log_binomial(counts, 0.5, start, width))
-    gaps = np.clip(a * b[:, :-1] - c * b[:, 1:], 0.0, None).sum(axis=1)
-    gaps += a * np.exp(-2.0 * (start + width - 1 - counts / 2) ** 2 / np.maximum(counts, 1))
-    # a shared uniform bit cannot widen the gap, so each quarter-sd step of C pays its first count's
+    reach = _BLANKET_SD * (np.sqrt(counts) / 2 + 1)
+    start = np.maximum(np.floor(counts / 2 - reach), 0).astype(np.int64)
+    width = int((np.ceil(counts / 2 + reach) - start).max()) + 1
+    _check_paths(len(counts) * (width + 1), f"privacy-blanket bound (n={n})",
+                 "; reduce the cohort n")
+    # b(k) for k = start - 1 .. start + width, zero at both ends; a report count c = k + 1 or k
+    b = np.zeros((len(counts), width + 2))
+    b[:, 1:-1] = np.exp(_log_binomial(counts, 0.5, start, width))
     weights = np.exp(_log_binomial(m, q, lo, hi - lo + 1))
     mass = np.add.reduceat(weights, counts - lo)
-    # the mass past the window, at gap 1: each tail is under its edge's geometric series
-    below, above = lo * (1.0 - q) / ((m - lo + 1) * q), (m - hi) * q / ((hi + 1) * (1.0 - q))
-    outside = weights[0] * below / (1.0 - below) + weights[-1] * above / (1.0 - above)
-    return float((mass @ gaps + outside) * (1.0 + _LOG_PMF_RTOL))  # the pmfs' rounding
+    # ones and zeros among the C + 1 reports; a count past C + 1 keeps the last loss, at weight 0
+    ones = np.minimum(start[:, None] + np.arange(width + 1), counts[:, None] + 1)
+    zeros = counts[:, None] + 1 - ones
+    losses = np.log(((1.0 - flip_p) * ones + flip_p * zeros)
+                    / (flip_p * ones + (1.0 - flip_p) * zeros))
+    pairs = mass[:, None] * ((1.0 - flip_p) * b[:, :-1] + flip_p * b[:, 1:])
+    # the mass past each window: Hoeffding on the rows, a geometric series on C's tails
+    spread = np.maximum(counts, 1)
+    below = np.where(start > 0, np.exp(-2.0 * (counts / 2 - start) ** 2 / spread), 0.0)
+    past = start + width - 1
+    above = np.where(past < counts, np.exp(-2.0 * (past - counts / 2) ** 2 / spread), 0.0)
+    down, up = lo * (1.0 - q) / ((m - lo + 1) * q), (m - hi) * q / ((hi + 1) * (1.0 - q))
+    outside = weights[0] * down / (1.0 - down) + weights[-1] * up / (1.0 - up)
+    return losses.ravel(), pairs.ravel(), float(mass @ (below + above) + outside)
+
+
+def _gaps(losses: np.ndarray, epsilon: float) -> np.ndarray:
+    """``(1 - e^(eps - L))_+`` at each loss L: the hockey-stick gap per unit of P's mass."""
+    return -np.expm1(np.minimum(epsilon - losses, 0.0))
+
+
+def _blanket_delta(n: int, flip_p: float, epsilon: float) -> float:
+    """The privacy-blanket bound on :func:`_rr_audit_delta`, at any cohort size.
+
+    The d = 1 reading of :func:`_blanket_loss`: the sum of ``w (1 - e^(eps -
+    L))`` over the losses above eps, plus the truncated mass at the largest
+    loss. It is at least the gap of every neighbor pair either way (joint
+    convexity). The result is padded by ``_LOG_PMF_RTOL``, the pmfs' rounding.
+    """
+    cap = -math.expm1(epsilon - math.log((1.0 - flip_p) / flip_p))
+    if cap <= 0.0:
+        return 0.0  # one report alone is eps-private
+    losses, weights, truncated = _blanket_loss(n, flip_p)
+    reading = (weights * _gaps(losses, epsilon)).sum()
+    return float((reading + truncated * cap) * (1.0 + _LOG_PMF_RTOL))
+
+
+def _composed_delta(n: int, flip_p: float, epsilon: float, d: int) -> float:
+    """An upper bound on delta(eps) of a release of d shuffled 1-counts, one per coordinate.
+
+    A neighbor changes at most every coordinate, and the d-fold product of the
+    blanket pair dominates the release (Zhu, Dong and Wang, "Optimal Accounting
+    of Differential Privacy via Characteristic Function", AISTATS 2022). Its
+    delta(eps) is the mean under P^d of ``(1 - e^(eps - L_1 - ... - L_d))_+``,
+    which grows with every loss, so :func:`_composed_reading` may round each
+    loss of :func:`_blanket_loss` up to a grid. Added to its reading: d times
+    the truncated mass, at the largest composed loss, and the reading's FFT
+    rounding. The pmfs' rounding pads the rest by ``(1 + _LOG_PMF_RTOL)^d``.
+    """
+    top = math.log((1.0 - flip_p) / flip_p)
+    cap = -math.expm1(epsilon - d * top)
+    if cap <= 0.0:
+        return 0.0  # d reports alone are eps-private
+    losses, weights, truncated = _blanket_loss(n, flip_p)
+    reading, rounding = _composed_reading(losses, weights, epsilon, d)
+    return float((reading + d * truncated * cap) * (1.0 + _LOG_PMF_RTOL) ** d + rounding)
+
+
+def _composed_reading(losses: np.ndarray, weights: np.ndarray, epsilon: float,
+                      d: int) -> tuple[float, float]:
+    """The mean of ``(1 - e^(eps - S))_+``, S the d-fold sum of the losses rounded up to
+    ``_LOSS_STEP``, and a bound on the FFT's rounding of it.
+
+    S's law is one real FFT of the rounded law raised to the d-th power
+    (Koskela, Jalko and Honkela, "Computing Tight Differential Privacy
+    Guarantees Using the FFT", AISTATS 2020). The FFT spans ``_COMPOSED_SD``
+    sd of S each side of its mean, or all of S's support if that is shorter,
+    starting at or below eps. Mass wrapped around the window only adds to the
+    reading; the mass past its end is added by a Chernoff bound. The rounding
+    bound is Higham's for the FFT (Accuracy and Stability of Numerical
+    Algorithms, 24.1), read through Cauchy-Schwarz. ``numpy.fft`` loads here,
+    on first use.
+    """
+    steps = np.ceil(losses / _LOSS_STEP).astype(np.int64)
+    first = int(steps.min())
+    single = np.bincount(steps - first, weights)  # the rounded law, from loss first * h up
+    offsets = np.arange(len(single))
+    mean = (single * offsets).sum() / single.sum()
+    # the sum's sd in grid steps, at least one so that a law on one grid point gets a window
+    sd = max(1.0, math.sqrt((single * (offsets - mean) ** 2).sum() / single.sum() * d))
+    span = d * (len(single) - 1) + 1  # S takes offsets 0 .. span - 1 from d * first
+    size = 1 << (min(span, math.ceil(2 * _COMPOSED_SD * sd) + 1) - 1).bit_length()
+    _check_paths(size, f"composed privacy loss (d={d})", "; reduce d or raise the cohort n")
+    # the window holds offsets shift .. shift + size - 1; none below shift exceeds eps
+    shift = 0 if size >= span else min(max(0, round(d * mean) - size // 2), span - size)
+    shift = max(0, min(shift, math.floor(epsilon / _LOSS_STEP) - d * first))
+    from numpy import fft
+
+    folded = np.bincount((steps - first) % size, weights, minlength=size)
+    composed = np.roll(fft.irfft(_power(fft.rfft(folded), d), size), -shift)
+    gaps = _gaps(_LOSS_STEP * (d * first + shift + np.arange(size)), epsilon)
+    reading = (composed * gaps).sum()
+    if size < span:
+        reading += _chernoff_tail(single, _LOSS_STEP * (first + offsets), d,
+                                  _LOSS_STEP * (d * first + shift + size), _LOSS_STEP * sd)
+    scale = (d + 1) * (math.log2(size) + 1) * math.sqrt(np.square(folded).sum()) + 1.0
+    return float(reading), 8.0 * _ULP * scale * math.sqrt(np.square(gaps).sum())
+
+
+def _power(x: np.ndarray, d: int) -> np.ndarray:
+    """``x ** d`` by repeated squaring; numpy's complex power takes exp and log from d = 100 on."""
+    if d == 1:
+        return x
+    half = _power(x * x, d // 2)
+    return half * x if d % 2 else half
+
+
+def _chernoff_tail(law: np.ndarray, values: np.ndarray, d: int, t: float, sd: float) -> float:
+    """A Chernoff bound on the mass at or past t of the d-fold sum of ``law`` on ``values``.
+
+    Any lambda > 0 bounds it by ``M(lambda)^d e^(-lambda t)``, M the moment
+    generating function; this takes the least over multiples of the Gaussian
+    optimum ``(t - d mean) / sd^2`` (``sd`` the sum's), in logs.
+    """
+    keep = law > 0.0
+    law, values = law[keep], values[keep]
+    mean = d * (law * values).sum() / law.sum()
+    best = max(t - mean, sd) / (sd * sd) * np.geomspace(0.125, 8.0, 7)
+    exps = np.log(law) + best[:, None] * values
+    peak = exps.max(axis=1)
+    log_mgf = peak + np.log(np.exp(exps - peak[:, None]).sum(axis=1))
+    return float(np.exp(np.min(d * log_mgf - best * t)))
 
 
 @dataclass(frozen=True)
 class CalibratedRR:
-    """Flip probability plus how it was certified."""
+    """Flip probability plus how it was certified, for a release of d coordinates."""
 
     flip_p: float
     epsilon: float
     delta: float
     n: int
-    method: str  # "exact-audit", "blanket", or "closed-form" (the pure local level at delta = 0)
+    # "exact-audit", "blanket", "composed" (the d-fold blanket), or "closed-form" (the pure
+    # local level at delta = 0)
+    method: str
+    d: int = 1
 
     def audit_delta(self) -> float:
-        """Re-audit the shuffled count law at the calibrated flip probability."""
+        """Re-audit one coordinate's shuffled count law at the calibrated flip probability.
+
+        It is the whole release's audit only at d = 1.
+        """
         return _rr_audit_delta(self.n, self.flip_p, self.epsilon)
 
 
-def calibrate_rr(epsilon: float, delta: float, n: int) -> CalibratedRR:
-    """Smallest certifiable randomized-response flip probability for a cohort.
+def calibrate_rr(epsilon: float, delta: float, n: int, d: int = 1) -> CalibratedRR:
+    """Smallest certifiable randomized-response flip probability for d coordinates of a cohort.
 
     Bisection from 1/2, where every bound reads 0, keeps the feasible endpoint,
-    so the result re-certifies. The bound is the exact audit of the shuffled
-    1-count up to ``EXACT_AUDIT_MAX_N`` users (``"exact-audit"``), and above
-    it the privacy-blanket bound (``"blanket"``), which is at least the exact
-    audit and meets any finite epsilon and delta in (0, 1). An epsilon whose
-    e^eps overflows is refused before either bound runs.
+    so the result re-certifies. At d = 1 the bound is the exact audit of the
+    shuffled 1-count up to ``EXACT_AUDIT_MAX_N`` users (``"exact-audit"``, 60
+    steps), and above it the privacy-blanket bound (``"blanket"``), which is at
+    least the exact audit and meets any finite epsilon and delta in (0, 1). At
+    d > 1 it is the blanket bound composed over the d coordinates
+    (``"composed"``). Either blanket bound stops its bisection once the
+    bracket is narrower than ``_BOUND_RTOL`` of its top. An epsilon whose e^eps
+    overflows is refused before any bound runs.
 
-    With ``delta = 0`` privacy must come from the local report alone, so the
-    answer is the pure local level ``1 / (1 + e^eps)`` at any cohort size.
+    With ``delta = 0`` privacy must come from the local reports alone, so the
+    answer is the pure local level ``1 / (1 + e^(eps / d))`` at any cohort size.
     """
-    _check_budget(epsilon, delta, n=n)
+    _check_budget(epsilon, delta, n=n, d=d)
     if delta == 0.0:
-        p = 1.0 / (1.0 + math.exp(epsilon))
-        return CalibratedRR(flip_p=p, epsilon=epsilon, delta=0.0, n=n, method="closed-form")
+        p = 1.0 / (1.0 + math.exp(epsilon / d))
+        return CalibratedRR(flip_p=p, epsilon=epsilon, delta=0.0, n=n, method="closed-form", d=d)
     _check_eps([epsilon])
-    bound, method = ((_rr_audit_delta, "exact-audit") if n <= EXACT_AUDIT_MAX_N
-                     else (_blanket_delta, "blanket"))
+    if d > 1:
+        bound, method = partial(_composed_delta, d=d), "composed"
+    elif n <= EXACT_AUDIT_MAX_N:
+        bound, method = _rr_audit_delta, "exact-audit"
+    else:
+        bound, method = _blanket_delta, "blanket"
+    rtol = 0.0 if method == "exact-audit" else _BOUND_RTOL
     lo, hi = 0.0, 0.5  # at 1/2 both neighbors' count laws are one array
     for _ in range(60):
+        if hi - lo <= rtol * hi:
+            break
         mid = 0.5 * (lo + hi)
         if bound(n, mid, epsilon) <= delta:
             hi = mid
         else:
             lo = mid
-    return CalibratedRR(flip_p=hi, epsilon=epsilon, delta=delta, n=n, method=method)
+    return CalibratedRR(flip_p=hi, epsilon=epsilon, delta=delta, n=n, method=method, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +475,6 @@ def _debiased_rr_means(x: np.ndarray, flip_p: float, gen) -> np.ndarray:
     return (2.0 * debiased - n) / n
 
 
-def advanced_split(epsilon: float, delta: float, d: int) -> tuple[float, float]:
-    """Per-feature (epsilon', delta') so that d-fold composition stays within
-    (epsilon, delta): epsilon' = epsilon / sqrt(8 d ln(1/delta)), delta' =
-    delta / (2 d)."""
-    if delta <= 0 or delta >= 1:
-        raise ValueError("advanced composition needs delta in (0, 1)")
-    eps_i = epsilon / math.sqrt(8.0 * d * math.log(1.0 / delta))
-    return eps_i, delta / (2.0 * d)
-
-
 def pan_noise_parameters(epsilon: float, delta: float, d: int) -> tuple[str, float]:
     """Noise kind and per-noising scale for the two accumulator noisings.
 
@@ -364,6 +492,15 @@ def pan_noise_parameters(epsilon: float, delta: float, d: int) -> tuple[str, flo
     return "laplace", 2.0 * d / (epsilon / 2.0)
 
 
+def _shuffle_flip(epsilon: float, delta: float, d: int, n: int) -> float:
+    """The flip :func:`calibrate_rr` certifies for d coordinates of n users; refused at delta = 0,
+    where the blanket adds nothing to the local reports."""
+    if delta == 0.0:
+        raise ValueError(
+            "the shuffle model needs delta in (0, 1); at delta = 0 use the local model")
+    return calibrate_rr(epsilon, delta, n, d).flip_p
+
+
 class _ModelTable(dict):
     def __missing__(self, model):  # an unknown model is a ValueError, not a KeyError
         raise ValueError(f"unknown model {model!r}; expected one of {tuple(self)}")
@@ -372,12 +509,12 @@ class _ModelTable(dict):
 # model -> (epsilon, delta, d, n) -> the noise it certifies for d features of n users:
 # ("rr", flip probability, 0), or (kind, scale, draws) Laplace or Gaussian noisings of the
 # sign sums. Central and local split a pure budget over the features; shuffle calibrates
-# the cohort at its advanced split; pan noises state initialization, then release.
+# one flip for the cohort's whole d-coordinate release; pan noises state initialization,
+# then release.
 _NOISE = _ModelTable({
     "central": lambda epsilon, delta, d, n: ("laplace", 2.0 * d / epsilon, 1),
     "local": lambda epsilon, delta, d, n: ("rr", 1.0 / (1.0 + math.exp(epsilon / d)), 0),
-    "shuffle": lambda epsilon, delta, d, n: (
-        "rr", calibrate_rr(*advanced_split(epsilon, delta, d), n).flip_p, 0),
+    "shuffle": lambda epsilon, delta, d, n: ("rr", _shuffle_flip(epsilon, delta, d, n), 0),
     "pan": lambda epsilon, delta, d, n: (*pan_noise_parameters(epsilon, delta, d), 2),
 })
 MODELS = tuple(_NOISE)

@@ -21,7 +21,6 @@ from panshuffle.baselines import (
     CalibratedRR,
     PROBLEMS,
     ProblemInstance,
-    advanced_split,
     calibrate_rr,
     decide,
     empirical_means,
@@ -41,6 +40,8 @@ from panshuffle.errors import GuardError
 from panshuffle.rng import make_generator
 
 from oracles.feature_oracle import feature_matrix_by_columns
+from oracles.pld_oracle import full_length_reading
+from oracles.release_oracle import release_audit_delta
 from oracles.sign_matrix_oracle import feature_matrix_by_gather
 from oracles.instances import random_instance
 from oracles.solve_oracle import solve
@@ -80,6 +81,10 @@ def test_calibrate_rr_pure_regime_is_local_level():
     cal = calibrate_rr(1.2, 0.0, 500)
     assert cal.flip_p == pytest.approx(1.0 / (1.0 + math.exp(1.2)), abs=1e-15)
     assert cal.method == "closed-form"
+    # d reports at the local level of eps / d each
+    cal = calibrate_rr(1.2, 0.0, 500, 4)
+    assert cal.flip_p == pytest.approx(1.0 / (1.0 + math.exp(0.3)), abs=1e-15)
+    assert (cal.method, cal.d) == ("closed-form", 4)
 
 
 def test_calibrate_rr_exact_audit_regime():
@@ -136,11 +141,95 @@ def test_blanket_flips_on_large_cohorts(n, eps, delta, flip):
     assert calibrate_rr(eps, delta, n).flip_p == pytest.approx(flip, abs=5e-4)
 
 
+# (n, d, eps, delta): cohorts small enough for the exact audit of the whole release
+_RELEASE_TARGETS = [(8, 2, 1.0, 1e-2), (11, 2, 0.5, 1e-2), (12, 2, 1.0, 1e-3),
+                    (10, 3, 1.0, 1e-2), (9, 3, 2.0, 1e-3), (12, 3, 4.0, 1e-3)]
+
+
+@pytest.mark.parametrize("n, d, eps, delta", _RELEASE_TARGETS)
+def test_a_composed_flip_bounds_the_exact_audit_of_the_whole_release(n, d, eps, delta):
+    cal = calibrate_rr(eps, delta, n, d)
+    assert (cal.method, cal.d) == ("composed", d)
+    exact = release_audit_delta(n, cal.flip_p, [eps], d)[0]
+    composed = baselines_mod._composed_delta(n, cal.flip_p, eps, d)
+    # measured 1.36-1.63: at n <= 12 the blanket alone is up to 1.36x the exact audit
+    # of one coordinate, and composition carries that slack to every coordinate
+    assert exact <= composed <= delta
+    assert composed <= 1.7 * exact
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_the_release_oracle_at_one_coordinate_is_the_count_audit(n):
+    for flip in (0.05, 0.2, 0.4):
+        exact = [baselines_mod._rr_audit_delta(n, flip, eps) for eps in (0.1, 1.0)]
+        assert np.allclose(release_audit_delta(n, flip, [0.1, 1.0], 1), exact, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (10, 2), (12, 2), (8, 3), (10, 3)])
+def test_the_composed_bound_is_at_least_the_exact_release_audit(n, d):
+    epsilons = [0.1, 0.5, 1.0, 2.0]
+    for flip in (0.05, 0.2, 0.4):
+        for eps, exact in zip(epsilons, release_audit_delta(n, flip, epsilons, d)):
+            assert baselines_mod._composed_delta(n, flip, eps, d) >= exact, (flip, eps)
+
+
+@pytest.mark.parametrize("n, eps, flip", [(13, 0.5, 0.2), (200, 1.0, 0.0366), (600, 1.0, 0.0559),
+                                          (2000, 0.1, 0.273), (40, 2.0, 0.1)])
+def test_one_composed_coordinate_lies_within_a_grid_step_of_the_blanket_bound(n, eps, flip):
+    # rounding each loss up by less than the step h can move the curve at most from eps to eps - h
+    composed = baselines_mod._composed_delta(n, flip, eps, 1)
+    assert baselines_mod._blanket_delta(n, flip, eps) <= composed
+    assert composed <= baselines_mod._blanket_delta(n, flip, eps - baselines_mod._LOSS_STEP) + 1e-10
+
+
+_COMPOSED_TARGETS = [(40, 4, 4.0, 1e-3), (228, 8, 1.0, 1e-6), (1136, 128, 1.0, 1e-6)]
+
+
+@pytest.mark.parametrize("n, d, eps, delta", _COMPOSED_TARGETS)
+def test_a_composed_flip_re_certifies_and_two_percent_lower_breaks_the_bound(n, d, eps, delta):
+    cal = calibrate_rr(eps, delta, n, d)
+    assert cal.method == "composed" and 0.0 < cal.flip_p < 0.5
+    assert baselines_mod._composed_delta(n, cal.flip_p, eps, d) <= delta
+    assert baselines_mod._composed_delta(n, 0.98 * cal.flip_p, eps, d) > delta
+
+
+@pytest.mark.parametrize("n, d, flip", [
+    # the flips the exact-law predictions give at eps = 1, delta = 1e-6 for d = 8 and 128
+    (228, 8, 0.269), (1136, 128, 0.354),
+])
+def test_composed_flips_match_the_exact_law_predictions(n, d, flip):
+    assert calibrate_rr(1.0, 1e-6, n, d).flip_p == pytest.approx(flip, rel=0.02)
+
+
+@pytest.mark.parametrize("n, d, flip", [(228, 8, 0.269), (1136, 128, 0.354)])
+def test_the_windowed_fft_matches_the_full_length_fft(n, d, flip):
+    losses, weights, _ = baselines_mod._blanket_loss(n, flip)
+    reading, rounding = baselines_mod._composed_reading(losses, weights, 1.0, d)
+    full = full_length_reading(losses, weights, 1.0, d, baselines_mod._LOSS_STEP)
+    # measured 1.3e-10 and 5.2e-9 relative: both FFTs' rounding, which the bound covers
+    assert abs(reading - full) <= min(rounding, 2e-8 * full)
+
+
+def test_the_composed_bound_refuses_an_fft_past_the_path_guard():
+    # at n = 1000 the first bisection step's loss spreads over 2^24 grid steps at d = 10^6
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match=r"^composed privacy loss \(d=1000000\): "
+                                             r".*; reduce d or raise the cohort n$"):
+            calibrate_rr(1.0, 1e-6, 1000, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, peak  # the 2^24-point transform alone would take 134 MB
+
+
 def test_calibrate_rr_rejects_bad_inputs():
     with pytest.raises(ValueError):
         calibrate_rr(0.0, 0.1, 10)
     with pytest.raises(ValueError):
         calibrate_rr(1.0, 0.1, 0)
+    with pytest.raises(ValueError, match="'d' must be at least 1, got 0"):
+        calibrate_rr(1.0, 0.1, 10, 0)
     # a per-feature budget above 1 is certified too
     cal = calibrate_rr(2.0, 1e-6, 100)
     assert cal.method == "blanket" and cal.audit_delta() <= 1e-6
@@ -279,9 +368,10 @@ def test_find_selection_threshold_refuses_an_unusable_search_before_any_trial(
 
 
 @pytest.mark.parametrize("d, model, delta, trials, named", [
-    # shuffle cannot split a pure budget over d = 8 features, so no 1-count may be
-    # drawn before the certificate is asked for
-    (8, "shuffle", 0.0, 50, "advanced composition needs delta in (0, 1)"),
+    # shuffle refuses a pure budget, so no 1-count may be drawn before the
+    # certificate is asked for
+    (8, "shuffle", 0.0, 50,
+     "the shuffle model needs delta in (0, 1); at delta = 0 use the local model"),
     (0, "central", 1e-6, 50, "'d' must be at least 1, got 0"),
     (8, "central", 1e-6, 0, "'trials' must be at least 1, got 0"),  # not a nan rate
     (8, "pan", 1e-6, -1, "'trials' must be at least 1, got -1"),
@@ -340,14 +430,6 @@ def test_estimators_reject_empty_input():
         private_means(np.ones((3, 2)), "federated", 1.0)
     with pytest.raises(ValueError, match="signs"):
         private_means(np.zeros((3, 2)), "central", 1.0)
-
-
-def test_advanced_split_formula():
-    eps_i, delta_i = advanced_split(1.0, 1e-6, 4)
-    assert eps_i == pytest.approx(1.0 / math.sqrt(32.0 * math.log(1e6)), rel=1e-15)
-    assert delta_i == pytest.approx(1e-6 / 8.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        advanced_split(1.0, 0.0, 4)
 
 
 def test_pan_noise_parameters_values():
@@ -718,9 +800,8 @@ def _seeded_draws() -> dict:
     """Seeded outputs of both noise paths, each with a probe of the generator's next state.
 
     ``private_means`` runs on one 12 x 4 sign matrix at (4, 1e-3) under every
-    model (shuffle at n = 12 is calibrated by the exact audit);
-    ``selection_success_fast`` runs at d = 3 for n = 12 and n = 5000 (shuffle
-    at 5000 takes the blanket flip).
+    model; ``selection_success_fast`` runs at d = 3 for n = 12 and n = 5000.
+    Shuffle takes the composed blanket flip for its 4 or 3 coordinates.
     """
     signs = make_generator(11, "draws-golden", "signs").choice([-1, 1], size=(12, 4))
     out: dict = {"private_means": {}, "selection_success_fast": {}}

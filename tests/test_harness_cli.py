@@ -215,13 +215,13 @@ def test_mean_error_certifies_its_noise_once_per_run(tmp_path, monkeypatch):
     import panshuffle.baselines as bl
 
     calls = []
-    audit = bl._rr_audit_delta
-    monkeypatch.setattr(bl, "_rr_audit_delta", lambda *a: calls.append(1) or audit(*a))
-    bl.calibrate_rr(*bl.advanced_split(4.0, 1e-3, 8), 12)
+    bound = bl._composed_delta
+    monkeypatch.setattr(bl, "_composed_delta", lambda *a, **k: calls.append(1) or bound(*a, **k))
+    bl.calibrate_rr(4.0, 1e-3, 12, 8)
     one_calibration = len(calls)
     calls.clear()
     run_spec(_shuffle_mean_spec(1e-3, 1), tmp_path)
-    assert len(calls) == one_calibration == 60  # the bisection's steps; 1/2 is never audited
+    assert len(calls) == one_calibration > 0  # the bisection's steps; 1/2 is never read
 
 
 @pytest.mark.parametrize("spec", [
@@ -235,7 +235,8 @@ def test_shuffle_at_delta_zero_is_refused_before_any_worker(spec, tmp_path, monk
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    with pytest.raises(ValueError, match=r"^advanced composition needs delta in \(0, 1\)$"):
+    with pytest.raises(ValueError, match=r"^the shuffle model needs delta in \(0, 1\); "
+                                         r"at delta = 0 use the local model$"):
         run_spec(spec, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
@@ -333,8 +334,8 @@ def test_selection_sweep_kind(tmp_path):
 
 
 def test_a_shuffle_selection_sweep_runs_end_to_end(tmp_path):
-    # each cohort the search visits is certified: by the exact audit up to 12 users, and
-    # by the privacy blanket above, at any per-feature budget
+    # each cohort the search visits is certified by the privacy blanket, composed over
+    # the sweep's d coordinates
     spec = ExperimentSpec("selection_sweep", "shuffle-sweep", {
         "dims": [2, 3, 4, 6], "model": "shuffle", "epsilon": 4.0, "delta": 1e-3,
         "pilot_trials": 100,
@@ -902,7 +903,7 @@ def _qlap(**keys) -> list[str]:
 @pytest.mark.parametrize("argv, named", [
     (["sweep", "--dims", "8,16", "--trials", "100"], ["selection_sweep", "dims", "[8, 16]"]),
     (["sweep", "--dims", "8,16,32,64", "--model", "shuffle", "--delta", "0", "--trials", "100"],
-     ["advanced composition needs delta in (0, 1)"]),
+     ["the shuffle model needs delta in (0, 1); at delta = 0 use the local model"]),
     (["fit", "--csv", "short.csv"], [">= 4", "got 3"]),
     (["fit", "--csv", "ragged.csv"], ["ragged.csv line 3:", "got '16'"]),
     (["fit", "--csv", "long.csv"], ["long.csv line 4:", "got '32,400,7'"]),

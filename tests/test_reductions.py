@@ -116,6 +116,12 @@ def test_package_import_leaves_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_package_import_leaves_numpy_fft_unloaded():
+    """The composed privacy bound loads ``numpy.fft`` on first use, not with the package."""
+    out = _run_on_src(["-c", "import sys, panshuffle; print('numpy.fft' in sys.modules)"])
+    assert out.stdout.strip() == "False"
+
+
 def test_audit_reduce_check_and_norm_load_no_scipy(tmp_path):
     argvs = [
         ["audit", "--mechanism", '{"type": "binary_rr", "flip_p": 0.2}',
